@@ -193,10 +193,16 @@ func TestUndefinedFunction(t *testing.T) {
 
 func TestProfileAttribution(t *testing.T) {
 	res, sink := compile(t, `
+int g = 0;
+int acc(int x) { g = g + x; return g; }
 void main() {
 	int s = 0;
-	for (int i = 0; i < 5; i++) {
-		s = heavy(s);
+	for (int i = 0; i < 4; i++) {
+		if (i % 2 == 0) {
+			s = s + acc(i);
+		} else {
+			s = heavy(s);
+		}
 	}
 	emit(s);
 }`)
@@ -210,17 +216,29 @@ void main() {
 	if th.Profile.Total != th.Cost {
 		t.Errorf("profile total %d != thread cost %d", th.Profile.Total, th.Cost)
 	}
-	// The call instruction to heavy must carry the dominant cost.
-	var maxCost int64
-	var maxID int
-	for id, c := range th.Profile.Cost {
-		if c > maxCost {
-			maxCost, maxID = c, id
-		}
+	// Every instruction of main is charged CostPerInstr per execution; a
+	// call also carries its callee's whole cost: acc's six-instruction body
+	// (%25: 2 × 7) and the builtins' own costs (%21 emit: 1 + 5, %31 heavy:
+	// 2 × 1001). Block execution counts: b0 once, the header b1 five times,
+	// b2/b3/b6 four times, the even arm b5 and the odd arm b7 twice each,
+	// the exit b4 once.
+	want := []int64{
+		1, 1, 1, 1, 1, // b0: s = 0, i = 0, br
+		5, 5, 5, 5, // b1: i < 4
+		4, 4, 4, 4, 4, 4, // b2: i % 2 == 0
+		4, 4, 4, 4, 4, // b3: i++
+		1, 6, 1, // b4: emit(s), ret
+		2, 2, 14, 2, 2, 2, // b5: s = s + acc(i)
+		4,             // b6: join
+		2, 2002, 2, 2, // b7: s = heavy(s)
 	}
-	in := mainFn.InstrByID(maxID)
-	if in == nil || in.Name != "heavy" {
-		t.Errorf("dominant instruction = %v (cost %d), want call heavy", in, maxCost)
+	if len(th.Profile.Cost) != len(want) {
+		t.Fatalf("profile has %d instructions, want %d:\n%s", len(th.Profile.Cost), len(want), mainFn)
+	}
+	for id, c := range th.Profile.Cost {
+		if c != want[id] {
+			t.Errorf("%v: cost %d, want %d", mainFn.InstrByID(id), c, want[id])
+		}
 	}
 }
 
