@@ -32,7 +32,9 @@ type fastOp func(t *Thread, regs, locals []value.Value) error
 type segment struct {
 	cost int64
 	ops  []fastOp
+	ids  []int     // instruction IDs of ops, for profiling
 	call *ir.Instr // trailing OpCall, or nil for the terminator segment
+	tail int       // instruction ID of the trailing call or terminator
 }
 
 // blockCode is one compiled basic block.
@@ -109,9 +111,9 @@ func compileFunc(f *ir.Func, gslot map[string]int) *fnCode {
 		bc := &fc.blocks[bi]
 		bc.term = blk.Instrs[len(blk.Instrs)-1]
 		var seg segment
-		flush := func(call *ir.Instr, extra int64) {
-			seg.cost = (int64(len(seg.ops)) + extra) * CostPerInstr
-			seg.call = call
+		flush := func(call, tail *ir.Instr) {
+			seg.cost = int64(len(seg.ops)+1) * CostPerInstr
+			seg.call, seg.tail = call, tail.ID
 			bc.segs = append(bc.segs, seg)
 			seg = segment{}
 		}
@@ -120,7 +122,7 @@ func compileFunc(f *ir.Func, gslot map[string]int) *fnCode {
 				return nil // terminator mid-block: legacy path diagnoses it
 			}
 			if in.Op == ir.OpCall {
-				flush(in, 1)
+				flush(in, in)
 				continue
 			}
 			op := compileOp(in, gslot)
@@ -128,8 +130,9 @@ func compileFunc(f *ir.Func, gslot map[string]int) *fnCode {
 				return nil
 			}
 			seg.ops = append(seg.ops, op)
+			seg.ids = append(seg.ids, in.ID)
 		}
-		flush(nil, 1) // trailing segment carries the terminator's cost
+		flush(nil, bc.term) // trailing segment carries the terminator's cost
 	}
 	return fc
 }
@@ -220,6 +223,17 @@ func compileOp(in *ir.Instr, gslot map[string]int) fastOp {
 	return nil
 }
 
+// charge attributes one executed segment to the profile: CostPerInstr to
+// each straight-line instruction, and CostPerInstr plus the callee's cost
+// to the trailing call or terminator.
+func (p *Profile) charge(s *segment, callee int64) {
+	for _, id := range s.ids {
+		p.Cost[id] += CostPerInstr
+	}
+	p.Cost[s.tail] += CostPerInstr + callee
+	p.Total += s.cost + callee
+}
+
 // execFast runs a pre-compiled function. Cost accounting matches the
 // legacy stepper at every observation point: a segment's full cost (its
 // instructions plus the trailing call or terminator) is charged before the
@@ -245,6 +259,10 @@ func (t *Thread) execFast(fc *fnCode, args []value.Value) ([]value.Value, error)
 		t.depth--
 	}()
 
+	prof := t.Profile
+	if prof != nil && prof.Func != fc.f.Name {
+		prof = nil
+	}
 	bi := 0
 	for {
 		bc := &fc.blocks[bi]
@@ -256,10 +274,14 @@ func (t *Thread) execFast(fc *fnCode, args []value.Value) ([]value.Value, error)
 					return nil, err
 				}
 			}
+			before := t.Cost
 			if s.call != nil {
 				if err := t.execCall(s.call, regs, locals); err != nil {
 					return nil, err
 				}
+			}
+			if prof != nil {
+				prof.charge(s, t.Cost-before)
 			}
 		}
 		switch term := bc.term; term.Op {

@@ -279,7 +279,7 @@ func (t *Thread) CallByName(name string, args []value.Value) ([]value.Value, err
 // stepper below. Interceptors and tracers run unchanged on both paths (the
 // compiled global ops emit the same trace events in the same order).
 func (t *Thread) Exec(f *ir.Func, args []value.Value) ([]value.Value, error) {
-	if FastEnabled && (t.Profile == nil || t.Profile.Func != f.Name) {
+	if FastEnabled {
 		if fc := codeFor(t.Env.Prog, f); fc != nil {
 			return t.execFast(fc, args)
 		}
