@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt staticcheck race vet-precision bench-schedule bench-faults bench-service bench-sanitize bench-steal bench-host verify
+.PHONY: all build test vet fmt staticcheck race vet-precision bench-schedule bench-faults bench-service bench-sanitize bench-steal bench-perf-smoke verify
 
 all: build
 
@@ -78,20 +78,16 @@ bench-sanitize:
 bench-steal:
 	$(GO) run ./cmd/commsetbench -steal -smoke -novet -steal-json BENCH_steal.json
 
-# Host wall-clock smoke: run the campaign suite once on the legacy
-# stepper and once on the compiled fast substrate (cold caches each
-# pass), gate virtual times bit-for-bit, and write the wall-clock and
-# ns/cost-unit comparison to BENCH_host.json (the CI artifact). The
-# >25% fast-substrate ns/cost-unit check against the committed
-# BENCH_host.json is advisory only — CI host clocks are noisy (see
-# EXPERIMENTS.md); the vtime gate is the hard failure.
-bench-host:
-	$(GO) run ./cmd/commsetbench -host -smoke -novet -hostpar 4 -host-json BENCH_host.json -host-baseline BENCH_host.json
+# Host-time benchmark smoke: perfbench is its own module, so go build ./...
+# never compiles it. Vet it and run its smoke test (every BENCHMARK.json
+# metric emitted, no failed operation) so a change that breaks a name it
+# imports fails here, not in the benchmark run.
+bench-perf-smoke:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The full pre-merge gate: build, vet (plus staticcheck when installed),
 # formatting, the race-enabled test suite, the analyzer precision gate,
 # the schedule-report smoke, the fault-injection (crash/restart) smoke,
 # the open-system service smoke, the dynamic-sanitizer smoke, the
-# work-stealing straggler smoke, and the host wall-clock smoke with its
-# vtime bit-for-bit gate.
-verify: build vet staticcheck fmt race vet-precision bench-schedule bench-faults bench-service bench-sanitize bench-steal bench-host
+# work-stealing straggler smoke, and the host-time benchmark smoke.
+verify: build vet staticcheck fmt race vet-precision bench-schedule bench-faults bench-service bench-sanitize bench-steal bench-perf-smoke

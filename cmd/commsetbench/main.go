@@ -30,7 +30,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +40,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/transform"
 	"repro/internal/vm/exec"
-	"repro/internal/vm/interp"
 	"repro/internal/workloads"
 )
 
@@ -71,10 +69,6 @@ func main() {
 		all      = flag.Bool("all", false, "print everything")
 		threads  = flag.Int("threads", 8, "maximum thread count")
 		hostpar  = flag.Int("hostpar", 1, "host worker goroutines for campaign cells (0 = GOMAXPROCS); reports are byte-identical to sequential runs")
-		legacy   = flag.Bool("legacy", false, "disable the compiled interpreter fast path and fast-mode caches (bit-identical results, slower host wall-clock)")
-		hostrep  = flag.Bool("host", false, "measure host wall-clock (fast path vs legacy, campaign suite) and write the report")
-		hostJS   = flag.String("host-json", "BENCH_host.json", "with -host: write the host-performance report to this file (\"\" disables)")
-		hostBase = flag.String("host-baseline", "BENCH_host.json", "with -host: compare fast ns/cost-unit against this committed report and warn on >25% regression (\"\" disables; advisory only)")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memprof  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -105,14 +99,11 @@ func main() {
 		}()
 	}
 	bench.HostWorkers = *hostpar
-	if *legacy {
-		interp.FastEnabled = false
-	}
 
 	if *all {
 		*table1, *table2, *figure6, *figure3, *claims, *ablation, *faults, *service, *vetprec, *sanit, *steal = true, true, true, true, true, true, true, true, true, true, true
 	}
-	if !*table1 && !*table2 && !*figure6 && !*figure3 && !*claims && !*ablation && !*faults && !*service && !*vetprec && !*sanit && !*steal && !*hostrep && *jsonPath == "" {
+	if !*table1 && !*table2 && !*figure6 && !*figure3 && !*claims && !*ablation && !*faults && !*service && !*vetprec && !*sanit && !*steal && *jsonPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -222,64 +213,15 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *hostrep {
-		fmt.Println()
-		// Load the committed baseline before HostReport overwrites it (the
-		// baseline path usually is the output path).
-		baseline := loadHostBaseline(*hostBase)
-		rep, err := bench.HostReport(os.Stdout, bench.HostOptions{
-			Threads: *threads, Seed: *seed, Smoke: *smoke, JSONPath: *hostJS,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		checkHostBaseline(baseline, rep)
-	}
 }
 
-// loadHostBaseline reads a committed host-performance report, or nil when
-// the path is empty or unreadable (a missing baseline is not an error —
-// the first run creates it).
-func loadHostBaseline(path string) *bench.HostPerfReport {
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var rep bench.HostPerfReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		fmt.Fprintf(os.Stderr, "host baseline %s unreadable (%v); skipping regression check\n", path, err)
-		return nil
-	}
-	return &rep
-}
-
-// checkHostBaseline warns when the fast substrate's ns/cost-unit
-// regressed more than 25% against the committed baseline. Advisory only:
-// the CI host clock is noisy (see EXPERIMENTS.md), so the check fails
-// loudly in the log without failing the run.
-func checkHostBaseline(base *bench.HostPerfReport, rep *bench.HostPerfReport) {
-	if base == nil || base.FastNsPerCost <= 0 || rep == nil {
-		return
-	}
-	ratio := rep.FastNsPerCost / base.FastNsPerCost
-	if ratio > 1.25 {
-		fmt.Printf("WARNING: host regression: fast substrate %.1f ns/cost-unit vs committed %.1f (%.0f%% slower; >25%% threshold). Advisory only — the host clock is noisy; re-measure before reading anything into it.\n",
-			rep.FastNsPerCost, base.FastNsPerCost, (ratio-1)*100)
-		return
-	}
-	fmt.Printf("host regression check: fast substrate %.1f ns/cost-unit vs committed %.1f (within 25%%)\n",
-		rep.FastNsPerCost, base.FastNsPerCost)
-}
-
-func figWriter(print bool) *os.File {
+// figWriter is where PrintFigure6 renders: stdout when the figure was
+// asked for, otherwise nowhere (the figures are still measured).
+func figWriter(print bool) io.Writer {
 	if print {
 		return os.Stdout
 	}
-	null, _ := os.Open(os.DevNull)
-	return null
+	return io.Discard
 }
 
 // printFigure3 reproduces the timeline comparison of Figure 3: sequential,

@@ -6,20 +6,17 @@ import (
 	"repro/internal/builtins"
 	"repro/internal/transform"
 	"repro/internal/vm/exec"
-	"repro/internal/vm/interp"
 	"repro/internal/workloads"
 )
 
-// Fast-mode memoization of benchmark artifacts. Compiling a workload
-// variant (parse, analyze, profile run, sequential baseline run) and
-// measuring a schedule cell are both pure functions of their inputs — the
-// whole evaluation is deterministic by construction — yet the campaigns
-// repeat them constantly: specsFor and Figure6 compile the same variants
-// back-to-back, the sanitizer's plain runs duplicate Figure 6 cells, the
-// claims pass re-measures the figures, and every campaign recompiles the
-// workloads it sweeps. Fast mode (interp.FastEnabled) memoizes both; the
-// legacy baseline bypasses the caches so the host benchmark measures the
-// unmemoized harness.
+// Memoization of benchmark artifacts. Compiling a workload variant (parse,
+// analyze, profile run, sequential baseline run) and measuring a schedule
+// cell are both pure functions of their inputs — the whole evaluation is
+// deterministic by construction — yet the campaigns repeat them
+// constantly: specsFor and Figure6 compile the same variants back-to-back,
+// the sanitizer's plain runs duplicate Figure 6 cells, the claims pass
+// re-measures the figures, and every campaign recompiles the workloads it
+// sweeps. Both are memoized.
 //
 // Entries use a per-key sync.Once so host-parallel campaign cells that
 // race to the same key compute it exactly once, without serializing
@@ -42,7 +39,12 @@ var (
 	compileCache = map[compileKey]*compileEntry{}
 )
 
-func compileCached(wl *workloads.Workload, variant string, threads int) (*Compiled, error) {
+// Compile compiles, profiles, and analyzes one variant of a workload.
+// variant may be a variant name, or "noannot" for the pragma-stripped
+// non-COMMSET baseline of the primary source. The artifact is memoized per
+// (workload, variant, threads) — compilation is deterministic and the
+// result is read-only, so the campaigns share one copy.
+func Compile(wl *workloads.Workload, variant string, threads int) (*Compiled, error) {
 	key := compileKey{wl.Name, variant, threads}
 	compileMu.Lock()
 	e := compileCache[key]
@@ -68,7 +70,7 @@ type runEntry struct {
 	err  error
 }
 
-func (cp *Compiled) runCached(kind transform.Kind, mode exec.SyncMode, threads int, auto bool) (*Measurement, error) {
+func (cp *Compiled) run(kind transform.Kind, mode exec.SyncMode, threads int, auto bool) (*Measurement, error) {
 	key := runKey{kind, mode, threads, auto}
 	cp.runMu.Lock()
 	if cp.runCache == nil {
@@ -91,12 +93,8 @@ func (cp *Compiled) runCached(kind transform.Kind, mode exec.SyncMode, threads i
 	return &m, nil
 }
 
-// interpFast reports whether fast-mode memoization applies.
-func interpFast() bool { return interp.FastEnabled }
-
 // resetCaches drops the bench-level compile/run memos and the substrate's
-// fast-mode caches. The host benchmark calls it before each measurement
-// pass so both passes start cold.
+// memos, so tests that compare runs cannot leak state into each other.
 func resetCaches() {
 	compileMu.Lock()
 	compileCache = map[compileKey]*compileEntry{}

@@ -120,18 +120,14 @@ func checkGoldenTable(t *testing.T, got string) {
 // TestGoldenVTimes pins the paper's results as exact virtual times: every
 // workload × variant × thread count × schedule kind × sync mode, plus each
 // program's profile and sequential baseline, must reproduce the committed
-// table bit-for-bit on both interpreter substrates.
+// table bit-for-bit.
 func TestGoldenVTimes(t *testing.T) {
-	for _, fast := range []bool{true, false} {
-		withHostState(fast, 1, func() {
-			got := goldenTable(t)
-			if *update && fast {
-				if err := os.WriteFile(filepath.FromSlash(goldenPath), []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			checkGoldenTable(t, got)
-		})
+	got := goldenTable(t)
+	if *update {
+		if err := os.WriteFile(filepath.FromSlash(goldenPath), []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
+	checkGoldenTable(t, got)
 }

@@ -126,7 +126,7 @@ func StragglerPlans(seed uint64, victim, crashVictim string) []faults.Plan {
 var stealQualifying = map[string]bool{"slow-4x": true, "slow-8x": true}
 
 // runStealCell executes one (workload, plan, steal) cell: a direct
-// exec.Run — never the fast-mode memo, whose key ignores Tune — with the
+// exec.Run — never the measurement memo, whose key ignores Tune — with the
 // straggler/crash injector wired in, validated against the sequential
 // reference. Steal-enabled cells run twice under the same seed and must
 // reproduce the full Result bit-for-bit.

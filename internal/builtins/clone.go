@@ -169,9 +169,9 @@ func (w *World) ObservableState(base Baseline) map[string]string {
 
 	var freshMats []string
 	for h, m := range w.matrices {
-		// Matrices are immutable after creation, so fast mode memoizes
-		// their rendering by backing-array identity (the arrays are shared
-		// across clones and recur on every replay diff).
+		// Matrices are immutable after creation, so their rendering is
+		// memoized by backing-array identity (the arrays are shared across
+		// clones and recur on every replay diff).
 		r := cachedFloatRender(m, func() string { return renderFloats(m) })
 		if h < base.NextMat {
 			out[fmt.Sprintf("hmm.mat:%d", h)] = r

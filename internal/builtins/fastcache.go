@@ -1,20 +1,14 @@
 package builtins
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/vm/interp"
-)
-
-// Fast-mode memoization. Substrate contents are deterministic functions of
+// Substrate memoization. Substrate contents are deterministic functions of
 // their generation parameters (AddFile data from the file index, matrices
 // from the handle, transaction rows from a fixed seed), and several heavy
 // builtins are pure functions of immutable inputs (md5_buf, hmm_score,
-// burn). Fast mode (interp.FastEnabled) therefore shares generated data
-// and memoizes those results across runs and campaign cells — virtual cost
-// accounting is untouched, only redundant host work disappears. Legacy
-// mode bypasses every cache so the host benchmark's baseline measures the
-// unmemoized substrate.
+// burn). Worlds therefore share generated data and memoize those results
+// across runs and campaign cells — virtual cost accounting is untouched,
+// only redundant host work disappears.
 //
 // All cached data is immutable by construction: file data, matrix
 // contents, and transaction rows are never written after creation (the
@@ -73,11 +67,8 @@ type floatsKey struct {
 }
 
 // cachedFileData returns the deterministic content of file idx with the
-// given size, shared across worlds in fast mode.
+// given size, shared across worlds.
 func cachedFileData(idx, size int, gen func() []byte) []byte {
-	if !interp.FastEnabled {
-		return gen()
-	}
 	key := fileKey{idx, size}
 	fastMu.Lock()
 	defer fastMu.Unlock()
@@ -96,11 +87,8 @@ func cachedFileData(idx, size int, gen func() []byte) []byte {
 }
 
 // cachedMatrix returns the deterministic emission matrix for handle h with
-// n states, shared read-only across worlds in fast mode.
+// n states, shared read-only across worlds.
 func cachedMatrix(h, n int64, gen func() []float64) []float64 {
-	if !interp.FastEnabled {
-		return gen()
-	}
 	key := matKey{h, n}
 	fastMu.Lock()
 	defer fastMu.Unlock()
@@ -119,11 +107,8 @@ func cachedMatrix(h, n int64, gen func() []float64) []float64 {
 }
 
 // cachedTransactions returns the deterministic transaction database for
-// the given shape, rows shared read-only across worlds in fast mode.
+// the given shape, rows shared read-only across worlds.
 func cachedTransactions(rows, items, rowLen int, gen func() [][]int64) [][]int64 {
-	if !interp.FastEnabled {
-		return gen()
-	}
 	key := txnKey{rows, items, rowLen}
 	fastMu.Lock()
 	defer fastMu.Unlock()
@@ -142,10 +127,10 @@ func cachedTransactions(rows, items, rowLen int, gen func() [][]int64) [][]int64
 }
 
 // cachedMD5 memoizes the digest of an immutable buffer by backing-array
-// identity (file contents are shared across worlds in fast mode, so the
-// same arrays recur all campaign long).
+// identity (file contents are shared across worlds, so the same arrays
+// recur all campaign long).
 func cachedMD5(b []byte, gen func() string) string {
-	if !interp.FastEnabled || len(b) == 0 {
+	if len(b) == 0 {
 		return gen()
 	}
 	key := bufKey{&b[0], len(b)}
@@ -194,9 +179,6 @@ func cachedScore(key scoreKey, gen func() int64) int64 {
 
 // cachedBurn memoizes the pure burn mixer by its iteration count.
 func cachedBurn(n int64, gen func() int64) int64 {
-	if !interp.FastEnabled {
-		return gen()
-	}
 	fastMu.Lock()
 	if v, ok := burnCache[n]; ok {
 		fastMu.Unlock()
@@ -218,11 +200,10 @@ func cachedBurn(n int64, gen func() int64) int64 {
 
 // cachedFloatRender memoizes the observable-state rendering of an
 // immutable float slice by backing-array identity (matrix contents, which
-// fast mode shares across worlds and the sanitizer re-renders on every
-// replay diff). Callers must only pass slices that are never written
-// after creation.
+// worlds share and the sanitizer re-renders on every replay diff). Callers
+// must only pass slices that are never written after creation.
 func cachedFloatRender(s []float64, gen func() string) string {
-	if !interp.FastEnabled || len(s) == 0 {
+	if len(s) == 0 {
 		return gen()
 	}
 	key := floatsKey{&s[0], len(s)}
@@ -245,8 +226,8 @@ func cachedFloatRender(s []float64, gen func() string) string {
 	return r
 }
 
-// ResetFastCaches drops every fast-mode memo. The host benchmark calls it
-// between measurement passes so each pass starts cold.
+// ResetFastCaches drops every substrate memo. The host-time benchmark
+// calls it before each operation so every operation starts cold.
 func ResetFastCaches() {
 	fastMu.Lock()
 	fileCache, matCache, txnCache, md5Cache = nil, nil, nil, nil

@@ -3,7 +3,6 @@ package builtins
 import (
 	"repro/internal/ast"
 	"repro/internal/effects"
-	"repro/internal/vm/interp"
 	"repro/internal/vm/value"
 )
 
@@ -118,20 +117,15 @@ func (w *World) registerHMM() {
 				}
 				return int64(best * 100)
 			}
-			var score int64
-			if interp.FastEnabled {
-				// The score is a pure function of the sequence content and
-				// the matrix (itself a pure function of handle and size), so
-				// fast mode content-addresses it: identical sequences recur
-				// across schedules and repeated runs, and hashing is ~100x
-				// cheaper than the dynamic program.
-				score = cachedScore(scoreKey{
-					seqHash: hashBytes(seq), seqLen: len(seq),
-					mat: mat, matLen: len(m),
-				}, dp)
-			} else {
-				score = dp()
-			}
+			// The score is a pure function of the sequence content and the
+			// matrix (itself a pure function of handle and size), so it is
+			// content-addressed: identical sequences recur across schedules
+			// and repeated runs, and hashing is ~100x cheaper than the
+			// dynamic program.
+			score := cachedScore(scoreKey{
+				seqHash: hashBytes(seq), seqLen: len(seq),
+				mat: mat, matLen: len(m),
+			}, dp)
 			return value.Int(score), cost, nil
 		})
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/effects"
-	"repro/internal/vm/interp"
 	"repro/internal/vm/value"
 )
 
@@ -182,32 +181,19 @@ func (w *World) registerMining() {
 				return value.Value{}, 0, errArg("iset_intersect_size", "bad itemset")
 			}
 			sa, sb := w.itemsets[a], w.itemsets[b]
+			// Reuse one epoch-stamped scratch map: a per-call allocation
+			// here dominates the host profile on the mining workloads.
 			n := int64(0)
-			if interp.FastEnabled {
-				// Reuse one epoch-stamped scratch map: a per-call
-				// allocation here dominates the host profile on the
-				// mining workloads.
-				w.isectEpoch++
-				if w.isectSeen == nil {
-					w.isectSeen = make(map[int64]uint32, 64)
-				}
-				for _, x := range sa {
-					w.isectSeen[x] = w.isectEpoch
-				}
-				for _, x := range sb {
-					if w.isectSeen[x] == w.isectEpoch {
-						n++
-					}
-				}
-			} else {
-				seen := map[int64]bool{}
-				for _, x := range sa {
-					seen[x] = true
-				}
-				for _, x := range sb {
-					if seen[x] {
-						n++
-					}
+			w.isectEpoch++
+			if w.isectSeen == nil {
+				w.isectSeen = make(map[int64]uint32, 64)
+			}
+			for _, x := range sa {
+				w.isectSeen[x] = w.isectEpoch
+			}
+			for _, x := range sb {
+				if w.isectSeen[x] == w.isectEpoch {
+					n++
 				}
 			}
 			cost := 40 + 45*int64(len(sa)+len(sb))

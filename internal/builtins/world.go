@@ -75,9 +75,9 @@ type World struct {
 	statsN   int64
 	statsSum float64
 
-	// Epoch-stamped scratch for iset_intersect_size (fast mode only): one
-	// map reused across calls, entries invalidated by bumping the epoch
-	// instead of reallocating.
+	// Epoch-stamped scratch for iset_intersect_size: one map reused across
+	// calls, entries invalidated by bumping the epoch instead of
+	// reallocating.
 	isectSeen  map[int64]uint32
 	isectEpoch uint32
 
@@ -332,8 +332,8 @@ func (w *World) registerCore() {
 // --- filesystem ---
 
 // AddFile installs a synthetic file. Content is derived deterministically
-// from the file index so workloads are reproducible (and fast mode can
-// share one generated copy across worlds — file data is never written).
+// from the file index so workloads are reproducible (and worlds can share
+// one generated copy — file data is never written).
 func (w *World) AddFile(name string, size int) {
 	idx := len(w.files)
 	data := cachedFileData(idx, size, func() []byte {

@@ -366,11 +366,14 @@ type machine struct {
 	// for private slots); cells stays the iteration-order registry.
 	cellAt []*sharedCell
 
-	// fast, when non-nil, is the slot-resolved metadata of the compiled
-	// substrate (interp.FastEnabled at machine construction): global names
-	// resolved to heap slots and callees to callInfo. The legacy stepper
-	// keeps its name-keyed map lookups.
-	fast *machineFast
+	// gslot and call resolve main's global accesses to heap slots and its
+	// call sites to callInfo, indexed by the dense instruction ID. byName
+	// memoizes callInfo for callee-side interceptor calls, whose
+	// instruction IDs are dense per callee function and so cannot index
+	// the main tables.
+	gslot  []int32
+	call   []*callInfo
+	byName map[string]*callInfo
 
 	// setTagCache memoizes the sanitizer's per-member commset tags.
 	setTagCache map[string][]sanitize.SetTag
@@ -452,21 +455,10 @@ type callInfo struct {
 	lockSets []*types.Set
 }
 
-// machineFast carries the slot-indexed fast layer of one machine: per
-// main-instruction global heap slots and call info (indexed by the dense
-// instruction ID), plus a name-keyed memo for callee-side interceptor
-// calls, whose instruction IDs are dense per callee function and so cannot
-// index the main tables.
-type machineFast struct {
-	gslot  []int32
-	call   []*callInfo
-	byName map[string]*callInfo
-}
-
 // resolve memoizes callInfo by callee name. Simulated threads are
 // serialized by the discrete-event scheduler, so the map needs no lock.
-func (fa *machineFast) resolve(m *machine, name string) *callInfo {
-	if ci, ok := fa.byName[name]; ok {
+func (m *machine) resolve(name string) *callInfo {
+	if ci, ok := m.byName[name]; ok {
 		return ci
 	}
 	ci := &callInfo{
@@ -474,40 +466,8 @@ func (fa *machineFast) resolve(m *machine, name string) *callInfo {
 		builtin:  m.env.Prog.Funcs[name] == nil,
 		lockSets: m.cfg.Model.LockSets(name),
 	}
-	fa.byName[name] = ci
+	m.byName[name] = ci
 	return ci
-}
-
-// buildFast precomputes the slot-indexed tables for main's instructions.
-func (m *machine) buildFast(numInstrs int) *machineFast {
-	fa := &machineFast{
-		gslot:  make([]int32, numInstrs),
-		call:   make([]*callInfo, numInstrs),
-		byName: map[string]*callInfo{},
-	}
-	for i := range fa.gslot {
-		fa.gslot[i] = -1
-	}
-	for _, b := range m.la.Fn.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpLoadGlobal, ir.OpStoreGlobal:
-				fa.gslot[in.ID] = int32(m.env.Globals.SlotOf(in.Name))
-			case ir.OpCall:
-				fa.call[in.ID] = fa.resolve(m, in.Name)
-			}
-		}
-	}
-	return fa
-}
-
-// lockSetsOf returns the rank-ordered lock sets of a member, through the
-// fast layer's memo when it is active.
-func (m *machine) lockSetsOf(name string) []*types.Set {
-	if m.fast != nil {
-		return m.fast.resolve(m, name).lockSets
-	}
-	return m.cfg.Model.LockSets(name)
 }
 
 func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode) *machine {
@@ -553,8 +513,18 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 		m.exitBlock = e
 		break
 	}
-	if interp.FastEnabled {
-		m.fast = m.buildFast(numInstrs)
+	m.gslot = make([]int32, numInstrs)
+	m.call = make([]*callInfo, numInstrs)
+	m.byName = map[string]*callInfo{}
+	for _, b := range la.Fn.Blocks {
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpLoadGlobal, ir.OpStoreGlobal:
+				m.gslot[in.ID] = int32(m.env.Globals.SlotOf(in.Name))
+			case ir.OpCall:
+				m.call[in.ID] = m.resolve(in.Name)
+			}
+		}
 	}
 	return m
 }

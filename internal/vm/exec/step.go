@@ -74,12 +74,12 @@ type stepper struct {
 
 	flushed int64 // portion of it.Cost already charged to th
 
-	// invokeFn is the one reusable invoke closure for main-frame calls on
-	// the fast substrate; it reads the call set by execCallArgs in
-	// callIn/callArgs/callMember. Exec-level calls never nest within one
-	// stepper (callee bodies run in the interpreter, which has its own
-	// reusable closure), so a single set of fields suffices, and
-	// interceptor-level retries reuse them unchanged.
+	// invokeFn is the one reusable invoke closure for main-frame calls; it
+	// reads the call set by execCallArgs in callIn/callArgs/callMember.
+	// Exec-level calls never nest within one stepper (callee bodies run in
+	// the interpreter, which has its own reusable closure), so a single set
+	// of fields suffices, and interceptor-level retries reuse them
+	// unchanged.
 	invokeFn   func() ([]value.Value, error)
 	callIn     *ir.Instr
 	callArgs   []value.Value
@@ -94,22 +94,15 @@ func (m *machine) newStepper(th *des.Thread, fr *frame) *stepper {
 		st.it.Tracer = m.cfg.Sanitize
 	}
 	st.it.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
-		var member, builtin bool
-		if fa := m.fast; fa != nil {
-			// Callee instruction IDs are dense per function, so the
-			// interceptor resolves by name, not by the main tables.
-			ci := fa.resolve(m, in.Name)
-			member, builtin = ci.member, ci.builtin
-		} else {
-			member = len(m.cfg.Model.SetsOf[in.Name]) > 0
-			builtin = m.env.Prog.Funcs[in.Name] == nil
-		}
+		// Callee instruction IDs are dense per function, so the
+		// interceptor resolves by name, not by the main tables.
+		ci := m.resolve(in.Name)
 		switch {
-		case builtin:
+		case ci.builtin:
 			// Builtins fail atomically (an injected failure fires before
 			// the builtin runs), so call-level retry is safe.
-			return st.invokeBuiltin(in.Name, member, args, invoke)
-		case member:
+			return st.invokeBuiltin(in.Name, ci.member, args, invoke)
+		case ci.member:
 			return st.withMemberSync(in.Name, args, nil, nil, invoke)
 		}
 		return invoke()
@@ -208,7 +201,7 @@ func (st *stepper) withMemberSync(name string, args []value.Value, argSlots, out
 // to, acquired in global rank order and released in reverse (Section 4.6).
 func (st *stepper) memberSyncInner(name string, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
 	m := st.m
-	lockSets := m.lockSetsOf(name)
+	lockSets := m.resolve(name).lockSets
 	st.flush()
 	if mon := m.cfg.Sanitize; mon != nil {
 		// The member extent opens after synchronization is in place (the
@@ -457,21 +450,21 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 		if mon := st.m.cfg.Sanitize; mon != nil {
 			mon.TraceGlobal(st.th.ID, in.Name, false)
 		}
-		if fa := st.m.fast; fa != nil && fa.gslot[in.ID] >= 0 {
-			fr.regs[in.Dst] = st.m.env.Globals.GetSlot(int(fa.gslot[in.ID]))
-		} else {
-			fr.regs[in.Dst] = st.m.env.Globals.Get(in.Name)
+		gs := st.m.gslot[in.ID]
+		if gs < 0 {
+			return 0, false, fmt.Errorf("%s: undeclared global %s", in.Pos, in.Name)
 		}
+		fr.regs[in.Dst] = st.m.env.Globals.GetSlot(int(gs))
 	case ir.OpStoreGlobal:
 		st.it.HeapWrites++
 		if mon := st.m.cfg.Sanitize; mon != nil {
 			mon.TraceGlobal(st.th.ID, in.Name, true)
 		}
-		if fa := st.m.fast; fa != nil && fa.gslot[in.ID] >= 0 {
-			st.m.env.Globals.SetSlot(int(fa.gslot[in.ID]), fr.regs[in.A])
-		} else {
-			st.m.env.Globals.Set(in.Name, fr.regs[in.A])
+		gs := st.m.gslot[in.ID]
+		if gs < 0 {
+			return 0, false, fmt.Errorf("%s: undeclared global %s", in.Pos, in.Name)
 		}
+		st.m.env.Globals.SetSlot(int(gs), fr.regs[in.A])
 	case ir.OpBin:
 		clearTag(in.Dst)
 		v, e := interp.EvalBin(in.BinOp, fr.regs[in.A], fr.regs[in.B])
@@ -506,13 +499,10 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 
 // execCall performs a top-level call in the main frame, applying member
 // synchronization, shared-argument refresh, and shared OutSlot writeback.
-// On the fast substrate the argument slice is carved from the interpreter
-// thread's scratch arena (released once the call's results are consumed;
-// see interp.Thread.ScratchSlice).
+// The argument slice is carved from the interpreter thread's scratch arena
+// (released once the call's results are consumed; see
+// interp.Thread.ScratchSlice).
 func (st *stepper) execCall(in *ir.Instr) error {
-	if st.m.fast == nil {
-		return st.execCallArgs(in, make([]value.Value, len(in.Args)))
-	}
 	mark := st.it.ScratchMark()
 	err := st.execCallArgs(in, st.it.ScratchSlice(len(in.Args)))
 	st.it.ScratchRelease(mark)
@@ -524,16 +514,8 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 	for i, r := range in.Args {
 		args[i] = fr.regs[r]
 	}
-	var ci *callInfo
-	if fa := st.m.fast; fa != nil {
-		ci = fa.call[in.ID]
-	}
-	member := false
-	if ci != nil {
-		member = ci.member
-	} else {
-		member = len(st.m.cfg.Model.SetsOf[in.Name]) > 0
-	}
+	ci := st.m.call[in.ID]
+	member := ci.member
 	mon := st.m.cfg.Sanitize
 
 	// The sanitizer's replay needs the shared-cell wiring of a member
@@ -559,30 +541,16 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 		}
 	}
 
-	var invoke func() ([]value.Value, error)
-	if st.m.fast != nil {
-		if st.invokeFn == nil {
-			st.invokeFn = st.invokeCurrent
-		}
-		st.callIn, st.callArgs, st.callMember = in, args, member
-		invoke = st.invokeFn
-	} else {
-		invoke = func() ([]value.Value, error) {
-			st.callIn, st.callArgs, st.callMember = in, args, member
-			return st.invokeCurrent()
-		}
+	if st.invokeFn == nil {
+		st.invokeFn = st.invokeCurrent
 	}
+	st.callIn, st.callArgs, st.callMember = in, args, member
+	invoke := st.invokeFn
 
 	var rets []value.Value
 	var err error
-	builtin := false
-	if ci != nil {
-		builtin = ci.builtin
-	} else {
-		builtin = st.m.env.Prog.Funcs[in.Name] == nil
-	}
 	switch {
-	case builtin:
+	case ci.builtin:
 		rets, err = st.invokeBuiltin(in.Name, member, args, invoke)
 	case member:
 		rets, err = st.withMemberSync(in.Name, args, argSlots, outSlots, invoke)

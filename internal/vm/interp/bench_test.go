@@ -7,7 +7,7 @@ import (
 	"repro/internal/vm/value"
 )
 
-// benchSrc exercises the shapes the compiled fast path targets: global
+// benchSrc exercises the shapes the compiled code targets: global
 // read-modify-writes, local arithmetic, and user-function and builtin
 // calls inside a loop.
 const benchSrc = `
@@ -23,14 +23,11 @@ void main() {
 	emit(s);
 }`
 
-// benchRun times whole-program execution on one substrate. Each iteration
-// gets a fresh environment so both substrates do identical work; the
-// compiled code cache persists across iterations, as it does across
-// campaign cells.
-func benchRun(b *testing.B, fast bool) {
-	saved := interp.FastEnabled
-	interp.FastEnabled = fast
-	defer func() { interp.FastEnabled = saved }()
+// BenchmarkRunCompiled times whole-program execution: pre-compiled
+// per-function code, slot-indexed globals, segment-summed costs. Each
+// iteration gets a fresh environment; the compiled code cache persists
+// across iterations, as it does across campaign cells.
+func BenchmarkRunCompiled(b *testing.B) {
 	res, sink := compile(b, benchSrc)
 	fns := builtinsFor(sink)
 	b.ReportAllocs()
@@ -43,16 +40,8 @@ func benchRun(b *testing.B, fast bool) {
 	}
 }
 
-// BenchmarkRunLegacy is the per-instruction legacy stepper with name-keyed
-// global access — the host benchmark's baseline substrate.
-func BenchmarkRunLegacy(b *testing.B) { benchRun(b, false) }
-
-// BenchmarkRunCompiled is the closure-compiled fast path: pre-compiled
-// per-function code, slot-indexed globals, segment-summed costs.
-func BenchmarkRunCompiled(b *testing.B) { benchRun(b, true) }
-
-// BenchmarkHeapByName measures the legacy name-keyed global access pair
-// (one load plus one store through the heap's name map).
+// BenchmarkHeapByName measures the name-keyed global access pair (one
+// load plus one store through the heap's name map).
 func BenchmarkHeapByName(b *testing.B) {
 	res, _ := compile(b, benchSrc)
 	h := interp.NewEnv(res.Prog, nil).Globals
@@ -65,7 +54,7 @@ func BenchmarkHeapByName(b *testing.B) {
 }
 
 // BenchmarkHeapSlot measures the same access pair through the resolved
-// slot index — the fast substrate's representation.
+// slot index — the representation compiled code uses.
 func BenchmarkHeapSlot(b *testing.B) {
 	res, _ := compile(b, benchSrc)
 	h := interp.NewEnv(res.Prog, nil).Globals

@@ -8,30 +8,19 @@ import (
 	"repro/internal/vm/value"
 )
 
-// FastEnabled selects the host-fast execution substrate: the pre-compiled
-// interpreter path below plus the fast-mode caches elsewhere in the VM
-// (builtin world-data memoization, scheduler yield reuse). It exists so the
-// legacy stepper remains selectable — tests assert both paths produce
-// bit-for-bit identical virtual times, and the host benchmark (commsetbench
-// -host) measures the speedup by flipping it.
-//
-// The flag is read at function entry, not per instruction, and the
-// campaigns only flip it between runs, so there is no torn state.
-var FastEnabled = true
-
-// fastOp executes one straight-line instruction. One closure per
+// instrFn executes one straight-line instruction. One closure per
 // instruction, pre-bound to its operands at compile time, so the hot loop
 // has no opcode re-dispatch.
-type fastOp func(t *Thread, regs, locals []value.Value) error
+type instrFn func(t *Thread, regs, locals []value.Value) error
 
 // segment is a maximal straight-line run charged as a single cost add.
 // Segments end at call instructions (the only observation points a
 // scheduler interceptor can see) and at the block terminator, so the
-// thread's accumulated cost at every observation point is identical to the
-// legacy per-instruction stepper.
+// thread's accumulated cost at every observation point is exactly
+// CostPerInstr per executed instruction plus its callees' costs.
 type segment struct {
 	cost int64
-	ops  []fastOp
+	ops  []instrFn
 	ids  []int     // instruction IDs of ops, for profiling
 	call *ir.Instr // trailing OpCall, or nil for the terminator segment
 	tail int       // instruction ID of the trailing call or terminator
@@ -52,24 +41,32 @@ type fnCode struct {
 	pool    sync.Pool // *[]value.Value frames, len == len(zero)
 }
 
-// progCode caches compiled functions for one immutable *ir.Program. The IR
-// is never structurally edited after the pipeline returns, so the cache is
+// progCode caches compiled functions for one immutable *ir.Program, and
+// the compile error of each function whose IR is malformed. The IR is
+// never structurally edited after the pipeline returns, so the cache is
 // shared read-only across every thread and campaign cell of the program.
 type progCode struct {
-	fns map[string]*fnCode
+	fns  map[string]*fnCode
+	errs map[string]error
 }
 
 var codeCache sync.Map // *ir.Program -> *progCode
 
-// codeFor returns the compiled form of f, or nil when the function must run
-// on the legacy stepper (malformed blocks — the legacy path owns the
-// diagnostics for those).
-func codeFor(prog *ir.Program, f *ir.Func) *fnCode {
+// codeFor returns the compiled form of f, or the error that rejected its
+// IR.
+func codeFor(prog *ir.Program, f *ir.Func) (*fnCode, error) {
 	v, ok := codeCache.Load(prog)
 	if !ok {
 		v, _ = codeCache.LoadOrStore(prog, compileProg(prog))
 	}
-	return v.(*progCode).fns[f.Name]
+	pc := v.(*progCode)
+	if fc := pc.fns[f.Name]; fc != nil {
+		return fc, nil
+	}
+	if err := pc.errs[f.Name]; err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("interp: %s is not a function of the program", f.Name)
 }
 
 func compileProg(prog *ir.Program) *progCode {
@@ -77,18 +74,25 @@ func compileProg(prog *ir.Program) *progCode {
 	for i, g := range prog.Globals {
 		gslot[g.Name] = i
 	}
-	pc := &progCode{fns: make(map[string]*fnCode, len(prog.Funcs))}
+	pc := &progCode{fns: make(map[string]*fnCode, len(prog.Funcs)), errs: map[string]error{}}
 	for name, f := range prog.Funcs {
-		if fc := compileFunc(f, gslot); fc != nil {
-			pc.fns[name] = fc
+		fc, err := compileFunc(f, gslot)
+		if err != nil {
+			pc.errs[name] = err
+			continue
 		}
+		pc.fns[name] = fc
 	}
 	return pc
 }
 
-// compileFunc pre-compiles one function, or returns nil when any block is
-// not a well-formed straight-line run ending in a terminator.
-func compileFunc(f *ir.Func, gslot map[string]int) *fnCode {
+// compileFunc pre-compiles one function. Every block must be a
+// straight-line run ending in its only terminator, stored at the index
+// equal to its ID, with branch targets inside the function.
+func compileFunc(f *ir.Func, gslot map[string]int) (*fnCode, error) {
+	if len(f.Blocks) == 0 {
+		return nil, fmt.Errorf("interp: malformed IR in %s: function has no blocks", f.Name)
+	}
 	fc := &fnCode{
 		f:       f,
 		blocks:  make([]blockCode, len(f.Blocks)),
@@ -105,11 +109,23 @@ func compileFunc(f *ir.Func, gslot map[string]int) *fnCode {
 	}
 
 	for bi, blk := range f.Blocks {
-		if blk.ID != bi || blk.Terminator() == nil {
-			return nil
+		malformed := func(format string, args ...any) error {
+			return fmt.Errorf("interp: malformed IR in %s b%d: %s", f.Name, blk.ID, fmt.Sprintf(format, args...))
+		}
+		if blk.ID != bi {
+			return nil, malformed("block ID does not match its index %d", bi)
+		}
+		term := blk.Terminator()
+		if term == nil {
+			return nil, malformed("block does not end in a terminator")
+		}
+		for _, target := range blk.Succs() {
+			if target < 0 || target >= len(f.Blocks) {
+				return nil, malformed("branch to missing block b%d", target)
+			}
 		}
 		bc := &fc.blocks[bi]
-		bc.term = blk.Instrs[len(blk.Instrs)-1]
+		bc.term = term
 		var seg segment
 		flush := func(call, tail *ir.Instr) {
 			seg.cost = int64(len(seg.ops)+1) * CostPerInstr
@@ -119,49 +135,49 @@ func compileFunc(f *ir.Func, gslot map[string]int) *fnCode {
 		}
 		for _, in := range blk.Instrs[:len(blk.Instrs)-1] {
 			if in.IsTerminator() {
-				return nil // terminator mid-block: legacy path diagnoses it
+				return nil, malformed("%s before the end of the block", in.Op)
 			}
 			if in.Op == ir.OpCall {
 				flush(in, in)
 				continue
 			}
-			op := compileOp(in, gslot)
-			if op == nil {
-				return nil
+			fn, err := compileOp(in, gslot)
+			if err != nil {
+				return nil, malformed("%v", err)
 			}
-			seg.ops = append(seg.ops, op)
+			seg.ops = append(seg.ops, fn)
 			seg.ids = append(seg.ids, in.ID)
 		}
-		flush(nil, bc.term) // trailing segment carries the terminator's cost
+		flush(nil, term) // trailing segment carries the terminator's cost
 	}
-	return fc
+	return fc, nil
 }
 
 // compileOp builds the closure for one straight-line instruction.
-func compileOp(in *ir.Instr, gslot map[string]int) fastOp {
+func compileOp(in *ir.Instr, gslot map[string]int) (instrFn, error) {
 	switch in.Op {
 	case ir.OpConst:
 		dst, v := in.Dst, in.Val
 		return func(t *Thread, regs, locals []value.Value) error {
 			regs[dst] = v
 			return nil
-		}
+		}, nil
 	case ir.OpLoadLocal:
 		dst, slot := in.Dst, in.Slot
 		return func(t *Thread, regs, locals []value.Value) error {
 			regs[dst] = locals[slot]
 			return nil
-		}
+		}, nil
 	case ir.OpStoreLocal:
 		slot, a := in.Slot, in.A
 		return func(t *Thread, regs, locals []value.Value) error {
 			locals[slot] = regs[a]
 			return nil
-		}
+		}, nil
 	case ir.OpLoadGlobal:
 		gs, ok := gslot[in.Name]
 		if !ok {
-			return nil
+			return nil, fmt.Errorf("undeclared global %s", in.Name)
 		}
 		dst, name := in.Dst, in.Name
 		return func(t *Thread, regs, locals []value.Value) error {
@@ -170,11 +186,11 @@ func compileOp(in *ir.Instr, gslot map[string]int) fastOp {
 			}
 			regs[dst] = t.Env.Globals.vals[gs]
 			return nil
-		}
+		}, nil
 	case ir.OpStoreGlobal:
 		gs, ok := gslot[in.Name]
 		if !ok {
-			return nil
+			return nil, fmt.Errorf("undeclared global %s", in.Name)
 		}
 		a, name := in.A, in.Name
 		return func(t *Thread, regs, locals []value.Value) error {
@@ -184,15 +200,15 @@ func compileOp(in *ir.Instr, gslot map[string]int) fastOp {
 			}
 			t.Env.Globals.vals[gs] = regs[a]
 			return nil
-		}
+		}, nil
 	case ir.OpBin:
 		fn := binOps[in.BinOp]
 		dst, a, b, pos := in.Dst, in.A, in.B, in.Pos
 		if fn == nil {
-			op := in.BinOp
+			name := in.BinOp
 			return func(t *Thread, regs, locals []value.Value) error {
-				return fmt.Errorf("%s: %v", pos, invalidBin(op, regs[a]))
-			}
+				return fmt.Errorf("%s: %v", pos, invalidBin(name, regs[a]))
+			}, nil
 		}
 		return func(t *Thread, regs, locals []value.Value) error {
 			v, e := fn(regs[a], regs[b])
@@ -201,15 +217,15 @@ func compileOp(in *ir.Instr, gslot map[string]int) fastOp {
 			}
 			regs[dst] = v
 			return nil
-		}
+		}, nil
 	case ir.OpUn:
 		fn := unOps[in.BinOp]
 		dst, a, pos := in.Dst, in.A, in.Pos
 		if fn == nil {
-			op := in.BinOp
+			name := in.BinOp
 			return func(t *Thread, regs, locals []value.Value) error {
-				return fmt.Errorf("%s: %v", pos, invalidUn(op, regs[a]))
-			}
+				return fmt.Errorf("%s: %v", pos, invalidUn(name, regs[a]))
+			}, nil
 		}
 		return func(t *Thread, regs, locals []value.Value) error {
 			v, e := fn(regs[a])
@@ -218,9 +234,9 @@ func compileOp(in *ir.Instr, gslot map[string]int) fastOp {
 			}
 			regs[dst] = v
 			return nil
-		}
+		}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("unknown op %s", in.Op)
 }
 
 // charge attributes one executed segment to the profile: CostPerInstr to
@@ -234,31 +250,12 @@ func (p *Profile) charge(s *segment, callee int64) {
 	p.Total += s.cost + callee
 }
 
-// execFast runs a pre-compiled function. Cost accounting matches the
-// legacy stepper at every observation point: a segment's full cost (its
-// instructions plus the trailing call or terminator) is charged before the
-// segment body, and the only places other components read the thread's
-// cost — call interceptors, scheduler yields, the final return — sit at
-// segment boundaries.
-func (t *Thread) execFast(fc *fnCode, args []value.Value) ([]value.Value, error) {
-	if t.depth >= maxDepth {
-		return nil, fmt.Errorf("interp: call depth exceeded in %s", fc.f.Name)
-	}
-	if len(args) != fc.f.Params {
-		return nil, fmt.Errorf("interp: %s expects %d args, got %d", fc.f.Name, fc.f.Params, len(args))
-	}
-	t.depth++
-	bp := fc.pool.Get().(*[]value.Value)
-	buf := *bp
-	copy(buf, fc.zero)
-	locals := buf[:fc.nlocals:fc.nlocals]
-	regs := buf[fc.nlocals:]
-	copy(locals, args)
-	defer func() {
-		fc.pool.Put(bp)
-		t.depth--
-	}()
-
+// run executes a compiled function body on its frame. A segment's full
+// cost (its instructions plus the trailing call or terminator) is charged
+// before the segment body; the only places other components read the
+// thread's cost — call interceptors, scheduler yields, the final return —
+// sit at segment boundaries.
+func (t *Thread) run(fc *fnCode, regs, locals []value.Value) ([]value.Value, error) {
 	prof := t.Profile
 	if prof != nil && prof.Func != fc.f.Name {
 		prof = nil
@@ -269,8 +266,8 @@ func (t *Thread) execFast(fc *fnCode, args []value.Value) ([]value.Value, error)
 		for si := range bc.segs {
 			s := &bc.segs[si]
 			t.Cost += s.cost
-			for _, op := range s.ops {
-				if err := op(t, regs, locals); err != nil {
+			for _, fn := range s.ops {
+				if err := fn(t, regs, locals); err != nil {
 					return nil, err
 				}
 			}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/vm/value"
 )
 
-// binFn applies one binary operator. The table below lets the compiled
-// fast path resolve the operator spelling once per instruction instead of
+// binFn applies one binary operator. The table below lets compiled code
+// resolve the operator spelling once per instruction instead of
 // re-dispatching on the string every execution.
 type binFn func(a, b value.Value) (value.Value, error)
 

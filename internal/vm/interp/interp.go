@@ -33,9 +33,9 @@ type BuiltinFn func(args []value.Value) (value.Value, int64, error)
 // serializes thread execution, so no locking is needed.
 //
 // Storage is a dense slice indexed by slot; slots are assigned in program
-// declaration order (so the compiled fast path can resolve a global name to
-// its slot once, at load time, and index the slice directly). The named
-// Get/Set/Snapshot API is preserved for snapshots, tracing, and tests.
+// declaration order (so compiled code can resolve a global name to its slot
+// once, at load time, and index the slice directly). The named
+// Get/Set/Snapshot API serves snapshots, tracing, and tests.
 type Heap struct {
 	vals  []value.Value
 	names []string
@@ -43,7 +43,7 @@ type Heap struct {
 }
 
 // NewHeap initializes globals from the program's declarations. Slot i holds
-// prog.Globals[i], which is the contract the compiled fast path relies on.
+// prog.Globals[i], which is the contract compiled code relies on.
 func NewHeap(prog *ir.Program) *Heap {
 	h := &Heap{
 		vals:  make([]value.Value, len(prog.Globals)),
@@ -191,43 +191,42 @@ type Thread struct {
 	// depth guards against runaway recursion in user programs.
 	depth int
 
-	// scratch is a stack arena for call-argument and builtin-result slices
-	// on the fast path: execCall carves each call's arguments here (and
-	// CallByName its builtin's single result) and pops them once the
-	// call's results are consumed, so nested calls reuse one growing
-	// backing array instead of allocating per call. Sound because nothing
-	// retains such a slice past the call: builtins read their arguments,
-	// interceptors pass them through, every caller copies results into
-	// registers before its bracket pops, and the sanitizer copies what it
-	// records. brackets counts the active Mark/Release pairs — builtin
+	// scratch is a stack arena for call-argument and builtin-result
+	// slices: execCall carves each call's arguments here (and CallByName
+	// its builtin's single result) and pops them once the call's results
+	// are consumed, so nested calls reuse one growing backing array
+	// instead of allocating per call. Sound because nothing retains such
+	// a slice past the call: builtins read their arguments, interceptors
+	// pass them through, every caller copies results into registers
+	// before its bracket pops, and the sanitizer copies what it records. brackets counts the active Mark/Release pairs — builtin
 	// results only go to the arena when a bracket is there to pop them.
 	scratch  []value.Value
 	brackets int
 
 	// invokeFn is the one reusable invoke closure handed to the
-	// interceptor on the fast path; it reads the current call from
-	// curIn/curArgs, which execCallArgs saves and restores around nested
-	// calls (so it stays correct across interceptor-level retries too).
+	// interceptor; it reads the current call from curIn/curArgs, which
+	// execCallArgs saves and restores around nested calls (so it stays
+	// correct across interceptor-level retries too).
 	invokeFn func() ([]value.Value, error)
 	curIn    *ir.Instr
 	curArgs  []value.Value
 }
 
-// ScratchMark opens a fast-path arena bracket and returns the position to
-// pop back to; paired with ScratchRelease by every caller that carves.
+// ScratchMark opens an arena bracket and returns the position to pop back
+// to; paired with ScratchRelease by every caller that carves.
 func (t *Thread) ScratchMark() int {
 	t.brackets++
 	return len(t.scratch)
 }
 
-// ScratchRelease closes a fast-path arena bracket, popping back to mark.
+// ScratchRelease closes an arena bracket, popping back to mark.
 func (t *Thread) ScratchRelease(mark int) {
 	t.brackets--
 	t.scratch = t.scratch[:mark]
 }
 
-// ScratchSlice carves an n-element slice from the fast-path arena,
-// capacity-clamped so callee carves can never alias it.
+// ScratchSlice carves an n-element slice from the arena, capacity-clamped
+// so callee carves can never alias it.
 func (t *Thread) ScratchSlice(n int) []value.Value {
 	m := len(t.scratch)
 	t.scratch = append(t.scratch, make([]value.Value, n)...)
@@ -260,7 +259,7 @@ func (t *Thread) CallByName(name string, args []value.Value) ([]value.Value, err
 		if err != nil {
 			return nil, err
 		}
-		if FastEnabled && t.brackets > 0 {
+		if t.brackets > 0 {
 			m := len(t.scratch)
 			t.scratch = append(t.scratch, v)
 			return t.scratch[m : m+1 : m+1], nil
@@ -271,132 +270,38 @@ func (t *Thread) CallByName(name string, args []value.Value) ([]value.Value, err
 }
 
 // Exec runs function f with the given arguments, returning its results
-// (regions may return several).
-//
-// When the fast path is enabled and the thread is not profiling this
-// function, execution dispatches to the pre-compiled closure chain (see
-// fast.go), which is bit-for-bit cost- and result-identical to the legacy
-// stepper below. Interceptors and tracers run unchanged on both paths (the
-// compiled global ops emit the same trace events in the same order).
+// (regions may return several). f runs as the closure chain its program
+// was compiled to (see compile.go); malformed IR fails here, before any of
+// f executes.
 func (t *Thread) Exec(f *ir.Func, args []value.Value) ([]value.Value, error) {
-	if FastEnabled {
-		if fc := codeFor(t.Env.Prog, f); fc != nil {
-			return t.execFast(fc, args)
-		}
+	fc, err := codeFor(t.Env.Prog, f)
+	if err != nil {
+		return nil, err
 	}
 	if t.depth >= maxDepth {
 		return nil, fmt.Errorf("interp: call depth exceeded in %s", f.Name)
 	}
-	t.depth++
-	defer func() { t.depth-- }()
-
-	locals := make([]value.Value, len(f.Locals))
-	for i := range locals {
-		locals[i] = value.Zero(f.Locals[i].Type)
-	}
 	if len(args) != f.Params {
 		return nil, fmt.Errorf("interp: %s expects %d args, got %d", f.Name, f.Params, len(args))
 	}
+	t.depth++
+	bp := fc.pool.Get().(*[]value.Value)
+	buf := *bp
+	copy(buf, fc.zero)
+	locals := buf[:fc.nlocals:fc.nlocals]
+	regs := buf[fc.nlocals:]
 	copy(locals, args)
-	regs := make([]value.Value, f.NumRegs)
-
-	profiling := t.Profile != nil && t.Profile.Func == f.Name
-
-	blk := f.Entry()
-	for {
-		redirected := false
-		for _, in := range blk.Instrs {
-			var before int64
-			if profiling {
-				before = t.Cost
-			}
-			next, done, rets, err := t.step(f, in, regs, locals)
-			if profiling {
-				d := t.Cost - before
-				t.Profile.Cost[in.ID] += d
-				t.Profile.Total += d
-			}
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				return rets, nil
-			}
-			if next >= 0 {
-				blk = f.BlockByID(next)
-				redirected = true
-				break
-			}
-		}
-		if !redirected {
-			return nil, fmt.Errorf("interp: block b%d of %s fell through without terminator", blk.ID, f.Name)
-		}
-	}
+	defer func() {
+		fc.pool.Put(bp)
+		t.depth--
+	}()
+	return t.run(fc, regs, locals)
 }
 
-// step executes one instruction. It returns the next block ID (>= 0 on a
-// branch), or done=true with return values on OpRet.
-func (t *Thread) step(f *ir.Func, in *ir.Instr, regs, locals []value.Value) (next int, done bool, rets []value.Value, err error) {
-	t.Cost += CostPerInstr
-	switch in.Op {
-	case ir.OpConst:
-		regs[in.Dst] = in.Val
-	case ir.OpLoadLocal:
-		regs[in.Dst] = locals[in.Slot]
-	case ir.OpStoreLocal:
-		locals[in.Slot] = regs[in.A]
-	case ir.OpLoadGlobal:
-		if t.Tracer != nil {
-			t.Tracer.TraceGlobal(t.ID, in.Name, false)
-		}
-		regs[in.Dst] = t.Env.Globals.Get(in.Name)
-	case ir.OpStoreGlobal:
-		t.HeapWrites++
-		if t.Tracer != nil {
-			t.Tracer.TraceGlobal(t.ID, in.Name, true)
-		}
-		t.Env.Globals.Set(in.Name, regs[in.A])
-	case ir.OpBin:
-		v, e := EvalBin(in.BinOp, regs[in.A], regs[in.B])
-		if e != nil {
-			return 0, false, nil, fmt.Errorf("%s: %v", in.Pos, e)
-		}
-		regs[in.Dst] = v
-	case ir.OpUn:
-		v, e := EvalUn(in.BinOp, regs[in.A])
-		if e != nil {
-			return 0, false, nil, fmt.Errorf("%s: %v", in.Pos, e)
-		}
-		regs[in.Dst] = v
-	case ir.OpCall:
-		if e := t.execCall(in, regs, locals); e != nil {
-			return 0, false, nil, e
-		}
-	case ir.OpBr:
-		return in.Targets[0], false, nil, nil
-	case ir.OpCondBr:
-		if regs[in.A].AsBool() {
-			return in.Targets[0], false, nil, nil
-		}
-		return in.Targets[1], false, nil, nil
-	case ir.OpRet:
-		out := make([]value.Value, len(in.Args))
-		for i, r := range in.Args {
-			out[i] = regs[r]
-		}
-		return 0, true, out, nil
-	}
-	return -1, false, nil, nil
-}
-
+// execCall performs one call instruction. The argument slice is carved
+// from the thread's scratch arena and popped once the call's results are
+// consumed.
 func (t *Thread) execCall(in *ir.Instr, regs, locals []value.Value) error {
-	if !FastEnabled {
-		args := make([]value.Value, len(in.Args))
-		for i, r := range in.Args {
-			args[i] = regs[r]
-		}
-		return t.execCallArgs(in, regs, locals, args)
-	}
 	mark := t.ScratchMark()
 	args := t.ScratchSlice(len(in.Args))
 	for i, r := range in.Args {
@@ -413,10 +318,9 @@ func (t *Thread) execCall(in *ir.Instr, regs, locals []value.Value) error {
 func (t *Thread) execCallArgs(in *ir.Instr, regs, locals, args []value.Value) error {
 	var rets []value.Value
 	var err error
-	switch {
-	case t.Interceptor == nil:
+	if t.Interceptor == nil {
 		rets, err = t.CallByName(in.Name, args)
-	case FastEnabled:
+	} else {
 		if t.invokeFn == nil {
 			t.invokeFn = func() ([]value.Value, error) { return t.CallByName(t.curIn.Name, t.curArgs) }
 		}
@@ -424,9 +328,6 @@ func (t *Thread) execCallArgs(in *ir.Instr, regs, locals, args []value.Value) er
 		t.curIn, t.curArgs = in, args
 		rets, err = t.Interceptor(t, in, args, t.invokeFn)
 		t.curIn, t.curArgs = savedIn, savedArgs
-	default:
-		invoke := func() ([]value.Value, error) { return t.CallByName(in.Name, args) }
-		rets, err = t.Interceptor(t, in, args, invoke)
 	}
 	if err != nil {
 		return err
