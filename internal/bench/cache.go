@@ -70,6 +70,7 @@ type runEntry struct {
 	err  error
 }
 
+// run measures one configuration, memoized per (kind, mode, threads, auto).
 func (cp *Compiled) run(kind transform.Kind, mode exec.SyncMode, threads int, auto bool) (*Measurement, error) {
 	key := runKey{kind, mode, threads, auto}
 	cp.runMu.Lock()

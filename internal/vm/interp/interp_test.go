@@ -299,33 +299,32 @@ func TestMalformedIR(t *testing.T) {
 	konst := func() *ir.Instr { return &ir.Instr{Op: ir.OpConst, Dst: 0, A: -1, B: -1, Val: value.Int(1)} }
 	cases := []struct {
 		name   string
-		blocks func() []*ir.Block
+		blocks []*ir.Block
 		want   string
 	}{
-		{"block ID is not its index", func() []*ir.Block {
-			return []*ir.Block{{ID: 1, Instrs: []*ir.Instr{ret()}}}
-		}, "bad b1: block ID does not match its index 0"},
-		{"missing terminator", func() []*ir.Block {
-			return []*ir.Block{{ID: 0, Instrs: []*ir.Instr{konst()}}}
-		}, "bad b0: block does not end in a terminator"},
-		{"terminator in mid-block", func() []*ir.Block {
-			return []*ir.Block{{ID: 0, Instrs: []*ir.Instr{ret(), konst(), ret()}}}
-		}, "bad b0: ret before the end of the block"},
-		{"undeclared global", func() []*ir.Block {
-			ld := &ir.Instr{Op: ir.OpLoadGlobal, Dst: 0, A: -1, B: -1, Name: "nope"}
-			return []*ir.Block{{ID: 0, Instrs: []*ir.Instr{ld, ret()}}}
-		}, "bad b0: undeclared global nope"},
-		{"unknown op", func() []*ir.Block {
-			return []*ir.Block{{ID: 0, Instrs: []*ir.Instr{{Op: ir.Op(99), Dst: -1, A: -1, B: -1}, ret()}}}
-		}, "bad b0: unknown op op99"},
-		{"branch to a missing block", func() []*ir.Block {
-			return []*ir.Block{{ID: 0, Instrs: []*ir.Instr{{Op: ir.OpBr, Dst: -1, A: -1, B: -1, Targets: [2]int{3}}}}}
-		}, "bad b0: branch to missing block b3"},
-		{"no blocks", func() []*ir.Block { return nil }, "bad: function has no blocks"},
+		{"block ID is not its index",
+			[]*ir.Block{{ID: 1, Instrs: []*ir.Instr{ret()}}},
+			"bad b1: block ID does not match its index 0"},
+		{"missing terminator",
+			[]*ir.Block{{ID: 0, Instrs: []*ir.Instr{konst()}}},
+			"bad b0: block does not end in a terminator"},
+		{"terminator in mid-block",
+			[]*ir.Block{{ID: 0, Instrs: []*ir.Instr{ret(), konst(), ret()}}},
+			"bad b0: ret before the end of the block"},
+		{"undeclared global",
+			[]*ir.Block{{ID: 0, Instrs: []*ir.Instr{{Op: ir.OpLoadGlobal, Dst: 0, A: -1, B: -1, Name: "nope"}, ret()}}},
+			"bad b0: undeclared global nope"},
+		{"unknown op",
+			[]*ir.Block{{ID: 0, Instrs: []*ir.Instr{{Op: ir.Op(99), Dst: -1, A: -1, B: -1}, ret()}}},
+			"bad b0: unknown op op99"},
+		{"branch to a missing block",
+			[]*ir.Block{{ID: 0, Instrs: []*ir.Instr{{Op: ir.OpBr, Dst: -1, A: -1, B: -1, Targets: [2]int{3}}}}},
+			"bad b0: branch to missing block b3"},
+		{"no blocks", nil, "bad: function has no blocks"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			bad := &ir.Func{Name: "bad", Blocks: c.blocks(), NumRegs: 1}
+			bad := &ir.Func{Name: "bad", Blocks: c.blocks, NumRegs: 1}
 			bad.Renumber()
 			call := &ir.Instr{Op: ir.OpCall, Dst: -1, A: -1, B: -1, Name: "bad"}
 			main := &ir.Func{Name: "main", Blocks: []*ir.Block{{ID: 0, Instrs: []*ir.Instr{call, ret()}}}}
