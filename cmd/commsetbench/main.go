@@ -5,28 +5,30 @@
 //	commsetbench -figure6           speedup-vs-threads series (Figure 6 a–i)
 //	commsetbench -figure3           the three md5sum schedules (Figure 3)
 //	commsetbench -claims            Section 5 qualitative claims checklist
-//	commsetbench -faults            deterministic fault-injection campaign
-//	commsetbench -service           open-system service campaign (arrivals, SLOs, degradation)
-//	commsetbench -sanitize          dynamic sanitizer campaign (races, commute replay, misannotation negatives)
-//	commsetbench -steal             work-stealing straggler campaign (steal on/off under seeded slowdowns)
-//	commsetbench -vetprecision      analyzer precision gate (corpus + workloads)
 //	commsetbench -auto              run figures under the profile-guided auto-scheduler
-//	commsetbench -json FILE         write the schedule/speedup report (BENCH_schedule.json)
+//	commsetbench -campaign LIST     run gated campaigns (comma-separated, or all)
 //	commsetbench -all               everything
 //
 // All results are simulated virtual-time speedups over the sequential run
 // of the same program on the same substrate (see DESIGN.md for the
 // simulator substitution).
 //
-// Before any simulation runs, every workload variant is passed through the
-// commsetvet -werror gate (misannotation, race, and lint checks); -novet
-// skips it. The -faults campaign sweeps workloads × schedules × sync modes
-// under seeded fault plans (-faultseed) and asserts sequential-equivalent
-// output for every recoverable plan; -smoke restricts it to the CI-sized
-// subset. The -service campaign runs the open-system service runtime
-// (seeded arrival traces, admission control, deadlines, SLO-guarded
-// degradation, mid-service crashes) over both services × all transforms
-// and emits BENCH_service.json.
+// The campaigns are gated sweeps, each writing BENCH_<name>.json to the
+// current directory, also when its gate fails:
+//
+//	precision  analyzer precision gate (corpus expectations, workload cleanliness)
+//	schedule   every Figure 6 cell under the profile-guided auto-scheduler
+//	faults     workloads × schedules × sync modes under seeded fault and crash plans
+//	service    open-system service runtime (arrival traces, admission, SLOs, degradation)
+//	sanitize   dynamic sanitizer (races, commute replay, misannotation negatives)
+//	steal      work stealing on/off under seeded straggler plans
+//
+// -smoke restricts every campaign to its CI-sized subset, -seed seeds the
+// fault plans, arrival traces and straggler plans, and -hostpar runs
+// independent cells on a host worker pool without changing any report.
+// Before any simulation or campaign runs, every workload variant is
+// passed through the commsetvet -werror gate (misannotation, race, and
+// lint checks); -novet skips it.
 package main
 
 import (
@@ -36,6 +38,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/transform"
@@ -51,22 +55,12 @@ func main() {
 		figure3  = flag.Bool("figure3", false, "print Figure 3 (md5sum schedules)")
 		claims   = flag.Bool("claims", false, "check Section 5 qualitative claims")
 		ablation = flag.Bool("ablation", false, "run the annotation and synchronization ablations")
-		faults   = flag.Bool("faults", false, "run the deterministic fault-injection campaign")
-		service  = flag.Bool("service", false, "run the open-system service campaign (arrivals, admission, SLOs, degradation)")
-		sanit    = flag.Bool("sanitize", false, "run the dynamic sanitizer campaign (race detection + commute replay + misannotation negatives)")
-		sanJS    = flag.String("sanitize-json", "BENCH_sanitize.json", "with -sanitize: write the machine-readable campaign report to this file (\"\" disables)")
-		steal    = flag.Bool("steal", false, "run the work-stealing straggler campaign (steal on/off pairs under seeded slowdown plans)")
-		stealJS  = flag.String("steal-json", "BENCH_steal.json", "with -steal: write the machine-readable campaign report to this file (\"\" disables)")
-		smoke    = flag.Bool("smoke", false, "with -faults/-service: run the CI-sized smoke subset")
-		seed     = flag.Uint64("faultseed", 1, "with -faults/-service: fault plan and arrival-trace seed")
-		faultsJS = flag.String("faults-json", "BENCH_faults.json", "with -faults: write the machine-readable campaign report to this file (\"\" disables)")
-		svcJS    = flag.String("service-json", "BENCH_service.json", "with -service: write the machine-readable campaign report to this file (\"\" disables)")
-		novet    = flag.Bool("novet", false, "skip the commsetvet -werror pre-simulation gate")
-		vetprec  = flag.Bool("vetprecision", false, "run the analyzer precision gate (corpus + workloads, per-check counts)")
-		precJSON = flag.String("precision-json", "", "with -vetprecision: write the per-check JSON report to this file")
-		auto     = flag.Bool("auto", false, "with -figure6/-json: run the profile-guided auto-scheduler (adaptive schedule/chunk/batch/privatization)")
-		jsonPath = flag.String("json", "", "write the schedule/speedup report (BENCH_schedule.json) to this file")
-		all      = flag.Bool("all", false, "print everything")
+		campaign = flag.String("campaign", "", "run the named campaigns, comma-separated, or all ("+campaignNames()+"); each writes BENCH_<name>.json")
+		smoke    = flag.Bool("smoke", false, "with -campaign: run each campaign's CI-sized subset")
+		seed     = flag.Uint64("seed", 1, "with -campaign: seed of the fault plans, arrival traces and straggler plans")
+		novet    = flag.Bool("novet", false, "skip the commsetvet -werror gate that runs before any simulation or campaign")
+		auto     = flag.Bool("auto", false, "with -figure6: run the profile-guided auto-scheduler (adaptive schedule/chunk/batch/privatization)")
+		all      = flag.Bool("all", false, "print everything and run every campaign")
 		threads  = flag.Int("threads", 8, "maximum thread count")
 		hostpar  = flag.Int("hostpar", 1, "host worker goroutines for campaign cells (0 = GOMAXPROCS); reports are byte-identical to sequential runs")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
@@ -98,26 +92,23 @@ func main() {
 			}
 		}()
 	}
-	bench.HostWorkers = *hostpar
 
 	if *all {
-		*table1, *table2, *figure6, *figure3, *claims, *ablation, *faults, *service, *vetprec, *sanit, *steal = true, true, true, true, true, true, true, true, true, true, true
+		*table1, *table2, *figure6, *figure3, *claims, *ablation, *campaign = true, true, true, true, true, true, "all"
 	}
-	if !*table1 && !*table2 && !*figure6 && !*figure3 && !*claims && !*ablation && !*faults && !*service && !*vetprec && !*sanit && !*steal && *jsonPath == "" {
+	campaigns, err := selectCampaigns(*campaign)
+	if err != nil {
+		fatal(err)
+	}
+	if !*table1 && !*table2 && !*figure6 && !*figure3 && !*claims && !*ablation && len(campaigns) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *vetprec {
-		if err := runVetPrecision(*precJSON, *threads); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-	}
-
-	// The vet gate runs before any simulation: a misannotated workload fails
-	// fast with its diagnostics instead of a wrong-output mystery later.
-	if simulating := *table2 || *figure6 || *figure3 || *claims || *ablation || *faults || *service || *steal || *jsonPath != ""; simulating && !*novet {
+	// The vet gate runs before any simulation or campaign: a misannotated
+	// workload fails fast with its diagnostics instead of a wrong-output
+	// mystery later.
+	if simulating := *table2 || *figure6 || *figure3 || *claims || *ablation || len(campaigns) > 0; simulating && !*novet {
 		if err := bench.VetWorkloads(os.Stdout, *threads); err != nil {
 			fatal(err)
 		}
@@ -141,18 +132,13 @@ func main() {
 		fmt.Println()
 	}
 	var figs []*bench.Figure
-	if *figure6 || *claims || *jsonPath != "" {
+	if *figure6 || *claims {
 		var err error
 		figs, err = bench.PrintFigure6(figWriter(*figure6), *threads, *auto)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println()
-	}
-	if *jsonPath != "" {
-		if err := bench.WriteScheduleJSON(os.Stdout, *jsonPath, figs, *threads, *auto); err != nil {
-			fatal(err)
-		}
 	}
 	if *claims {
 		// The paper's Section 5 claims describe the fixed policies (e.g.
@@ -181,38 +167,54 @@ func main() {
 			}
 		}
 	}
-	if *faults {
+
+	// Every selected campaign runs and writes its report even after an
+	// earlier one failed, so a failing run leaves every report to diff.
+	workers := *hostpar
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	opts := bench.CampaignOptions{Threads: *threads, Seed: *seed, Smoke: *smoke, Workers: workers}
+	failed := false
+	for _, c := range campaigns {
 		fmt.Println()
-		if _, err := bench.FaultCampaign(os.Stdout, bench.CampaignOptions{
-			Threads: *threads, Seed: *seed, Smoke: *smoke, JSONPath: *faultsJS,
-		}); err != nil {
-			fatal(err)
+		if err := bench.RunCampaign(os.Stdout, ".", c, opts); err != nil {
+			fmt.Fprintf(os.Stderr, "commsetbench: campaign %s: %v\n", c.Name, err)
+			failed = true
 		}
 	}
-	if *service {
-		fmt.Println()
-		if _, err := bench.ServiceCampaign(os.Stdout, bench.ServiceOptions{
-			Threads: *threads, Seed: *seed, Smoke: *smoke, JSONPath: *svcJS,
-		}); err != nil {
-			fatal(err)
-		}
+	if failed {
+		os.Exit(1)
 	}
-	if *sanit {
-		fmt.Println()
-		if _, err := bench.SanitizeCampaign(os.Stdout, bench.SanitizeOptions{
-			Threads: *threads, Smoke: *smoke, JSONPath: *sanJS,
-		}); err != nil {
-			fatal(err)
-		}
+}
+
+// selectCampaigns resolves the -campaign list: comma-separated names from
+// bench.Campaigns, or all.
+func selectCampaigns(list string) ([]bench.Campaign, error) {
+	switch list {
+	case "":
+		return nil, nil
+	case "all":
+		return bench.Campaigns, nil
 	}
-	if *steal {
-		fmt.Println()
-		if _, err := bench.StealCampaign(os.Stdout, bench.StealOptions{
-			Threads: *threads, Seed: *seed, Smoke: *smoke, JSONPath: *stealJS,
-		}); err != nil {
-			fatal(err)
+	var out []bench.Campaign
+	for _, name := range strings.Split(list, ",") {
+		i := slices.IndexFunc(bench.Campaigns, func(c bench.Campaign) bool { return c.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown campaign %q (have %s, or all)", name, campaignNames())
 		}
+		out = append(out, bench.Campaigns[i])
 	}
+	return out, nil
+}
+
+// campaignNames lists the campaign names for help and error texts.
+func campaignNames() string {
+	var names []string
+	for _, c := range bench.Campaigns {
+		names = append(names, c.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // figWriter is where PrintFigure6 renders: stdout when the figure was
@@ -251,22 +253,6 @@ func printFigure3(threads int) error {
 	fmt.Printf("  %-34s %12d %9.2f  (out-of-order prints)\n", doall.Schedule, doall.VirtualTime, doall.Speedup)
 	fmt.Printf("  paper: DOALL 7.6x, PS-DSWP 5.8x\n")
 	return nil
-}
-
-// runVetPrecision runs the analyzer precision gate and optionally writes
-// the per-check JSON report (the CI artifact) to jsonPath.
-func runVetPrecision(jsonPath string, threads int) error {
-	var jsonOut io.Writer
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		jsonOut = f
-	}
-	_, err := bench.VetPrecision(os.Stdout, jsonOut, threads)
-	return err
 }
 
 func fatal(err error) {

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -92,20 +90,8 @@ func crashVictim(roster []string) string {
 	return roster[0]
 }
 
-// CampaignOptions configures FaultCampaign.
-type CampaignOptions struct {
-	Threads int
-	Seed    uint64
-	// Smoke restricts the sweep to two workloads and the deterministic
-	// plans — the CI-sized campaign.
-	Smoke bool
-	// JSONPath, when non-empty, additionally writes the machine-readable
-	// FaultReport (BENCH_faults.json) there.
-	JSONPath string
-}
-
-// CampaignSummary aggregates the campaign outcomes.
-type CampaignSummary struct {
+// FaultSummary aggregates the fault campaign outcomes.
+type FaultSummary struct {
 	Runs      int `json:"runs"`
 	Clean     int `json:"clean"`     // no faults fired (or none applied to the configuration)
 	Recovered int `json:"recovered"` // faults absorbed by retries / restarts / re-execution
@@ -175,30 +161,12 @@ func joinSkew(joins []int64) int64 {
 // BENCH_faults.json. CI uploads it as an artifact so resilience regressions
 // show up as a diff, not a rerun.
 type FaultReport struct {
-	Threads int             `json:"threads"`
-	Seed    uint64          `json:"seed"`
-	Smoke   bool            `json:"smoke"`
-	Summary CampaignSummary `json:"summary"`
-	Cells   []FaultCell     `json:"cells"`
+	Threads int          `json:"threads"`
+	Seed    uint64       `json:"seed"`
+	Smoke   bool         `json:"smoke"`
+	Summary FaultSummary `json:"summary"`
+	Cells   []FaultCell  `json:"cells"`
 }
-
-// WriteFaultsJSON writes the report to path and prints a one-line
-// confirmation to w.
-func WriteFaultsJSON(w io.Writer, path string, rep *FaultReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d cells, %d restarts, %d re-partitions)\n",
-		path, len(rep.Cells), rep.Summary.Restarts, rep.Summary.Repartitioned)
-	return nil
-}
-
-// campaignKinds is the schedule sweep of the campaign, in fixed order.
-var campaignKinds = []transform.Kind{transform.DOALL, transform.DSWP, transform.PSDSWP}
 
 // FaultCampaign sweeps workloads × {DOALL, DSWP, PS-DSWP} × sync modes ×
 // fault plans through the resilient executor. On top of the kind-agnostic
@@ -207,14 +175,9 @@ var campaignKinds = []transform.Kind{transform.DOALL, transform.DSWP, transform.
 // recoverable plan must end with sequential-equivalent output (clean,
 // recovered, or degraded); every permanent-builtin plan must end in a
 // diagnosed error — any other outcome fails the campaign. The sweep order
-// and, given a seed, every outcome are deterministic.
+// and, given a seed, every outcome are deterministic. Smoke restricts the
+// sweep to two workloads and the deterministic plans.
 func FaultCampaign(out io.Writer, opts CampaignOptions) (*FaultReport, error) {
-	if opts.Threads <= 0 {
-		opts.Threads = 8
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	wls := workloads.All()
 	plans := DefaultPlans(opts.Seed)
 	if opts.Smoke {
@@ -236,7 +199,7 @@ func FaultCampaign(out io.Writer, opts CampaignOptions) (*FaultReport, error) {
 	// replayed in submission order below, which keeps the printed table,
 	// the summary, and the JSON report byte-identical to a sequential run.
 	cps := make([]*Compiled, len(wls))
-	if err := parDo(len(wls), func(i int) error {
+	if err := opts.parDo(len(wls), func(i int) error {
 		cp, err := Compile(wls[i], "comm", opts.Threads)
 		cps[i] = cp
 		return err
@@ -253,7 +216,7 @@ func FaultCampaign(out io.Writer, opts CampaignOptions) (*FaultReport, error) {
 	var groups []faultGroup
 	for wi, wl := range wls {
 		cp := cps[wi]
-		for _, kind := range campaignKinds {
+		for _, kind := range parallelKinds {
 			sched := cp.Schedule(kind)
 			if sched == nil {
 				continue
@@ -279,7 +242,7 @@ func FaultCampaign(out io.Writer, opts CampaignOptions) (*FaultReport, error) {
 	}
 
 	cells := make([][]FaultCell, len(groups))
-	if err := parDo(len(groups), func(i int) error {
+	if err := opts.parDo(len(groups), func(i int) error {
 		g := groups[i]
 		sched := g.cp.Schedule(g.kind)
 		baseline, err := cleanBaseline(g.cp, sched, g.mode, opts.Threads)
@@ -334,11 +297,6 @@ func FaultCampaign(out io.Writer, opts CampaignOptions) (*FaultReport, error) {
 		sum.Runs, sum.Clean, sum.Recovered, sum.Degraded, sum.Diagnosed, sum.Restarts, sum.Repartitioned)
 	if len(violations) > 0 {
 		return rep, fmt.Errorf("bench: fault campaign failed:\n  %s", strings.Join(violations, "\n  "))
-	}
-	if opts.JSONPath != "" {
-		if err := WriteFaultsJSON(out, opts.JSONPath, rep); err != nil {
-			return rep, err
-		}
 	}
 	return rep, nil
 }

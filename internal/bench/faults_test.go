@@ -43,19 +43,3 @@ func TestSmokeCampaign(t *testing.T) {
 		t.Errorf("no permanent crash exercised DOALL re-partitioning: %+v", sum)
 	}
 }
-
-// TestCampaignDeterministic: the same seed must reproduce the identical
-// campaign report byte for byte — outcomes, retry counts, diagnostics.
-func TestCampaignDeterministic(t *testing.T) {
-	render := func() string {
-		var buf bytes.Buffer
-		if _, err := FaultCampaign(&buf, CampaignOptions{Threads: 4, Seed: 7, Smoke: true}); err != nil {
-			t.Fatalf("campaign failed:\n%s%v", buf.String(), err)
-		}
-		return buf.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Errorf("campaign report not reproducible:\n--- first ---\n%s--- second ---\n%s", a, b)
-	}
-}

@@ -77,7 +77,7 @@ func goldenTable(t *testing.T) string {
 					row(wl.Name, variant, "-", "profile", "-", cp.Prof.Total, "weights="+weightsDigest(cp.Prof.Weights))
 					row(wl.Name, variant, "1", "seq", "-", cp.SeqCost, stateDigest(cp.SeqWorld, base))
 				}
-				for _, kind := range campaignKinds {
+				for _, kind := range parallelKinds {
 					if cp.Schedule(kind) == nil {
 						continue
 					}

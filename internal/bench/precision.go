@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -43,7 +42,7 @@ func (c *CheckCounts) add(d *source.Diagnostic) {
 	}
 }
 
-// PrecisionReport is the JSON artifact VetPrecision emits.
+// PrecisionReport is the report behind BENCH_precision.json.
 type PrecisionReport struct {
 	Workloads     int `json:"workloads"`
 	CorpusEntries int `json:"corpus_entries"`
@@ -89,9 +88,8 @@ var precisionChecks = []struct {
 
 // VetPrecision runs the precision gate, prints a summary to out, and
 // returns the report. The error is non-nil when any expectation is
-// violated; jsonOut, when non-nil, receives the report as indented JSON
-// either way.
-func VetPrecision(out, jsonOut io.Writer, threads int) (*PrecisionReport, error) {
+// violated.
+func VetPrecision(out io.Writer, threads int) (*PrecisionReport, error) {
 	rep := &PrecisionReport{
 		Corpus:       map[string]*CheckCounts{},
 		Workload:     map[string]*CheckCounts{},
@@ -205,13 +203,6 @@ func VetPrecision(out, jsonOut io.Writer, threads int) (*PrecisionReport, error)
 	}
 	fmt.Fprintln(out)
 
-	if jsonOut != nil {
-		enc := json.NewEncoder(jsonOut)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return nil, fmt.Errorf("bench: precision: write report: %w", err)
-		}
-	}
 	if len(rep.Violations) > 0 {
 		return rep, fmt.Errorf("bench: precision gate failed:\n  %s", strings.Join(rep.Violations, "\n  "))
 	}

@@ -182,8 +182,7 @@ func (cp *Compiled) runUncached(kind transform.Kind, mode exec.SyncMode, threads
 	}
 	if auto {
 		cfg.Auto = &exec.AutoOptions{
-			Fresh:    func() map[string]interp.BuiltinFn { return freshWorld(cp.WL).Fns() },
-			Parallel: parDo,
+			Fresh: func() map[string]interp.BuiltinFn { return freshWorld(cp.WL).Fns() },
 		}
 	}
 	res, err := exec.Run(cfg, cp.LA, sched, mode, threads)

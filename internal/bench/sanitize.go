@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/analysis"
@@ -18,16 +16,6 @@ import (
 	"repro/internal/vm/exec"
 	"repro/internal/workloads"
 )
-
-// SanitizeOptions configures the sanitizer campaign.
-type SanitizeOptions struct {
-	Threads int
-	// Smoke restricts the sweep to each workload's primary variant (the
-	// CI-sized subset); transforms and sync modes are always swept in
-	// full, since sanitizer cleanliness per cell is the gate.
-	Smoke    bool
-	JSONPath string
-}
 
 // SanitizeCell is one workload × transform × sync cell of the campaign.
 type SanitizeCell struct {
@@ -105,11 +93,11 @@ void main() {
 // that virtual time is untouched; then it runs every seeded
 // misannotation negative (the refutes corpus plus the embedded parallel
 // negative) and asserts each is flagged with a concrete counterexample.
-func SanitizeCampaign(w io.Writer, opts SanitizeOptions) (*SanitizeReport, error) {
+// Smoke restricts the sweep to each workload's primary variant;
+// transforms and sync modes are always swept in full, since sanitizer
+// cleanliness per cell is the gate.
+func SanitizeCampaign(w io.Writer, opts CampaignOptions) (*SanitizeReport, error) {
 	threads := opts.Threads
-	if threads <= 0 {
-		threads = 8
-	}
 	rep := &SanitizeReport{Threads: threads, AllClean: true, AllNegativesFlagged: true, VTimeBitForBit: true}
 
 	fmt.Fprintf(w, "Sanitizer campaign (%d threads): workloads × transforms × sync modes\n", threads)
@@ -121,7 +109,6 @@ func SanitizeCampaign(w io.Writer, opts SanitizeOptions) (*SanitizeReport, error
 	// and monitors and shares only read-only compile artifacts. Cells are
 	// replayed in submission order, so the table and JSON report are
 	// byte-identical to a sequential run.
-	parallelKinds := []transform.Kind{transform.DOALL, transform.DSWP, transform.PSDSWP}
 	type compileSpec struct {
 		wl      *workloads.Workload
 		variant string
@@ -137,7 +124,7 @@ func SanitizeCampaign(w io.Writer, opts SanitizeOptions) (*SanitizeReport, error
 		}
 	}
 	cps := make([]*Compiled, len(toCompile))
-	if err := parDo(len(toCompile), func(i int) error {
+	if err := opts.parDo(len(toCompile), func(i int) error {
 		cp, err := Compile(toCompile[i].wl, toCompile[i].variant, threads)
 		cps[i] = cp
 		return err
@@ -162,7 +149,7 @@ func SanitizeCampaign(w io.Writer, opts SanitizeOptions) (*SanitizeReport, error
 		}
 	}
 	cells := make([]*SanitizeCell, len(specs))
-	if err := parDo(len(specs), func(i int) error {
+	if err := opts.parDo(len(specs), func(i int) error {
 		cell, err := runSanitizedCell(specs[i].cp, specs[i].kind, specs[i].mode, threads)
 		cells[i] = cell
 		return err
@@ -195,7 +182,7 @@ func SanitizeCampaign(w io.Writer, opts SanitizeOptions) (*SanitizeReport, error
 	}
 
 	fmt.Fprintf(w, "\nMisannotation negatives (must be flagged dynamically):\n")
-	negs, err := sanitizeNegatives()
+	negs, err := sanitizeNegatives(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +201,6 @@ func SanitizeCampaign(w io.Writer, opts SanitizeOptions) (*SanitizeReport, error
 	fmt.Fprintf(w, "\nSummary: %d/%d cells clean, negatives flagged=%v, vtime bit-for-bit=%v\n",
 		rep.CleanCells, rep.TotalCells, rep.AllNegativesFlagged, rep.VTimeBitForBit)
 
-	if opts.JSONPath != "" {
-		if err := writeSanitizeJSON(opts.JSONPath, rep); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", opts.JSONPath)
-	}
 	if !rep.AllClean {
 		return rep, fmt.Errorf("bench: sanitizer found races or commute violations in workload cells")
 	}
@@ -349,7 +330,7 @@ func runSanitizedCell(cp *Compiled, kind transform.Kind, mode exec.SyncMode, thr
 // sanitizeNegatives runs every seeded misannotation negative: the
 // refutes family of the precision corpus under VerifyAll, plus the
 // embedded parallel negative through the two-phase detect/capture path.
-func sanitizeNegatives() ([]SanitizeNegative, error) {
+func sanitizeNegatives(opts CampaignOptions) ([]SanitizeNegative, error) {
 	var refutes []analysis.CorpusEntry
 	for _, e := range analysis.Corpus() {
 		if e.Refutes {
@@ -360,7 +341,7 @@ func sanitizeNegatives() ([]SanitizeNegative, error) {
 	// and the embedded parallel negative run concurrently under -hostpar
 	// and are collected in corpus order.
 	out := make([]SanitizeNegative, len(refutes)+1)
-	if err := parDo(len(refutes)+1, func(i int) error {
+	if err := opts.parDo(len(refutes)+1, func(i int) error {
 		if i == len(refutes) {
 			par, err := parallelNegative()
 			if err != nil {
@@ -502,14 +483,3 @@ func kindFlag(k transform.Kind) string {
 }
 
 func syncFlag(m exec.SyncMode) string { return strings.ToLower(m.String()) }
-
-func writeSanitizeJSON(path string, rep *SanitizeReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}

@@ -69,7 +69,7 @@ func TestSanitizeSequentialVerifyAll(t *testing.T) {
 // refutes-corpus entry and the parallel NSET negative must produce at least
 // one concrete commutativity violation with a replayable counterexample.
 func TestSanitizeNegativesFlagged(t *testing.T) {
-	negs, err := sanitizeNegatives()
+	negs, err := sanitizeNegatives(CampaignOptions{})
 	if err != nil {
 		t.Fatalf("negatives: %v", err)
 	}

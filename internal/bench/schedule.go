@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // ScheduleReport is the machine-readable summary behind
@@ -40,17 +38,24 @@ type SeriesReport struct {
 	Speedups []float64 `json:"speedups,omitempty"`
 }
 
-// BuildScheduleReport condenses measured figures into a ScheduleReport.
-func BuildScheduleReport(figs []*Figure, threads int, auto bool) *ScheduleReport {
-	rep := &ScheduleReport{Threads: threads, Auto: auto}
-	rep.GeomeanCommset, rep.GeomeanNonCommset = GeoPairAt(figs, threads)
+// ScheduleCampaign measures every Figure 6 cell under the profile-guided
+// auto-scheduler and reports the executed schedules and speedups. Every
+// run is validated against the sequential reference. The campaign has one
+// size, so it ignores Smoke.
+func ScheduleCampaign(out io.Writer, opts CampaignOptions) (*ScheduleReport, error) {
+	figs, err := PrintFigure6(io.Discard, opts.Threads, true)
+	if err != nil {
+		return nil, err
+	}
+	rep := &ScheduleReport{Threads: opts.Threads, Auto: true}
+	rep.GeomeanCommset, rep.GeomeanNonCommset = GeoPairAt(figs, opts.Threads)
 	for _, f := range figs {
 		wr := WorkloadReport{Name: f.WL.Name, PaperBest: f.WL.PaperBest}
 		for _, s := range f.Series {
 			sr := SeriesReport{
 				Label:    s.Label,
 				Schedule: s.Schedule,
-				Speedup:  s.At(threads),
+				Speedup:  s.At(opts.Threads),
 				Speedups: s.Speedups,
 			}
 			wr.Series = append(wr.Series, sr)
@@ -62,20 +67,7 @@ func BuildScheduleReport(figs []*Figure, threads int, auto bool) *ScheduleReport
 		}
 		rep.Workloads = append(rep.Workloads, wr)
 	}
-	return rep
-}
-
-// WriteScheduleJSON writes the report for the given figures to path and
-// prints a one-line confirmation to w.
-func WriteScheduleJSON(w io.Writer, path string, figs []*Figure, threads int, auto bool) error {
-	rep := BuildScheduleReport(figs, threads, auto)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (auto=%v, geomean best COMMSET %.2fx)\n", path, auto, rep.GeomeanCommset)
-	return nil
+	fmt.Fprintf(out, "Schedule campaign: %d workloads auto-scheduled at %d threads, geomean best COMMSET %.2fx, best non-COMMSET %.2fx\n",
+		len(rep.Workloads), opts.Threads, rep.GeomeanCommset, rep.GeomeanNonCommset)
+	return rep, nil
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/builtins"
@@ -14,18 +12,6 @@ import (
 	"repro/internal/vm/exec"
 	"repro/internal/workloads"
 )
-
-// ServiceOptions configures ServiceCampaign.
-type ServiceOptions struct {
-	Threads int
-	Seed    uint64
-	// Smoke restricts the sweep to the primary sync mode and the CI-sized
-	// traces.
-	Smoke bool
-	// JSONPath, when non-empty, additionally writes the machine-readable
-	// ServiceReport (BENCH_service.json) there.
-	JSONPath string
-}
 
 // ServiceCell is one (service, schedule, sync, trace, scenario) campaign
 // cell of the machine-readable report.
@@ -41,7 +27,8 @@ type ServiceCell struct {
 	Outcome string  `json:"outcome"`
 	Detail  string  `json:"detail,omitempty"`
 	// Deterministic is set on scenarios that are executed twice under the
-	// same seed and compared bit-for-bit (overload and crash cells).
+	// same seed and compared bit-for-bit (overload, crash and heavy-tail
+	// cells).
 	Deterministic bool                `json:"deterministic,omitempty"`
 	Result        *exec.ServiceResult `json:"result,omitempty"`
 }
@@ -116,21 +103,6 @@ type ServiceReport struct {
 	Summary    ServiceSummary `json:"summary"`
 	Cells      []ServiceCell  `json:"cells"`
 	RateLadder []RatePoint    `json:"rate_ladder,omitempty"`
-}
-
-// WriteServiceJSON writes the report to path and prints a one-line
-// confirmation to w.
-func WriteServiceJSON(w io.Writer, path string, rep *ServiceReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d cells, %d completed, %d shed, ladder high-water %d)\n",
-		path, len(rep.Cells), rep.Summary.Completed, rep.Summary.Shed, rep.Summary.MaxLevel)
-	return nil
 }
 
 // svcCompiled is one open service, compiled and calibrated: the schedules of
@@ -269,21 +241,22 @@ func (sc *svcCompiled) svcConfig(trace string, seed uint64, gap float64, scaler 
 	}
 }
 
-// runOnce executes one service run on a fresh world and returns the result
-// together with the world for validation.
-func (sc *svcCompiled) runOnce(sched *transform.Schedule, mode exec.SyncMode, threads int, svcCfg exec.ServiceConfig, plan *faults.Plan) (*exec.ServiceResult, *builtins.World, error) {
-	return sc.runOnceTuned(sched, mode, threads, svcCfg, plan, transform.Tuning{})
-}
-
-// runOnceTuned is runOnce under an explicit tuning (the heavy-tail cells
-// toggle Tune.Steal to compare the parked-worker steal path against the
-// plain ladder).
-func (sc *svcCompiled) runOnceTuned(sched *transform.Schedule, mode exec.SyncMode, threads int, svcCfg exec.ServiceConfig, plan *faults.Plan, tune transform.Tuning) (*exec.ServiceResult, *builtins.World, error) {
+// runChecked executes one service run on a fresh world under tune (the
+// heavy-tail cells toggle Tune.Steal) and validates it: the full trace is
+// generated (zero silent drops) and the externalized effects are
+// consistent with the sequential reference.
+func (sc *svcCompiled) runChecked(sched *transform.Schedule, mode exec.SyncMode, threads int, svcCfg exec.ServiceConfig, plan *faults.Plan, tune transform.Tuning) (*exec.ServiceResult, error) {
 	w := sc.fresh()
 	cfg := sc.config(w, plan)
 	cfg.Tune = tune
 	res, err := exec.RunService(cfg, svcCfg, sc.cp.LA, sched, mode, threads)
-	return res, w, err
+	if err != nil {
+		return res, err
+	}
+	if res.Generated != sc.n {
+		return res, fmt.Errorf("trace truncated: %d requests generated, want %d", res.Generated, sc.n)
+	}
+	return res, sc.svc.Validate(sc.seqWorld, w, res.Completed)
 }
 
 // runResilient executes one service scenario through the fallback machinery:
@@ -307,21 +280,6 @@ func (sc *svcCompiled) runResilient(sched *transform.Schedule, mode exec.SyncMod
 		LA: sc.cp.LA, Sched: sched, Mode: mode, Threads: threads,
 		Fresh: fresh, Accept: accept,
 	})
-}
-
-// validate checks a completed run's externalized effects against the
-// sequential reference and the zero-silent-drop trace identity.
-func (sc *svcCompiled) validate(w *builtins.World, res *exec.ServiceResult) error {
-	if res.Generated != sc.n {
-		return fmt.Errorf("trace truncated: %d requests generated, want %d", res.Generated, sc.n)
-	}
-	return sc.svc.Validate(sc.seqWorld, w, res.Completed)
-}
-
-func sameResult(a, b *exec.ServiceResult) bool {
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	return string(ja) == string(jb)
 }
 
 func resultDetail(res *exec.ServiceResult) string {
@@ -349,16 +307,12 @@ var ladderUtilsSmoke = []float64{0.5, 1.1}
 // every cell: the full trace is generated and accounted (zero silent
 // drops — RunService checks the balance identity internally, the campaign
 // re-checks the generated count), and the externalized effects are a
-// subset-consistent prefix of the sequential reference. Overload and crash
-// cells run twice under the same seed and must reproduce bit-for-bit; at
-// least one cell must walk the degradation ladder to level ≥ 2.
-func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error) {
-	if opts.Threads <= 0 {
-		opts.Threads = 8
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
+// subset-consistent prefix of the sequential reference. Overload, crash
+// and heavy-tail cells run twice under the same seed and must reproduce
+// bit-for-bit; at least one cell must walk the degradation ladder to
+// level ≥ 2. Smoke restricts the sweep to the primary sync mode and the
+// CI-sized traces.
+func ServiceCampaign(out io.Writer, opts CampaignOptions) (*ServiceReport, error) {
 	rep := &ServiceReport{Threads: opts.Threads, Seed: opts.Seed, Smoke: opts.Smoke}
 	sum := &rep.Summary
 	var violations []string
@@ -421,7 +375,7 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 			mode  exec.SyncMode
 		}
 		var kms []kmSpec
-		for _, kind := range campaignKinds {
+		for _, kind := range parallelKinds {
 			sched := sc.cp.Schedule(kind)
 			if sched == nil {
 				violations = append(violations, fmt.Sprintf(
@@ -433,7 +387,7 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 			}
 		}
 		capacs := make([]float64, len(kms))
-		if err := parDo(len(kms), func(i int) error {
+		if err := opts.parDo(len(kms), func(i int) error {
 			c, err := sc.capacity(kms[i].sched, kms[i].mode, opts.Threads)
 			capacs[i] = c
 			return err
@@ -458,19 +412,16 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 				steady = append(steady, &steadyCell{km: ki, trace: trace})
 			}
 		}
-		if err := parDo(len(steady), func(i int) error {
+		if err := opts.parDo(len(steady), func(i int) error {
 			st := steady[i]
 			km := kms[st.km]
 			gap := sc.gap(steadyUtil, capacs[st.km])
 			scaler := &exec.ScalerConfig{Window: 8 * sc.reqCost}
 			mk := sc.svcConfig(st.trace, opts.Seed+traceSeeds[st.trace], gap, scaler, 32)
-			res, w, err := sc.runOnce(km.sched, km.mode, opts.Threads, mk(), nil)
+			res, err := sc.runChecked(km.sched, km.mode, opts.Threads, mk(), nil, transform.Tuning{})
 			cell := ServiceCell{
 				Service: svc.Name, Kind: fmt.Sprintf("%v", km.kind), Sync: fmt.Sprintf("%v", km.mode),
 				Trace: st.trace, Scenario: "steady", Util: steadyUtil,
-			}
-			if err == nil {
-				err = sc.validate(w, res)
 			}
 			if err == nil {
 				cell.Outcome = "ok"
@@ -531,7 +482,9 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 				c.ClassOf = func(k int) int { return k % 2 }
 				return c
 			}
-			res, err := sc.runResilient(doall, primary, opts.Threads, mkSvc, nil)
+			res, err := runTwice(func() (*exec.ServiceResult, error) {
+				return sc.runResilient(doall, primary, opts.Threads, mkSvc, nil)
+			})
 			cell := ServiceCell{
 				Service: svc.Name, Kind: fmt.Sprintf("%v", transform.DOALL),
 				Sync: fmt.Sprintf("%v", primary), Trace: "bursty", Scenario: "overload",
@@ -543,13 +496,6 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 					err = fmt.Errorf("overload never walked the ladder past level %d", deepestLevel(res))
 				case res.Generated != sc.n:
 					err = fmt.Errorf("trace truncated: %d generated, want %d", res.Generated, sc.n)
-				default:
-					res2, err2 := sc.runResilient(doall, primary, opts.Threads, mkSvc, nil)
-					if err2 != nil {
-						err = fmt.Errorf("determinism rerun failed: %w", err2)
-					} else if !sameResult(res, res2) {
-						err = fmt.Errorf("overload run is not deterministic under seed %d", opts.Seed)
-					}
 				}
 			}
 			if err == nil {
@@ -583,18 +529,13 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 					return nil, fmt.Errorf("bench: %w", err)
 				}
 				mk := sc.svcConfig("poisson", opts.Seed+traceSeeds["poisson"], gap, scaler, 32)
-				run := func() (*exec.ServiceResult, *builtins.World, error) {
-					p := plan
-					return sc.runOnce(doall, primary, opts.Threads, mk(), &p)
-				}
-				res, w, err := run()
+				res, err := runTwice(func() (*exec.ServiceResult, error) {
+					return sc.runChecked(doall, primary, opts.Threads, mk(), &plan, transform.Tuning{})
+				})
 				cell := ServiceCell{
 					Service: svc.Name, Kind: fmt.Sprintf("%v", transform.DOALL),
 					Sync: fmt.Sprintf("%v", primary), Trace: "poisson", Scenario: crash.name,
 					Util: 0.5, Deterministic: true,
-				}
-				if err == nil {
-					err = sc.validate(w, res)
 				}
 				if err == nil {
 					switch {
@@ -602,13 +543,6 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 						err = fmt.Errorf("transient crash never restarted the worker")
 					case crash.perm && res.DeadWorkers < 1:
 						err = fmt.Errorf("permanent crash never retired the worker")
-					default:
-						res2, _, err2 := run()
-						if err2 != nil {
-							err = fmt.Errorf("determinism rerun failed: %w", err2)
-						} else if !sameResult(res, res2) {
-							err = fmt.Errorf("crash run is not deterministic under seed %d", opts.Seed)
-						}
 					}
 				}
 				if err == nil {
@@ -649,10 +583,9 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 				}
 				mk := hsc.svcConfig("bursty", opts.Seed+traceSeeds["bursty"], gap, scaler, 32)
 				tune := transform.Tuning{Steal: steal}
-				run := func() (*exec.ServiceResult, *builtins.World, error) {
-					return hsc.runOnceTuned(doall, primary, opts.Threads, mk(), nil, tune)
-				}
-				res, w, err := run()
+				res, err := runTwice(func() (*exec.ServiceResult, error) {
+					return hsc.runChecked(doall, primary, opts.Threads, mk(), nil, tune)
+				})
 				scenario := "heavy-tail"
 				if steal {
 					scenario = "heavy-tail-steal"
@@ -661,17 +594,6 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 					Service: svc.Name, Kind: fmt.Sprintf("%v", transform.DOALL),
 					Sync: fmt.Sprintf("%v", primary), Trace: "bursty", Scenario: scenario,
 					Util: 1.5, Deterministic: true,
-				}
-				if err == nil {
-					err = hsc.validate(w, res)
-				}
-				if err == nil {
-					res2, _, err2 := run()
-					if err2 != nil {
-						err = fmt.Errorf("determinism rerun failed: %w", err2)
-					} else if !sameResult(res, res2) {
-						err = fmt.Errorf("heavy-tail run is not deterministic under seed %d", opts.Seed)
-					}
 				}
 				if err == nil {
 					p99s[si] = res.P99
@@ -705,10 +627,9 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 			gap := sc.gap(0.5, pcap)
 			mk := sc.svcConfig("poisson", opts.Seed+traceSeeds["poisson"], gap, nil, 32)
 			mkPlan := func() *faults.Plan { p := plan; return &p }
-			run := func() (*exec.ServiceResult, error) {
+			res, err := runTwice(func() (*exec.ServiceResult, error) {
 				return sc.runResilient(pipe, primary, opts.Threads, mk, mkPlan)
-			}
-			res, err := run()
+			})
 			cell := ServiceCell{
 				Service: svc.Name, Kind: fmt.Sprintf("%v", pipe.Kind),
 				Sync: fmt.Sprintf("%v", primary), Trace: "poisson", Scenario: "crash-stage-perm",
@@ -720,13 +641,6 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 					err = fmt.Errorf("permanent stage crash did not degrade to the sequential service")
 				case res.Generated != sc.n:
 					err = fmt.Errorf("trace truncated: %d generated, want %d", res.Generated, sc.n)
-				default:
-					res2, err2 := run()
-					if err2 != nil {
-						err = fmt.Errorf("determinism rerun failed: %w", err2)
-					} else if !sameResult(res, res2) {
-						err = fmt.Errorf("stage-crash run is not deterministic under seed %d", opts.Seed)
-					}
 				}
 			}
 			if err == nil {
@@ -750,14 +664,11 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 			err error
 		}
 		runs := make([]ladderRun, len(utils))
-		if err := parDo(len(utils), func(i int) error {
+		if err := opts.parDo(len(utils), func(i int) error {
 			gap := sc.gap(utils[i], capac)
 			scaler := &exec.ScalerConfig{Window: 8 * sc.reqCost}
 			mk := sc.svcConfig("poisson", opts.Seed+traceSeeds["poisson"], gap, scaler, 32)
-			res, w, err := sc.runOnce(doall, primary, opts.Threads, mk(), nil)
-			if err == nil {
-				err = sc.validate(w, res)
-			}
+			res, err := sc.runChecked(doall, primary, opts.Threads, mk(), nil, transform.Tuning{})
 			runs[i] = ladderRun{res, err}
 			return nil
 		}); err != nil {
@@ -803,7 +714,7 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 	// Acceptance: both services × all three transforms, and the degradation
 	// ladder exercised somewhere.
 	for _, svc := range workloads.Services() {
-		for _, kind := range campaignKinds {
+		for _, kind := range parallelKinds {
 			if !covered[svc.Name][fmt.Sprintf("%v", kind)] {
 				violations = append(violations, fmt.Sprintf("%s: no cell covers transform %v", svc.Name, kind))
 			}
@@ -819,11 +730,6 @@ func ServiceCampaign(out io.Writer, opts ServiceOptions) (*ServiceReport, error)
 		sum.Abandoned, sum.Rejected, sum.Failed, sum.Restarts, sum.FellBack, sum.MaxLevel)
 	if len(violations) > 0 {
 		return rep, fmt.Errorf("bench: service campaign failed:\n  %s", strings.Join(violations, "\n  "))
-	}
-	if opts.JSONPath != "" {
-		if err := WriteServiceJSON(out, opts.JSONPath, rep); err != nil {
-			return rep, err
-		}
 	}
 	return rep, nil
 }

@@ -14,7 +14,7 @@ import (
 // (zero silent drops, subset-consistent output, bit-for-bit determinism).
 func TestServiceCampaignSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	rep, err := ServiceCampaign(&buf, ServiceOptions{Threads: 8, Seed: 1, Smoke: true})
+	rep, err := ServiceCampaign(&buf, CampaignOptions{Threads: 8, Seed: 1, Smoke: true})
 	if err != nil {
 		t.Fatalf("service campaign: %v\n%s", err, buf.String())
 	}

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/faults"
@@ -24,18 +22,6 @@ import (
 // finish in ≤60% of the steal-disabled virtual time on at least three
 // workloads — and re-runs every steal-enabled cell under the same seed to
 // assert the steal schedule is bit-for-bit deterministic.
-
-// StealOptions configures StealCampaign.
-type StealOptions struct {
-	Threads int
-	Seed    uint64
-	// Smoke restricts the sweep to three workloads and two plans — the
-	// CI-sized campaign (still wide enough for the three-workload gate).
-	Smoke bool
-	// JSONPath, when non-empty, additionally writes the machine-readable
-	// StealReport (BENCH_steal.json) there.
-	JSONPath string
-}
 
 // StealCell is one (workload, plan, steal) run of the report.
 type StealCell struct {
@@ -79,21 +65,6 @@ type StealReport struct {
 	Smoke   bool         `json:"smoke"`
 	Summary StealSummary `json:"summary"`
 	Cells   []StealCell  `json:"cells"`
-}
-
-// WriteStealJSON writes the report to path and prints a one-line
-// confirmation to w.
-func WriteStealJSON(w io.Writer, path string, rep *StealReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d cells, %d steals, %d straggler wins)\n",
-		path, len(rep.Cells), rep.Summary.Steals, rep.Summary.StragglerWins)
-	return nil
 }
 
 // StragglerPlans builds the steal campaign's fault plans against one DOALL
@@ -171,25 +142,16 @@ func runStealCell(cp *Compiled, threads int, plan *faults.Plan, steal bool) (Ste
 		}
 		return res, nil
 	}
-	res, err := run()
+	var res *exec.Result
+	var err error
+	if steal {
+		res, err = runTwice(run)
+	} else {
+		res, err = run()
+	}
 	if err != nil {
 		cell.Outcome, cell.Detail = "violation", err.Error()
 		return cell, nil
-	}
-	if steal {
-		res2, err2 := run()
-		if err2 != nil {
-			cell.Outcome, cell.Detail = "violation", fmt.Sprintf("determinism rerun failed: %v", err2)
-			return cell, nil
-		}
-		j1, _ := json.Marshal(res)
-		j2, _ := json.Marshal(res2)
-		if string(j1) != string(j2) {
-			cell.Outcome = "violation"
-			cell.Detail = fmt.Sprintf("steal run is not deterministic (vtime %d vs %d, steals %d vs %d)",
-				res.VirtualTime, res2.VirtualTime, res.Steals, res2.Steals)
-			return cell, nil
-		}
 	}
 	cell.Outcome = "ok"
 	cell.VTime = res.VirtualTime
@@ -213,18 +175,13 @@ func runStealCell(cp *Compiled, threads int, plan *faults.Plan, steal bool) (Ste
 var stealSmokeWorkloads = []string{"md5sum", "kmeans", "url", "potrace"}
 
 // StealCampaign sweeps DOALL workloads × straggler plans × {steal off, on}
-// and writes BENCH_steal.json. Gates enforced on every cell: output
+// and reports into BENCH_steal.json. Gates enforced on every cell: output
 // multiset-identical to the sequential run, steal-enabled cells bit-for-bit
 // deterministic under their seed; and across the report, some qualifying
 // ≥4x whole-loop straggler plan must show steal-on finishing in ≤60% of the
-// steal-off virtual time on at least three workloads.
-func StealCampaign(out io.Writer, opts StealOptions) (*StealReport, error) {
-	if opts.Threads <= 0 {
-		opts.Threads = 8
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
+// steal-off virtual time on at least three workloads. Smoke restricts the
+// sweep to stealSmokeWorkloads and two plans.
+func StealCampaign(out io.Writer, opts CampaignOptions) (*StealReport, error) {
 	var wls []*workloads.Workload
 	if opts.Smoke {
 		for _, name := range stealSmokeWorkloads {
@@ -242,7 +199,7 @@ func StealCampaign(out io.Writer, opts StealOptions) (*StealReport, error) {
 	fmt.Fprintf(out, "  %-10s %-14s %-6s %12s %7s %7s %s\n", "workload", "plan", "steal", "vtime", "steals", "ratio", "outcome")
 
 	cps := make([]*Compiled, len(wls))
-	if err := parDo(len(wls), func(i int) error {
+	if err := opts.parDo(len(wls), func(i int) error {
 		cp, err := Compile(wls[i], "comm", opts.Threads)
 		cps[i] = cp
 		return err
@@ -285,7 +242,7 @@ func StealCampaign(out io.Writer, opts StealOptions) (*StealReport, error) {
 	// Each run is an off/on pair; both halves share nothing but read-only
 	// compile artifacts.
 	cells := make([][2]StealCell, len(runs))
-	if err := parDo(2*len(runs), func(i int) error {
+	if err := opts.parDo(2*len(runs), func(i int) error {
 		r := runs[i/2]
 		cell, err := runStealCell(r.cp, opts.Threads, r.plan, i%2 == 1)
 		cells[i/2][i%2] = cell
@@ -332,11 +289,6 @@ func StealCampaign(out io.Writer, opts StealOptions) (*StealReport, error) {
 		sum.Runs, sum.OK, sum.Violations, sum.Steals, sum.StragglerWins)
 	if len(violations) > 0 {
 		return rep, fmt.Errorf("bench: steal campaign failed:\n  %s", strings.Join(violations, "\n  "))
-	}
-	if opts.JSONPath != "" {
-		if err := WriteStealJSON(out, opts.JSONPath, rep); err != nil {
-			return rep, err
-		}
 	}
 	return rep, nil
 }

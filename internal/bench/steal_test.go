@@ -12,7 +12,7 @@ import (
 // steal-disabled virtual time on at least three workloads.
 func TestStealCampaignSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	rep, err := StealCampaign(&buf, StealOptions{Threads: 8, Seed: 1, Smoke: true})
+	rep, err := StealCampaign(&buf, CampaignOptions{Threads: 8, Seed: 1, Smoke: true})
 	if err != nil {
 		t.Fatalf("campaign failed:\n%s%v", buf.String(), err)
 	}

@@ -11,7 +11,7 @@
 // decision is a pure function of (plan seed, spec index, event stream,
 // event index). The same seed and plan therefore produce bit-identical
 // fault sequences, diagnostics, and outputs — the property the resilience
-// layer's tests and the `commsetbench -faults` campaign assert.
+// layer's tests and the `commsetbench -campaign faults` campaign assert.
 package faults
 
 import (

@@ -26,14 +26,6 @@ type AutoOptions struct {
 	// Candidates overrides the calibrated tuning set; nil uses
 	// profile.TuneCandidates for the schedule kind.
 	Candidates []transform.Tuning
-
-	// Parallel, when set, runs the calibration slices on a host worker
-	// pool: it must call fn(i) exactly once for every i in [0, n) and
-	// return after all calls finish. Each slice runs on its own fresh
-	// substrate and the winner is still selected in candidate order, so
-	// the pick is identical however the slices are scheduled (the bench
-	// harness wires its -hostpar pool here).
-	Parallel func(n int, fn func(i int) error) error
 }
 
 func (a *AutoOptions) sliceIters() int64 {
@@ -54,38 +46,22 @@ func autoTune(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, 
 	if cands == nil {
 		cands = profile.TuneCandidates(sched.Kind, threads)
 	}
-	times := make([]int64, len(cands))
-	slice := func(i int) error {
+	best := transform.Tuning{}
+	bestTime := int64(-1)
+	for _, cand := range cands {
 		c := cfg
 		c.Auto = nil
-		c.Tune = cands[i]
+		c.Tune = cand
 		c.MaxIters = a.sliceIters()
 		if a.Fresh != nil {
 			c.Builtins = a.Fresh()
 		}
-		times[i] = -1
 		r, err := Run(c, la, sched, mode, threads)
 		if err != nil {
-			return nil // a failing slice just removes its candidate
+			continue // a failing slice just removes its candidate
 		}
-		times[i] = r.VirtualTime
-		return nil
-	}
-	if a.Parallel != nil {
-		_ = a.Parallel(len(cands), slice)
-	} else {
-		for i := range cands {
-			_ = slice(i)
-		}
-	}
-	best := transform.Tuning{}
-	bestTime := int64(-1)
-	for i, cand := range cands {
-		if times[i] < 0 {
-			continue
-		}
-		if bestTime < 0 || times[i] < bestTime {
-			bestTime = times[i]
+		if bestTime < 0 || r.VirtualTime < bestTime {
+			bestTime = r.VirtualTime
 			best = cand
 		}
 	}
