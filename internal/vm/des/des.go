@@ -6,10 +6,20 @@
 // hardware, so (per DESIGN.md) parallel execution is simulated: each
 // logical thread runs as a goroutine that executes *real* work (the IR
 // interpreter doing real digests, clustering, etc.) while accumulating
-// virtual cost units. Threads hand control to the scheduler at
-// synchronization points — lock acquire/release, queue push/pop, sleep —
-// and the scheduler processes these events in global virtual-time order, so
-// results are bit-for-bit reproducible regardless of host parallelism.
+// virtual cost units. Threads yield at synchronization points — lock
+// acquire/release, queue push/pop, sleep — and the scheduler processes
+// these events in global virtual-time order, so results are bit-for-bit
+// reproducible regardless of host parallelism.
+//
+// Exactly one goroutine runs at a time: the one holding the baton. There
+// is no scheduler goroutine. A yielding thread records its request and
+// runs the event loop itself, taking the ready thread with the smallest
+// (request time, thread ID) from a min-heap and stepping its event until
+// one grants a thread its resumption. When that thread is the yielder (an
+// uncontended acquire or release, a sleep that is still earliest) it
+// continues inline with no goroutine switch; otherwise it passes the baton
+// with one channel send, or starts the thread's goroutine, and parks.
+// Grant order comes from the loop, not from which goroutine runs it.
 //
 // Locks model the paper's three pessimistic mechanisms (Section 4.6):
 // mutexes pay a sleep/wakeup penalty when contended, spin locks burn the
@@ -21,8 +31,9 @@ package des
 
 import (
 	"fmt"
-	"sort"
+	"runtime"
 	"strings"
+	"sync"
 )
 
 // CostModel holds the virtual-cost parameters of the simulated machine.
@@ -188,8 +199,8 @@ type Thread struct {
 	VTime int64
 
 	sched    *Scheduler
-	resumeCh chan grant
-	reqTime  int64 // virtual time of the pending request
+	resumeCh chan grant // the baton: a parked thread waits here for its grant
+	reqTime  int64      // virtual time of the pending request
 
 	pending request
 	state   threadState
@@ -214,14 +225,43 @@ const (
 // Charge adds local computation cost to the thread's clock.
 func (t *Thread) Charge(c int64) { t.VTime += c }
 
-// yield hands the pending request to the scheduler and waits for the grant.
+// yield posts the pending request and runs the event loop until it grants
+// some thread. A grant to this thread returns inline; otherwise the baton
+// passes to the granted thread and this one parks until its own grant
+// arrives. A parked thread whose channel Run closes exits its goroutine.
 func (t *Thread) yield(r request) grant {
+	s := t.sched
 	t.pending = r
 	t.reqTime = t.VTime
-	t.sched.yieldCh <- t
-	g := <-t.resumeCh
+	s.ready.push(t)
+	u, g := s.next()
+	if u != t {
+		if u != nil {
+			s.handOff(u, g)
+		}
+		var ok bool
+		if g, ok = <-t.resumeCh; !ok {
+			runtime.Goexit()
+		}
+	}
 	t.VTime = g.vtime
 	return g
+}
+
+// main is a started thread's goroutine: it runs the body, posts the done
+// event and steps the loop until it hands the baton on. The done event may
+// sit behind an earlier event (and firstErr keeps event order), so it is
+// never processed inline, and the finished thread never parks.
+func (t *Thread) main() {
+	defer t.sched.exited.Done()
+	err := t.body(t)
+	s := t.sched
+	t.pending = request{kind: reqDone, err: err}
+	t.reqTime = t.VTime
+	s.ready.push(t)
+	if u, g := s.next(); u != nil {
+		s.handOff(u, g)
+	}
 }
 
 // Acquire blocks in virtual time until the lock is held by this thread.
@@ -331,9 +371,15 @@ type Scheduler struct {
 	DiagNote func() string
 
 	threads []*Thread
-	yieldCh chan *Thread
-	running *Thread // thread whose body is currently executing
-	tokSeq  int64   // next queue-token sequence number
+	ready   readyQueue // threads with a pending event, by (reqTime, ID)
+	running *Thread    // thread granted most recently: the one whose body runs
+	tokSeq  int64      // next queue-token sequence number
+
+	events   int64         // events processed (the watchdog's event count)
+	handoffs int64         // grants that switched goroutines
+	tripped  string        // why the watchdog stopped the run, if it did
+	done     chan struct{} // closed by the goroutine that ends the loop
+	exited   sync.WaitGroup
 
 	locks  []*Lock
 	queues []*Queue
@@ -364,7 +410,7 @@ func (s *Scheduler) Deaths() []DeathRecord { return s.deaths }
 
 // New creates a scheduler with the given cost model.
 func New(cost CostModel) *Scheduler {
-	return &Scheduler{Cost: cost, yieldCh: make(chan *Thread)}
+	return &Scheduler{Cost: cost, done: make(chan struct{})}
 }
 
 // NewLock registers a lock.
@@ -395,6 +441,7 @@ func (s *Scheduler) Spawn(name string, start int64, body func(*Thread) error) *T
 	}
 	t.reqTime = t.VTime
 	s.threads = append(s.threads, t)
+	s.ready.push(t)
 	if s.Probe != nil {
 		parent := -1
 		if s.running != nil {
@@ -410,25 +457,29 @@ func (s *Scheduler) Spawn(name string, start int64, body func(*Thread) error) *T
 // ends with blocked threads, exceeds the watchdog's virtual-time budget, or
 // exceeds its event budget returns a *StallError diagnosing every live
 // thread.
+//
+// Run starts the event loop on the calling goroutine and waits until the
+// goroutine holding the baton ends it. Threads whose bodies have not
+// returned by then (blocked, ready behind a watchdog trip, or halted by
+// releasing a lock they do not hold) leave their goroutines through
+// runtime.Goexit, and Run returns only after every thread goroutine has
+// exited.
 func (s *Scheduler) Run() (int64, error) {
-	var events int64
-	for {
-		t := s.pickNext()
-		if t == nil {
-			break
-		}
-		if s.Watchdog.MaxVTime > 0 && t.reqTime > s.Watchdog.MaxVTime {
-			return s.makespan(), s.stallError("watchdog",
-				fmt.Sprintf("no completion by virtual time %d (budget %d)", t.reqTime, s.Watchdog.MaxVTime))
-		}
-		events++
-		if s.Watchdog.MaxEvents > 0 && events > s.Watchdog.MaxEvents {
-			return s.makespan(), s.stallError("watchdog",
-				fmt.Sprintf("livelock suspected: %d scheduler events without completion (budget %d)", events, s.Watchdog.MaxEvents))
-		}
-		s.step(t)
+	if t, g := s.next(); t != nil {
+		s.handOff(t, g)
 	}
+	<-s.done
+	for _, t := range s.threads {
+		if t.started && t.pending.kind != reqDone {
+			close(t.resumeCh) // its body has not returned: it is parked in yield
+		}
+	}
+	s.exited.Wait()
+
 	makespan := s.makespan()
+	if s.tripped != "" {
+		return makespan, s.stallError("watchdog", s.tripped)
+	}
 	blocked := 0
 	for _, t := range s.threads {
 		if t.state == tBlocked {
@@ -601,95 +652,141 @@ func (t *Thread) block(l *Lock, q *Queue, op string) {
 	t.blockLock, t.blockQueue, t.blockOp = l, q, op
 }
 
-// unblock marks the thread runnable again and clears the bookkeeping.
-func (t *Thread) unblock() {
+// wake makes a blocked thread ready with a new pending event at time at.
+func (s *Scheduler) wake(t *Thread, at int64, r request) {
 	t.state = tReady
 	t.blockLock, t.blockQueue, t.blockOp = nil, nil, ""
+	t.reqTime = at
+	t.VTime = at
+	t.pending = r
+	s.ready.push(t)
 }
 
-// pickNext returns the ready thread with the smallest (reqTime, ID), or nil
-// when every thread is done or blocked.
-func (s *Scheduler) pickNext() *Thread {
-	var best *Thread
-	for _, t := range s.threads {
-		if t.state != tReady {
-			continue
+// earlier orders events: by request time, then thread ID. IDs are unique,
+// so the order is total.
+func earlier(a, b *Thread) bool {
+	return a.reqTime < b.reqTime || (a.reqTime == b.reqTime && a.ID < b.ID)
+}
+
+// readyQueue is a binary min-heap of ready threads ordered by earlier.
+type readyQueue []*Thread
+
+func (h *readyQueue) push(t *Thread) {
+	q := append(*h, t)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !earlier(q[i], q[p]) {
+			break
 		}
-		if best == nil || t.reqTime < best.reqTime || (t.reqTime == best.reqTime && t.ID < best.ID) {
-			best = t
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *readyQueue) pop() *Thread {
+	q := *h
+	t := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = nil
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && earlier(q[c+1], q[c]) {
+			c++
+		}
+		if !earlier(q[c], q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return t
+}
+
+// next runs the event loop on the calling goroutine, which holds the
+// baton: it steps events in (reqTime, ID) order until one grants a thread
+// its resumption, and returns that thread, now s.running, with its grant.
+// When no thread is ready or the watchdog trips, it closes s.done and
+// returns nil.
+func (s *Scheduler) next() (*Thread, grant) {
+	for len(s.ready) > 0 {
+		t := s.ready.pop()
+		if s.Watchdog.MaxVTime > 0 && t.reqTime > s.Watchdog.MaxVTime {
+			s.tripped = fmt.Sprintf("no completion by virtual time %d (budget %d)", t.reqTime, s.Watchdog.MaxVTime)
+			break
+		}
+		s.events++
+		if s.Watchdog.MaxEvents > 0 && s.events > s.Watchdog.MaxEvents {
+			s.tripped = fmt.Sprintf("livelock suspected: %d scheduler events without completion (budget %d)", s.events, s.Watchdog.MaxEvents)
+			break
+		}
+		if g, ok := s.step(t); ok {
+			s.running = t
+			return t, g
 		}
 	}
-	return best
+	close(s.done)
+	return nil, grant{}
 }
 
-// resume lets the thread continue and waits for its next yield (or exit).
-// While the body runs, s.running names it so Spawn can attribute the
-// parent of a new thread (the spawn happens-before edge).
-func (s *Scheduler) resume(t *Thread, g grant) {
-	prev := s.running
-	s.running = t
-	defer func() { s.running = prev }()
+// handOff passes the baton to a granted thread other than the caller:
+// one send to a parked thread, or a new goroutine for one not yet started
+// (whose first grant is its spawn-time clock, already in VTime).
+func (s *Scheduler) handOff(t *Thread, g grant) {
+	s.handoffs++
 	if !t.started {
 		t.started = true
-		go func() {
-			<-t.resumeCh // initial grant consumed below
-			err := t.body(t)
-			t.pending = request{kind: reqDone, err: err}
-			t.reqTime = t.VTime
-			s.yieldCh <- t
-		}()
-		t.resumeCh <- grant{vtime: t.VTime}
-		s.waitYield(t)
+		s.exited.Add(1)
+		go t.main()
 		return
 	}
 	t.resumeCh <- g
-	s.waitYield(t)
 }
 
-// waitYield waits until this specific thread yields again. Because only one
-// thread runs at a time, the next yield is always from t.
-func (s *Scheduler) waitYield(t *Thread) {
-	if y := <-s.yieldCh; y != t {
-		panic("des: yield from unexpected thread")
-	}
-}
-
-// step processes one thread's pending event.
-func (s *Scheduler) step(t *Thread) {
+// step processes one thread's pending event and returns the thread's grant
+// and whether it resumes now (false when it blocks, sleeps or finishes).
+func (s *Scheduler) step(t *Thread) (grant, bool) {
 	r := t.pending
 	switch r.kind {
-	case reqNone:
-		// First activation.
-		s.resume(t, grant{vtime: t.VTime})
+	case reqNone: // first activation
+		return grant{vtime: t.VTime}, true
 	case reqDone:
 		t.state = tDone
 		if r.err != nil && s.firstErr == nil {
 			s.firstErr = r.err
 		}
 	case reqAcquire:
-		s.acquire(t, r.lock)
+		return s.acquire(t, r.lock)
 	case reqRelease:
-		s.release(t, r.lock)
+		return s.release(t, r.lock)
 	case reqPush:
-		s.push(t, r.q, r.val)
+		return s.push(t, r.q, r.val)
 	case reqPushN:
-		s.pushN(t, r.q, r.vals)
+		return s.pushN(t, r.q, r.vals)
 	case reqPop:
-		s.pop(t, r.q)
+		return s.pop(t, r.q)
 	case reqPopN:
-		s.popN(t, r.q, r.n)
+		return s.popN(t, r.q, r.n)
 	case reqSleep:
 		// Reschedule the wake as an ordered event rather than resuming
 		// immediately, so threads with earlier virtual times run first.
 		t.pending = request{kind: reqWake}
 		t.VTime += r.d
 		t.reqTime = t.VTime
+		s.ready.push(t)
 	case reqWake:
-		s.resume(t, grant{val: r.val, vtime: t.VTime})
+		return grant{val: r.val, vtime: t.VTime}, true
 	}
+	return grant{}, false
 }
 
-func (s *Scheduler) acquire(t *Thread, l *Lock) {
+func (s *Scheduler) acquire(t *Thread, l *Lock) (grant, bool) {
 	if !l.held {
 		l.held = true
 		l.owner = t
@@ -701,20 +798,20 @@ func (s *Scheduler) acquire(t *Thread, l *Lock) {
 		if l.Kind == Spin {
 			cost = s.Cost.SpinAcquire
 		}
-		s.resume(t, grant{vtime: t.VTime + cost})
-		return
+		return grant{vtime: t.VTime + cost}, true
 	}
 	t.block(l, nil, "acquire")
 	l.waiters = append(l.waiters, t)
+	return grant{}, false
 }
 
-func (s *Scheduler) release(t *Thread, l *Lock) {
+func (s *Scheduler) release(t *Thread, l *Lock) (grant, bool) {
 	if l.owner != t {
 		if s.firstErr == nil {
 			s.firstErr = fmt.Errorf("des: thread %s releases lock %s it does not hold", t.Name, l.Name)
 		}
 		t.state = tDone
-		return
+		return grant{}, false
 	}
 	relCost := s.Cost.MutexRelease
 	if l.Kind == Spin {
@@ -733,15 +830,14 @@ func (s *Scheduler) release(t *Thread, l *Lock) {
 
 	if len(l.waiters) > 0 {
 		// Grant to the earliest requester (FIFO by request time, then ID).
-		sort.SliceStable(l.waiters, func(i, j int) bool {
-			a, b := l.waiters[i], l.waiters[j]
-			if a.reqTime != b.reqTime {
-				return a.reqTime < b.reqTime
+		i := 0
+		for j, w := range l.waiters {
+			if earlier(w, l.waiters[i]) {
+				i = j
 			}
-			return a.ID < b.ID
-		})
-		w := l.waiters[0]
-		l.waiters = l.waiters[1:]
+		}
+		w := l.waiters[i]
+		l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
 		l.owner = w
 		w.holds = append(w.holds, l)
 		wake := maxI64(w.reqTime, relTime)
@@ -753,10 +849,7 @@ func (s *Scheduler) release(t *Thread, l *Lock) {
 			// cache-line penalty per remaining contender.
 			wake += s.Cost.SpinAcquire + s.Cost.SpinContention*int64(len(l.waiters)+1)
 		}
-		w.unblock()
-		w.reqTime = wake
-		w.VTime = wake
-		w.pending = request{kind: reqWake}
+		s.wake(w, wake, request{kind: reqWake})
 		if s.Probe != nil {
 			s.Probe.LockAcquired(w.ID, l.Name)
 		}
@@ -764,14 +857,14 @@ func (s *Scheduler) release(t *Thread, l *Lock) {
 		l.held = false
 		l.owner = nil
 	}
-	s.resume(t, grant{vtime: relTime})
+	return grant{vtime: relTime}, true
 }
 
-func (s *Scheduler) push(t *Thread, q *Queue, v any) {
+func (s *Scheduler) push(t *Thread, q *Queue, v any) (grant, bool) {
 	if len(q.items) >= q.Cap {
 		t.block(nil, q, "push")
 		q.blocked = append(q.blocked, t)
-		return
+		return grant{}, false
 	}
 	pushTime := t.VTime + s.Cost.QueuePush
 	latency := s.Cost.QueueLatency
@@ -786,17 +879,17 @@ func (s *Scheduler) push(t *Thread, q *Queue, v any) {
 		s.Probe.QueuePushed(t.ID, q.Name, []int64{seq})
 	}
 	s.wakePoppers(q)
-	s.resume(t, grant{vtime: pushTime})
+	return grant{vtime: pushTime}, true
 }
 
 // pushN appends a whole batch in one event. The batch blocks as a unit
 // while it does not fit; the Stall hook fires once for the batch and its
 // extra latency applies to every token in it.
-func (s *Scheduler) pushN(t *Thread, q *Queue, vs []any) {
+func (s *Scheduler) pushN(t *Thread, q *Queue, vs []any) (grant, bool) {
 	if len(q.items)+len(vs) > q.Cap {
 		t.block(nil, q, "push")
 		q.blocked = append(q.blocked, t)
-		return
+		return grant{}, false
 	}
 	pushTime := t.VTime + s.Cost.QueuePush + s.Cost.QueuePushPer*int64(len(vs)-1)
 	latency := s.Cost.QueueLatency
@@ -815,14 +908,14 @@ func (s *Scheduler) pushN(t *Thread, q *Queue, vs []any) {
 		s.Probe.QueuePushed(t.ID, q.Name, seqs)
 	}
 	s.wakePoppers(q)
-	s.resume(t, grant{vtime: pushTime})
+	return grant{vtime: pushTime}, true
 }
 
-func (s *Scheduler) pop(t *Thread, q *Queue) {
+func (s *Scheduler) pop(t *Thread, q *Queue) (grant, bool) {
 	if len(q.items) == 0 {
 		t.block(nil, q, "pop")
 		q.waiters = append(q.waiters, t)
-		return
+		return grant{}, false
 	}
 	item := q.items[0]
 	q.items = q.items[1:]
@@ -831,17 +924,17 @@ func (s *Scheduler) pop(t *Thread, q *Queue) {
 	}
 	s.wakePushers(t.VTime, q)
 	at := maxI64(t.VTime, item.ready) + s.Cost.QueuePop
-	s.resume(t, grant{val: item.val, vtime: at})
+	return grant{val: item.val, vtime: at}, true
 }
 
 // popN takes up to max buffered tokens in one event; the consumer's
 // clock advances to the latest taken token's ready time plus the
 // amortized pop cost.
-func (s *Scheduler) popN(t *Thread, q *Queue, max int) {
+func (s *Scheduler) popN(t *Thread, q *Queue, max int) (grant, bool) {
 	if len(q.items) == 0 {
 		t.block(nil, q, "pop")
 		q.waiters = append(q.waiters, t)
-		return
+		return grant{}, false
 	}
 	taken, ready, seqs := q.take(max)
 	if s.Probe != nil {
@@ -849,7 +942,7 @@ func (s *Scheduler) popN(t *Thread, q *Queue, max int) {
 	}
 	s.wakePushers(t.VTime, q)
 	at := maxI64(t.VTime, ready) + s.Cost.QueuePop + s.Cost.QueuePopPer*int64(len(taken)-1)
-	s.resume(t, grant{val: taken, vtime: at})
+	return grant{val: taken, vtime: at}, true
 }
 
 // take removes up to max items from the head of the queue, returning the
@@ -885,10 +978,8 @@ func (s *Scheduler) wakePoppers(q *Queue) {
 			if s.Probe != nil {
 				s.Probe.QueuePopped(w.ID, q.Name, seqs)
 			}
-			w.unblock()
-			w.reqTime = maxI64(w.reqTime, ready) + s.Cost.QueuePop + s.Cost.QueuePopPer*int64(len(taken)-1)
-			w.VTime = w.reqTime
-			w.pending = request{kind: reqWake, val: taken}
+			at := maxI64(w.reqTime, ready) + s.Cost.QueuePop + s.Cost.QueuePopPer*int64(len(taken)-1)
+			s.wake(w, at, request{kind: reqWake, val: taken})
 			continue
 		}
 		item := q.items[0]
@@ -896,10 +987,7 @@ func (s *Scheduler) wakePoppers(q *Queue) {
 		if s.Probe != nil {
 			s.Probe.QueuePopped(w.ID, q.Name, []int64{item.seq})
 		}
-		w.unblock()
-		w.reqTime = maxI64(w.reqTime, item.ready) + s.Cost.QueuePop
-		w.VTime = w.reqTime
-		w.pending = request{kind: reqWake, val: item.val}
+		s.wake(w, maxI64(w.reqTime, item.ready)+s.Cost.QueuePop, request{kind: reqWake, val: item.val})
 	}
 }
 
@@ -919,10 +1007,7 @@ func (s *Scheduler) wakePushers(now int64, q *Queue) {
 		}
 		space -= need
 		q.blocked = q.blocked[1:]
-		w.unblock()
-		w.reqTime = maxI64(w.reqTime, now)
-		w.VTime = w.reqTime
-		w.pending = request{kind: w.pending.kind, q: q, val: w.pending.val, vals: w.pending.vals}
+		s.wake(w, maxI64(w.reqTime, now), request{kind: w.pending.kind, q: q, val: w.pending.val, vals: w.pending.vals})
 	}
 }
 
