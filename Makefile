@@ -27,7 +27,7 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; fi
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 5m ./...
 
 # The gated campaigns, CI-sized: the analyzer precision gate (corpus
 # expectations including the commute verifier's commutes/refutes pins,
