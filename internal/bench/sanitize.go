@@ -430,7 +430,7 @@ func parallelNegative() (*SanitizeNegative, error) {
 			return nil, err
 		}
 		n.Pairs = capMon.ReplayCandidates(cands, func(c sanitize.Candidate) string {
-			return fmt.Sprintf("commsetbench -sanitize # embedded parallel negative, pair gseq %d:%d", c.GseqA, c.GseqB)
+			return fmt.Sprintf("commsetbench -campaign sanitize # embedded parallel negative, pair gseq %d:%d", c.GseqA, c.GseqB)
 		})
 		for _, p := range n.Pairs {
 			if p.Verdict == sanitize.VerdictViolation {
