@@ -225,19 +225,25 @@ const (
 // Charge adds local computation cost to the thread's clock.
 func (t *Thread) Charge(c int64) { t.VTime += c }
 
-// yield posts the pending request and runs the event loop until it grants
-// some thread. A grant to this thread returns inline; otherwise the baton
-// passes to the granted thread and this one parks until its own grant
-// arrives. A parked thread whose channel Run closes exits its goroutine.
-func (t *Thread) yield(r request) grant {
-	s := t.sched
+// post queues the thread's next request as an event at its current time
+// and runs the event loop until it grants some thread, which it returns
+// with its grant (nil once the run is over).
+func (t *Thread) post(r request) (*Thread, grant) {
 	t.pending = r
 	t.reqTime = t.VTime
-	s.ready.push(t)
-	u, g := s.next()
+	t.sched.ready.push(t)
+	return t.sched.next()
+}
+
+// yield posts the request and waits for its grant. A grant to this thread
+// returns inline; otherwise the baton passes to the granted thread and
+// this one parks until its own grant arrives. A parked thread whose
+// channel Run closes exits its goroutine.
+func (t *Thread) yield(r request) grant {
+	u, g := t.post(r)
 	if u != t {
 		if u != nil {
-			s.handOff(u, g)
+			t.sched.handOff(u, g)
 		}
 		var ok bool
 		if g, ok = <-t.resumeCh; !ok {
@@ -249,18 +255,13 @@ func (t *Thread) yield(r request) grant {
 }
 
 // main is a started thread's goroutine: it runs the body, posts the done
-// event and steps the loop until it hands the baton on. The done event may
-// sit behind an earlier event (and firstErr keeps event order), so it is
-// never processed inline, and the finished thread never parks.
+// event and hands the baton on. The done event may sit behind an earlier
+// event (and firstErr keeps event order), so it is never processed inline,
+// and the finished thread never parks.
 func (t *Thread) main() {
 	defer t.sched.exited.Done()
-	err := t.body(t)
-	s := t.sched
-	t.pending = request{kind: reqDone, err: err}
-	t.reqTime = t.VTime
-	s.ready.push(t)
-	if u, g := s.next(); u != nil {
-		s.handOff(u, g)
+	if u, g := t.post(request{kind: reqDone, err: t.body(t)}); u != nil {
+		t.sched.handOff(u, g)
 	}
 }
 
