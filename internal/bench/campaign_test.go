@@ -2,18 +2,27 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+const reportsPath = "testdata/campaign_reports.txt"
 
 // TestHostParCampaignsByteIdentical: running a campaign's cells on a host
 // worker pool must reproduce the sequential run exactly — the printed
 // table and the written report byte for byte — because results are always
-// collected in submission order.
+// collected in submission order. Each report's sha256 prefix is also
+// pinned in testdata/campaign_reports.txt, so a change that moves any
+// campaign result fails here; refresh the pins with -update only for an
+// intended change, and review which lines moved.
 func TestHostParCampaignsByteIdentical(t *testing.T) {
 	opts := map[string]CampaignOptions{
 		"faults":   {Threads: 4, Seed: 7, Smoke: true},
@@ -23,6 +32,8 @@ func TestHostParCampaignsByteIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ran := 0
+	var pins strings.Builder
+	pins.WriteString("# sha256 prefix of each BENCH_<name>.json rendered by TestHostParCampaignsByteIdentical\n")
 	for _, c := range Campaigns {
 		o, ok := opts[c.Name]
 		if !ok {
@@ -53,9 +64,25 @@ func TestHostParCampaignsByteIdentical(t *testing.T) {
 			t.Errorf("%s: parallel cells changed the JSON report:\n--- sequential ---\n%s\n--- 4 workers ---\n%s",
 				c.Name, seqRep, parRep)
 		}
+		h := sha256.Sum256([]byte(seqRep))
+		fmt.Fprintf(&pins, "%-8s %s\n", c.Name, hex.EncodeToString(h[:8]))
 	}
 	if ran != len(opts) {
 		t.Errorf("ran %d of the %d campaigns under test: Campaigns lost an entry", ran, len(opts))
+	}
+	got := pins.String()
+	if *update {
+		if err := os.WriteFile(filepath.FromSlash(reportsPath), []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(filepath.FromSlash(reportsPath))
+	if err != nil {
+		t.Fatalf("missing report pins (run go test ./internal/bench -run TestHostParCampaignsByteIdentical -update): %v", err)
+	}
+	if string(want) != got {
+		t.Errorf("campaign reports moved from %s:\n--- pinned ---\n%s--- got ---\n%s", reportsPath, want, got)
 	}
 }
 

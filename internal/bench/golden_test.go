@@ -15,7 +15,7 @@ import (
 	"repro/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden_vtimes.txt")
+var update = flag.Bool("update", false, "rewrite the pinned testdata files (golden_vtimes.txt, campaign_reports.txt) of the tests that run")
 
 const goldenPath = "testdata/golden_vtimes.txt"
 
