@@ -64,6 +64,9 @@ func TestDOALLTransientCrashRecovers(t *testing.T) {
 		if r.Thread != "doall.1" || r.Permanent || r.VTime <= 0 || r.Replayed != r.CkptAge {
 			t.Errorf("%v: bad restart record %+v", mode, r)
 		}
+		if r.RecoveredVTime <= r.VTime {
+			t.Errorf("%v: restart record %+v has no recovery time after the death", mode, r)
+		}
 		if !strings.Contains(r.String(), "restarted") {
 			t.Errorf("%v: record rendering %q lacks 'restarted'", mode, r.String())
 		}
@@ -207,6 +210,9 @@ func TestStageTransientCrashRecovers(t *testing.T) {
 		}
 		if res.Restarts != 1 || !res.Recovered {
 			t.Errorf("%v: Restarts=%d Recovered=%v, want 1/true", kind, res.Restarts, res.Recovered)
+		}
+		if len(res.RestartHistory) != 1 || res.RestartHistory[0].RecoveredVTime <= res.RestartHistory[0].VTime {
+			t.Errorf("%v: restart history %+v lacks a recovery time after the death", kind, res.RestartHistory)
 		}
 		if strings.Join(w.prints, ",") != strings.Join(seqOut, ",") {
 			t.Errorf("%v: in-order output differs after stage restart:\npar: %v\nseq: %v", kind, w.prints, seqOut)

@@ -713,6 +713,7 @@ func (m *machine) stageCrash(th *des.Thread, ss *stageState, reps []int, ff []ma
 		rec.Replayed = rec.CkptAge
 	}
 	m.restarts = append(m.restarts, rec)
+	ri := len(m.restarts) - 1
 	m.sim.RecordDeath(ss.role, th.VTime, reason)
 	if perm {
 		// Degraded mode: a pipeline cannot re-partition around a missing
@@ -741,6 +742,7 @@ func (m *machine) stageCrash(th *des.Thread, ss *stageState, reps []int, ff []ma
 	batch := m.cfg.Tune.BatchSize()
 	m.sim.Spawn(fmt.Sprintf("%s#r%d", ss.role, n), th.VTime+r.restartDelay(), func(th2 *des.Thread) error {
 		th2.Charge(m.cfg.Cost.Restore)
+		m.restarts[ri].RecoveredVTime = th2.VTime
 		st2 := m.newStepper(th2, snapshotFrame(ck.fr))
 		st2.sharedActive = true
 		in2 := newReaders(qs[ss.si-1], batch)

@@ -293,6 +293,8 @@ func TestServiceTransientCrashRestartsWorker(t *testing.T) {
 	}
 	if len(res.RestartHistory) != 1 || res.RestartHistory[0].Thread != "svc.1" {
 		t.Errorf("restart history %+v", res.RestartHistory)
+	} else if r := res.RestartHistory[0]; r.RecoveredVTime <= r.VTime {
+		t.Errorf("restart record %+v has no recovery time after the death", r)
 	}
 }
 
@@ -342,6 +344,39 @@ func TestServicePipelineCompletesAll(t *testing.T) {
 	}
 	if got := len(cp.w.prints); got != 37 {
 		t.Errorf("%d prints, want 37", got)
+	}
+}
+
+// TestServicePipelineTransientStageCrashRestarts: a transiently crashed
+// stage worker in a service pipeline restarts from its checkpoint; every
+// request still completes, and the restart record carries its recovery
+// time.
+func TestServicePipelineTransientStageCrashRestarts(t *testing.T) {
+	cp := compileFor(t, svcDetSrc, 4)
+	sched := cp.sched[transform.DSWP]
+	if sched == nil {
+		t.Fatal("no DSWP schedule")
+	}
+	cp.cfg.Recovery = &exec.Recovery{}
+	cp.cfg.CrashCheck = crashCheck("stage1.0", 4, false)
+	svc := exec.ServiceConfig{
+		Arrivals: des.NewPoisson(21, 9000),
+		Requests: 24,
+		SLO:      10 * svcReqCost,
+	}
+	res, err := exec.RunService(cp.cfg, svc, cp.la, sched, exec.SyncMutex, 4)
+	if err != nil {
+		t.Fatalf("RunService: %v", err)
+	}
+	checkBalance(t, res)
+	if res.Completed != 24 {
+		t.Errorf("completed %d, want all 24 (a stage restart must not drop requests)", res.Completed)
+	}
+	if res.Restarts != 1 || len(res.RestartHistory) != 1 {
+		t.Fatalf("restarts = %d, history %+v, want one restart", res.Restarts, res.RestartHistory)
+	}
+	if r := res.RestartHistory[0]; r.Thread != "stage1.0" || r.Permanent || r.RecoveredVTime <= r.VTime {
+		t.Errorf("bad restart record %+v", r)
 	}
 }
 
