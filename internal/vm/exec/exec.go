@@ -284,39 +284,17 @@ func Run(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode 
 	}
 
 	m := newMachine(cfg, la, sched, mode)
-	sim := des.New(cfg.Cost)
-	sim.Watchdog = cfg.Watchdog
-	if cfg.Sanitize != nil {
-		sim.Probe = cfg.Sanitize
-	}
-	m.sim = sim
-	for _, set := range cfg.Model.Sets {
-		kind := des.Mutex
-		if mode == SyncSpin || mode == SyncTM {
-			kind = des.Spin
+	makespan, err := m.simulate(func(th *des.Thread, fr *frame) error {
+		switch sched.Kind {
+		case transform.DOALL:
+			return m.runDOALL(th, fr, threads)
+		case transform.DSWP, transform.PSDSWP:
+			return m.runPipeline(th, fr, threads)
 		}
-		m.locks[set] = sim.NewLock("set:"+set.Name, kind)
-	}
-
-	var runErr error
-	sim.Spawn("main", 0, func(th *des.Thread) error {
-		err := m.runMain(th, threads)
-		if err != nil {
-			runErr = err
-		}
-		return err
+		return fmt.Errorf("exec: unsupported schedule kind %v", sched.Kind)
 	})
-	makespan, simErr := sim.Run()
-	// A diagnosed unrecoverable fault is the root cause; prefer it over the
-	// watchdog/deadlock report it may have triggered downstream.
-	if m.failDiag != nil {
-		return nil, m.failDiag
-	}
-	if simErr != nil {
-		return nil, simErr
-	}
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		VirtualTime:    makespan,
@@ -470,6 +448,9 @@ func (m *machine) resolve(name string) *callInfo {
 	return ci
 }
 
+// newMachine builds the run's machine: the simulator with the config's
+// watchdog and sanitizer probe, one lock per commset, the shared cells,
+// and the dense per-instruction tables of main.
 func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode) *machine {
 	numInstrs := la.Fn.NumInstrs()
 	m := &machine{
@@ -477,10 +458,22 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 		la:       la,
 		sched:    sched,
 		mode:     mode,
+		sim:      des.New(cfg.Cost),
 		env:      interp.NewEnv(cfg.Prog, cfg.Builtins),
 		locks:    map[*types.Set]*des.Lock{},
 		cells:    map[int]*sharedCell{},
 		instrPos: make([]instrLoc, numInstrs),
+	}
+	m.sim.Watchdog = cfg.Watchdog
+	if cfg.Sanitize != nil {
+		m.sim.Probe = cfg.Sanitize
+	}
+	kind := des.Mutex
+	if mode == SyncSpin || mode == SyncTM {
+		kind = des.Spin
+	}
+	for _, set := range cfg.Model.Sets {
+		m.locks[set] = m.sim.NewLock("set:"+set.Name, kind)
 	}
 	m.cellAt = make([]*sharedCell, len(la.Fn.Locals))
 	for _, s := range sched.SharedSlots {
@@ -534,42 +527,45 @@ func (m *machine) isShared(slot int) bool {
 	return slot >= 0 && slot < len(m.cellAt) && m.cellAt[slot] != nil
 }
 
-// runMain executes main: prologue up to the loop, the parallel loop, and
-// the epilogue after it.
-func (m *machine) runMain(th *des.Thread, threads int) error {
-	f := m.la.Fn
-	fr := newFrame(f)
-	st := m.newStepper(th, fr)
+// simulate runs main on the simulator — see runMain — and returns the
+// makespan with the run's error. A diagnosed unrecoverable fault is the
+// root cause, so it wins over the stall or watchdog report it may have
+// triggered downstream, which in turn wins over main's own error.
+func (m *machine) simulate(loop func(th *des.Thread, fr *frame) error) (int64, error) {
+	var mainErr error
+	m.sim.Spawn("main", 0, func(th *des.Thread) error {
+		mainErr = m.runMain(th, loop)
+		return mainErr
+	})
+	makespan, simErr := m.sim.Run()
+	switch {
+	case m.failDiag != nil:
+		return makespan, m.failDiag
+	case simErr != nil:
+		return makespan, simErr
+	}
+	return makespan, mainErr
+}
 
-	// Prologue: entry block to the loop header.
+// runMain executes main: the prologue up to the loop, the promotion of
+// shared slots into cells, the loop itself (batch executor or service),
+// the demotion of the cells back to the frame, and the epilogue after the
+// loop.
+func (m *machine) runMain(th *des.Thread, loop func(th *des.Thread, fr *frame) error) error {
+	fr := newFrame(m.la.Fn)
+	st := m.newStepper(th, fr)
 	if err := st.runBlocks(0, m.la.Loop.Header); err != nil {
 		return err
 	}
-
-	// Promote shared slots into cells.
 	for slot, cell := range m.cells {
 		cell.v = fr.locals[slot]
 	}
-
-	var err error
-	switch m.sched.Kind {
-	case transform.DOALL:
-		err = m.runDOALL(th, fr, threads)
-	case transform.DSWP, transform.PSDSWP:
-		err = m.runPipeline(th, fr, threads)
-	default:
-		return fmt.Errorf("exec: unsupported schedule kind %v", m.sched.Kind)
-	}
-	if err != nil {
+	if err := loop(th, fr); err != nil {
 		return err
 	}
-
-	// Demote shared cells back to the frame.
 	for slot, cell := range m.cells {
 		fr.locals[slot] = cell.v
 	}
-
-	// Epilogue: from the loop exit to the end of main.
 	if m.exitBlock < 0 {
 		return nil
 	}

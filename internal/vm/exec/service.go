@@ -529,56 +529,21 @@ func RunService(cfg Config, svc ServiceConfig, la *pipeline.LoopAnalysis, sched 
 	m := newMachine(cfg, la, sched, mode)
 	sv := newSvcState(&svc, threads, sched.Kind == transform.DOALL)
 	m.svc = sv
-	sim := des.New(cfg.Cost)
-	sim.Watchdog = cfg.Watchdog
-	sim.DiagNote = sv.admissionState
-	m.sim = sim
-	for _, set := range cfg.Model.Sets {
-		kind := des.Mutex
-		if mode == SyncSpin || mode == SyncTM {
-			kind = des.Spin
-		}
-		m.locks[set] = sim.NewLock("set:"+set.Name, kind)
-	}
-
-	var runErr error
-	sim.Spawn("main", 0, func(th *des.Thread) error {
-		err := m.runServiceMain(th, threads)
-		if err != nil {
-			runErr = err
-		}
-		return err
+	m.sim.DiagNote = sv.admissionState
+	makespan, err := m.simulate(func(th *des.Thread, fr *frame) error {
+		return m.serveTrace(th, fr, threads)
 	})
-	makespan, simErr := sim.Run()
-	res := sv.result(m, sched, mode, threads, makespan, sim)
-	if m.failDiag != nil {
-		return res, m.failDiag
+	res := sv.result(m, sched, mode, threads, makespan, m.sim)
+	if err == nil {
+		err = sv.balance()
 	}
-	if simErr != nil {
-		return res, simErr
-	}
-	if runErr != nil {
-		return res, runErr
-	}
-	if err := sv.balance(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
-// runServiceMain is the service counterpart of runMain: prologue, promote,
-// arrival + controller threads, the service loop, demote, epilogue.
-func (m *machine) runServiceMain(th *des.Thread, threads int) error {
-	f := m.la.Fn
-	fr := newFrame(f)
-	st := m.newStepper(th, fr)
-	if err := st.runBlocks(0, m.la.Loop.Header); err != nil {
-		return err
-	}
-	for slot, cell := range m.cells {
-		cell.v = fr.locals[slot]
-	}
-
+// serveTrace is the service loop of runMain: it opens the ingress queue, starts
+// the arrival and controller threads, and serves the trace under the
+// schedule.
+func (m *machine) serveTrace(th *des.Thread, fr *frame, threads int) error {
 	sv := m.svc
 	sv.ingress = m.sim.NewQueue("ingress", sv.cfg.ingressCap()+1) // +1: the stop sentinel never blocks admission
 	m.spawnArrivals(th)
@@ -592,28 +557,15 @@ func (m *machine) runServiceMain(th *des.Thread, threads int) error {
 	// shared-cell interposition active (control may read promoted slots).
 	dst := m.newStepper(th, fr)
 	dst.sharedActive = true
-	var err error
 	switch m.sched.Kind {
 	case transform.Sequential:
-		err = m.svcSequential(th, dst)
+		return m.svcSequential(th, dst)
 	case transform.DOALL:
-		err = m.svcDOALL(th, dst, fr, threads)
+		return m.svcDOALL(th, dst, fr, threads)
 	case transform.DSWP, transform.PSDSWP:
-		err = m.svcPipeline(th, dst, fr, threads)
-	default:
-		err = fmt.Errorf("exec: unsupported service schedule kind %v", m.sched.Kind)
+		return m.svcPipeline(th, dst, fr, threads)
 	}
-	if err != nil {
-		return err
-	}
-
-	for slot, cell := range m.cells {
-		fr.locals[slot] = cell.v
-	}
-	if m.exitBlock < 0 {
-		return nil
-	}
-	return st.runBlocks(m.exitBlock, -1)
+	return fmt.Errorf("exec: unsupported service schedule kind %v", m.sched.Kind)
 }
 
 // spawnArrivals starts the request-generation thread: per request, sleep the
