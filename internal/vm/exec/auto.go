@@ -9,31 +9,21 @@ import (
 
 // AutoOptions configures the profile-guided auto-scheduler. Before the
 // measured run, Run executes one short calibration slice (the loop
-// truncated to SliceIters iterations) per candidate tuning, each on a
-// fresh substrate, and adopts the tuning of the fastest slice. The
-// calibration is itself simulated in virtual time, so the pick — like
-// everything else in the evaluation — is deterministic.
+// truncated to sliceIters iterations) per candidate tuning of
+// profile.TuneCandidates, each on a fresh substrate, and adopts the
+// tuning of the fastest slice. The calibration is itself simulated in
+// virtual time, so the pick — like everything else in the evaluation — is
+// deterministic.
 type AutoOptions struct {
 	// Fresh returns a fresh builtin table for each calibration slice so
 	// slices never perturb the substrate state of the measured run.
 	// Required: without isolation the calibration would double-apply
 	// side effects.
 	Fresh func() map[string]interp.BuiltinFn
-
-	// SliceIters caps each calibration slice (default 48 iterations).
-	SliceIters int64
-
-	// Candidates overrides the calibrated tuning set; nil uses
-	// profile.TuneCandidates for the schedule kind.
-	Candidates []transform.Tuning
 }
 
-func (a *AutoOptions) sliceIters() int64 {
-	if a.SliceIters > 0 {
-		return a.SliceIters
-	}
-	return 48
-}
+// sliceIters caps each calibration slice.
+const sliceIters = 48
 
 // autoTune runs the calibration slices and returns the winning tuning.
 // The zero tuning is always among the candidates and wins ties, so a
@@ -41,20 +31,16 @@ func (a *AutoOptions) sliceIters() int64 {
 // whose slice fails (e.g. a schedule the workload cannot run) are
 // skipped.
 func autoTune(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode, threads int) transform.Tuning {
-	a := cfg.Auto
-	cands := a.Candidates
-	if cands == nil {
-		cands = profile.TuneCandidates(sched.Kind, threads)
-	}
+	fresh := cfg.Auto.Fresh
 	best := transform.Tuning{}
 	bestTime := int64(-1)
-	for _, cand := range cands {
+	for _, cand := range profile.TuneCandidates(sched.Kind, threads) {
 		c := cfg
 		c.Auto = nil
 		c.Tune = cand
-		c.MaxIters = a.sliceIters()
-		if a.Fresh != nil {
-			c.Builtins = a.Fresh()
+		c.MaxIters = sliceIters
+		if fresh != nil {
+			c.Builtins = fresh()
 		}
 		r, err := Run(c, la, sched, mode, threads)
 		if err != nil {

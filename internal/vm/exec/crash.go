@@ -22,7 +22,7 @@ import (
 //     externalized an effect (member commit, shared-cell write, effectful
 //     builtin, global store, or batched-queue flush — the same counters
 //     that gate DOALL iteration re-execution), and otherwise every
-//     Recovery.CheckpointEvery passes.
+//     checkpointEvery (4) passes.
 //   - Crash ticks fire at the *start* of a pass, checkpoint refreshes at
 //     its *end*, so the window between the live checkpoint and any crash
 //     contains only work that externalized nothing. The supervisor can
@@ -37,7 +37,7 @@ import (
 //
 // All recovery machinery runs inside the deterministic simulator and is
 // charged in virtual time (Cost.Checkpoint per snapshot, Cost.Restore per
-// restore, Recovery.RestartDelay of supervisor detection latency), so the
+// restore, restartDelay (800) of supervisor detection latency), so the
 // same seed and plan reproduce bit-identical outputs, checkpoints, and
 // restart histories.
 
@@ -125,14 +125,6 @@ func (m *machine) crashAt(role string) (bool, bool) {
 // are only taken (and charged) when a crash plan is armed, so crash-free
 // runs keep their exact legacy timings.
 func (m *machine) checkpointing() bool { return m.cfg.CrashCheck != nil }
-
-// ckptEvery returns the periodic checkpoint interval in passes/tokens.
-func (m *machine) ckptEvery() int64 {
-	if r := m.cfg.Recovery; r != nil {
-		return r.checkpointEvery()
-	}
-	return defaultCheckpointEvery
-}
 
 // snapshotFrame copies a frame exactly, including the shared-source
 // register tags (unlike clone, which resets them for a fresh worker).

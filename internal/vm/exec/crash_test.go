@@ -110,21 +110,21 @@ func TestDOALLPermanentCrashDegrades(t *testing.T) {
 }
 
 // TestDOALLRepeatedCrashExhaustsBudget: a crash window that keeps killing
-// the replacements must escalate to permanent once MaxRestarts is spent,
-// then recover through re-partitioning.
+// the replacements must escalate to permanent once the restart budget (3
+// per role) is spent, then recover through re-partitioning.
 func TestDOALLRepeatedCrashExhaustsBudget(t *testing.T) {
 	cp := compileFor(t, md5Full, 8)
 	_, seqOut := cp.seqRun(t)
 	plan := faults.Plan{Name: "crash-repeat", Seed: 7, Recoverable: true, Specs: []faults.Spec{
 		{Kind: faults.Crash, Thread: "doall.1", After: 2, Count: 8},
 	}}
-	cfg, w := cp.crashed(plan, &exec.Recovery{MaxRestarts: 2})
+	cfg, w := cp.crashed(plan, exec.DefaultRecovery())
 	res, err := exec.Run(cfg, cp.la, cp.sched[transform.DOALL], exec.SyncSpin, 4)
 	if err != nil {
 		t.Fatalf("escalated crash not absorbed: %v", err)
 	}
-	if res.Restarts != 2 {
-		t.Errorf("Restarts = %d, want 2 (budget)", res.Restarts)
+	if res.Restarts != 3 {
+		t.Errorf("Restarts = %d, want 3 (budget)", res.Restarts)
 	}
 	if res.Repartitioned != 1 || !res.Degraded {
 		t.Errorf("Repartitioned=%d Degraded=%v, want 1/true after budget exhaustion", res.Repartitioned, res.Degraded)

@@ -118,8 +118,7 @@ func (m *machine) runIterBody(st *stepper, fr *frame) error {
 		}
 		return nil
 	}
-	r := m.cfg.Recovery
-	if r == nil {
+	if !m.resilient() {
 		return runUnits()
 	}
 	snapLocals := append([]value.Value(nil), fr.locals...)
@@ -131,7 +130,7 @@ func (m *machine) runIterBody(st *stepper, fr *frame) error {
 		if err == nil {
 			return nil
 		}
-		if !IsTransient(err) || attempt >= r.iterRetries() ||
+		if !IsTransient(err) || attempt >= maxIterRetries ||
 			st.effects != effects0 || st.it.HeapWrites != writes0 {
 			return err
 		}
@@ -139,7 +138,7 @@ func (m *machine) runIterBody(st *stepper, fr *frame) error {
 		copy(fr.regs, snapRegs)
 		copy(fr.sharedSrc, snapShared)
 		m.stats.iterRetries++
-		st.th.Sleep(r.backoff(attempt))
+		st.th.Sleep(backoff(attempt))
 	}
 }
 
@@ -176,7 +175,7 @@ func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, sched *i
 // doallSweep executes the current assignment to its end. Each pass is one
 // crash tick and one straggler tick; the checkpoint refreshes at the end
 // of any pass that externalized an effect (output-commit) and otherwise
-// every Recovery.CheckpointEvery passes, so a crash window never holds
+// every checkpointEvery passes, so a crash window never holds
 // externalized work. With a steal board, the pass top also publishes the
 // watermark and answers any pending steal request. Returns alive=false
 // when the worker crashed (the crash path owns the hand-off).
@@ -263,7 +262,7 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 		ws.iter = iter + 1
 		if m.checkpointing() {
 			externalized := st.effects != ws.ckEff || st.it.HeapWrites != ws.ckWrites
-			if externalized || ws.iter-ws.ck.iter >= m.ckptEvery() {
+			if externalized || ws.iter-ws.ck.iter >= checkpointEvery {
 				m.takeDoallCkpt(th, st, ws)
 			}
 		}
@@ -319,11 +318,10 @@ func (m *machine) doallCrash(th *des.Thread, ws *doallState, sched *iterSched, b
 		return nil
 	}
 	m.stats.restarts++
-	r := m.cfg.Recovery
 	ck := ws.ck
 	nextLeft := ws.restartsLeft - 1
 	n := ws.restartN + 1
-	m.sim.Spawn(fmt.Sprintf("%s#r%d", ws.role, n), th.VTime+r.restartDelay(), func(th2 *des.Thread) error {
+	m.sim.Spawn(fmt.Sprintf("%s#r%d", ws.role, n), th.VTime+restartDelay, func(th2 *des.Thread) error {
 		th2.Charge(m.restoreCost(ck.cfr))
 		m.restarts[ri].RecoveredVTime = th2.VTime
 		st2 := m.newStepper(th2, ck.cfr.decode())
@@ -470,9 +468,7 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 			lastTop:  -1,
 		}
 		ws.ck.lastIter = -1
-		if r := m.cfg.Recovery; r != nil {
-			ws.restartsLeft = r.maxRestarts()
-		}
+		ws.restartsLeft = maxRestarts
 		if m.checkpointing() {
 			m.takeDoallCkpt(th, st, ws) // initial checkpoint at pass 0
 		}
@@ -538,7 +534,7 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 				Perm: true, Reason: "permanent crash with no surviving workers",
 			})
 		} else {
-			start := mainTh.VTime + m.cfg.Recovery.restartDelay()
+			start := mainTh.VTime + restartDelay
 			for _, d := range crashed {
 				m.stats.repartitioned++
 				m.markRecovered(fmt.Sprintf("doall.%d", d.worker), start)

@@ -192,18 +192,18 @@ func RunSequential(cfg Config) (*Result, error) {
 	env := interp.NewEnv(cfg.Prog, cfg.Builtins)
 	th := interp.NewThread(env)
 	retries := 0
-	if r := cfg.Recovery; r != nil {
+	if cfg.Recovery != nil {
 		th.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
 			if cfg.Prog.Funcs[in.Name] != nil {
 				return invoke() // user function: inner builtin calls retry individually
 			}
 			for attempt := 0; ; attempt++ {
 				rets, err := invoke()
-				if err == nil || !IsTransient(err) || attempt >= r.callRetries() {
+				if err == nil || !IsTransient(err) || attempt >= maxCallRetries {
 					return rets, err
 				}
 				retries++
-				t.Cost += r.backoff(attempt)
+				t.Cost += backoff(attempt)
 			}
 		}
 	}

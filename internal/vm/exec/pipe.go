@@ -416,7 +416,7 @@ loop:
 // stageCkpt is a pipeline stage worker's resumable snapshot, taken under the
 // output-commit discipline: it is refreshed immediately after any pass that
 // externalized an effect (member commit, shared-cell write, global store, or
-// a batched-queue flush), and otherwise every Recovery.CheckpointEvery token
+// a batched-queue flush), and otherwise every checkpointEvery token
 // passes. A crash window above the snapshot therefore contains only private
 // work — frame mutations, buffered tokens — which a replacement worker can
 // replay without duplicating any observable effect.
@@ -510,9 +510,7 @@ func (m *machine) stageWorker(th *des.Thread, mainFr *frame, si, rep int, reps [
 	if m.sched.Stages[si].Parallel {
 		ss.seq = int64(rep)
 	}
-	if r := m.cfg.Recovery; r != nil {
-		ss.restartsLeft = r.maxRestarts()
-	}
+	ss.restartsLeft = maxRestarts
 	if m.checkpointing() {
 		m.tapReaders(ss, in)
 		m.takeStageCkpt(th, st, ss, in, out)
@@ -674,7 +672,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			externalized := st.effects != ss.ckEff ||
 				st.it.HeapWrites != ss.ckWrites ||
 				totalFlushes(out) != ss.ckFlushes
-			if externalized || ss.event-ss.ck.event >= m.ckptEvery() {
+			if externalized || ss.event-ss.ck.event >= checkpointEvery {
 				m.takeStageCkpt(th, st, ss, in, out)
 			}
 		}
@@ -731,7 +729,6 @@ func (m *machine) stageCrash(th *des.Thread, ss *stageState, reps []int, ff []ma
 	// nothing, so the replay cannot duplicate an observable effect.
 	m.stats.restarts++
 	ss.restartsLeft--
-	r := m.cfg.Recovery
 	ck := ss.ck
 	replays := make([][]any, len(ss.log))
 	for k := range ss.log {
@@ -740,7 +737,7 @@ func (m *machine) stageCrash(th *des.Thread, ss *stageState, reps []int, ff []ma
 	n := ss.restartN + 1
 	left := ss.restartsLeft
 	batch := m.cfg.Tune.BatchSize()
-	m.sim.Spawn(fmt.Sprintf("%s#r%d", ss.role, n), th.VTime+r.restartDelay(), func(th2 *des.Thread) error {
+	m.sim.Spawn(fmt.Sprintf("%s#r%d", ss.role, n), th.VTime+restartDelay, func(th2 *des.Thread) error {
 		th2.Charge(m.cfg.Cost.Restore)
 		m.restarts[ri].RecoveredVTime = th2.VTime
 		st2 := m.newStepper(th2, snapshotFrame(ck.fr))

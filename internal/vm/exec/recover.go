@@ -8,105 +8,48 @@ import (
 	"repro/internal/transform"
 )
 
-// Recovery configures the fault-recovery policies of the parallel executors.
-// All recovery cost is charged in virtual time, so a recovered run's makespan
-// honestly reflects the retries it paid for.
-type Recovery struct {
-	// MaxCallRetries bounds per-call retries of transient builtin failures;
-	// 0 selects the default (3), negative disables call-level retry.
-	MaxCallRetries int
-	// BackoffBase is the virtual-time backoff charged before the first
-	// retry; it doubles on each subsequent attempt. 0 selects 200.
-	BackoffBase int64
-	// MaxIterRetries bounds DOALL iteration re-executions after call-level
-	// retry is exhausted; 0 selects the default (2), negative disables
-	// iteration retry.
-	MaxIterRetries int
+// Recovery switches on the fault-recovery policies of the parallel
+// executors; the policies themselves are fixed (see the constants below).
+// All recovery cost is charged in virtual time, so a recovered run's
+// makespan honestly reflects the retries it paid for.
+type Recovery struct{}
 
-	// CheckpointEvery is the periodic checkpoint interval, in iteration
-	// passes (DOALL) or tokens (pipeline stages), between the forced
-	// output-commit snapshots taken after externalizing passes; 0 selects
-	// the default (4), negative checkpoints every pass.
-	CheckpointEvery int
-	// MaxRestarts bounds supervisor restarts per worker role after
-	// transient crashes; 0 selects the default (3), negative disables
-	// restarts (every crash is then treated as permanent).
-	MaxRestarts int
-	// RestartDelay is the virtual-time supervisor latency between a thread
-	// death and its replacement starting (detection + respawn); 0 selects
-	// the default (800).
-	RestartDelay int64
-}
-
-// Defaults for the crash-recovery knobs.
+// The fixed recovery policy.
 const (
-	defaultCheckpointEvery = 4
-	defaultMaxRestarts     = 3
-	defaultRestartDelay    = 800
+	// maxCallRetries bounds per-call retries of transient builtin failures.
+	maxCallRetries = 3
+	// backoffBase is the virtual-time backoff charged before the first
+	// retry; it doubles on each subsequent attempt.
+	backoffBase = 200
+	// maxIterRetries bounds DOALL iteration re-executions after call-level
+	// retry is exhausted.
+	maxIterRetries = 2
+	// checkpointEvery is the periodic checkpoint interval, in iteration
+	// passes (DOALL) or tokens (pipeline stages), between the forced
+	// output-commit snapshots taken after externalizing passes.
+	checkpointEvery = 4
+	// maxRestarts bounds supervisor restarts per worker role after
+	// transient crashes.
+	maxRestarts = 3
+	// restartDelay is the virtual-time supervisor latency between a thread
+	// death and its replacement starting (detection + respawn).
+	restartDelay = 800
+	// maxAttempts bounds RunResilient's parallel-schedule attempts before
+	// it degrades to the sequential fallback.
+	maxAttempts = 2
 )
-
-func (r *Recovery) checkpointEvery() int64 {
-	switch {
-	case r.CheckpointEvery < 0:
-		return 1
-	case r.CheckpointEvery == 0:
-		return defaultCheckpointEvery
-	}
-	return int64(r.CheckpointEvery)
-}
-
-func (r *Recovery) maxRestarts() int {
-	switch {
-	case r.MaxRestarts < 0:
-		return 0
-	case r.MaxRestarts == 0:
-		return defaultMaxRestarts
-	}
-	return r.MaxRestarts
-}
-
-func (r *Recovery) restartDelay() int64 {
-	if r.RestartDelay <= 0 {
-		return defaultRestartDelay
-	}
-	return r.RestartDelay
-}
 
 // DefaultRecovery returns the standard policy (3 call retries, backoff base
 // 200, 2 iteration retries).
 func DefaultRecovery() *Recovery { return &Recovery{} }
 
-func (r *Recovery) callRetries() int {
-	switch {
-	case r.MaxCallRetries < 0:
-		return 0
-	case r.MaxCallRetries == 0:
-		return 3
-	}
-	return r.MaxCallRetries
-}
-
-func (r *Recovery) iterRetries() int {
-	switch {
-	case r.MaxIterRetries < 0:
-		return 0
-	case r.MaxIterRetries == 0:
-		return 2
-	}
-	return r.MaxIterRetries
-}
-
 // backoff returns the virtual-time penalty before retry attempt `attempt`
 // (0-based), doubling per attempt.
-func (r *Recovery) backoff(attempt int) int64 {
-	b := r.BackoffBase
-	if b <= 0 {
-		b = 200
-	}
+func backoff(attempt int) int64 {
 	if attempt > 16 {
 		attempt = 16
 	}
-	return b << uint(attempt)
+	return backoffBase << uint(attempt)
 }
 
 // IsTransient reports whether the error (anywhere in its chain) declares
@@ -165,28 +108,20 @@ type ResilientOptions struct {
 	// a non-nil error rejects the attempt. parallel reports whether the
 	// accepted run used the parallel schedule or the sequential fallback.
 	Accept func(parallel bool) error
-
-	// MaxAttempts bounds parallel-schedule attempts before degrading to the
-	// sequential fallback (default 2).
-	MaxAttempts int
 }
 
 // RunResilient executes the schedule with graceful degradation: up to
-// MaxAttempts parallel runs (each on a fresh substrate), then — if the
+// two parallel runs (each on a fresh substrate), then — if the
 // parallel schedule keeps failing or its output is rejected — a sequential
 // re-run whose output is validated the same way. Permanent (non-transient)
 // failures skip straight to the fallback, since re-running a deterministic
 // schedule cannot change the outcome.
 func RunResilient(opts ResilientOptions) (*Result, error) {
-	max := opts.MaxAttempts
-	if max <= 0 {
-		max = 2
-	}
 	attempts := 0
 	parallel := opts.Sched != nil && opts.Sched.Kind != transform.Sequential
 	var lastErr error
 	if parallel {
-		for a := 0; a < max; a++ {
+		for a := 0; a < maxAttempts; a++ {
 			attempts++
 			res, err := Run(opts.Fresh(), opts.LA, opts.Sched, opts.Mode, opts.Threads)
 			if err == nil {

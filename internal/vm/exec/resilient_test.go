@@ -108,9 +108,9 @@ void main() {
 	plan := faults.Plan{Name: "long-burst", Seed: 2, Recoverable: true, Specs: []faults.Spec{
 		{Kind: faults.Transient, Builtin: "digest", After: 5, Count: 6},
 	}}
-	// MaxCallRetries 2 → 3 calls per body attempt; a 6-call burst therefore
+	// 3 call retries → 4 calls per body attempt; a 6-call burst therefore
 	// needs iteration re-execution to clear.
-	cfg, w := cp.faulted(plan, &exec.Recovery{MaxCallRetries: 2})
+	cfg, w := cp.faulted(plan, exec.DefaultRecovery())
 	res, err := exec.Run(cfg, cp.la, cp.sched[transform.DOALL], exec.SyncSpin, 1)
 	if err != nil {
 		t.Fatalf("iteration re-execution failed: %v", err)

@@ -676,7 +676,7 @@ func (m *machine) svcDOALL(th *des.Thread, st *stepper, mainFr *frame, threads i
 		w := w
 		m.sim.Spawn(fmt.Sprintf("svc.%d", w), th.VTime, func(wth *des.Thread) error {
 			ws := &svcWorkerState{w: w, role: fmt.Sprintf("svc.%d", w), lastIter: -1}
-			ws.restartsLeft = m.cfg.Recovery.maxRestarts()
+			ws.restartsLeft = maxRestarts
 			wst := m.newStepper(wth, mainFr.clone())
 			wst.sharedActive = true
 			return m.svcServe(wth, wst, ws, mainFr, dispatch, join)
@@ -844,13 +844,12 @@ func (m *machine) svcCrash(th *des.Thread, ws *svcWorkerState, mainFr *frame, di
 		return nil
 	}
 	m.stats.restarts++
-	r := m.cfg.Recovery
 	n := ws.restartN + 1
 	ws2 := &svcWorkerState{
 		w: ws.w, role: ws.role, lastIter: ws.lastIter, served: ws.served,
 		restartsLeft: ws.restartsLeft - 1, restartN: n,
 	}
-	m.sim.Spawn(fmt.Sprintf("%s#r%d", ws.role, n), th.VTime+r.restartDelay(), func(th2 *des.Thread) error {
+	m.sim.Spawn(fmt.Sprintf("%s#r%d", ws.role, n), th.VTime+restartDelay, func(th2 *des.Thread) error {
 		th2.Charge(m.cfg.Cost.Restore)
 		m.restarts[ri].RecoveredVTime = th2.VTime
 		st2 := m.newStepper(th2, mainFr.clone())
@@ -1020,48 +1019,33 @@ type ServiceResilientOptions struct {
 	// against the sequential reference (one effect bundle per completed
 	// request).
 	Accept func(res *ServiceResult) error
-
-	// MaxAttempts bounds parallel attempts before the sequential service
-	// fallback (default 1: a deterministic trace replays deterministically,
-	// so re-attempting only helps when the injected faults differ).
-	MaxAttempts int
 }
 
-// RunServiceResilient is the degradation ladder's final rung: parallel
-// service attempts, then — on a non-transient diagnosis such as an
-// OverloadError or a permanently dead pipeline stage — the Accept-verified
-// sequential service over a fresh trace.
+// RunServiceResilient is the degradation ladder's final rung: one parallel
+// service attempt (a deterministic trace replays deterministically, so a
+// second attempt could not change the outcome), then — on a failure such
+// as an OverloadError or a permanently dead pipeline stage — the
+// Accept-verified sequential service over a fresh trace.
 func RunServiceResilient(opts ServiceResilientOptions) (*ServiceResult, error) {
-	max := opts.MaxAttempts
-	if max <= 0 {
-		max = 1
-	}
 	attempts := 0
 	parallel := opts.Sched != nil && opts.Sched.Kind != transform.Sequential
 	var lastErr error
 	var aborted *ServiceAbort
 	if parallel {
-		for a := 0; a < max; a++ {
-			attempts++
-			cfg, svc := opts.Fresh()
-			res, err := RunService(cfg, svc, opts.LA, opts.Sched, opts.Mode, opts.Threads)
-			if err == nil {
-				if opts.Accept != nil {
-					if aerr := opts.Accept(res); aerr != nil {
-						lastErr = fmt.Errorf("exec: parallel service output rejected: %w", aerr)
-						aborted = abortOf(res, lastErr)
-						continue
-					}
-				}
-				res.Attempts = attempts
-				return res, nil
-			}
-			lastErr = err
-			aborted = abortOf(res, err)
-			if !IsTransient(err) {
-				break
+		attempts++
+		cfg, svc := opts.Fresh()
+		res, err := RunService(cfg, svc, opts.LA, opts.Sched, opts.Mode, opts.Threads)
+		if err == nil && opts.Accept != nil {
+			if aerr := opts.Accept(res); aerr != nil {
+				err = fmt.Errorf("exec: parallel service output rejected: %w", aerr)
 			}
 		}
+		if err == nil {
+			res.Attempts = attempts
+			return res, nil
+		}
+		lastErr = err
+		aborted = abortOf(res, err)
 	}
 
 	attempts++

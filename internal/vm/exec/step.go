@@ -151,7 +151,6 @@ func (st *stepper) invokeBuiltin(name string, member bool, args []value.Value, i
 		st.flush()
 		return rets, err
 	}
-	r := st.m.cfg.Recovery
 	for attempt := 0; ; attempt++ {
 		rets, err := run()
 		if err == nil {
@@ -160,11 +159,11 @@ func (st *stepper) invokeBuiltin(name string, member bool, args []value.Value, i
 			}
 			return rets, nil
 		}
-		if r == nil || !IsTransient(err) || attempt >= r.callRetries() {
+		if !st.m.resilient() || !IsTransient(err) || attempt >= maxCallRetries {
 			return nil, err
 		}
 		st.m.stats.callRetries++
-		st.th.Sleep(r.backoff(attempt))
+		st.th.Sleep(backoff(attempt))
 	}
 }
 
