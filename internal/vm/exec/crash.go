@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/transform"
 	"repro/internal/types"
+	"repro/internal/vm/des"
 	"repro/internal/vm/value"
 )
 
@@ -33,7 +34,14 @@ import (
 //     re-partitioned across the survivors at join time; a dead pipeline
 //     stage poisons the pipeline into an orderly shutdown and the run is
 //     diagnosed non-transient, which collapses RunResilient to its
-//     sequential fallback.
+//     sequential fallback; a dead service pool worker leaves the pool,
+//     whose survivors absorb its share.
+//
+// One supervisor handles every worker kind — DOALL workers, pipeline
+// stages and service pool workers: crash records the death, escalates it
+// past the restart budget and appends the restart record; restart spawns
+// the replacement, charges the restore and stamps the recovery time. Each
+// kind keeps only its own checkpoint and its own degradation.
 //
 // All recovery machinery runs inside the deterministic simulator and is
 // charged in virtual time (Cost.Checkpoint per snapshot, Cost.Restore per
@@ -96,6 +104,64 @@ func (r RestartRecord) String() string {
 	}
 	return fmt.Sprintf("%s crashed @t=%d event=%d ckpt-age=%d replayed=%d (%s)",
 		r.Thread, r.VTime, r.Event, r.CkptAge, r.Replayed, kind)
+}
+
+// incarnation is a restartable worker role as the supervisor sees it: the
+// role name crash plans target, the restarts left in its budget, and the
+// ordinal of its latest replacement thread (role#rN). It carries across
+// the role's incarnations, so repeated crashes eventually exhaust the
+// budget.
+type incarnation struct {
+	role         string
+	restartsLeft int
+	restartN     int
+}
+
+// crash is the supervisor's record of a worker role's death at a crash
+// tick; event is the tick's pass or token ordinal and ckptAge how far the
+// role's live state was ahead of its last checkpoint. Outside resilient
+// mode the death aborts the run: crash registers it with the scheduler and
+// returns the CrashError as fatal. Otherwise a transient death past the
+// role's restart budget escalates to permanent, the death joins the
+// restart history and the scheduler's death records, and crash describes
+// it in death. The caller then degrades in its own way when death.Perm,
+// and calls restart otherwise.
+func (m *machine) crash(th *des.Thread, life incarnation, event, ckptAge int64, perm bool) (death *CrashError, fatal error) {
+	death = &CrashError{Thread: life.role, VTime: th.VTime, Perm: perm, Reason: "injected crash"}
+	if perm {
+		death.Reason = "injected permanent crash"
+	}
+	if !m.resilient() {
+		m.sim.RecordDeath(death.Thread, death.VTime, death.Reason)
+		return nil, death
+	}
+	if !perm && life.restartsLeft <= 0 {
+		death.Perm = true
+		death.Reason = "crash with restart budget exhausted"
+	}
+	rec := RestartRecord{Thread: life.role, VTime: th.VTime, Event: event, CkptAge: ckptAge, Permanent: death.Perm}
+	if !death.Perm {
+		rec.Replayed = ckptAge
+	}
+	m.restarts = append(m.restarts, rec)
+	m.sim.RecordDeath(death.Thread, death.VTime, death.Reason)
+	return death, nil
+}
+
+// restart replaces a role that crash just recorded as transiently dead:
+// after the supervisor's detection delay it spawns role#rN, charges the
+// restore cost, stamps the recovery time on the role's restart record, and
+// continues on the new thread with resume, which receives the role's next
+// incarnation.
+func (m *machine) restart(th *des.Thread, life incarnation, restore int64, resume func(th *des.Thread, life incarnation) error) {
+	m.stats.restarts++
+	ri := len(m.restarts) - 1
+	next := incarnation{role: life.role, restartsLeft: life.restartsLeft - 1, restartN: life.restartN + 1}
+	m.sim.Spawn(fmt.Sprintf("%s#r%d", life.role, next.restartN), th.VTime+restartDelay, func(th *des.Thread) error {
+		th.Charge(restore)
+		m.restarts[ri].RecoveredVTime = th.VTime
+		return resume(th, next)
+	})
 }
 
 // markRecovered stamps the recovery time on the newest unrecovered

@@ -67,8 +67,8 @@ type doallCkpt struct {
 // doallState is the live, restartable state of one DOALL worker chain
 // across its simulated-thread incarnations and its sequence of sweeps.
 type doallState struct {
-	w    int
-	role string
+	w int
+	incarnation
 
 	asg      assignment // current sweep's range and ownership identity
 	iter     int64      // next pass to execute
@@ -82,9 +82,6 @@ type doallState struct {
 	ck       doallCkpt
 	ckEff    int // stepper effects counter at the last checkpoint
 	ckWrites int // interp heap-write counter at the last checkpoint
-
-	restartsLeft int
-	restartN     int // incarnation ordinal (for replacement thread names)
 }
 
 // takeDoallCkpt refreshes the worker's checkpoint from its live state,
@@ -272,64 +269,37 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 
 // doallCrash handles the death of a DOALL worker at a crash tick. The
 // thread's private state dies with it; what survives is the shared
-// substrate and the last checkpoint. A transient death spawns a
-// replacement thread (after the supervisor's detection latency) that
-// restores the checkpoint and replays the un-externalized window; a
-// permanent death — or a transient one past the restart budget — instead
-// posts a death certificate on the join queue so the main thread can
-// re-partition the remaining owned iterations across the survivors. Either
-// way any pending steal request gets its answer: a transiently crashed
-// victim keeps it pending for the replacement, a permanent death denies it.
+// substrate and the last checkpoint. A transient death is restarted by the
+// supervisor: the replacement restores the checkpoint and replays the
+// un-externalized window. A permanent death — or a transient one past the
+// restart budget — instead posts a death certificate on the join queue so
+// the main thread can re-partition the remaining owned iterations across
+// the survivors. Either way any pending steal request gets its answer: a
+// transiently crashed victim keeps it pending for the replacement, a
+// permanent death denies it.
 func (m *machine) doallCrash(th *des.Thread, ws *doallState, sched *iterSched, board *stealBoard, join *des.Queue, perm bool) error {
-	reason := "injected crash"
-	if perm {
-		reason = "injected permanent crash"
+	death, err := m.crash(th, ws.incarnation, ws.iter, ws.iter-ws.ck.iter, perm)
+	if err != nil {
+		return err
 	}
-	if !m.resilient() {
-		m.sim.RecordDeath(ws.role, th.VTime, reason)
-		return &CrashError{Thread: ws.role, VTime: th.VTime, Perm: perm, Reason: reason}
-	}
-	if !perm && ws.restartsLeft <= 0 {
-		perm = true
-		reason = "crash with restart budget exhausted"
-	}
-	rec := RestartRecord{
-		Thread:    ws.role,
-		VTime:     th.VTime,
-		Event:     ws.iter,
-		CkptAge:   ws.iter - ws.ck.iter,
-		Permanent: perm,
-	}
-	if !perm {
-		rec.Replayed = rec.CkptAge
-	}
-	m.restarts = append(m.restarts, rec)
-	ri := len(m.restarts) - 1
-	m.sim.RecordDeath(ws.role, th.VTime, reason)
-	if perm {
+	ck := ws.ck
+	if death.Perm {
 		if board != nil {
 			board.markDead(ws.w)
 		}
-		ck := ws.ck
 		th.Push(join, doallDone{
 			worker: ws.w, sweeps: ws.done, vtime: th.VTime,
 			crashed: true, deathIter: ws.iter, ck: &ck,
 		})
 		return nil
 	}
-	m.stats.restarts++
-	ck := ws.ck
-	nextLeft := ws.restartsLeft - 1
-	n := ws.restartN + 1
-	m.sim.Spawn(fmt.Sprintf("%s#r%d", ws.role, n), th.VTime+restartDelay, func(th2 *des.Thread) error {
-		th2.Charge(m.restoreCost(ck.cfr))
-		m.restarts[ri].RecoveredVTime = th2.VTime
-		st2 := m.newStepper(th2, ck.cfr.decode())
-		st2.sharedActive = true
-		st2.privatized = m.cfg.Tune.Privatize
-		st2.privCommits = copyPriv(ck.priv)
+	m.restart(th, ws.incarnation, m.restoreCost(ck.cfr), func(th *des.Thread, life incarnation) error {
+		st := m.newStepper(th, ck.cfr.decode())
+		st.sharedActive = true
+		st.privatized = m.cfg.Tune.Privatize
+		st.privCommits = copyPriv(ck.priv)
 		ws2 := &doallState{
-			w: ws.w, role: ws.role,
+			w: ws.w, incarnation: life,
 			asg: ck.asg, iter: ck.iter, lastIter: ck.lastIter,
 			lastTop: -1,
 			done:    ck.done,
@@ -338,10 +308,8 @@ func (m *machine) doallCrash(th *des.Thread, ws *doallState, sched *iterSched, b
 				lastIter: ck.lastIter, priv: copyPriv(ck.priv),
 				done: ck.done,
 			},
-			restartsLeft: nextLeft,
-			restartN:     n,
 		}
-		return m.doallRun(th2, st2, ws2, sched, board, join)
+		return m.doallRun(th, st, ws2, sched, board, join)
 	})
 	return nil
 }
@@ -462,13 +430,13 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 		st.sharedActive = true
 		st.privatized = m.cfg.Tune.Privatize
 		ws := &doallState{
-			w: w, role: fmt.Sprintf("doall.%d", w),
-			asg:      assignment{src: w, lo: 0, hi: -1},
-			lastIter: -1,
-			lastTop:  -1,
+			w:           w,
+			incarnation: incarnation{role: fmt.Sprintf("doall.%d", w), restartsLeft: maxRestarts},
+			asg:         assignment{src: w, lo: 0, hi: -1},
+			lastIter:    -1,
+			lastTop:     -1,
 		}
 		ws.ck.lastIter = -1
-		ws.restartsLeft = maxRestarts
 		if m.checkpointing() {
 			m.takeDoallCkpt(th, st, ws) // initial checkpoint at pass 0
 		}
@@ -564,11 +532,7 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 		copy(mainFr.locals, ctrlFr.locals)
 	}
 	if lastFr != nil && lastFr != ctrlFr {
-		for slot := range m.bodyWrites() {
-			if !m.isShared(slot) {
-				mainFr.locals[slot] = lastFr.locals[slot]
-			}
-		}
+		m.mergeBodyWrites(mainFr, lastFr)
 	}
 	return nil
 }

@@ -28,7 +28,6 @@ type token struct {
 // pipeJoin is the completion message of one stage worker.
 type pipeJoin struct {
 	stage    int
-	rep      int
 	lastIter int64
 	fr       *frame
 }
@@ -131,99 +130,142 @@ func newReaders(qs []*des.Queue, batch int) []*qReader {
 	return rs
 }
 
-// runPipeline executes a DSWP or PS-DSWP schedule. The calling thread is
-// the dispatcher (stage 0): it owns loop control, executes stage 0's units,
-// and streams per-iteration tokens down the pipeline. A parallel stage runs
-// R replicas receiving iterations round-robin; the following sequential
-// stage merges tokens back in iteration order, which preserves sequential
-// semantics for in-order stages (e.g. deterministic console output).
-func (m *machine) runPipeline(mainTh *des.Thread, mainFr *frame, threads int) error {
+// newWorkQueue creates a queue that carries work between threads (a
+// pipeline or service dispatch queue). Each push on it pays the config's
+// PushDelay for the queue, when wired.
+func (m *machine) newWorkQueue(name string) *des.Queue {
+	q := m.sim.NewQueue(name, m.cfg.queueCap())
+	if m.cfg.PushDelay != nil {
+		q.Stall = func() int64 { return m.cfg.PushDelay(name) }
+	}
+	return q
+}
+
+// sendStop pushes a stop token, poisoned after a failure, through each
+// writer and flushes it to bound shutdown latency.
+func sendStop(th *des.Thread, ws []*qWriter, poison bool) {
+	for _, w := range ws {
+		w.push(th, token{stop: true, poison: poison})
+		w.flush(th)
+	}
+}
+
+// pipeNet is the stage network of one DSWP or PS-DSWP run: the replica
+// count per stage, the queues between consecutive stages, the flow-forward
+// slots per stage (see flowForward), and the join queue of the stage
+// workers.
+type pipeNet struct {
+	reps    []int
+	qs      [][]*des.Queue
+	ff      []map[int]bool
+	join    *des.Queue
+	workers int // stage workers spawned: every replica of stages 1..k-1
+}
+
+// startPipeline builds the stage network and spawns the stage workers;
+// the calling thread is the dispatcher (stage 0). It owns loop control,
+// executes stage 0's units, and streams per-iteration tokens down the
+// pipeline. A parallel stage runs R replicas receiving iterations
+// round-robin; the following sequential stage merges tokens back in
+// iteration order, which preserves sequential semantics for in-order
+// stages (e.g. deterministic console output).
+func (m *machine) startPipeline(th *des.Thread, mainFr *frame, threads int) (*pipeNet, error) {
 	stages := m.sched.Stages
 	if len(stages) < 2 {
-		return fmt.Errorf("exec: pipeline schedule needs at least 2 stages")
+		return nil, fmt.Errorf("exec: pipeline schedule needs at least 2 stages")
 	}
-
 	// Replica counts: the single parallel stage receives every thread not
 	// running a sequential stage. stageReps is shared with CrashRoster so
 	// fault plans name exactly the roles this run spawns.
-	reps := stageReps(stages, threads)
+	p := &pipeNet{reps: stageReps(stages, threads), qs: make([][]*des.Queue, len(stages)-1)}
 
 	// Queues between consecutive stages. Between stage i and i+1 there are
 	// max(reps[i], reps[i+1]) queues: a parallel side owns one queue per
 	// replica; a sequential side round-robins over them.
-	qs := make([][]*des.Queue, len(stages)-1)
-	for i := 0; i < len(stages)-1; i++ {
-		n := reps[i]
-		if reps[i+1] > n {
-			n = reps[i+1]
-		}
-		qs[i] = make([]*des.Queue, n)
-		for k := 0; k < n; k++ {
-			q := m.sim.NewQueue(fmt.Sprintf("q%d.%d", i, k), m.cfg.queueCap())
-			if m.cfg.PushDelay != nil {
-				name := q.Name
-				q.Stall = func() int64 { return m.cfg.PushDelay(name) }
-			}
-			qs[i][k] = q
+	for i := range p.qs {
+		p.qs[i] = make([]*des.Queue, max(p.reps[i], p.reps[i+1]))
+		for k := range p.qs[i] {
+			p.qs[i][k] = m.newWorkQueue(fmt.Sprintf("q%d.%d", i, k))
 		}
 	}
-
-	// Slot ownership for live-out merging: the highest stage writing a slot
-	// owns its final value; control slots belong to the dispatcher.
-	owner := m.slotOwners()
-
-	join := m.sim.NewQueue("pipe.join", threads+1)
-
-	ff := m.flowForward()
-
-	// Stage workers 1..k-1.
+	for _, r := range p.reps[1:] {
+		p.workers += r
+	}
+	// Room for every stage worker's join message and the batch
+	// dispatcher's own.
+	p.join = m.sim.NewQueue("pipe.join", p.workers+1)
+	p.ff = m.flowForward()
 	for si := 1; si < len(stages); si++ {
-		for rep := 0; rep < reps[si]; rep++ {
-			si, rep := si, rep
-			m.sim.Spawn(fmt.Sprintf("stage%d.%d", si, rep), mainTh.VTime, func(th *des.Thread) error {
-				return m.stageWorker(th, mainFr, si, rep, reps, qs, ff, join)
+		for rep := 0; rep < p.reps[si]; rep++ {
+			m.sim.Spawn(fmt.Sprintf("stage%d.%d", si, rep), th.VTime, func(th *des.Thread) error {
+				return m.stageWorker(th, mainFr, si, rep, p)
 			})
 		}
 	}
+	return p, nil
+}
 
-	// Dispatcher on the calling thread.
-	if err := m.dispatch(mainTh, mainFr, reps, qs, ff, join); err != nil {
-		return err
+// dispatchIter runs stage 0's units for one iteration on the dispatcher
+// and streams the iteration's token. The token carries the frame snapshot
+// taken at the start of the iteration (delivering previous-iteration
+// values of any loop-carried scalars the dispatcher owns, e.g. a
+// list-traversal pointer), overlaid with the post-values of slots whose
+// data flows from stage 0 to later stages within the iteration.
+func (m *machine) dispatchIter(th *des.Thread, st *stepper, p *pipeNet, out []*qWriter, tok token) error {
+	tok.locals = append([]value.Value(nil), st.fr.locals...)
+	for _, u := range m.sched.Stages[0].Units {
+		if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
+			return err
+		}
 	}
+	for slot := range p.ff[0] {
+		tok.locals[slot] = st.fr.locals[slot]
+	}
+	st.flush()
+	out[int(tok.iter)%len(out)].push(th, tok)
+	return nil
+}
 
-	// Collect every worker (including the dispatcher's own join message)
-	// and merge live-outs by ownership, taking the frame of the replica
-	// that processed the globally last iteration of each stage.
-	nWorkers := 1
-	for si := 1; si < len(stages); si++ {
-		nWorkers += reps[si]
-	}
-	type best struct {
-		iter int64
-		fr   *frame
-	}
-	finals := make([]best, len(stages))
+// joinPipeline collects n join messages and merges the live-outs into
+// mainFr by slot ownership: the highest stage writing a slot owns its
+// final value (control slots belong to the dispatcher), taken from the
+// frame of the replica that processed the stage's globally last
+// iteration. Shared slots are demoted from their cells by runMain, and a
+// stage with no join message — the service dispatcher's stage 0, which
+// runs on mainFr itself — keeps mainFr's values.
+func (m *machine) joinPipeline(th *des.Thread, p *pipeNet, mainFr *frame, n int) error {
+	finals := make([]pipeJoin, len(m.sched.Stages))
 	for i := range finals {
-		finals[i].iter = -1
+		finals[i].lastIter = -1
 	}
-	for i := 0; i < nWorkers; i++ {
-		j := mainTh.Pop(join).(pipeJoin)
-		if j.lastIter > finals[j.stage].iter {
-			finals[j.stage] = best{iter: j.lastIter, fr: j.fr}
+	for i := 0; i < n; i++ {
+		j := th.Pop(p.join).(pipeJoin)
+		if j.lastIter > finals[j.stage].lastIter {
+			finals[j.stage] = j
 		}
 	}
 	if m.failDiag != nil {
 		return m.failDiag
 	}
-	for slot, stg := range owner {
-		if m.isShared(slot) {
-			continue // demoted from cells by the caller
-		}
-		if finals[stg].fr != nil {
+	for slot, stg := range m.slotOwners() {
+		if !m.isShared(slot) && finals[stg].fr != nil {
 			mainFr.locals[slot] = finals[stg].fr.locals[slot]
 		}
 	}
 	return nil
+}
+
+// runPipeline executes a DSWP or PS-DSWP schedule as a batch: the calling
+// thread dispatches every iteration of the loop, then joins the stages.
+func (m *machine) runPipeline(mainTh *des.Thread, mainFr *frame, threads int) error {
+	p, err := m.startPipeline(mainTh, mainFr, threads)
+	if err != nil {
+		return err
+	}
+	if err := m.dispatch(mainTh, mainFr, p); err != nil {
+		return err
+	}
+	return m.joinPipeline(mainTh, p, mainFr, p.workers+1)
 }
 
 // flowForward computes, per stage, the slots whose post-stage values flow
@@ -270,25 +312,26 @@ func (m *machine) flowForward() []map[int]bool {
 	return ff
 }
 
+// writtenSlots calls f for every frame slot the instructions write.
+func writtenSlots(instrs []*ir.Instr, f func(slot int)) {
+	for _, in := range instrs {
+		switch in.Op {
+		case ir.OpStoreLocal:
+			f(in.Slot)
+		case ir.OpCall:
+			for _, s := range in.OutSlots {
+				f(s)
+			}
+		}
+	}
+}
+
 // slotOwners maps every loop-written slot to the highest stage writing it
 // (stage 0 covers the dispatcher's control writes).
 func (m *machine) slotOwners() map[int]int {
 	owner := map[int]int{}
 	note := func(instrs []*ir.Instr, stage int) {
-		for _, in := range instrs {
-			switch in.Op {
-			case ir.OpStoreLocal:
-				if owner[in.Slot] <= stage {
-					owner[in.Slot] = stage
-				}
-			case ir.OpCall:
-				for _, s := range in.OutSlots {
-					if owner[s] <= stage {
-						owner[s] = stage
-					}
-				}
-			}
-		}
+		writtenSlots(instrs, func(slot int) { owner[slot] = max(owner[slot], stage) })
 	}
 	note(m.la.Units.Cond, 0)
 	note(m.la.Units.Post, 0)
@@ -305,65 +348,33 @@ func (m *machine) slotOwners() map[int]int {
 func (m *machine) stageWrites(si int) map[int]bool {
 	w := map[int]bool{}
 	for _, u := range m.sched.Stages[si].Units {
-		for _, in := range m.la.Units.Units[u] {
-			switch in.Op {
-			case ir.OpStoreLocal:
-				w[in.Slot] = true
-			case ir.OpCall:
-				for _, s := range in.OutSlots {
-					w[s] = true
-				}
-			}
-		}
+		writtenSlots(m.la.Units.Units[u], func(slot int) { w[slot] = true })
 	}
 	return w
 }
 
-// bodyWrites returns the slots written by any body unit of the loop (the
-// DOALL live-out merge overlays them from the frame that executed the
-// globally last iteration, which may be a dead worker's checkpoint).
-func (m *machine) bodyWrites() map[int]bool {
-	w := map[int]bool{}
+// mergeBodyWrites is the DOALL live-out merge: it overlays every private
+// slot written by a body unit of the loop from lastFr, the frame that
+// executed the globally last iteration (which may be a dead worker's
+// checkpoint).
+func (m *machine) mergeBodyWrites(mainFr, lastFr *frame) {
 	for _, unit := range m.la.Units.Units {
-		for _, in := range unit {
-			switch in.Op {
-			case ir.OpStoreLocal:
-				w[in.Slot] = true
-			case ir.OpCall:
-				for _, s := range in.OutSlots {
-					w[s] = true
-				}
+		writtenSlots(unit, func(slot int) {
+			if !m.isShared(slot) {
+				mainFr.locals[slot] = lastFr.locals[slot]
 			}
-		}
+		})
 	}
-	return w
 }
 
-// dispatch runs loop control and stage 0 on the calling thread. The token
-// for iteration k is the frame snapshot taken at the start of the
-// iteration (delivering previous-iteration values of any loop-carried
-// scalars the dispatcher owns, e.g. a list-traversal pointer), overlaid
-// with the post-values of slots whose data flows from stage 0 to later
-// stages within the iteration.
-func (m *machine) dispatch(th *des.Thread, mainFr *frame, reps []int, qs [][]*des.Queue, ff []map[int]bool, join *des.Queue) error {
+// dispatch runs loop control and stage 0 on the calling thread, over a
+// private clone of the main frame, and stops at the first failure.
+func (m *machine) dispatch(th *des.Thread, mainFr *frame, p *pipeNet) error {
 	fr := mainFr.clone()
 	st := m.newStepper(th, fr)
 	st.sharedActive = true
-	out := newWriters(qs[0], m.cfg.Tune.BatchSize())
+	out := newWriters(p.qs[0], m.cfg.Tune.BatchSize())
 	lastIter := int64(-1)
-
-	// bail handles a dispatcher-fatal error: legacy mode aborts the whole
-	// simulation; resilient mode records the diagnosis and falls through to
-	// the orderly stop-token broadcast below.
-	bail := func(err error) (abort bool, fatal error) {
-		if !m.resilient() {
-			return true, err
-		}
-		m.fail("dispatcher", err)
-		return false, nil
-	}
-
-loop:
 	for iter := int64(0); ; iter++ {
 		if m.resilient() && m.failed() {
 			break // a stage died: stop generating iterations
@@ -372,44 +383,29 @@ loop:
 			break // calibration slice: stop after the sampled prefix
 		}
 		exit, err := m.runCond(st)
-		if err != nil {
-			if abort, fatal := bail(err); abort {
-				return fatal
+		if err == nil && !exit {
+			if err = m.dispatchIter(th, st, p, out, token{iter: iter}); err == nil {
+				_, err = st.runGroup(m.la.Units.Post)
 			}
+		}
+		if err != nil {
+			// Legacy mode aborts the whole simulation; resilient mode
+			// records the diagnosis and falls through to the orderly
+			// stop-token broadcast below.
+			if !m.resilient() {
+				return err
+			}
+			m.fail("dispatcher", err)
 			break
 		}
 		if exit {
 			break
 		}
-		locals := make([]value.Value, len(fr.locals))
-		copy(locals, fr.locals) // iteration-start snapshot
-		for _, u := range m.sched.Stages[0].Units {
-			if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
-				if abort, fatal := bail(err); abort {
-					return fatal
-				}
-				break loop
-			}
-		}
-		for slot := range ff[0] {
-			locals[slot] = fr.locals[slot]
-		}
-		st.flush()
-		out[int(iter)%len(out)].push(th, token{iter: iter, locals: locals})
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
-			if abort, fatal := bail(err); abort {
-				return fatal
-			}
-			break
-		}
 		lastIter = iter
 	}
 	st.flush()
-	for _, w := range out {
-		w.push(th, token{stop: true, poison: m.failed()})
-		w.flush(th)
-	}
-	th.Push(join, pipeJoin{stage: 0, rep: 0, lastIter: lastIter, fr: fr})
+	sendStop(th, out, m.failed())
+	th.Push(p.join, pipeJoin{stage: 0, lastIter: lastIter, fr: fr})
 	return nil
 }
 
@@ -431,11 +427,10 @@ type stageCkpt struct {
 
 // stageState is the per-incarnation bookkeeping of one stage worker role. A
 // replacement spawned after a transient crash continues the same role with a
-// stageState restored from the checkpoint; restartsLeft and restartN carry
-// across incarnations so repeated crashes eventually exhaust the budget.
+// stageState restored from the checkpoint.
 type stageState struct {
 	si, rep int
-	role    string
+	incarnation
 
 	seq      int64 // next expected iteration of the round-robin input
 	lastIter int64
@@ -447,9 +442,6 @@ type stageState struct {
 	ckWrites  int
 	ckFlushes int
 	log       [][]any // tokens popped from the input queues since the checkpoint
-
-	restartsLeft int
-	restartN     int
 }
 
 // tapReaders wires the input readers' pop taps into the stage's in-flight
@@ -458,7 +450,6 @@ type stageState struct {
 func (m *machine) tapReaders(ss *stageState, in []*qReader) {
 	ss.log = make([][]any, len(in))
 	for k := range in {
-		k := k
 		in[k].tap = func(toks []any) { ss.log[k] = append(ss.log[k], toks...) }
 	}
 }
@@ -491,38 +482,44 @@ func (m *machine) takeStageCkpt(th *des.Thread, st *stepper, ss *stageState, in 
 	}
 }
 
+// stageIO opens a stage worker's input readers and — except on the last
+// stage — its output writers.
+func (m *machine) stageIO(p *pipeNet, si int) (in []*qReader, out []*qWriter) {
+	batch := m.cfg.Tune.BatchSize()
+	in = newReaders(p.qs[si-1], batch)
+	if si < len(m.sched.Stages)-1 {
+		out = newWriters(p.qs[si], batch)
+	}
+	return in, out
+}
+
 // stageWorker runs one stage (replica) of the pipeline. When the crash layer
 // is armed it takes an initial checkpoint and hands off to stageRun, which
 // every replacement incarnation re-enters.
-func (m *machine) stageWorker(th *des.Thread, mainFr *frame, si, rep int, reps []int, qs [][]*des.Queue, ff []map[int]bool, join *des.Queue) error {
-	fr := mainFr.clone()
-	st := m.newStepper(th, fr)
+func (m *machine) stageWorker(th *des.Thread, mainFr *frame, si, rep int, p *pipeNet) error {
+	st := m.newStepper(th, mainFr.clone())
 	st.sharedActive = true
-
-	batch := m.cfg.Tune.BatchSize()
-	in := newReaders(qs[si-1], batch)
-	var out []*qWriter
-	if si < len(m.sched.Stages)-1 {
-		out = newWriters(qs[si], batch)
+	in, out := m.stageIO(p, si)
+	ss := &stageState{
+		si: si, rep: rep,
+		incarnation: incarnation{role: fmt.Sprintf("stage%d.%d", si, rep), restartsLeft: maxRestarts},
+		lastIter:    -1,
 	}
-
-	ss := &stageState{si: si, rep: rep, role: fmt.Sprintf("stage%d.%d", si, rep), lastIter: -1}
 	if m.sched.Stages[si].Parallel {
 		ss.seq = int64(rep)
 	}
-	ss.restartsLeft = maxRestarts
 	if m.checkpointing() {
 		m.tapReaders(ss, in)
 		m.takeStageCkpt(th, st, ss, in, out)
 	}
-	return m.stageRun(th, st, ss, in, out, reps, ff, qs, join)
+	return m.stageRun(th, st, ss, in, out, p)
 }
 
 // stageRun is the stage worker loop, shared by the original incarnation and
 // every crash replacement. Crash ticks fire at the top of a token pass —
 // before the pass pops or externalizes anything — so the window between the
 // last checkpoint and a crash never contains an externalized effect.
-func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qReader, out []*qWriter, reps []int, ff []map[int]bool, qs [][]*des.Queue, join *des.Queue) error {
+func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qReader, out []*qWriter, p *pipeNet) error {
 	fr := st.fr
 	stage := m.sched.Stages[ss.si]
 
@@ -536,7 +533,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 
 	advance := func() {
 		if stage.Parallel {
-			ss.seq += int64(reps[ss.si])
+			ss.seq += int64(p.reps[ss.si])
 		} else {
 			ss.seq++
 		}
@@ -547,7 +544,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 	for {
 		if !ss.dead && m.checkpointing() {
 			if die, perm := m.crashAt(ss.role); die {
-				drain, err := m.stageCrash(th, ss, reps, ff, qs, join, perm)
+				drain, err := m.stageCrash(th, ss, p, perm)
 				if err != nil {
 					return err
 				}
@@ -580,17 +577,13 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			poison := tok.poison || m.failed()
 			if out != nil {
 				st.flush()
+				stops := out
 				if stage.Parallel {
 					// Each replica forwards its stop on its own queue.
-					w := out[ss.rep%len(out)]
-					w.push(th, token{stop: true, poison: poison})
-					w.flush(th)
-				} else {
-					for _, w := range out {
-						w.push(th, token{stop: true, poison: poison})
-						w.flush(th)
-					}
+					k := ss.rep % len(out)
+					stops = out[k : k+1]
 				}
+				sendStop(th, stops, poison)
 			}
 			// On failure a sequential stage also drains its sibling input
 			// queues to their stops, so live upstream replicas still
@@ -655,7 +648,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			// for its own use keep their snapshot (pre-write) values.
 			locals := make([]value.Value, len(tok.locals))
 			copy(locals, tok.locals)
-			for slot := range ff[ss.si] {
+			for slot := range p.ff[ss.si] {
 				locals[slot] = fr.locals[slot]
 			}
 			st.flush()
@@ -677,7 +670,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			}
 		}
 	}
-	th.Push(join, pipeJoin{stage: ss.si, rep: ss.rep, lastIter: ss.lastIter, fr: fr})
+	th.Push(p.join, pipeJoin{stage: ss.si, lastIter: ss.lastIter, fr: fr})
 	return nil
 }
 
@@ -687,83 +680,50 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 // keeps draining input so the pipeline shuts down in order — and
 // (drain=false) after scheduling a replacement incarnation for a transient
 // crash. Outside resilient mode the crash surfaces as a fatal CrashError.
-func (m *machine) stageCrash(th *des.Thread, ss *stageState, reps []int, ff []map[int]bool, qs [][]*des.Queue, join *des.Queue, perm bool) (drain bool, err error) {
-	reason := "injected crash"
-	if perm {
-		reason = "injected permanent crash"
+func (m *machine) stageCrash(th *des.Thread, ss *stageState, p *pipeNet, perm bool) (drain bool, err error) {
+	death, err := m.crash(th, ss.incarnation, ss.event, ss.event-ss.ck.event, perm)
+	if err != nil {
+		return false, err
 	}
-	if !m.resilient() {
-		m.sim.RecordDeath(ss.role, th.VTime, reason)
-		return false, &CrashError{Thread: ss.role, VTime: th.VTime, Perm: perm, Reason: reason}
-	}
-	if !perm && ss.restartsLeft <= 0 {
-		perm = true
-		reason = "crash with restart budget exhausted"
-	}
-	rec := RestartRecord{
-		Thread:    ss.role,
-		VTime:     th.VTime,
-		Event:     ss.event,
-		CkptAge:   ss.event - ss.ck.event,
-		Permanent: perm,
-	}
-	if !perm {
-		rec.Replayed = rec.CkptAge
-	}
-	m.restarts = append(m.restarts, rec)
-	ri := len(m.restarts) - 1
-	m.sim.RecordDeath(ss.role, th.VTime, reason)
-	if perm {
+	if death.Perm {
 		// Degraded mode: a pipeline cannot re-partition around a missing
 		// stage, so the supervisor diagnoses the death as non-transient.
 		// RunResilient then collapses the schedule to the sequential
 		// fallback. The reaped worker stays behind as a drain.
-		m.fail(ss.role, &CrashError{Thread: ss.role, VTime: th.VTime, Perm: true, Reason: reason})
+		m.fail(ss.role, death)
 		return true, nil
 	}
 
-	// Transient: restore the checkpoint onto a fresh simulated thread after
-	// the supervisor's detection delay. The replacement replays the logged
-	// in-flight tokens (popped since the checkpoint, hence gone from the
-	// queues) ahead of live queue input; the crash window externalized
-	// nothing, so the replay cannot duplicate an observable effect.
-	m.stats.restarts++
-	ss.restartsLeft--
+	// Transient: restore the checkpoint onto a fresh simulated thread. The
+	// replacement replays the logged in-flight tokens (popped since the
+	// checkpoint, hence gone from the queues) ahead of live queue input; the
+	// crash window externalized nothing, so the replay cannot duplicate an
+	// observable effect.
 	ck := ss.ck
 	replays := make([][]any, len(ss.log))
 	for k := range ss.log {
 		replays[k] = append([]any(nil), ss.log[k]...)
 	}
-	n := ss.restartN + 1
-	left := ss.restartsLeft
-	batch := m.cfg.Tune.BatchSize()
-	m.sim.Spawn(fmt.Sprintf("%s#r%d", ss.role, n), th.VTime+restartDelay, func(th2 *des.Thread) error {
-		th2.Charge(m.cfg.Cost.Restore)
-		m.restarts[ri].RecoveredVTime = th2.VTime
-		st2 := m.newStepper(th2, snapshotFrame(ck.fr))
-		st2.sharedActive = true
-		in2 := newReaders(qs[ss.si-1], batch)
-		for k := range in2 {
+	m.restart(th, ss.incarnation, m.cfg.Cost.Restore, func(th *des.Thread, life incarnation) error {
+		st := m.newStepper(th, snapshotFrame(ck.fr))
+		st.sharedActive = true
+		in, out := m.stageIO(p, ss.si)
+		for k := range in {
 			buf := append([]any(nil), ck.inBufs[k]...)
-			in2[k].buf = append(buf, replays[k]...)
+			in[k].buf = append(buf, replays[k]...)
 		}
-		var out2 []*qWriter
-		if ss.si < len(m.sched.Stages)-1 {
-			out2 = newWriters(qs[ss.si], batch)
-			for k := range out2 {
-				out2[k].buf = append([]any(nil), ck.outBufs[k]...)
-			}
+		for k := range out {
+			out[k].buf = append([]any(nil), ck.outBufs[k]...)
 		}
 		ss2 := &stageState{
-			si: ss.si, rep: ss.rep, role: ss.role,
+			si: ss.si, rep: ss.rep, incarnation: life,
 			seq: ck.seq, lastIter: ck.lastIter, event: ck.event,
-			restartsLeft: left, restartN: n,
 		}
-		m.tapReaders(ss2, in2)
+		m.tapReaders(ss2, in)
 		// The restored state is its own checkpoint baseline: a repeated
 		// crash before new externalization restores to this same point.
-		m.takeStageCkpt(th2, st2, ss2, in2, out2)
-		return m.stageRun(th2, st2, ss2, in2, out2, reps, ff, qs, join)
+		m.takeStageCkpt(th, st, ss2, in, out)
+		return m.stageRun(th, st, ss2, in, out, p)
 	})
 	return false, nil
 }

@@ -653,13 +653,10 @@ func (m *machine) svcSequential(th *des.Thread, st *stepper) error {
 
 // svcWorkerState is the restartable identity of one pool worker role.
 type svcWorkerState struct {
-	w        int
-	role     string
+	w int
+	incarnation
 	lastIter int64
 	served   int64 // crash-tick ordinal (serve-loop passes)
-
-	restartsLeft int
-	restartN     int
 }
 
 // svcDOALL serves the trace over a scalable pool of stateless workers: the
@@ -667,19 +664,13 @@ type svcWorkerState struct {
 // frame snapshot; any active worker executes it.
 func (m *machine) svcDOALL(th *des.Thread, st *stepper, mainFr *frame, threads int) error {
 	sv := m.svc
-	dispatch := m.sim.NewQueue("svcq", m.cfg.queueCap())
-	if m.cfg.PushDelay != nil {
-		dispatch.Stall = func() int64 { return m.cfg.PushDelay("svcq") }
-	}
+	dispatch := m.newWorkQueue("svcq")
 	join := m.sim.NewQueue("svc.join", threads)
 	for w := 0; w < threads; w++ {
-		w := w
-		m.sim.Spawn(fmt.Sprintf("svc.%d", w), th.VTime, func(wth *des.Thread) error {
-			ws := &svcWorkerState{w: w, role: fmt.Sprintf("svc.%d", w), lastIter: -1}
-			ws.restartsLeft = maxRestarts
-			wst := m.newStepper(wth, mainFr.clone())
-			wst.sharedActive = true
-			return m.svcServe(wth, wst, ws, mainFr, dispatch, join)
+		role := fmt.Sprintf("svc.%d", w)
+		m.sim.Spawn(role, th.VTime, func(th *des.Thread) error {
+			ws := &svcWorkerState{w: w, incarnation: incarnation{role: role, restartsLeft: maxRestarts}, lastIter: -1}
+			return m.svcServe(th, ws, mainFr, dispatch, join)
 		})
 	}
 
@@ -722,38 +713,36 @@ func (m *machine) svcDOALL(th *des.Thread, st *stepper, mainFr *frame, threads i
 		return m.failDiag
 	}
 	if lastFr != nil {
-		for slot := range m.bodyWrites() {
-			if !m.isShared(slot) {
-				mainFr.locals[slot] = lastFr.locals[slot]
-			}
-		}
+		m.mergeBodyWrites(mainFr, lastFr)
 	}
 	return nil
 }
 
-// svcServe is one pool worker's serve loop, shared by the original
-// incarnation and crash replacements. A scaled-down worker parks; crash
-// ticks fire at the top of an active pass, before anything is popped, so a
-// death never strands a request (completed work is output-committed at the
-// request boundary).
-func (m *machine) svcServe(th *des.Thread, st *stepper, ws *svcWorkerState, mainFr *frame, dispatch, join *des.Queue) error {
+// svcServe is one pool worker's serve loop over a fresh clone of the
+// loop-entry frame, shared by the original incarnation and crash
+// replacements. A scaled-down worker parks; crash ticks fire at the top of
+// an active pass, before anything is popped, so a death never strands a
+// request (completed work is output-committed at the request boundary).
+func (m *machine) svcServe(th *des.Thread, ws *svcWorkerState, mainFr *frame, dispatch, join *des.Queue) error {
 	sv := m.svc
+	st := m.newStepper(th, mainFr.clone())
+	st.sharedActive = true
 	fr := st.fr
-	serve := func(wk svcWork) {
-		sv.steals++
-		for i, v := range wk.locals {
-			fr.locals[i] = v
-		}
+	// serve runs one request. Request isolation: a failure is charged to
+	// this request alone; the worker stays up for the rest of the trace.
+	serve := func(wk svcWork) bool {
+		copy(fr.locals, wk.locals)
 		slow := m.straggleAt(ws.role)
 		start := th.VTime
 		err := m.runIterBody(st, fr)
 		straggleCharge(th, slow, th.VTime-start)
 		if err != nil {
 			sv.failed++
-			return
+			return false
 		}
 		ws.lastIter = wk.iter
 		sv.complete(wk.arrival, th.VTime, th.VTime-start)
+		return true
 	}
 	for {
 		if !sv.mayServe(ws.w) {
@@ -772,6 +761,7 @@ func (m *machine) svcServe(th *des.Thread, st *stepper, ws *svcWorkerState, main
 				} else if m.failed() {
 					sv.rejected++
 				} else {
+					sv.steals++
 					serve(wk)
 				}
 				continue
@@ -792,22 +782,7 @@ func (m *machine) svcServe(th *des.Thread, st *stepper, ws *svcWorkerState, main
 			sv.rejected++
 			continue
 		}
-		for i, v := range wk.locals {
-			fr.locals[i] = v
-		}
-		slow := m.straggleAt(ws.role)
-		start := th.VTime
-		if err := m.runIterBody(st, fr); err != nil {
-			// Request isolation: the failure is charged to this request
-			// alone; the worker stays up for the rest of the trace.
-			straggleCharge(th, slow, th.VTime-start)
-			sv.failed++
-			continue
-		}
-		straggleCharge(th, slow, th.VTime-start)
-		ws.lastIter = wk.iter
-		sv.complete(wk.arrival, th.VTime, th.VTime-start)
-		if m.checkpointing() {
+		if serve(wk) && m.checkpointing() {
 			// Output-commit at the request boundary: the response is
 			// externalized, so the role's resumable state is simply the top
 			// of the next pass.
@@ -818,43 +793,24 @@ func (m *machine) svcServe(th *des.Thread, st *stepper, ws *svcWorkerState, main
 	return nil
 }
 
-// svcCrash handles a crash tick on a pool worker. Transient deaths respawn
-// the role after the supervisor delay — stateless workers restore by cloning
-// the loop-entry frame, since completed requests were output-committed and
-// no request was in flight at the tick. Permanent deaths retire the role;
-// the pool absorbs its share, and the last death fails the run.
+// svcCrash handles a crash tick on a pool worker. Transient deaths are
+// restarted by the supervisor — stateless workers restore by cloning the
+// loop-entry frame, since completed requests were output-committed and no
+// request was in flight at the tick. Permanent deaths retire the role; the
+// pool absorbs its share, and the last death fails the run.
 func (m *machine) svcCrash(th *des.Thread, ws *svcWorkerState, mainFr *frame, dispatch, join *des.Queue, perm bool) error {
-	sv := m.svc
-	reason := "injected crash"
-	if perm {
-		reason = "injected permanent crash"
+	death, err := m.crash(th, ws.incarnation, ws.served, 0, perm)
+	if err != nil {
+		return err
 	}
-	if !perm && ws.restartsLeft <= 0 {
-		perm = true
-		reason = "crash with restart budget exhausted"
-	}
-	m.restarts = append(m.restarts, RestartRecord{
-		Thread: ws.role, VTime: th.VTime, Event: ws.served, Permanent: perm,
-	})
-	ri := len(m.restarts) - 1
-	m.sim.RecordDeath(ws.role, th.VTime, reason)
-	if perm {
-		sv.markDead(m, ws.w, th.VTime)
+	if death.Perm {
+		m.svc.markDead(m, ws.w, th.VTime)
 		th.Push(join, svcJoin{w: ws.w, fr: nil, lastIter: ws.lastIter})
 		return nil
 	}
-	m.stats.restarts++
-	n := ws.restartN + 1
-	ws2 := &svcWorkerState{
-		w: ws.w, role: ws.role, lastIter: ws.lastIter, served: ws.served,
-		restartsLeft: ws.restartsLeft - 1, restartN: n,
-	}
-	m.sim.Spawn(fmt.Sprintf("%s#r%d", ws.role, n), th.VTime+restartDelay, func(th2 *des.Thread) error {
-		th2.Charge(m.cfg.Cost.Restore)
-		m.restarts[ri].RecoveredVTime = th2.VTime
-		st2 := m.newStepper(th2, mainFr.clone())
-		st2.sharedActive = true
-		return m.svcServe(th2, st2, ws2, mainFr, dispatch, join)
+	m.restart(th, ws.incarnation, m.cfg.Cost.Restore, func(th *des.Thread, life incarnation) error {
+		ws2 := &svcWorkerState{w: ws.w, incarnation: life, lastIter: ws.lastIter, served: ws.served}
+		return m.svcServe(th, ws2, mainFr, dispatch, join)
 	})
 	return nil
 }
@@ -863,48 +819,17 @@ func (m *machine) svcCrash(th *des.Thread, ws *svcWorkerState, mainFr *frame, di
 // stage workers are the batch-mode ones (stageWorker/stageRun) — service
 // awareness lives in the token's arrival stamp, the last stage's completion
 // hook, and the accounting of discarded tokens; the crash/checkpoint layer
-// works unchanged.
+// works unchanged. Unlike the batch dispatcher, which stops at the first
+// failure, the service dispatcher isolates a failed request and keeps
+// serving. It runs stage 0 on the main frame directly, so it sends no join
+// message of its own.
 func (m *machine) svcPipeline(th *des.Thread, st *stepper, mainFr *frame, threads int) error {
 	sv := m.svc
-	stages := m.sched.Stages
-	if len(stages) < 2 {
-		return fmt.Errorf("exec: pipeline schedule needs at least 2 stages")
+	p, err := m.startPipeline(th, mainFr, threads)
+	if err != nil {
+		return err
 	}
-	reps := stageReps(stages, threads)
-	qs := make([][]*des.Queue, len(stages)-1)
-	for i := 0; i < len(stages)-1; i++ {
-		n := reps[i]
-		if reps[i+1] > n {
-			n = reps[i+1]
-		}
-		qs[i] = make([]*des.Queue, n)
-		for k := 0; k < n; k++ {
-			q := m.sim.NewQueue(fmt.Sprintf("q%d.%d", i, k), m.cfg.queueCap())
-			if m.cfg.PushDelay != nil {
-				name := q.Name
-				q.Stall = func() int64 { return m.cfg.PushDelay(name) }
-			}
-			qs[i][k] = q
-		}
-	}
-	owner := m.slotOwners()
-	nWorkers := 0
-	for si := 1; si < len(stages); si++ {
-		nWorkers += reps[si]
-	}
-	join := m.sim.NewQueue("pipe.join", nWorkers+1)
-	ff := m.flowForward()
-	for si := 1; si < len(stages); si++ {
-		for rep := 0; rep < reps[si]; rep++ {
-			si, rep := si, rep
-			m.sim.Spawn(fmt.Sprintf("stage%d.%d", si, rep), th.VTime, func(wth *des.Thread) error {
-				return m.stageWorker(wth, mainFr, si, rep, reps, qs, ff, join)
-			})
-		}
-	}
-
-	out := newWriters(qs[0], m.cfg.Tune.BatchSize())
-	fr := st.fr
+	out := newWriters(p.qs[0], m.cfg.Tune.BatchSize())
 	closed := false
 	var iter int64
 	for {
@@ -912,23 +837,9 @@ func (m *machine) svcPipeline(th *des.Thread, st *stepper, mainFr *frame, thread
 		if !ok {
 			break
 		}
-		locals := make([]value.Value, len(fr.locals))
-		copy(locals, fr.locals)
-		bad := false
-		for _, u := range stages[0].Units {
-			if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
-				m.fail("dispatcher", err)
-				sv.failed++
-				bad = true
-				break
-			}
-		}
-		if !bad {
-			for slot := range ff[0] {
-				locals[slot] = fr.locals[slot]
-			}
-			st.flush()
-			out[int(iter)%len(out)].push(th, token{iter: iter, arrival: req.arrival, locals: locals})
+		if err := m.dispatchIter(th, st, p, out, token{iter: iter, arrival: req.arrival}); err != nil {
+			m.fail("dispatcher", err)
+			sv.failed++
 		}
 		if _, err := st.runGroup(m.la.Units.Post); err != nil {
 			m.fail("dispatcher", err)
@@ -937,38 +848,8 @@ func (m *machine) svcPipeline(th *des.Thread, st *stepper, mainFr *frame, thread
 	}
 	sv.draining = true
 	st.flush()
-	for _, w := range out {
-		w.push(th, token{stop: true, poison: m.failed()})
-		w.flush(th)
-	}
-
-	type best struct {
-		iter int64
-		fr   *frame
-	}
-	finals := make([]best, len(stages))
-	for i := range finals {
-		finals[i].iter = -1
-	}
-	for i := 0; i < nWorkers; i++ {
-		j := th.Pop(join).(pipeJoin)
-		if j.lastIter > finals[j.stage].iter {
-			finals[j.stage] = best{iter: j.lastIter, fr: j.fr}
-		}
-	}
-	if m.failDiag != nil {
-		return m.failDiag
-	}
-	// Stage 0 ran on the main frame directly; merge the rest by ownership.
-	for slot, stg := range owner {
-		if stg == 0 || m.isShared(slot) {
-			continue
-		}
-		if finals[stg].fr != nil {
-			mainFr.locals[slot] = finals[stg].fr.locals[slot]
-		}
-	}
-	return nil
+	sendStop(th, out, m.failed())
+	return m.joinPipeline(th, p, mainFr, p.workers)
 }
 
 // ServiceRoster lists the worker roles a service run spawns, split into the
