@@ -301,19 +301,43 @@ func FaultCampaign(out io.Writer, opts CampaignOptions) (*FaultReport, error) {
 	return rep, nil
 }
 
-// cleanBaseline measures the fault-free makespan of one schedule cell (the
-// denominator of the recovery-cost overhead).
-func cleanBaseline(cp *Compiled, sched *transform.Schedule, mode exec.SyncMode, threads int) (int64, error) {
-	w := freshWorld(cp.WL)
-	res, err := exec.Run(exec.Config{
-		Prog:      cp.C.Low.Prog,
+// resilientConfig is the executor configuration of the fault, service and
+// steal campaigns: recovery armed, a 5M-event watchdog, and the world's
+// effectful builtins. A non-nil plan gets a fresh fault injector wired
+// into the builtins, queue pushes and TM commits, plus crash ticks when
+// the plan can kill a thread (arming the checkpoint layer only then keeps
+// crash-free cells on their exact timings) and straggler ticks when it can
+// slow one.
+func resilientConfig(c *pipeline.Compiled, w *builtins.World, plan *faults.Plan) exec.Config {
+	cfg := exec.Config{
+		Prog:      c.Low.Prog,
 		Builtins:  w.Fns(),
-		Model:     cp.C.Model,
+		Model:     c.Model,
 		Cost:      des.DefaultCostModel(),
 		Recovery:  exec.DefaultRecovery(),
 		Watchdog:  des.Watchdog{MaxEvents: 5_000_000},
 		Effectful: Effectful(w),
-	}, cp.LA, sched, mode, threads)
+	}
+	if plan == nil {
+		return cfg
+	}
+	inj := faults.NewInjector(*plan)
+	cfg.Builtins = inj.Wrap(cfg.Builtins)
+	cfg.PushDelay = inj.QueueDelay
+	cfg.ExtraAborts = inj.ExtraAborts
+	if plan.HasCrash() {
+		cfg.CrashCheck = inj.CrashNow
+	}
+	if plan.HasStraggler() {
+		cfg.Straggle = inj.SlowNow
+	}
+	return cfg
+}
+
+// cleanBaseline measures the fault-free makespan of one schedule cell (the
+// denominator of the recovery-cost overhead).
+func cleanBaseline(cp *Compiled, sched *transform.Schedule, mode exec.SyncMode, threads int) (int64, error) {
+	res, err := exec.Run(resilientConfig(cp.C, freshWorld(cp.WL), nil), cp.LA, sched, mode, threads)
 	if err != nil {
 		return 0, err
 	}
@@ -332,26 +356,8 @@ func runFaulted(cp *Compiled, sched *transform.Schedule, kind transform.Kind, mo
 	}
 	var lastW *builtins.World
 	fresh := func() exec.Config {
-		w := freshWorld(cp.WL)
-		lastW = w
-		inj := faults.NewInjector(plan)
-		cfg := exec.Config{
-			Prog:        cp.C.Low.Prog,
-			Builtins:    inj.Wrap(w.Fns()),
-			Model:       cp.C.Model,
-			Cost:        des.DefaultCostModel(),
-			Recovery:    exec.DefaultRecovery(),
-			Watchdog:    des.Watchdog{MaxEvents: 5_000_000},
-			PushDelay:   inj.QueueDelay,
-			ExtraAborts: inj.ExtraAborts,
-			Effectful:   Effectful(w),
-		}
-		if plan.HasCrash() {
-			// Arm the checkpoint layer only for plans that can kill a
-			// thread, so crash-free cells keep their exact legacy timings.
-			cfg.CrashCheck = inj.CrashNow
-		}
-		return cfg
+		lastW = freshWorld(cp.WL)
+		return resilientConfig(cp.C, lastW, &plan)
 	}
 	accept := func(parallel bool) error {
 		// Sequential fallbacks replay the exact sequential output; parallel

@@ -159,36 +159,12 @@ func (sc *svcCompiled) fresh() *builtins.World {
 	return w
 }
 
-// config assembles the executor configuration for one run, optionally wired
-// through a fault injector.
-func (sc *svcCompiled) config(w *builtins.World, plan *faults.Plan) exec.Config {
-	cfg := exec.Config{
-		Prog:      sc.cp.C.Low.Prog,
-		Builtins:  w.Fns(),
-		Model:     sc.cp.C.Model,
-		Cost:      des.DefaultCostModel(),
-		Recovery:  exec.DefaultRecovery(),
-		Watchdog:  des.Watchdog{MaxEvents: 5_000_000},
-		Effectful: Effectful(w),
-	}
-	if plan != nil {
-		inj := faults.NewInjector(*plan)
-		cfg.Builtins = inj.Wrap(w.Fns())
-		cfg.PushDelay = inj.QueueDelay
-		cfg.ExtraAborts = inj.ExtraAborts
-		if plan.HasCrash() {
-			cfg.CrashCheck = inj.CrashNow
-		}
-	}
-	return cfg
-}
-
 // capacity measures the schedule's closed-loop speedup over the
 // service-sized world — the denominator every utilization target is paced
 // against.
 func (sc *svcCompiled) capacity(sched *transform.Schedule, mode exec.SyncMode, threads int) (float64, error) {
 	w := sc.fresh()
-	res, err := exec.Run(sc.config(w, nil), sc.cp.LA, sched, mode, threads)
+	res, err := exec.Run(resilientConfig(sc.cp.C, w, nil), sc.cp.LA, sched, mode, threads)
 	if err != nil {
 		return 0, fmt.Errorf("bench: capacity %s %s/%v: %w", sc.svc.Name, sched.String(), mode, err)
 	}
@@ -247,7 +223,7 @@ func (sc *svcCompiled) svcConfig(trace string, seed uint64, gap float64, scaler 
 // consistent with the sequential reference.
 func (sc *svcCompiled) runChecked(sched *transform.Schedule, mode exec.SyncMode, threads int, svcCfg exec.ServiceConfig, plan *faults.Plan, tune transform.Tuning) (*exec.ServiceResult, error) {
 	w := sc.fresh()
-	cfg := sc.config(w, plan)
+	cfg := resilientConfig(sc.cp.C, w, plan)
 	cfg.Tune = tune
 	res, err := exec.RunService(cfg, svcCfg, sc.cp.LA, sched, mode, threads)
 	if err != nil {
@@ -271,7 +247,7 @@ func (sc *svcCompiled) runResilient(sched *transform.Schedule, mode exec.SyncMod
 		if mkPlan != nil {
 			plan = mkPlan()
 		}
-		return sc.config(w, plan), mkSvc()
+		return resilientConfig(sc.cp.C, w, plan), mkSvc()
 	}
 	accept := func(res *exec.ServiceResult) error {
 		return sc.svc.Validate(sc.seqWorld, lastW, res.Completed)

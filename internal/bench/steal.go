@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/transform"
-	"repro/internal/vm/des"
 	"repro/internal/vm/exec"
 	"repro/internal/workloads"
 )
@@ -110,28 +109,8 @@ func runStealCell(cp *Compiled, threads int, plan *faults.Plan, steal bool) (Ste
 	mode := cp.WL.Syncs()[0]
 	run := func() (*exec.Result, error) {
 		w := freshWorld(cp.WL)
-		cfg := exec.Config{
-			Prog:      cp.C.Low.Prog,
-			Builtins:  w.Fns(),
-			Model:     cp.C.Model,
-			Cost:      des.DefaultCostModel(),
-			Recovery:  exec.DefaultRecovery(),
-			Watchdog:  des.Watchdog{MaxEvents: 5_000_000},
-			Effectful: Effectful(w),
-			Tune:      transform.Tuning{Steal: steal},
-		}
-		if plan != nil {
-			inj := faults.NewInjector(*plan)
-			cfg.Builtins = inj.Wrap(w.Fns())
-			cfg.PushDelay = inj.QueueDelay
-			cfg.ExtraAborts = inj.ExtraAborts
-			if plan.HasCrash() {
-				cfg.CrashCheck = inj.CrashNow
-			}
-			if plan.HasStraggler() {
-				cfg.Straggle = inj.SlowNow
-			}
-		}
+		cfg := resilientConfig(cp.C, w, plan)
+		cfg.Tune = transform.Tuning{Steal: steal}
 		res, err := exec.Run(cfg, cp.LA, sched, mode, threads)
 		if err != nil {
 			return nil, err
