@@ -540,9 +540,9 @@ func RunService(cfg Config, svc ServiceConfig, la *pipeline.LoopAnalysis, sched 
 	return res, err
 }
 
-// serveTrace is the service loop of runMain: it opens the ingress queue, starts
-// the arrival and controller threads, and serves the trace under the
-// schedule.
+// serveTrace is the service loop of runMain: it opens the ingress queue,
+// starts the arrival and controller threads, and serves the trace under
+// the schedule.
 func (m *machine) serveTrace(th *des.Thread, fr *frame, threads int) error {
 	sv := m.svc
 	sv.ingress = m.sim.NewQueue("ingress", sv.cfg.ingressCap()+1) // +1: the stop sentinel never blocks admission
