@@ -147,6 +147,47 @@ func TestHMMSubstrate(t *testing.T) {
 	callErr(t, w, "matrix_free", mat)
 	callErr(t, w, "matrix_alloc", value.Int(0))
 	callErr(t, w, "seq_gen", value.Int(-1))
+
+	// Raw file bytes are not residues: scoring them is an argument error at
+	// every size, not an out-of-range read of the emission scores.
+	w.AddFile("raw.dat", 64)
+	raw := call(t, w, "fread_all", call(t, w, "fopen_idx", value.Int(0)))
+	for _, n := range []int64{1, 4, 100} {
+		callErr(t, w, "hmm_score", raw, call(t, w, "matrix_alloc", value.Int(n)))
+	}
+}
+
+// TestAllocSizeBounds checks the one bound on sizes the substrate allocates
+// from program input: out-of-range sizes are argument errors, not host
+// panics.
+func TestAllocSizeBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int64
+		ok   bool
+	}{
+		{"seq_gen", 0, false},
+		{"seq_gen", 1, true},
+		{"seq_gen", maxAllocSize, true},
+		{"seq_gen", maxAllocSize + 1, false},
+		{"seq_gen", 1 << 50, false},
+		{"matrix_alloc", 0, false},
+		{"matrix_alloc", 1, true},
+		{"matrix_alloc", maxAllocSize, true},
+		{"matrix_alloc", maxAllocSize + 1, false},
+		{"matrix_alloc", 1 << 44, false},
+		{"bitmap_new", -1000, false},
+		{"bitmap_new", -1, false},
+		{"bitmap_new", 0, true},
+		{"bitmap_new", maxAllocSize, true},
+		{"bitmap_new", maxAllocSize + 1, false},
+	} {
+		w := NewWorld()
+		_, _, err := w.reg[tc.name].Fn([]value.Value{value.Int(tc.n)})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s(%d): err = %v, want ok = %v", tc.name, tc.n, err, tc.ok)
+		}
+	}
 }
 
 func TestMiningSubstrate(t *testing.T) {

@@ -20,8 +20,8 @@ func (w *World) registerHMM() {
 	w.register("seq_gen", []ast.Type{ast.TInt}, ast.TInt, rw("rng.seed"),
 		func(args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
-			if n <= 0 {
-				return value.Value{}, 0, errArg("seq_gen", "non-positive length")
+			if err := checkSize("seq_gen", n, 1); err != nil {
+				return value.Value{}, 0, err
 			}
 			seq := make([]byte, n)
 			for i := range seq {
@@ -37,8 +37,8 @@ func (w *World) registerHMM() {
 	w.register("matrix_alloc", []ast.Type{ast.TInt}, ast.TInt, rw("heap.matrix"),
 		func(args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
-			if n <= 0 {
-				return value.Value{}, 0, errArg("matrix_alloc", "non-positive size")
+			if err := checkSize("matrix_alloc", n, 1); err != nil {
+				return value.Value{}, 0, err
 			}
 			h := w.nextMat
 			w.nextMat++
@@ -82,7 +82,8 @@ func (w *World) registerHMM() {
 		})
 
 	// hmm_score runs a small Viterbi-style dynamic program of the sequence
-	// against the matrix: the real compute of the loop.
+	// against the matrix: the real compute of the loop. Residues must come
+	// from the alphabet (seq_gen draws them; raw file bytes do not qualify).
 	w.register("hmm_score", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
 		func(args []value.Value) (value.Value, int64, error) {
 			seq, err := w.buf(args[0].AsInt())
@@ -93,6 +94,11 @@ func (w *World) registerHMM() {
 			m, ok := w.matrices[mat]
 			if !ok {
 				return value.Value{}, 0, errArg("hmm_score", "bad matrix handle")
+			}
+			for _, r := range seq {
+				if r >= hmmAlphabet {
+					return value.Value{}, 0, errArg("hmm_score", "residue outside the alphabet")
+				}
 			}
 			states := len(m) / hmmAlphabet
 			cost := int64(len(seq)) * int64(states) * 3

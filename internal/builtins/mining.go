@@ -85,6 +85,9 @@ func (w *World) registerMining() {
 	w.register("bitmap_new", []ast.Type{ast.TInt}, ast.TInt, allocates(rw("bitmaps"), "bitmaps"),
 		func(args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
+			if err := checkSize("bitmap_new", n, 0); err != nil {
+				return value.Value{}, 0, err
+			}
 			w.bitmaps = append(w.bitmaps, make([]uint64, (n+63)/64))
 			return value.Int(int64(len(w.bitmaps) - 1)), 80, nil
 		})

@@ -222,6 +222,21 @@ func (w *World) Fns() map[string]interp.BuiltinFn {
 // errArg standardizes substrate argument errors.
 func errArg(name, msg string) error { return fmt.Errorf("builtin %s: %s", name, msg) }
 
+// maxAllocSize bounds every size the substrate allocates from program
+// input (seq_gen lengths, matrix_alloc states, bitmap_new bits): a larger
+// size is an argument error, not a makeslice panic or an exhausted host
+// heap. The workloads use at most 192.
+const maxAllocSize = 1 << 20
+
+// checkSize rejects an allocation size n of builtin name outside
+// [lo, maxAllocSize].
+func checkSize(name string, n, lo int64) error {
+	if n < lo || n > maxAllocSize {
+		return errArg(name, fmt.Sprintf("size %d outside [%d, %d]", n, lo, maxAllocSize))
+	}
+	return nil
+}
+
 // --- core: console, conversions, synthetic compute ---
 
 func rw(tags ...string) effects.Decl {
