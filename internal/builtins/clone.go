@@ -28,12 +28,9 @@ func (w *World) Clone() *World {
 
 	c.seed = w.seed
 
-	// Matrix contents are never written after matrix_alloc (deallocation is
-	// deferred and marks freedMats only), so clones share the backing
-	// arrays instead of deep-copying them.
-	c.matrices = make(map[int64][]float64, len(w.matrices))
-	for h, m := range w.matrices {
-		c.matrices[h] = m
+	c.matrices = make(map[int64]int, len(w.matrices))
+	for h, n := range w.matrices {
+		c.matrices[h] = n
 	}
 	c.freedMats = make(map[int64]bool, len(w.freedMats))
 	for h, v := range w.freedMats {
@@ -168,11 +165,11 @@ func (w *World) ObservableState(base Baseline) map[string]string {
 	out["fs.buf.fresh"] = multiset(freshBufs)
 
 	var freshMats []string
-	for h, m := range w.matrices {
-		// Matrices are immutable after creation, so their rendering is
-		// memoized by backing-array identity (the arrays are shared across
-		// clones and recur on every replay diff).
-		r := cachedFloatRender(m, func() string { return renderFloats(m) })
+	for h, n := range w.matrices {
+		// A matrix is a pure function of handle and state count, so its
+		// rendering is memoized by both (matrices recur on every replay
+		// diff).
+		r := cachedRender(h, n, func() string { return renderMatrix(h, n) })
 		if h < base.NextMat {
 			out[fmt.Sprintf("hmm.mat:%d", h)] = r
 		} else {
@@ -270,6 +267,20 @@ func renderFloats(s []float64) string {
 			buf = append(buf, ',')
 		}
 		buf = strconv.AppendFloat(buf, v, 'g', 9, 64)
+	}
+	return string(buf)
+}
+
+// renderMatrix renders matrix h with n states as renderFloats renders its
+// cells, generating them in storage order.
+func renderMatrix(h int64, n int) string {
+	cells := n * hmmAlphabet
+	buf := make([]byte, 0, 12*cells)
+	for i := 0; i < cells; i++ {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendFloat(buf, emission(h, i), 'g', 9, 64)
 	}
 	return string(buf)
 }

@@ -3,31 +3,32 @@ package builtins
 import "sync"
 
 // Substrate memoization. Substrate contents are deterministic functions of
-// their generation parameters (AddFile data from the file index, matrices
-// from the handle, transaction rows from a fixed seed), and several heavy
-// builtins are pure functions of immutable inputs (md5_buf, hmm_score,
-// burn). Worlds therefore share generated data and memoize those results
-// across runs and campaign cells — virtual cost accounting is untouched,
-// only redundant host work disappears.
+// their generation parameters (AddFile data from the file index,
+// transaction rows from a fixed seed, matrices from the handle and state
+// count), and several heavy builtins are pure functions of immutable
+// inputs (md5_buf, hmm_score, burn). Worlds therefore share generated data
+// and memoize those results across runs and campaign cells — virtual cost
+// accounting is untouched, only redundant host work disappears. Matrices
+// are never stored: their scores are derived from the handle (hmm.go), so
+// only their observable-state renderings are memoized.
 //
-// All cached data is immutable by construction: file data, matrix
-// contents, and transaction rows are never written after creation (the
-// substrate's only mutating operations replace whole handles or write
-// distinct state). Caches are guarded by one mutex — campaign cells on
-// host-parallel runs share them safely — and reset when they outgrow
-// fastCacheCap so long campaigns cannot accumulate unbounded memory.
+// All cached data is immutable by construction: file data and transaction
+// rows are never written after creation (the substrate's only mutating
+// operations replace whole handles or write distinct state). Caches are
+// guarded by one mutex — campaign cells on host-parallel runs share them
+// safely — and reset when they outgrow fastCacheCap so long campaigns
+// cannot accumulate unbounded memory.
 
 const fastCacheCap = 1 << 14
 
 var (
-	fastMu     sync.Mutex
-	fileCache  map[fileKey][]byte
-	matCache   map[matKey][]float64
-	txnCache   map[txnKey][][]int64
-	md5Cache   map[bufKey]string
-	scoreCache map[scoreKey]int64
-	burnCache  map[int64]int64
-	fltCache   map[floatsKey]string
+	fastMu      sync.Mutex
+	fileCache   map[fileKey][]byte
+	txnCache    map[txnKey][][]int64
+	md5Cache    map[bufKey]string
+	scoreCache  map[scoreKey]int64
+	burnCache   map[int64]int64
+	renderCache map[matKey]string
 )
 
 type fileKey struct {
@@ -37,7 +38,7 @@ type fileKey struct {
 
 type matKey struct {
 	h int64
-	n int64
+	n int
 }
 
 type txnKey struct {
@@ -56,14 +57,7 @@ type scoreKey struct {
 	seqHash uint64
 	seqLen  int
 	mat     int64
-	matLen  int
-}
-
-// floatsKey identifies a float slice by backing-array identity, with the
-// same liveness argument as bufKey.
-type floatsKey struct {
-	p *float64
-	n int
+	states  int
 }
 
 // cachedFileData returns the deterministic content of file idx with the
@@ -84,26 +78,6 @@ func cachedFileData(idx, size int, gen func() []byte) []byte {
 	data := gen()
 	fileCache[key] = data
 	return data
-}
-
-// cachedMatrix returns the deterministic emission matrix for handle h with
-// n states, shared read-only across worlds.
-func cachedMatrix(h, n int64, gen func() []float64) []float64 {
-	key := matKey{h, n}
-	fastMu.Lock()
-	defer fastMu.Unlock()
-	if m, ok := matCache[key]; ok {
-		return m
-	}
-	if len(matCache) >= fastCacheCap {
-		matCache = nil
-	}
-	if matCache == nil {
-		matCache = map[matKey][]float64{}
-	}
-	m := gen()
-	matCache[key] = m
-	return m
 }
 
 // cachedTransactions returns the deterministic transaction database for
@@ -156,7 +130,7 @@ func cachedMD5(b []byte, gen func() string) string {
 // cachedScore memoizes hmm_score results. The sequence is identified by a
 // content hash (sequences are RNG-draw dependent, so identical contents
 // recur across schedules and repeated runs), the matrix by its handle and
-// length (matrix content is a pure function of both).
+// state count (its scores are a pure function of both).
 func cachedScore(key scoreKey, gen func() int64) int64 {
 	fastMu.Lock()
 	if v, ok := scoreCache[key]; ok {
@@ -198,30 +172,25 @@ func cachedBurn(n int64, gen func() int64) int64 {
 	return v
 }
 
-// cachedFloatRender memoizes the observable-state rendering of an
-// immutable float slice by backing-array identity (matrix contents, which
-// worlds share and the sanitizer re-renders on every replay diff). Callers
-// must only pass slices that are never written after creation.
-func cachedFloatRender(s []float64, gen func() string) string {
-	if len(s) == 0 {
-		return gen()
-	}
-	key := floatsKey{&s[0], len(s)}
+// cachedRender memoizes the observable-state rendering of matrix h with n
+// states, which the sanitizer re-renders on every replay diff.
+func cachedRender(h int64, n int, gen func() string) string {
+	key := matKey{h, n}
 	fastMu.Lock()
-	if r, ok := fltCache[key]; ok {
+	if r, ok := renderCache[key]; ok {
 		fastMu.Unlock()
 		return r
 	}
 	fastMu.Unlock()
 	r := gen()
 	fastMu.Lock()
-	if len(fltCache) >= fastCacheCap {
-		fltCache = nil
+	if len(renderCache) >= fastCacheCap {
+		renderCache = nil
 	}
-	if fltCache == nil {
-		fltCache = map[floatsKey]string{}
+	if renderCache == nil {
+		renderCache = map[matKey]string{}
 	}
-	fltCache[key] = r
+	renderCache[key] = r
 	fastMu.Unlock()
 	return r
 }
@@ -230,8 +199,8 @@ func cachedFloatRender(s []float64, gen func() string) string {
 // calls it before each operation so every operation starts cold.
 func ResetFastCaches() {
 	fastMu.Lock()
-	fileCache, matCache, txnCache, md5Cache = nil, nil, nil, nil
-	scoreCache, burnCache, fltCache = nil, nil, nil
+	fileCache, txnCache, md5Cache = nil, nil, nil
+	scoreCache, burnCache, renderCache = nil, nil, nil
 	fastMu.Unlock()
 }
 

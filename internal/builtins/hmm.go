@@ -11,8 +11,33 @@ import (
 // a freshly allocated matrix, update a histogram, and free the matrix. The
 // matrix allocator and the histogram are shared library state; the score
 // itself is pure compute that dominates the iteration.
+//
+// A matrix stores nothing but its state count. Its emission scores are a
+// pure function of the handle: cell i (state i/20, residue i%20) of matrix
+// h is emissionScore[(h*emitHandleMul + i*emitCellMul) mod 2^64 mod 1000],
+// so allocation stays independent of the shared seed (it commutes with
+// sequence generation), and scoring and rendering generate cells as they
+// go instead of reading a filled array.
 
 const hmmAlphabet = 20
+
+const (
+	emitHandleMul = 0x9e3779b97f4a7c15
+	emitCellMul   = 0xbf58476d1ce4e5b9
+)
+
+// emissionScore holds the 1000 distinct emission scores, -0.5 to 0.499.
+var emissionScore = func() (t [1000]float64) {
+	for k := range t {
+		t[k] = float64(k)/1000.0 - 0.5
+	}
+	return t
+}()
+
+// emission returns cell i of matrix h.
+func emission(h int64, i int) float64 {
+	return emissionScore[(uint64(h)*emitHandleMul+uint64(i)*emitCellMul)%1000]
+}
 
 func (w *World) registerHMM() {
 	// seq_gen draws a random sequence of the given length from the shared
@@ -42,17 +67,7 @@ func (w *World) registerHMM() {
 			}
 			h := w.nextMat
 			w.nextMat++
-			m := cachedMatrix(h, n, func() []float64 {
-				m := make([]float64, n*hmmAlphabet)
-				for i := range m {
-					// Deterministic emission scores independent of the shared
-					// seed (so allocation commutes with sequence generation).
-					x := uint64(h)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9
-					m[i] = float64(x%1000)/1000.0 - 0.5
-				}
-				return m
-			})
-			w.matrices[h] = m
+			w.matrices[h] = int(n)
 			w.liveMats++
 			if w.liveMats > w.MaxLiveMats {
 				w.MaxLiveMats = w.liveMats
@@ -61,7 +76,7 @@ func (w *World) registerHMM() {
 		})
 
 	// matrix_free releases the matrix with deferred-deallocation semantics:
-	// the backing store stays readable until the world is discarded (an
+	// the matrix stays readable until the world is discarded (an
 	// epoch/arena allocator). This stands in for the alias analysis the
 	// paper relies on — a schedule may only reorder frees against uses of
 	// *other* iterations' matrices, and deferred reclamation makes that
@@ -91,7 +106,7 @@ func (w *World) registerHMM() {
 				return value.Value{}, 0, err
 			}
 			mat := args[1].AsInt()
-			m, ok := w.matrices[mat]
+			states, ok := w.matrices[mat]
 			if !ok {
 				return value.Value{}, 0, errArg("hmm_score", "bad matrix handle")
 			}
@@ -100,38 +115,17 @@ func (w *World) registerHMM() {
 					return value.Value{}, 0, errArg("hmm_score", "residue outside the alphabet")
 				}
 			}
-			states := len(m) / hmmAlphabet
 			cost := int64(len(seq)) * int64(states) * 3
-			dp := func() int64 {
-				prev := make([]float64, states)
-				cur := make([]float64, states)
-				for _, r := range seq {
-					for s := 0; s < states; s++ {
-						best := prev[s]
-						if s > 0 && prev[s-1] > best {
-							best = prev[s-1]
-						}
-						cur[s] = best + m[s*hmmAlphabet+int(r)]
-					}
-					prev, cur = cur, prev
-				}
-				best := prev[0]
-				for _, v := range prev {
-					if v > best {
-						best = v
-					}
-				}
-				return int64(best * 100)
-			}
 			// The score is a pure function of the sequence content and the
-			// matrix (itself a pure function of handle and size), so it is
-			// content-addressed: identical sequences recur across schedules
-			// and repeated runs, and hashing is ~100x cheaper than the
-			// dynamic program.
+			// matrix (itself a pure function of handle and state count), so
+			// it is content-addressed: identical sequences recur across
+			// schedules and repeated runs, and a memo hit, hashing included,
+			// is ~140x cheaper than the dynamic program at the workload's 48
+			// residues x 100 states.
 			score := cachedScore(scoreKey{
 				seqHash: hashBytes(seq), seqLen: len(seq),
-				mat: mat, matLen: len(m),
-			}, dp)
+				mat: mat, states: states,
+			}, func() int64 { return w.viterbi(seq, mat, states) })
 			return value.Int(score), cost, nil
 		})
 
@@ -152,3 +146,42 @@ func (w *World) registerHMM() {
 
 // LiveMatrices reports currently allocated matrices (leak checks in tests).
 func (w *World) LiveMatrices() int { return w.liveMats }
+
+// viterbi scores seq against the states-state matrix h. The two DP rows
+// are the world's scratch: the simulator runs one thread at a time, and a
+// builtin never yields, so no two scores share them.
+func (w *World) viterbi(seq []byte, h int64, states int) int64 {
+	if cap(w.hmmRows) < 2*states {
+		w.hmmRows = make([]float64, 2*states)
+	}
+	prev, cur := w.hmmRows[:states], w.hmmRows[states:2*states]
+	clear(prev)
+	cell := uint64(emitCellMul)
+	base := uint64(h) * emitHandleMul
+	for _, r := range seq {
+		viterbiRow(cur, prev, base+uint64(r)*cell)
+		prev, cur = cur, prev
+	}
+	best := prev[0]
+	for _, v := range prev[1:] {
+		best = max(best, v)
+	}
+	return int64(best * 100)
+}
+
+// viterbiRow fills cur from prev for one residue whose state-0 cell hashes
+// to x. Cell (s, r) is emission(h, s*hmmAlphabet+r), so each state advances
+// the hash by hmmAlphabet*emitCellMul. max replaces a compare-and-branch
+// that mispredicts on random scores; the two agree because no score is NaN
+// or -0. With cur resliced to prev's length, the loop compiles with no
+// bounds checks.
+func viterbiRow(cur, prev []float64, x uint64) {
+	cell := uint64(emitCellMul)
+	step := cell * hmmAlphabet
+	cur = cur[:len(prev)]
+	cur[0] = prev[0] + emissionScore[x%1000]
+	for s := 1; s < len(prev); s++ {
+		x += step
+		cur[s] = max(prev[s], prev[s-1]) + emissionScore[x%1000]
+	}
+}

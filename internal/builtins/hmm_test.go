@@ -109,3 +109,14 @@ func TestMatrixRenderingMatchesStoredMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestViterbiAllocFree checks that scoring reuses the world's rows: once
+// they are sized, a score allocates nothing.
+func TestViterbiAllocFree(t *testing.T) {
+	w := NewWorld()
+	seq := w.bufs[call(t, w, "seq_gen", value.Int(48)).AsInt()]
+	w.viterbi(seq, 1, 100)
+	if n := testing.AllocsPerRun(100, func() { w.viterbi(seq, 1, 100) }); n != 0 {
+		t.Errorf("viterbi allocates %v times per score", n)
+	}
+}

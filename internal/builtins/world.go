@@ -52,14 +52,17 @@ type World struct {
 	// RNG: one shared seed, as in the paper's benchmarks.
 	seed uint64
 
-	// Matrices (hmmer scoring). freedMats implements deferred
-	// deallocation (see matrix_free).
-	matrices  map[int64][]float64
+	// Matrices (hmmer scoring): each handle's state count, its emission
+	// scores being derived from the handle (see hmm.go). freedMats
+	// implements deferred deallocation (see matrix_free).
+	matrices  map[int64]int
 	freedMats map[int64]bool
 	nextMat   int64
 	liveMats  int
 	// MaxLiveMats tracks the allocator high-water mark.
 	MaxLiveMats int
+	// hmmRows is hmm_score's two-row dynamic-programming scratch.
+	hmmRows []float64
 
 	// Histogram (hmmer).
 	histo      map[int64]int64
@@ -138,7 +141,7 @@ func NewWorld() *World {
 		openFiles: map[int64]*file{},
 		nextFD:    1,
 		seed:      0x2545F4914F6CDD1D,
-		matrices:  map[int64][]float64{},
+		matrices:  map[int64]int{},
 		freedMats: map[int64]bool{},
 		nextMat:   1,
 		histo:     map[int64]int64{},
