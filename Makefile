@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt staticcheck race bench-campaigns bench-perf-smoke verify
+.PHONY: all build test vet fmt staticcheck race bench-layers bench-campaigns bench-perf-smoke verify
 
 all: build
 
@@ -29,6 +29,12 @@ staticcheck:
 race:
 	$(GO) test -race -timeout 5m ./...
 
+# Every per-layer Go benchmark (DES scheduler, interpreter, builtin
+# substrate), one iteration each: go test ./... never runs a benchmark, so
+# this keeps them building and running.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
 # The gated campaigns, CI-sized: the analyzer precision gate (corpus
 # expectations including the commute verifier's commutes/refutes pins,
 # every workload variant warning-free), the auto-scheduler schedule
@@ -49,6 +55,6 @@ bench-perf-smoke:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The full pre-merge gate: build, vet (plus staticcheck when installed),
-# formatting, the race-enabled test suite, the gated campaigns, and the
-# host-time benchmark smoke.
-verify: build vet staticcheck fmt race bench-campaigns bench-perf-smoke
+# formatting, the race-enabled test suite, the per-layer benchmarks, the
+# gated campaigns, and the host-time benchmark smoke.
+verify: build vet staticcheck fmt race bench-layers bench-campaigns bench-perf-smoke
