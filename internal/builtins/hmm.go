@@ -16,14 +16,17 @@ import (
 // pure function of the handle: cell i (state i/20, residue i%20) of matrix
 // h is emissionScore[(h*emitHandleMul + i*emitCellMul) mod 2^64 mod 1000],
 // so allocation stays independent of the shared seed (it commutes with
-// sequence generation), and scoring and rendering generate cells as they
-// go instead of reading a filled array.
+// sequence generation), and scoring and rendering generate the cells they
+// read.
 
 const hmmAlphabet = 20
 
 const (
 	emitHandleMul = 0x9e3779b97f4a7c15
 	emitCellMul   = 0xbf58476d1ce4e5b9
+	// emitStateStep moves the cell hash one state (hmmAlphabet cells)
+	// on, wrapped to 64 bits as the hash itself is.
+	emitStateStep = (hmmAlphabet * emitCellMul) & (1<<64 - 1)
 )
 
 // emissionScore holds the 1000 distinct emission scores, -0.5 to 0.499.
@@ -156,10 +159,9 @@ func (w *World) viterbi(seq []byte, h int64, states int) int64 {
 	}
 	prev, cur := w.hmmRows[:states], w.hmmRows[states:2*states]
 	clear(prev)
-	cell := uint64(emitCellMul)
 	base := uint64(h) * emitHandleMul
 	for _, r := range seq {
-		viterbiRow(cur, prev, base+uint64(r)*cell)
+		viterbiRow(cur, prev, base+uint64(r)*emitCellMul)
 		prev, cur = cur, prev
 	}
 	best := prev[0]
@@ -170,18 +172,16 @@ func (w *World) viterbi(seq []byte, h int64, states int) int64 {
 }
 
 // viterbiRow fills cur from prev for one residue whose state-0 cell hashes
-// to x. Cell (s, r) is emission(h, s*hmmAlphabet+r), so each state advances
-// the hash by hmmAlphabet*emitCellMul. max replaces a compare-and-branch
-// that mispredicts on random scores; the two agree because no score is NaN
+// to x; each further state is emitStateStep on. A state keeps the better of
+// its two predecessors through max, not a compare-and-branch: the branch
+// mispredicts on random scores, and the two agree because no score is NaN
 // or -0. With cur resliced to prev's length, the loop compiles with no
 // bounds checks.
 func viterbiRow(cur, prev []float64, x uint64) {
-	cell := uint64(emitCellMul)
-	step := cell * hmmAlphabet
 	cur = cur[:len(prev)]
 	cur[0] = prev[0] + emissionScore[x%1000]
 	for s := 1; s < len(prev); s++ {
-		x += step
+		x += emitStateStep
 		cur[s] = max(prev[s], prev[s-1]) + emissionScore[x%1000]
 	}
 }

@@ -52,8 +52,8 @@ type World struct {
 	// RNG: one shared seed, as in the paper's benchmarks.
 	seed uint64
 
-	// Matrices (hmmer scoring): each handle's state count, its emission
-	// scores being derived from the handle (see hmm.go). freedMats
+	// Matrices (hmmer scoring): the state count of each handle, whose
+	// emission scores are derived from the handle (see hmm.go). freedMats
 	// implements deferred deallocation (see matrix_free).
 	matrices  map[int64]int
 	freedMats map[int64]bool
