@@ -12,9 +12,9 @@ import (
 // sequence is new, so each hmm_score runs the dynamic program. Argument
 // slices are reused across calls, as the interpreter's call arena does.
 func BenchmarkHMMIteration(b *testing.B) {
-	w := NewWorld()
-	seqGen, alloc := w.reg["seq_gen"].Fn, w.reg["matrix_alloc"].Fn
-	score, histo, free := w.reg["hmm_score"].Fn, w.reg["histogram_add"].Fn, w.reg["matrix_free"].Fn
+	fns := NewWorld().Fns()
+	seqGen, alloc := fns["seq_gen"], fns["matrix_alloc"]
+	score, histo, free := fns["hmm_score"], fns["histogram_add"], fns["matrix_free"]
 	one, two := make([]value.Value, 1), make([]value.Value, 2)
 	must := func(v value.Value, _ int64, err error) value.Value {
 		if err != nil {

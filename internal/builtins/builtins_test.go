@@ -10,11 +10,11 @@ import (
 // call invokes a builtin on a world, failing the test on error.
 func call(t *testing.T, w *World, name string, args ...value.Value) value.Value {
 	t.Helper()
-	b := w.reg[name]
-	if b == nil {
+	fn := w.Fns()[name]
+	if fn == nil {
 		t.Fatalf("no builtin %s", name)
 	}
-	v, cost, err := b.Fn(args)
+	v, cost, err := fn(args)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -27,11 +27,11 @@ func call(t *testing.T, w *World, name string, args ...value.Value) value.Value 
 // callErr invokes a builtin expecting an error.
 func callErr(t *testing.T, w *World, name string, args ...value.Value) error {
 	t.Helper()
-	b := w.reg[name]
-	if b == nil {
+	fn := w.Fns()[name]
+	if fn == nil {
 		t.Fatalf("no builtin %s", name)
 	}
-	_, _, err := b.Fn(args)
+	_, _, err := fn(args)
 	if err == nil {
 		t.Fatalf("%s: expected error", name)
 	}
@@ -183,7 +183,7 @@ func TestAllocSizeBounds(t *testing.T) {
 		{"bitmap_new", maxAllocSize + 1, false},
 	} {
 		w := NewWorld()
-		_, _, err := w.reg[tc.name].Fn([]value.Value{value.Int(tc.n)})
+		_, _, err := w.Fns()[tc.name]([]value.Value{value.Int(tc.n)})
 		if (err == nil) != tc.ok {
 			t.Errorf("%s(%d): err = %v, want ok = %v", tc.name, tc.n, err, tc.ok)
 		}
@@ -390,19 +390,19 @@ func TestCoreBuiltins(t *testing.T) {
 		t.Error("int_to_str")
 	}
 	// burn is stateless: same input, same output, cost equals n.
-	b := w.reg["burn"]
-	v1, c1, _ := b.Fn([]value.Value{value.Int(640)})
-	v2, c2, _ := b.Fn([]value.Value{value.Int(640)})
+	burn := w.Fns()["burn"]
+	v1, c1, _ := burn([]value.Value{value.Int(640)})
+	v2, c2, _ := burn([]value.Value{value.Int(640)})
 	if !v1.Equal(v2) || c1 != 640 || c2 != 640 {
 		t.Errorf("burn not stateless/mispriced: %v/%d vs %v/%d", v1, c1, v2, c2)
 	}
 	// Pure builtins are flagged for predicate use.
 	for _, name := range []string{"itof", "ftoi", "iabs", "burn"} {
-		if !w.reg[name].Sig.Pure {
+		if !w.Sigs()[name].Pure {
 			t.Errorf("%s should be pure", name)
 		}
 	}
-	if w.reg["rng_int"].Sig.Pure {
+	if w.Sigs()["rng_int"].Pure {
 		t.Error("rng_int must not be pure")
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Clone deep-copies the world's mutable state into a fresh World whose
-// builtin closures capture the copy. Immutable payloads (file data,
+// Clone deep-copies the world's mutable state into a fresh World, to which
+// the copy's Fns bind the builtins. Immutable payloads (file data,
 // buffer contents, kmeans points, packets, db rows, graph topology) are
 // shared; everything a builtin can mutate in place is copied. The
 // sanitizer uses clones as replayable pre-state snapshots.

@@ -41,16 +41,16 @@ func (w *World) GraphDegrees() []int {
 	return out
 }
 
-func (w *World) registerGraph() {
-	w.register("ll_head", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("graph.list")}},
-		func(args []value.Value) (value.Value, int64, error) {
+func registerGraph() {
+	register("ll_head", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("graph.list")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			if len(w.nodes) == 0 {
 				return value.Int(0), 20, nil
 			}
 			return value.Int(1), 20, nil
 		})
-	w.register("ll_next", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("graph.list")}},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("ll_next", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("graph.list")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			n, err := w.node(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
@@ -59,8 +59,8 @@ func (w *World) registerGraph() {
 			return value.Int(n.next), 90, nil
 		})
 	// node_init performs the per-node field initialization (heavy).
-	w.register("node_init", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("node_init", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			h := args[0].AsInt()
 			work := args[1].AsInt()
 			n, err := w.node(h)
@@ -79,8 +79,8 @@ func (w *World) registerGraph() {
 	// once, so the writes are alias-disjoint across iterations; the effect
 	// declaration is empty for the same reason the paper's alias analysis
 	// finds no conflict (DESIGN.md).
-	w.register("graph_connect", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("graph_connect", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			n, err := w.node(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
@@ -92,8 +92,8 @@ func (w *World) registerGraph() {
 			n.neighbors = append(n.neighbors, other)
 			return value.Void(), 70, nil
 		})
-	w.register("graph_nodes", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("graph.list")}},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("graph_nodes", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("graph.list")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(len(w.nodes))), 10, nil
 		})
 }

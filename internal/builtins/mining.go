@@ -42,10 +42,10 @@ func (w *World) AddTransactions(rows, items, rowLen int) {
 // NumTransactions reports the database size.
 func (w *World) NumTransactions() int { return len(w.dbRows) }
 
-func (w *World) registerMining() {
+func registerMining() {
 	// --- transaction database (shared cursor, like shared FILE* state) ---
-	w.register("db_read_row", []ast.Type{ast.TInt}, ast.TInt, rw("db.cursor"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("db_read_row", []ast.Type{ast.TInt}, ast.TInt, rw("db.cursor"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			i := args[0].AsInt()
 			if i < 0 || i >= int64(len(w.dbRows)) {
 				return value.Value{}, 0, errArg("db_read_row", "row out of range")
@@ -60,16 +60,16 @@ func (w *World) registerMining() {
 			w.bufs = append(w.bufs, ids)
 			return value.Int(int64(len(w.bufs) - 1)), 120 + int64(len(row)), nil
 		})
-	w.register("row_len", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("row_len", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			b, err := w.buf(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
 			}
 			return value.Int(int64(len(b))), 2, nil
 		})
-	w.register("row_item", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("row_item", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			b, err := w.buf(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
@@ -82,8 +82,8 @@ func (w *World) registerMining() {
 		})
 
 	// --- Bitmap itemsets (geti) ---
-	w.register("bitmap_new", []ast.Type{ast.TInt}, ast.TInt, allocates(rw("bitmaps"), "bitmaps"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("bitmap_new", []ast.Type{ast.TInt}, ast.TInt, allocates(rw("bitmaps"), "bitmaps"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
 			if err := checkSize("bitmap_new", n, 0); err != nil {
 				return value.Value{}, 0, err
@@ -91,8 +91,8 @@ func (w *World) registerMining() {
 			w.bitmaps = append(w.bitmaps, make([]uint64, (n+63)/64))
 			return value.Int(int64(len(w.bitmaps) - 1)), 80, nil
 		})
-	w.register("bitmap_set", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, instanced(keyed(rw("bitmaps"), "bitmaps", 1), "bitmaps", 0),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("bitmap_set", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, instanced(keyed(rw("bitmaps"), "bitmaps", 1), "bitmaps", 0),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			bm, key := args[0].AsInt(), args[1].AsInt()
 			if bm < 0 || bm >= int64(len(w.bitmaps)) {
 				return value.Value{}, 0, errArg("bitmap_set", "bad bitmap")
@@ -104,8 +104,8 @@ func (w *World) registerMining() {
 			b[key/64] |= 1 << (uint(key) % 64)
 			return value.Void(), 50, nil
 		})
-	w.register("bitmap_get", []ast.Type{ast.TInt, ast.TInt}, ast.TBool, instanced(keyed(rw("bitmaps"), "bitmaps", 1), "bitmaps", 0),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("bitmap_get", []ast.Type{ast.TInt, ast.TInt}, ast.TBool, instanced(keyed(rw("bitmaps"), "bitmaps", 1), "bitmaps", 0),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			bm, key := args[0].AsInt(), args[1].AsInt()
 			if bm < 0 || bm >= int64(len(w.bitmaps)) {
 				return value.Value{}, 0, errArg("bitmap_get", "bad bitmap")
@@ -116,8 +116,8 @@ func (w *World) registerMining() {
 			}
 			return value.Bool(b[key/64]&(1<<(uint(key)%64)) != 0), 50, nil
 		})
-	w.register("bitmap_count", []ast.Type{ast.TInt}, ast.TInt, instanced(rw("bitmaps"), "bitmaps", 0),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("bitmap_count", []ast.Type{ast.TInt}, ast.TInt, instanced(rw("bitmaps"), "bitmaps", 0),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			bm := args[0].AsInt()
 			if bm < 0 || bm >= int64(len(w.bitmaps)) {
 				return value.Value{}, 0, errArg("bitmap_count", "bad bitmap")
@@ -132,13 +132,13 @@ func (w *World) registerMining() {
 		})
 
 	// --- STL-like vector (geti output container) ---
-	w.register("vec_new", nil, ast.TInt, allocates(rw("vectors"), "vectors"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("vec_new", nil, ast.TInt, allocates(rw("vectors"), "vectors"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.vectors = append(w.vectors, nil)
 			return value.Int(int64(len(w.vectors) - 1)), 40, nil
 		})
-	w.register("vec_push", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, instanced(rw("vectors"), "vectors", 0),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("vec_push", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, instanced(rw("vectors"), "vectors", 0),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			v := args[0].AsInt()
 			if v < 0 || v >= int64(len(w.vectors)) {
 				return value.Value{}, 0, errArg("vec_push", "bad vector")
@@ -146,8 +146,8 @@ func (w *World) registerMining() {
 			w.vectors[v] = append(w.vectors[v], args[1].AsInt())
 			return value.Void(), 45, nil
 		})
-	w.register("vec_len", []ast.Type{ast.TInt}, ast.TInt, instanced(rw("vectors"), "vectors", 0),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("vec_len", []ast.Type{ast.TInt}, ast.TInt, instanced(rw("vectors"), "vectors", 0),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			v := args[0].AsInt()
 			if v < 0 || v >= int64(len(w.vectors)) {
 				return value.Value{}, 0, errArg("vec_len", "bad vector")
@@ -158,13 +158,13 @@ func (w *World) registerMining() {
 	// --- Itemsets (eclat): insertion order is semantically significant
 	// (the intersection code depends on a deterministic prefix), unlike the
 	// list-of-itemsets container with set semantics. ---
-	w.register("iset_new", nil, ast.TInt, allocates(rw("itemsets"), "itemsets"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("iset_new", nil, ast.TInt, allocates(rw("itemsets"), "itemsets"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.itemsets = append(w.itemsets, nil)
 			return value.Int(int64(len(w.itemsets) - 1)), 60, nil
 		})
-	w.register("iset_insert", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, instanced(rw("itemsets"), "itemsets", 0),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("iset_insert", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, instanced(rw("itemsets"), "itemsets", 0),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			s := args[0].AsInt()
 			if s < 0 || s >= int64(len(w.itemsets)) {
 				return value.Value{}, 0, errArg("iset_insert", "bad itemset")
@@ -177,8 +177,8 @@ func (w *World) registerMining() {
 	// workloads keep iteration-local or frozen before the loop, so it is
 	// declared effect-free (standing in for the paper's alias analysis
 	// proving distinct objects disjoint).
-	w.register("iset_intersect_size", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("iset_intersect_size", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			a, b := args[0].AsInt(), args[1].AsInt()
 			if a < 0 || a >= int64(len(w.itemsets)) || b < 0 || b >= int64(len(w.itemsets)) {
 				return value.Value{}, 0, errArg("iset_intersect_size", "bad itemset")
@@ -202,13 +202,13 @@ func (w *World) registerMining() {
 			cost := 40 + 45*int64(len(sa)+len(sb))
 			return value.Int(n), cost, nil
 		})
-	w.register("lists_new", nil, ast.TInt, rw("lists"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("lists_new", nil, ast.TInt, rw("lists"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.lists = append(w.lists, nil)
 			return value.Int(int64(len(w.lists) - 1)), 40, nil
 		})
-	w.register("lists_insert", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, rw("lists"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("lists_insert", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, rw("lists"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			l := args[0].AsInt()
 			if l < 0 || l >= int64(len(w.lists)) {
 				return value.Value{}, 0, errArg("lists_insert", "bad list")
@@ -216,8 +216,8 @@ func (w *World) registerMining() {
 			w.lists[l] = append(w.lists[l], args[1].AsInt())
 			return value.Void(), 45, nil
 		})
-	w.register("lists_len", []ast.Type{ast.TInt}, ast.TInt, rw("lists"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("lists_len", []ast.Type{ast.TInt}, ast.TInt, rw("lists"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			l := args[0].AsInt()
 			if l < 0 || l >= int64(len(w.lists)) {
 				return value.Value{}, 0, errArg("lists_len", "bad list")
@@ -226,18 +226,18 @@ func (w *World) registerMining() {
 		})
 
 	// --- statistics accumulator (eclat's Stats class) ---
-	w.register("stats_add", []ast.Type{ast.TInt}, ast.TVoid, rw("stats"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("stats_add", []ast.Type{ast.TInt}, ast.TVoid, rw("stats"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.statsN++
 			w.statsSum += float64(args[0].AsInt())
 			return value.Void(), 35, nil
 		})
-	w.register("stats_count", nil, ast.TInt, rw("stats"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("stats_count", nil, ast.TInt, rw("stats"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(w.statsN), 10, nil
 		})
-	w.register("stats_mean", nil, ast.TFloat, rw("stats"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("stats_mean", nil, ast.TFloat, rw("stats"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			if w.statsN == 0 {
 				return value.Float(0), 10, nil
 			}

@@ -40,15 +40,15 @@ func (w *World) SetupPackets(n int) {
 // NumPackets reports the pool size.
 func (w *World) NumPackets() int { return len(w.packets) }
 
-func (w *World) registerNet() {
-	w.register("pkt_count", nil, ast.TInt, rw("pkt.pool"),
-		func(args []value.Value) (value.Value, int64, error) {
+func registerNet() {
+	register("pkt_count", nil, ast.TInt, rw("pkt.pool"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(len(w.packets))), 10, nil
 		})
 	// pkt_dequeue removes the next packet from the shared pool and returns
 	// its handle (the pool mutation the paper marks self-commutative).
-	w.register("pkt_dequeue", nil, ast.TInt, rw("pkt.pool"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("pkt_dequeue", nil, ast.TInt, rw("pkt.pool"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			if w.pktNext >= len(w.packets) {
 				return value.Value{}, 0, errArg("pkt_dequeue", "pool exhausted")
 			}
@@ -58,8 +58,8 @@ func (w *World) registerNet() {
 		})
 	// url_match walks the pattern table against the packet's URL: the
 	// per-packet compute of the switch.
-	w.register("url_match", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("url_match", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			h := args[0].AsInt()
 			if h < 0 || h >= int64(len(w.packets)) {
 				return value.Value{}, 0, errArg("url_match", "bad packet")
@@ -82,8 +82,8 @@ func (w *World) registerNet() {
 			cost := int64(steps)*14 + int64(len(url))*85 + int64(sum%7)
 			return value.Int(int64(match)), cost, nil
 		})
-	w.register("pkt_field", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("pkt_field", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			h := args[0].AsInt()
 			if h < 0 || h >= int64(len(w.packets)) {
 				return value.Value{}, 0, errArg("pkt_field", "bad packet")
@@ -91,8 +91,8 @@ func (w *World) registerNet() {
 			return value.Str(w.packets[h].url), 15, nil
 		})
 	// log_pkt appends the packet's fields to the shared log file.
-	w.register("log_pkt", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, rw("pkt.log"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("log_pkt", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, rw("pkt.log"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			h, route := args[0].AsInt(), args[1].AsInt()
 			if h < 0 || h >= int64(len(w.packets)) {
 				return value.Value{}, 0, errArg("log_pkt", "bad packet")

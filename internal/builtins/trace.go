@@ -34,13 +34,13 @@ func (w *World) NumBitmaps() int { return len(w.traceBitmaps) }
 // OutImages exposes written images for validation.
 func (w *World) OutImages() []string { return w.outImages }
 
-func (w *World) registerTrace() {
-	w.register("bmp_count", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
-		func(args []value.Value) (value.Value, int64, error) {
+func registerTrace() {
+	register("bmp_count", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(len(w.traceBitmaps))), 20, nil
 		})
-	w.register("bmp_open", []ast.Type{ast.TInt}, ast.TInt, rw("fs.table"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("bmp_open", []ast.Type{ast.TInt}, ast.TInt, rw("fs.table"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			i := args[0].AsInt()
 			if i < 0 || i >= int64(len(w.traceBitmaps)) {
 				return value.Value{}, 0, errArg("bmp_open", "no bitmap")
@@ -49,8 +49,8 @@ func (w *World) registerTrace() {
 		})
 	// bmp_trace runs a real boundary-following pass over the bitmap and
 	// summarizes the traced contours; this is the dominant compute.
-	w.register("bmp_trace", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("bmp_trace", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			i := args[0].AsInt()
 			if i < 0 || i >= int64(len(w.traceBitmaps)) {
 				return value.Value{}, 0, errArg("bmp_trace", "no bitmap")
@@ -78,8 +78,8 @@ func (w *World) registerTrace() {
 		})
 	// img_write appends a traced image to the output stream (the shared
 	// output file of the multi-image mode).
-	w.register("img_write", []ast.Type{ast.TString}, ast.TVoid, rw("fs.out"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("img_write", []ast.Type{ast.TString}, ast.TVoid, rw("fs.out"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.outImages = append(w.outImages, args[0].AsString())
 			return value.Void(), 350, nil
 		})

@@ -26,18 +26,55 @@ import (
 	"repro/internal/vm/value"
 )
 
-// Builtin bundles one substrate function.
-type Builtin struct {
-	Sig     *types.Sig
-	Effects effects.Decl
-	Fn      interp.BuiltinFn
+// implFn is a builtin's implementation: it acts on the world passed in and
+// returns the result value and its virtual cost.
+type implFn func(w *World, args []value.Value) (value.Value, int64, error)
+
+// builtin bundles one substrate function.
+type builtin struct {
+	sig     *types.Sig
+	effects effects.Decl
+	fn      implFn
+}
+
+// registry holds every builtin, registered once per process at package
+// init; sigTable, effectTable and conservativeTable are derived from it
+// there. All four are read-only afterwards and shared by every World.
+var (
+	registry          = map[string]*builtin{}
+	sigTable          map[string]*types.Sig
+	effectTable       effects.Table
+	conservativeTable effects.Table
+)
+
+func init() {
+	registerCore()
+	registerFS()
+	registerRNG()
+	registerHMM()
+	registerMining()
+	registerGraph()
+	registerTrace()
+	registerKMeans()
+	registerNet()
+
+	extern := effects.TagLoc("extern.lib")
+	sigTable = make(map[string]*types.Sig, len(registry))
+	effectTable = make(effects.Table, len(registry))
+	conservativeTable = make(effects.Table, len(registry))
+	for n, b := range registry {
+		sigTable[n] = b.sig
+		effectTable[n] = b.effects
+		conservativeTable[n] = effects.Decl{
+			Reads:  append(append([]effects.Loc{}, b.effects.Reads...), extern),
+			Writes: append(append([]effects.Loc{}, b.effects.Writes...), extern),
+		}
+	}
 }
 
 // World is one deterministic substrate instance. Create a fresh World per
 // execution so sequential and parallel runs start from identical state.
 type World struct {
-	reg map[string]*Builtin
-
 	// Console output, in emission order.
 	Console []string
 
@@ -133,11 +170,10 @@ type packet struct {
 	size int64
 }
 
-// NewWorld creates an empty substrate with every builtin registered.
-// Workload generators then populate files, databases, packets, etc.
+// NewWorld creates an empty substrate. Workload generators then populate
+// files, databases, packets, etc.
 func NewWorld() *World {
-	w := &World{
-		reg:       map[string]*Builtin{},
+	return &World{
 		openFiles: map[int64]*file{},
 		nextFD:    1,
 		seed:      0x2545F4914F6CDD1D,
@@ -146,78 +182,49 @@ func NewWorld() *World {
 		nextMat:   1,
 		histo:     map[int64]int64{},
 	}
-	w.registerCore()
-	w.registerFS()
-	w.registerRNG()
-	w.registerHMM()
-	w.registerMining()
-	w.registerGraph()
-	w.registerTrace()
-	w.registerKMeans()
-	w.registerNet()
-	return w
 }
 
 // register adds one builtin; duplicate names are programming errors.
-func (w *World) register(name string, params []ast.Type, result ast.Type, eff effects.Decl, fn interp.BuiltinFn) {
-	if _, dup := w.reg[name]; dup {
+func register(name string, params []ast.Type, result ast.Type, eff effects.Decl, fn implFn) {
+	if _, dup := registry[name]; dup {
 		panic("builtins: duplicate " + name)
 	}
-	w.reg[name] = &Builtin{
-		Sig:     &types.Sig{Name: name, Params: params, Result: result},
-		Effects: eff,
-		Fn:      fn,
+	registry[name] = &builtin{
+		sig:     &types.Sig{Name: name, Params: params, Result: result},
+		effects: eff,
+		fn:      fn,
 	}
 }
 
 // registerPure adds a builtin usable inside COMMSETPREDICATE expressions.
-func (w *World) registerPure(name string, params []ast.Type, result ast.Type, fn interp.BuiltinFn) {
-	w.register(name, params, result, effects.Decl{}, fn)
-	w.reg[name].Sig.Pure = true
+func registerPure(name string, params []ast.Type, result ast.Type, fn implFn) {
+	register(name, params, result, effects.Decl{}, fn)
+	registry[name].sig.Pure = true
 }
 
-// Sigs returns the signature table for the type checker.
-func (w *World) Sigs() map[string]*types.Sig {
-	out := make(map[string]*types.Sig, len(w.reg))
-	for n, b := range w.reg {
-		out[n] = b.Sig
-	}
-	return out
-}
+// Sigs returns the signature table for the type checker. The table is
+// shared by every World and must not be modified.
+func (w *World) Sigs() map[string]*types.Sig { return sigTable }
 
 // EffectTable returns the effect declarations for the dependence analyzer.
-func (w *World) EffectTable() effects.Table {
-	out := make(effects.Table, len(w.reg))
-	for n, b := range w.reg {
-		out[n] = b.Effects
-	}
-	return out
-}
+// The table is shared by every World and must not be modified.
+func (w *World) EffectTable() effects.Table { return effectTable }
 
 // ConservativeEffectTable models the paper's non-COMMSET baseline: a
 // parallelizing tool that cannot see into separately compiled libraries
 // must assume every library call reads and writes unknown external state
 // ("a parallelizing tool cannot infer this automatically without knowing
 // the client specific semantics of I/O calls", Section 2). Every builtin
-// additionally reads and writes one conservative external location.
-func (w *World) ConservativeEffectTable() effects.Table {
-	extern := effects.TagLoc("extern.lib")
-	out := make(effects.Table, len(w.reg))
-	for n, b := range w.reg {
-		d := effects.Decl{
-			Reads:  append(append([]effects.Loc{}, b.Effects.Reads...), extern),
-			Writes: append(append([]effects.Loc{}, b.Effects.Writes...), extern),
-		}
-		out[n] = d
-	}
-	return out
-}
+// additionally reads and writes one conservative external location. The
+// table is shared by every World and must not be modified.
+func (w *World) ConservativeEffectTable() effects.Table { return conservativeTable }
 
-// Fns returns the implementations for the interpreter.
+// Fns returns the implementations for the interpreter, bound to w.
 func (w *World) Fns() map[string]interp.BuiltinFn {
-	out := make(map[string]interp.BuiltinFn, len(w.reg))
-	for n, b := range w.reg {
-		out[n] = b.Fn
+	out := make(map[string]interp.BuiltinFn, len(registry))
+	for n, b := range registry {
+		fn := b.fn
+		out[n] = func(args []value.Value) (value.Value, int64, error) { return fn(w, args) }
 	}
 	return out
 }
@@ -291,36 +298,36 @@ func allocates(d effects.Decl, tag string) effects.Decl {
 	return d
 }
 
-func (w *World) registerCore() {
-	w.register("print_str", []ast.Type{ast.TString}, ast.TVoid, wo("io.console"),
-		func(args []value.Value) (value.Value, int64, error) {
+func registerCore() {
+	register("print_str", []ast.Type{ast.TString}, ast.TVoid, wo("io.console"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.Console = append(w.Console, args[0].AsString())
 			return value.Void(), 80, nil
 		})
-	w.register("print_int", []ast.Type{ast.TInt}, ast.TVoid, wo("io.console"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("print_int", []ast.Type{ast.TInt}, ast.TVoid, wo("io.console"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.Console = append(w.Console, fmt.Sprintf("%d", args[0].AsInt()))
 			return value.Void(), 80, nil
 		})
-	w.register("print_float", []ast.Type{ast.TFloat}, ast.TVoid, wo("io.console"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("print_float", []ast.Type{ast.TFloat}, ast.TVoid, wo("io.console"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.Console = append(w.Console, fmt.Sprintf("%.4f", args[0].AsFloat()))
 			return value.Void(), 80, nil
 		})
-	w.registerPure("itof", []ast.Type{ast.TInt}, ast.TFloat,
-		func(args []value.Value) (value.Value, int64, error) {
+	registerPure("itof", []ast.Type{ast.TInt}, ast.TFloat,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Float(float64(args[0].AsInt())), 1, nil
 		})
-	w.registerPure("ftoi", []ast.Type{ast.TFloat}, ast.TInt,
-		func(args []value.Value) (value.Value, int64, error) {
+	registerPure("ftoi", []ast.Type{ast.TFloat}, ast.TInt,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(args[0].AsFloat())), 1, nil
 		})
-	w.registerPure("int_to_str", []ast.Type{ast.TInt}, ast.TString,
-		func(args []value.Value) (value.Value, int64, error) {
+	registerPure("int_to_str", []ast.Type{ast.TInt}, ast.TString,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Str(fmt.Sprintf("%d", args[0].AsInt())), 4, nil
 		})
-	w.registerPure("iabs", []ast.Type{ast.TInt}, ast.TInt,
-		func(args []value.Value) (value.Value, int64, error) {
+	registerPure("iabs", []ast.Type{ast.TInt}, ast.TInt,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			v := args[0].AsInt()
 			if v < 0 {
 				v = -v
@@ -329,8 +336,8 @@ func (w *World) registerCore() {
 		})
 	// burn performs n units of real arithmetic (a stateless deterministic
 	// mixer) and charges n cost units: synthetic CPU work for calibration.
-	w.registerPure("burn", []ast.Type{ast.TInt}, ast.TInt,
-		func(args []value.Value) (value.Value, int64, error) {
+	registerPure("burn", []ast.Type{ast.TInt}, ast.TInt,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
 			if n < 0 {
 				n = 0
@@ -378,15 +385,15 @@ func pad(b []byte, i int) []byte {
 // NumFiles reports how many files the world holds.
 func (w *World) NumFiles() int { return len(w.files) }
 
-func (w *World) registerFS() {
-	w.register("file_count", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
-		func(args []value.Value) (value.Value, int64, error) {
+func registerFS() {
+	register("file_count", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(len(w.files))), 20, nil
 		})
 	// fopen_idx opens the i-th input file (the benchmarks iterate over an
 	// input file list, so indexing replaces name lookup).
-	w.register("fopen_idx", []ast.Type{ast.TInt}, ast.TInt, rw("fs.table"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("fopen_idx", []ast.Type{ast.TInt}, ast.TInt, rw("fs.table"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			i := args[0].AsInt()
 			if i < 0 || i >= int64(len(w.files)) {
 				return value.Value{}, 0, errArg("fopen_idx", fmt.Sprintf("no file %d", i))
@@ -397,8 +404,8 @@ func (w *World) registerFS() {
 			w.openFiles[fd] = &file{name: f.name, data: f.data}
 			return value.Int(fd), 120, nil
 		})
-	w.register("fname", []ast.Type{ast.TInt}, ast.TString, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("fname", []ast.Type{ast.TInt}, ast.TString, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			f := w.openFiles[args[0].AsInt()]
 			if f == nil {
 				return value.Value{}, 0, errArg("fname", "bad fd")
@@ -406,8 +413,8 @@ func (w *World) registerFS() {
 			return value.Str(f.name), 20, nil
 		})
 	// fread_all reads the remaining contents into a buffer handle.
-	w.register("fread_all", []ast.Type{ast.TInt}, ast.TInt, rw("fs.file"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("fread_all", []ast.Type{ast.TInt}, ast.TInt, rw("fs.file"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			f := w.openFiles[args[0].AsInt()]
 			if f == nil {
 				return value.Value{}, 0, errArg("fread_all", "bad fd")
@@ -417,8 +424,8 @@ func (w *World) registerFS() {
 			w.bufs = append(w.bufs, buf)
 			return value.Int(int64(len(w.bufs) - 1)), 60 + int64(len(buf))/64, nil
 		})
-	w.register("fclose", []ast.Type{ast.TInt}, ast.TVoid, rw("fs.table", "fs.file"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("fclose", []ast.Type{ast.TInt}, ast.TVoid, rw("fs.table", "fs.file"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			fd := args[0].AsInt()
 			if w.openFiles[fd] == nil {
 				return value.Value{}, 0, errArg("fclose", "bad fd")
@@ -427,13 +434,13 @@ func (w *World) registerFS() {
 			return value.Void(), 60, nil
 		})
 	// fwrite_line appends to a named output file (url logging, potrace).
-	w.register("fwrite_line", []ast.Type{ast.TString}, ast.TVoid, rw("fs.out"),
-		func(args []value.Value) (value.Value, int64, error) {
+	register("fwrite_line", []ast.Type{ast.TString}, ast.TVoid, rw("fs.out"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.logLines = append(w.logLines, args[0].AsString())
 			return value.Void(), 90, nil
 		})
-	w.register("buf_len", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("buf_len", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			b, err := w.buf(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
@@ -442,8 +449,8 @@ func (w *World) registerFS() {
 		})
 	// md5_buf computes the real MD5 digest of a buffer; cost scales with
 	// size like the real computation.
-	w.register("md5_buf", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	register("md5_buf", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			b, err := w.buf(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
