@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/effects"
+	"repro/internal/pdg"
 	"repro/internal/pipeline"
 	"repro/internal/source"
 )
@@ -88,6 +90,8 @@ type vet struct {
 	// kf caches the whole-program key-flow/instance-flow summaries
 	// (computed lazily by keyflow()).
 	kf *keyFlow
+	// edgeLocs caches conflictLocsAt per PDG edge.
+	edgeLocs map[*pdg.Edge][]effects.Loc
 
 	// seen deduplicates reports: symmetric PDG edges and repeated schedules
 	// would otherwise report the same finding several times.

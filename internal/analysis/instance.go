@@ -27,15 +27,31 @@ import (
 // distinct allocation sites are never equal, and a handle re-allocated
 // every iteration differs from itself across iterations.
 
-// conflictLocsAt filters conflictLocs(in1, in2) by disjointness: a
-// location is dropped when both endpoints access it through handles that
-// are provably unequal under the edge's iteration assumption (distinct
-// bitmaps, files, pool slots), or through keyed accesses whose key values
-// are provably unequal (distinct elements — a different element of any
-// handle never conflicts). Endpoints whose handle or key cannot be named
-// keep the location (sound default).
-func (v *vet) conflictLocsAt(la *pipeline.LoopAnalysis, e *pdg.Edge, n1, n2 int) []effects.Loc {
-	in1, in2 := la.PDG.Instrs[n1], la.PDG.Instrs[n2]
+// conflictLocsAt filters conflictLocs(in1, in2) of edge e's endpoints by
+// disjointness: a location is dropped when both endpoints access it through
+// handles that are provably unequal under the edge's iteration assumption
+// (distinct bitmaps, files, pool slots), or through keyed accesses whose
+// key values are provably unequal (distinct elements — a different element
+// of any handle never conflicts). Endpoints whose handle or key cannot be
+// named keep the location (sound default).
+//
+// The result depends on the edge alone, and the unsound check asks for it
+// once per relaxed edge and the race check once per concurrent schedule,
+// so it is computed once per edge per run.
+func (v *vet) conflictLocsAt(la *pipeline.LoopAnalysis, e *pdg.Edge) []effects.Loc {
+	if locs, ok := v.edgeLocs[e]; ok {
+		return locs
+	}
+	locs := v.filterConflictLocs(la, e)
+	if v.edgeLocs == nil {
+		v.edgeLocs = map[*pdg.Edge][]effects.Loc{}
+	}
+	v.edgeLocs[e] = locs
+	return locs
+}
+
+func (v *vet) filterConflictLocs(la *pipeline.LoopAnalysis, e *pdg.Edge) []effects.Loc {
+	in1, in2 := la.PDG.Instrs[la.Dep.Of(e.From)], la.PDG.Instrs[la.Dep.Of(e.To)]
 	if in1 == nil || in2 == nil {
 		return nil
 	}

@@ -32,9 +32,8 @@ import (
 func (v *vet) checkRace() {
 	for _, lc := range v.loops {
 		la := lc.la
-		scheds := transform.Schedules(la, nil, v.opts.Threads)
 		g := transform.BuildUnitGraph(la, nil)
-		for _, sched := range scheds {
+		for _, sched := range transform.GraphSchedules(g, v.opts.Threads) {
 			if sched.Kind == transform.Sequential {
 				continue
 			}
@@ -91,7 +90,7 @@ func (v *vet) checkSchedule(lc loopCtx, g *transform.UnitGraph, sched *transform
 		if in1 == nil || in2 == nil {
 			continue
 		}
-		for _, loc := range v.conflictLocsAt(la, e, n1, n2) {
+		for _, loc := range v.conflictLocsAt(la, e) {
 			if v.raceProtected(la, e, n1, n2, loc) {
 				continue
 			}

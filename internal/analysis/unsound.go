@@ -36,7 +36,7 @@ func (v *vet) checkUnsound() {
 			}
 			m1s := v.membsOf(la, n1)
 			m2s := v.membsOf(la, n2)
-			for _, loc := range v.conflictLocsAt(la, e, n1, n2) {
+			for _, loc := range v.conflictLocsAt(la, e) {
 				v.checkLocCoverage(e, in1.Pos, in2.Pos, in1.Name, in2.Name, m1s, m2s, loc)
 			}
 		}

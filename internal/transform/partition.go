@@ -403,9 +403,14 @@ func Estimate(s *Schedule, g *UnitGraph, threads int) {
 // Sequential always, then DOALL, DSWP, and PS-DSWP when their applicability
 // tests pass. weights maps instruction IDs to profiled cost (nil = uniform).
 func Schedules(la *pipeline.LoopAnalysis, weights map[int]int64, threads int) []*Schedule {
-	g := BuildUnitGraph(la, weights)
+	return GraphSchedules(BuildUnitGraph(la, weights), threads)
+}
+
+// GraphSchedules is Schedules over the loop's already built unit graph g,
+// for callers that also use the graph itself.
+func GraphSchedules(g *UnitGraph, threads int) []*Schedule {
 	out := []*Schedule{SequentialSchedule(g)}
-	if irregular, why := IrregularIteration(la); irregular {
+	if irregular, why := IrregularIteration(g.La); irregular {
 		out[0].Notes = append(out[0].Notes, "parallelization disabled: "+why)
 		Estimate(out[0], g, threads)
 		return out
