@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/builtins"
 	"repro/internal/pipeline"
@@ -138,6 +139,21 @@ void main() {
 	msg := v.diags.Diags[0].Msg
 	if !strings.Contains(msg, "data race") || !strings.Contains(msg, "not relaxed by any commset") {
 		t.Errorf("message = %q", msg)
+	}
+}
+
+// TestLongOperatorChain compiles and vets x = 1 + 1 + ... with 50,000
+// terms inside a loop. A position lookup that walked to the leftmost
+// operand made every pass asking for positions quadratic in the chain
+// (17 s at this length); the bound is generous for slow and -race runs.
+func TestLongOperatorChain(t *testing.T) {
+	const terms = 50000
+	src := "void main() {\n\tint x = 0;\n\tfor (int i = 0; i < 4; i++) {\n\t\tx = 1" +
+		strings.Repeat(" + 1", terms-1) + ";\n\t}\n\tprint_int(x);\n}\n"
+	start := time.Now()
+	vetSource(t, "chain.mc", src)
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("compiling and vetting a %d-term chain took %v", terms, d)
 	}
 }
 

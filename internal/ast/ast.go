@@ -312,9 +312,13 @@ type CallExpr struct {
 
 // BinaryExpr applies a binary operator.
 type BinaryExpr struct {
-	OpPos source.Pos
-	Op    token.Kind
-	X, Y  Expr
+	// StartPos is the position of the leftmost operand, which Pos
+	// reports; the parser records it so a chain of n operators does not
+	// cost O(n) per position lookup.
+	StartPos source.Pos
+	OpPos    source.Pos
+	Op       token.Kind
+	X, Y     Expr
 }
 
 // UnaryExpr applies a unary operator (!, -).
@@ -338,7 +342,7 @@ func (e *StringLit) Pos() source.Pos  { return e.LitPos }
 func (e *BoolLit) Pos() source.Pos    { return e.LitPos }
 func (e *Ident) Pos() source.Pos      { return e.NamePos }
 func (e *CallExpr) Pos() source.Pos   { return e.NamePos }
-func (e *BinaryExpr) Pos() source.Pos { return e.X.Pos() }
+func (e *BinaryExpr) Pos() source.Pos { return e.StartPos }
 func (e *UnaryExpr) Pos() source.Pos  { return e.OpPos }
 func (e *CondExpr) Pos() source.Pos   { return e.Cond.Pos() }
 

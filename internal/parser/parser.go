@@ -55,6 +55,12 @@ func ParseExprString(text string, diags *source.DiagList) (ast.Expr, error) {
 	return e, nil
 }
 
+// MaxNesting bounds how deep statements nest, and separately how deep
+// expressions nest: the parser and the passes after it recurse once per
+// level, so an unbounded depth would exhaust the host stack. It matches the
+// interpreter's call-depth bound.
+const MaxNesting = 10000
+
 type parser struct {
 	file  *source.File
 	toks  []lexer.Token
@@ -62,6 +68,12 @@ type parser struct {
 	diags *source.DiagList
 
 	pending []*ast.Pragma // pragmas awaiting attachment
+
+	// stmtDepth and exprDepth count the open nesting levels (see enter).
+	stmtDepth, exprDepth int
+	// abandoned is set once nesting exceeds MaxNesting: the rest of the
+	// input is skipped and no further error is reported.
+	abandoned bool
 }
 
 func (p *parser) cur() lexer.Token { return p.toks[p.pos] }
@@ -91,7 +103,25 @@ func (p *parser) accept(k token.Kind) bool {
 }
 
 func (p *parser) errorf(pos source.Pos, format string, args ...any) {
+	if p.abandoned {
+		return
+	}
 	p.diags.Errorf(p.file.Name, pos, format, args...)
+}
+
+// enter opens one nesting level counted by depth at token t; the caller
+// decrements depth when the level closes. Past MaxNesting it reports an
+// error at t instead and abandons the input: the parser jumps to EOF, where
+// every open construct ends.
+func (p *parser) enter(depth *int, t lexer.Token) bool {
+	if *depth < MaxNesting {
+		*depth++
+		return true
+	}
+	p.errorf(t.Pos, "nesting deeper than %d levels", MaxNesting)
+	p.abandoned = true
+	p.pos = len(p.toks) - 1
+	return false
 }
 
 func (p *parser) expect(k token.Kind, what string) lexer.Token {
@@ -247,7 +277,11 @@ func (p *parser) parseStmt() ast.Stmt {
 	p.collectPragmas()
 	mine := p.pending
 	p.pending = nil
+	if t := p.cur(); !p.enter(&p.stmtDepth, t) {
+		return &ast.EmptyStmt{SemiPos: t.Pos}
+	}
 	s := p.parseStmtNoPragma()
+	p.stmtDepth--
 	if len(mine) > 0 {
 		h := s.Host()
 		h.Pragmas = append(h.Pragmas, mine...)
@@ -388,15 +422,21 @@ func (p *parser) parseTernary() ast.Expr {
 	if !p.at(token.QUESTION) {
 		return cond
 	}
-	q := p.advance()
+	q := p.cur()
+	if !p.enter(&p.exprDepth, q) {
+		return cond
+	}
+	p.advance()
 	then := p.parseExpr()
 	p.expect(token.COLON, "':' in conditional expression")
 	els := p.parseExpr()
+	p.exprDepth--
 	return &ast.CondExpr{QPos: q.Pos, Cond: cond, Then: then, Else: els}
 }
 
 func (p *parser) parseBinary(minPrec int) ast.Expr {
 	lhs := p.parseUnary()
+	start := lhs.Pos()
 	for {
 		op := p.cur()
 		prec := op.Kind.Precedence()
@@ -405,19 +445,24 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 		}
 		p.advance()
 		rhs := p.parseBinary(prec + 1)
-		lhs = &ast.BinaryExpr{OpPos: op.Pos, Op: op.Kind, X: lhs, Y: rhs}
+		lhs = &ast.BinaryExpr{StartPos: start, OpPos: op.Pos, Op: op.Kind, X: lhs, Y: rhs}
 	}
 }
 
 func (p *parser) parseUnary() ast.Expr {
 	t := p.cur()
 	switch t.Kind {
-	case token.SUB, token.NOT:
+	case token.SUB, token.NOT, token.ADD:
+		if !p.enter(&p.exprDepth, t) {
+			return &ast.IntLit{LitPos: t.Pos}
+		}
 		p.advance()
-		return &ast.UnaryExpr{OpPos: t.Pos, Op: t.Kind, X: p.parseUnary()}
-	case token.ADD:
-		p.advance()
-		return p.parseUnary()
+		x := p.parseUnary()
+		p.exprDepth--
+		if t.Kind == token.ADD {
+			return x
+		}
+		return &ast.UnaryExpr{OpPos: t.Pos, Op: t.Kind, X: x}
 	}
 	return p.parsePrimary()
 }
@@ -455,9 +500,13 @@ func (p *parser) parsePrimary() ast.Expr {
 		}
 		return &ast.Ident{NamePos: t.Pos, Name: t.Lit}
 	case token.LPAREN:
+		if !p.enter(&p.exprDepth, t) {
+			return &ast.IntLit{LitPos: t.Pos}
+		}
 		p.advance()
 		e := p.parseExpr()
 		p.expect(token.RPAREN, "')'")
+		p.exprDepth--
 		return e
 	}
 	p.errorf(t.Pos, "expected expression, found %s", t)
@@ -467,6 +516,9 @@ func (p *parser) parsePrimary() ast.Expr {
 
 func (p *parser) parseCall(name lexer.Token) ast.Expr {
 	c := &ast.CallExpr{NamePos: name.Pos, Fun: name.Lit}
+	if !p.enter(&p.exprDepth, p.cur()) {
+		return c
+	}
 	p.expect(token.LPAREN, "'('")
 	if !p.at(token.RPAREN) {
 		for {
@@ -477,5 +529,6 @@ func (p *parser) parseCall(name lexer.Token) ast.Expr {
 		}
 	}
 	p.expect(token.RPAREN, "')' after call arguments")
+	p.exprDepth--
 	return c
 }

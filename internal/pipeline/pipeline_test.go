@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/effects"
+	"repro/internal/parser"
 	"repro/internal/pipeline"
 	"repro/internal/source"
 	"repro/internal/types"
@@ -93,5 +94,48 @@ void main() {
 		if _, err := c.AnalyzeLoop("main", lu.Header); err != nil {
 			t.Errorf("AnalyzeLoop(b%d): %v", lu.Header, err)
 		}
+	}
+}
+
+// TestNestingLimit nests parentheses, unary minus, blocks and ifs one level
+// past parser.MaxNesting: each is one positioned error at the token that
+// opens the extra level, not a stack overflow in a later pass. A program
+// with all four at the limit compiles.
+func TestNestingLimit(t *testing.T) {
+	const n = parser.MaxNesting
+	parens := func(k int) string {
+		return "int x = " + strings.Repeat("(", k) + "1" + strings.Repeat(")", k) + ";"
+	}
+	minus := func(k int) string { return "int y = " + strings.Repeat("- ", k) + "1;" }
+	blocks := func(k int) string { return strings.Repeat("{", k) + strings.Repeat("}", k) }
+	// k-1 ifs and the empty statement they guard nest k statements deep.
+	ifs := func(k int) string { return strings.Repeat("if (true) ", k-1) + ";" }
+	const head = "void main() {\n"
+	wrap := func(body string) string { return head + body + "\n}\n" }
+
+	for _, c := range []struct {
+		name, body string
+		at         int // offset in body of the token one level past the limit
+	}{
+		{"parentheses", parens(n + 1), len("int x = ") + n},
+		{"unary minus", minus(n + 1), len("int y = ") + 2*n},
+		{"blocks", blocks(n + 1), n},
+		{"nested if", ifs(n + 1), len("if (true) ") * n},
+	} {
+		src := wrap(c.body)
+		comp, err := pipeline.Compile(opts(src))
+		if err == nil {
+			t.Errorf("%s: compiled %d levels deep", c.name, n+1)
+			continue
+		}
+		want := source.NewFile("t.mc", src).PosFor(len(head) + c.at)
+		if d := comp.Diags.Diags; len(d) != 1 || d[0].Pos != want || !strings.Contains(d[0].Msg, "nesting deeper than") {
+			t.Errorf("%s: diagnostics\n%s\nwant one nesting error at %s", c.name, &comp.Diags, want)
+		}
+	}
+
+	src := wrap(parens(n) + "\n" + minus(n) + "\n" + blocks(n) + "\n" + ifs(n))
+	if _, err := pipeline.Compile(opts(src)); err != nil {
+		t.Errorf("program at the limit: %v", err)
 	}
 }
