@@ -272,17 +272,18 @@ func renderFloats(s []float64) string {
 }
 
 // renderMatrix renders matrix h with n states as renderFloats renders its
-// cells, generating them in storage order.
+// cells, generating them in storage order from the rendered scores.
 func renderMatrix(h int64, n int) string {
 	cells := n * hmmAlphabet
-	buf := make([]byte, 0, 12*cells)
+	var b strings.Builder
+	b.Grow(7 * cells)
 	for i := 0; i < cells; i++ {
 		if i > 0 {
-			buf = append(buf, ',')
+			b.WriteByte(',')
 		}
-		buf = strconv.AppendFloat(buf, emission(h, i), 'g', 9, 64)
+		b.WriteString(emissionText[emission(h, i)])
 	}
-	return string(buf)
+	return b.String()
 }
 
 func renderFloatRows(s [][]float64) string {

@@ -1,6 +1,8 @@
 package builtins
 
 import (
+	"strconv"
+
 	"repro/internal/ast"
 	"repro/internal/effects"
 	"repro/internal/vm/value"
@@ -37,9 +39,18 @@ var emissionScore = func() (t [1000]float64) {
 	return t
 }()
 
-// emission returns cell i of matrix h.
-func emission(h int64, i int) float64 {
-	return emissionScore[(uint64(h)*emitHandleMul+uint64(i)*emitCellMul)%1000]
+// emissionText holds each emission score as renderFloats renders it, at
+// most 6 bytes ("-0.499"), so renderMatrix formats no float.
+var emissionText = func() (t [1000]string) {
+	for k, v := range emissionScore {
+		t[k] = strconv.FormatFloat(v, 'g', 9, 64)
+	}
+	return t
+}()
+
+// emission returns the emissionScore index of cell i of matrix h.
+func emission(h int64, i int) uint64 {
+	return (uint64(h)*emitHandleMul + uint64(i)*emitCellMul) % 1000
 }
 
 func registerHMM() {
