@@ -29,9 +29,9 @@ staticcheck:
 race:
 	$(GO) test -race -timeout 5m ./...
 
-# Every per-layer Go benchmark (DES scheduler, interpreter, builtin
-# substrate), one iteration each: go test ./... never runs a benchmark, so
-# this keeps them building and running.
+# Every per-layer Go benchmark (compile and vet, DES scheduler,
+# interpreter, builtin substrate), one iteration each: go test ./... never
+# runs a benchmark, so this keeps them building and running.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
