@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
+	"repro/internal/effects"
 	"repro/internal/vm/value"
 )
 
@@ -405,4 +407,16 @@ func TestCoreBuiltins(t *testing.T) {
 	if w.Sigs()["rng_int"].Pure {
 		t.Error("rng_int must not be pure")
 	}
+}
+
+// TestRegisterRejectsDuplicate: every builtin is registered once per
+// process, and registering a name again is a programming error that
+// panics before touching the shared tables.
+func TestRegisterRejectsDuplicate(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("registering print_str twice did not panic")
+		}
+	}()
+	register("print_str", nil, ast.TVoid, effects.Decl{}, nil)
 }

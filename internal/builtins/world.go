@@ -30,20 +30,13 @@ import (
 // returns the result value and its virtual cost.
 type implFn func(w *World, args []value.Value) (value.Value, int64, error)
 
-// builtin bundles one substrate function.
-type builtin struct {
-	sig     *types.Sig
-	effects effects.Decl
-	fn      implFn
-}
-
-// registry holds every builtin, registered once per process at package
-// init; sigTable, effectTable and conservativeTable are derived from it
-// there. All four are read-only afterwards and shared by every World.
+// The builtin tables, keyed by builtin name. Every builtin is registered
+// once per process, at package init; the tables are read-only afterwards
+// and shared by every World.
 var (
-	registry          = map[string]*builtin{}
-	sigTable          map[string]*types.Sig
-	effectTable       effects.Table
+	sigTable          = map[string]*types.Sig{}
+	effectTable       = effects.Table{}
+	implTable         = map[string]implFn{}
 	conservativeTable effects.Table
 )
 
@@ -59,15 +52,11 @@ func init() {
 	registerNet()
 
 	extern := effects.TagLoc("extern.lib")
-	sigTable = make(map[string]*types.Sig, len(registry))
-	effectTable = make(effects.Table, len(registry))
-	conservativeTable = make(effects.Table, len(registry))
-	for n, b := range registry {
-		sigTable[n] = b.sig
-		effectTable[n] = b.effects
+	conservativeTable = make(effects.Table, len(effectTable))
+	for n, d := range effectTable {
 		conservativeTable[n] = effects.Decl{
-			Reads:  append(append([]effects.Loc{}, b.effects.Reads...), extern),
-			Writes: append(append([]effects.Loc{}, b.effects.Writes...), extern),
+			Reads:  append(append([]effects.Loc{}, d.Reads...), extern),
+			Writes: append(append([]effects.Loc{}, d.Writes...), extern),
 		}
 	}
 }
@@ -186,20 +175,18 @@ func NewWorld() *World {
 
 // register adds one builtin; duplicate names are programming errors.
 func register(name string, params []ast.Type, result ast.Type, eff effects.Decl, fn implFn) {
-	if _, dup := registry[name]; dup {
+	if _, dup := implTable[name]; dup {
 		panic("builtins: duplicate " + name)
 	}
-	registry[name] = &builtin{
-		sig:     &types.Sig{Name: name, Params: params, Result: result},
-		effects: eff,
-		fn:      fn,
-	}
+	sigTable[name] = &types.Sig{Name: name, Params: params, Result: result}
+	effectTable[name] = eff
+	implTable[name] = fn
 }
 
 // registerPure adds a builtin usable inside COMMSETPREDICATE expressions.
 func registerPure(name string, params []ast.Type, result ast.Type, fn implFn) {
 	register(name, params, result, effects.Decl{}, fn)
-	registry[name].sig.Pure = true
+	sigTable[name].Pure = true
 }
 
 // Sigs returns the signature table for the type checker. The table is
@@ -221,9 +208,8 @@ func (w *World) ConservativeEffectTable() effects.Table { return conservativeTab
 
 // Fns returns the implementations for the interpreter, bound to w.
 func (w *World) Fns() map[string]interp.BuiltinFn {
-	out := make(map[string]interp.BuiltinFn, len(registry))
-	for n, b := range registry {
-		fn := b.fn
+	out := make(map[string]interp.BuiltinFn, len(implTable))
+	for n, fn := range implTable {
 		out[n] = func(args []value.Value) (value.Value, int64, error) { return fn(w, args) }
 	}
 	return out
