@@ -59,7 +59,13 @@ func (p *PDG) addLocalMemEdges() {
 	for _, a := range accesses {
 		bySlot[a.slot] = append(bySlot[a.slot], a)
 	}
-	for slot, accs := range bySlot {
+	// Slots are visited in index order so the edge list, and with it the
+	// PDG dump, is the same on every build.
+	for slot := range p.F.Locals {
+		accs := bySlot[slot]
+		if len(accs) == 0 {
+			continue
+		}
 		loc := fmt.Sprintf("slot %s", p.F.Locals[slot].Name)
 		sid := slot + 1
 		iv := p.IVSlots[slot]

@@ -1,16 +1,19 @@
 package pdg_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/builtins"
 	"repro/internal/effects"
 	"repro/internal/ir"
 	"repro/internal/pdg"
 	"repro/internal/pipeline"
 	"repro/internal/source"
 	"repro/internal/types"
+	"repro/internal/workloads"
 )
 
 func analyze(t *testing.T, src string) *pipeline.LoopAnalysis {
@@ -258,6 +261,44 @@ void main() {
 	for _, frag := range []string{"PDG main", "condbr", "call emit", "->"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("dump missing %q", frag)
+		}
+	}
+}
+
+// TestPDGDumpDeterministic builds every loop PDG of main of every workload
+// variant 20 times in one process and requires one dump per loop: the
+// edge order must not depend on map iteration.
+func TestPDGDumpDeterministic(t *testing.T) {
+	tables := builtins.NewWorld()
+	for _, wl := range workloads.All() {
+		for _, v := range wl.Variants {
+			dumps := map[string]map[string]bool{}
+			for i := 0; i < 20; i++ {
+				c, err := pipeline.Compile(pipeline.Options{
+					File:    source.NewFile(wl.Name+"["+v.Name+"]", v.Source),
+					Sigs:    tables.Sigs(),
+					Effects: tables.EffectTable(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, lu := range c.Loops("main") {
+					la, err := c.AnalyzeLoop("main", lu.Header)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key := fmt.Sprintf("b%d", lu.Header)
+					if dumps[key] == nil {
+						dumps[key] = map[string]bool{}
+					}
+					dumps[key][la.PDG.String()] = true
+				}
+			}
+			for loop, ds := range dumps {
+				if len(ds) != 1 {
+					t.Errorf("%s[%s] loop %s: %d distinct PDG dumps over 20 builds", wl.Name, v.Name, loop, len(ds))
+				}
+			}
 		}
 	}
 }

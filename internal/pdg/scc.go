@@ -131,7 +131,12 @@ func (p *PDG) String() string {
 		if a.Kind != c.Kind {
 			return a.Kind < c.Kind
 		}
-		return a.Loc < c.Loc
+		if a.Loc != c.Loc {
+			return a.Loc < c.Loc
+		}
+		// The key is total: addEdge keeps one edge per (From, To, Kind,
+		// LoopCarried, Loc).
+		return !a.LoopCarried && c.LoopCarried
 	})
 	for _, e := range edges {
 		lc := " "
