@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"repro/internal/bench"
-	"repro/internal/builtins"
 	"repro/internal/transform"
 	"repro/internal/workloads"
 )
@@ -49,12 +48,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		wl = &workloads.Workload{
-			Name:     flag.Arg(0),
-			Variants: []workloads.Variant{{Name: "comm", Source: string(src)}},
-			Setup:    func(w *builtins.World) {},
-			Validate: func(seq, par *builtins.World, ordered bool) error { return nil },
-		}
+		wl = workloads.FromSource(flag.Arg(0), string(src))
 	}
 
 	if *dump == "source" {

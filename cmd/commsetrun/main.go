@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/builtins"
 	"repro/internal/transform"
 	"repro/internal/vm/exec"
 	"repro/internal/workloads"
@@ -61,12 +60,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		wl = &workloads.Workload{
-			Name:     flag.Arg(0),
-			Variants: []workloads.Variant{{Name: "comm", Source: string(src)}},
-			Setup:    func(w *builtins.World) {},
-			Validate: func(seq, par *builtins.World, ordered bool) error { return nil },
-		}
+		wl = workloads.FromSource(flag.Arg(0), string(src))
 	}
 
 	cp, err := bench.Compile(wl, *variant, *threads)

@@ -8,9 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/builtins"
 	"repro/internal/pipeline"
-	"repro/internal/profile"
 	"repro/internal/sanitize"
-	"repro/internal/source"
 	"repro/internal/transform"
 	"repro/internal/vm/des"
 	"repro/internal/vm/exec"
@@ -150,7 +148,7 @@ func SanitizeCampaign(w io.Writer, opts CampaignOptions) (*SanitizeReport, error
 	}
 	cells := make([]*SanitizeCell, len(specs))
 	if err := opts.parDo(len(specs), func(i int) error {
-		cell, err := runSanitizedCell(specs[i].cp, specs[i].kind, specs[i].mode, threads)
+		cell, err := SanitizeRun(specs[i].cp, specs[i].kind, specs[i].mode, threads)
 		cells[i] = cell
 		return err
 	}); err != nil {
@@ -218,51 +216,55 @@ func SanitizeCampaign(w io.Writer, opts CampaignOptions) (*SanitizeReport, error
 // pipeline, Sequential through the VerifyAll oracle (which snapshots and
 // replays every same-set member pair of the serial execution).
 func SanitizeRun(cp *Compiled, kind transform.Kind, mode exec.SyncMode, threads int) (*SanitizeCell, error) {
-	if kind == transform.Sequential {
-		return runSanitizedSeq(cp)
+	if kind != transform.Sequential {
+		return sanitizedCell(cp, kind, mode, threads, func(c sanitize.Candidate) string {
+			return fmt.Sprintf("commsetrun -workload %s -variant %s -schedule %s -sync %s -threads %d -sanitize # pair %s/%s gseq %d:%d",
+				cp.WL.Name, cp.Variant, kindFlag(kind), syncFlag(mode), threads, c.FnA, c.FnB, c.GseqA, c.GseqB)
+		})
 	}
-	return runSanitizedCell(cp, kind, mode, threads)
-}
-
-func runSanitizedSeq(cp *Compiled) (*SanitizeCell, error) {
-	world := freshWorld(cp.WL)
-	mon := sanitize.New(sanitize.VerifyAll, cp.C.Low.Prog, world)
-	res, err := exec.RunSequentialSanitized(exec.Config{
-		Prog:     cp.C.Low.Prog,
-		Builtins: world.Fns(),
-		Model:    cp.C.Model,
-		Cost:     des.DefaultCostModel(),
-	}, mon)
+	vt, pairs, err := verifyAll(cp.C, freshWorld(cp.WL), func(c sanitize.Candidate) string {
+		return fmt.Sprintf("commsetrun -workload %s -variant %s -schedule seq -sanitize # pair %s/%s gseq %d:%d",
+			cp.WL.Name, cp.Variant, c.FnA, c.FnB, c.GseqA, c.GseqB)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: sanitized sequential %s/%s: %w", cp.WL.Name, cp.Variant, err)
 	}
 	cell := &SanitizeCell{
 		Workload: cp.WL.Name, Variant: cp.Variant,
 		Schedule: transform.Sequential.String(), Sync: "-", Threads: 1,
-		VirtualTime: res.VirtualTime,
-		VTimeMatch:  res.VirtualTime == cp.SeqCost,
+		VirtualTime: vt,
+		VTimeMatch:  vt == cp.SeqCost,
+		Pairs:       pairs,
+		Candidates:  len(pairs),
 	}
-	cell.Pairs = mon.VerifyPairs(func(c sanitize.Candidate) string {
-		return fmt.Sprintf("commsetrun -workload %s -variant %s -schedule seq -sanitize # pair %s/%s gseq %d:%d",
-			cp.WL.Name, cp.Variant, c.FnA, c.FnB, c.GseqA, c.GseqB)
-	})
-	cell.Candidates = len(cell.Pairs)
-	for _, p := range cell.Pairs {
-		switch p.Verdict {
-		case sanitize.VerdictVerified:
-			cell.Verified++
-		case sanitize.VerdictViolation:
-			cell.Violations++
-		}
-	}
+	cell.Verified, cell.Violations = sanitize.Tally(pairs)
 	cell.Clean = cell.Violations == 0
 	return cell, nil
 }
 
-// runSanitizedCell runs one cell three times: plain (the baseline virtual
-// time), detect (races + oracle candidates), and — when candidates exist
-// — capture (pre-state snapshots + both-order replay).
-func runSanitizedCell(cp *Compiled, kind transform.Kind, mode exec.SyncMode, threads int) (*SanitizeCell, error) {
+// verifyAll runs c sequentially on world under the VerifyAll monitor and
+// returns the run's virtual time with the replay verdicts of every
+// same-set member pair, each pair's repro command rendered by replay.
+func verifyAll(c *pipeline.Compiled, world *builtins.World, replay func(sanitize.Candidate) string) (int64, []sanitize.PairVerdict, error) {
+	mon := sanitize.New(sanitize.VerifyAll, c.Low.Prog, world)
+	res, err := exec.RunSequential(exec.Config{
+		Prog:     c.Low.Prog,
+		Builtins: world.Fns(),
+		Model:    c.Model,
+		Cost:     des.DefaultCostModel(),
+		Sanitize: mon,
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	return res.VirtualTime, mon.VerifyPairs(replay), nil
+}
+
+// sanitizedCell runs one parallel cell three times: plain (the baseline
+// virtual time), detect (races + oracle candidates), and — when
+// candidates exist — capture (pre-state snapshots + both-order replay,
+// each pair's repro command rendered by replay).
+func sanitizedCell(cp *Compiled, kind transform.Kind, mode exec.SyncMode, threads int, replay func(sanitize.Candidate) string) (*SanitizeCell, error) {
 	plain, err := cp.Run(kind, mode, threads)
 	if err != nil {
 		return nil, err
@@ -309,19 +311,8 @@ func runSanitizedCell(cp *Compiled, kind transform.Kind, mode exec.SyncMode, thr
 		if vtCap != plain.VirtualTime {
 			cell.VTimeMatch = false
 		}
-		replay := func(c sanitize.Candidate) string {
-			return fmt.Sprintf("commsetrun -workload %s -variant %s -schedule %s -sync %s -threads %d -sanitize # pair %s/%s gseq %d:%d",
-				cp.WL.Name, cp.Variant, kindFlag(kind), syncFlag(mode), threads, c.FnA, c.FnB, c.GseqA, c.GseqB)
-		}
 		cell.Pairs = capMon.ReplayCandidates(cands, replay)
-		for _, p := range cell.Pairs {
-			switch p.Verdict {
-			case sanitize.VerdictVerified:
-				cell.Verified++
-			case sanitize.VerdictViolation:
-				cell.Violations++
-			}
-		}
+		cell.Verified, cell.Violations = sanitize.Tally(cell.Pairs)
 	}
 	cell.Clean = len(cell.Races) == 0 && cell.Violations == 0
 	return cell, nil
@@ -359,11 +350,7 @@ func sanitizeNegatives(opts CampaignOptions) ([]SanitizeNegative, error) {
 			return fmt.Errorf("bench: negative %s: %w", e.Name, err)
 		}
 		n := SanitizeNegative{Name: e.Name, Mode: "verify-all", Pairs: pairs}
-		for _, p := range pairs {
-			if p.Verdict == sanitize.VerdictViolation {
-				n.Violations++
-			}
-		}
+		_, n.Violations = sanitize.Tally(pairs)
 		n.Flagged = n.Violations > 0
 		out[i] = n
 		return nil
@@ -377,69 +364,20 @@ func sanitizeNegatives(opts CampaignOptions) ([]SanitizeNegative, error) {
 // detect + capture: its two NSET members race on the shared global, the
 // monitor routes the pair to the oracle, and the replay must refute it.
 func parallelNegative() (*SanitizeNegative, error) {
-	tables := builtins.NewWorld()
-	c, err := pipeline.Compile(pipeline.Options{
-		File:    source.NewFile("parallel_negative.mc", parallelNegativeSrc),
-		Sigs:    tables.Sigs(),
-		Effects: tables.EffectTable(),
+	cp, err := Compile(workloads.FromSource("parallel_negative.mc", parallelNegativeSrc), "comm", 4)
+	if err != nil {
+		return nil, err
+	}
+	cell, err := sanitizedCell(cp, transform.DOALL, exec.SyncSpin, 4, func(c sanitize.Candidate) string {
+		return fmt.Sprintf("commsetbench -campaign sanitize # embedded parallel negative, pair gseq %d:%d", c.GseqA, c.GseqB)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("bench: compile parallel negative: %w", err)
-	}
-	prof, err := profile.Run(c, builtins.NewWorld().Fns())
-	if err != nil {
 		return nil, err
 	}
-	la, err := c.AnalyzeLoop("main", prof.Hottest())
-	if err != nil {
-		return nil, err
-	}
-	scheds := transform.Schedules(la, prof.Weights, 4)
-	var doall *transform.Schedule
-	for _, s := range scheds {
-		if s.Kind == transform.DOALL {
-			doall = s
-		}
-	}
-	if doall == nil {
-		return nil, fmt.Errorf("bench: parallel negative has no DOALL schedule")
-	}
-
-	run := func(mon *sanitize.Monitor, world *builtins.World) error {
-		cfg := exec.Config{
-			Prog:     c.Low.Prog,
-			Builtins: world.Fns(),
-			Model:    c.Model,
-			Cost:     des.DefaultCostModel(),
-			Sanitize: mon,
-		}
-		_, err := exec.Run(cfg, la, doall, exec.SyncSpin, 4)
-		return err
-	}
-
-	detWorld := builtins.NewWorld()
-	det := sanitize.New(sanitize.Detect, c.Low.Prog, detWorld)
-	if err := run(det, detWorld); err != nil {
-		return nil, err
-	}
-	n := &SanitizeNegative{Name: "parallel_nset_rmw", Mode: "parallel"}
-	if cands := det.Candidates(); len(cands) > 0 {
-		capWorld := builtins.NewWorld()
-		capMon := sanitize.NewCapture(c.Low.Prog, capWorld, cands)
-		if err := run(capMon, capWorld); err != nil {
-			return nil, err
-		}
-		n.Pairs = capMon.ReplayCandidates(cands, func(c sanitize.Candidate) string {
-			return fmt.Sprintf("commsetbench -campaign sanitize # embedded parallel negative, pair gseq %d:%d", c.GseqA, c.GseqB)
-		})
-		for _, p := range n.Pairs {
-			if p.Verdict == sanitize.VerdictViolation {
-				n.Violations++
-			}
-		}
-	}
-	n.Flagged = n.Violations > 0
-	return n, nil
+	return &SanitizeNegative{
+		Name: "parallel_nset_rmw", Mode: "parallel",
+		Pairs: cell.Pairs, Violations: cell.Violations, Flagged: cell.Violations > 0,
+	}, nil
 }
 
 // VerifyAllSource compiles a source text and runs it sequentially under
@@ -447,27 +385,15 @@ func parallelNegative() (*SanitizeNegative, error) {
 // same-set member pair. This is the engine behind corpus negatives and
 // commsetvet's -sanitize-out.
 func VerifyAllSource(name, src string, replayCmd func(sanitize.Candidate) string) ([]sanitize.PairVerdict, error) {
-	tables := builtins.NewWorld()
-	c, err := pipeline.Compile(pipeline.Options{
-		File:    source.NewFile(name, src),
-		Sigs:    tables.Sigs(),
-		Effects: tables.EffectTable(),
-	})
+	c, err := compileVetSource(name, src)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: %w", name, err)
 	}
-	world := builtins.NewWorld()
-	mon := sanitize.New(sanitize.VerifyAll, c.Low.Prog, world)
-	cfg := exec.Config{
-		Prog:     c.Low.Prog,
-		Builtins: world.Fns(),
-		Model:    c.Model,
-		Cost:     des.DefaultCostModel(),
-	}
-	if _, err := exec.RunSequentialSanitized(cfg, mon); err != nil {
+	_, pairs, err := verifyAll(c, builtins.NewWorld(), replayCmd)
+	if err != nil {
 		return nil, fmt.Errorf("run %s: %w", name, err)
 	}
-	return mon.VerifyPairs(replayCmd), nil
+	return pairs, nil
 }
 
 func kindFlag(k transform.Kind) string {

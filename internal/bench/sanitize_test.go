@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -35,6 +36,39 @@ func TestSanitizeCellClean(t *testing.T) {
 	}
 	if cell.Candidates > 0 && cell.Verified == 0 {
 		t.Errorf("candidates routed but none verified: %+v", cell)
+	}
+}
+
+// TestVerifyAllUnderTransientFaults runs the sequential VerifyAll oracle
+// with recovery armed under a transient-fault plan: each retry stays inside
+// its member's extent, so the verdicts equal the clean run's.
+func TestVerifyAllUnderTransientFaults(t *testing.T) {
+	plan := DefaultPlans(1)[0]
+	noReplay := func(sanitize.Candidate) string { return "" }
+	for _, name := range []string{"md5sum", "kmeans", "url", "456.hmmer"} {
+		cp, err := Compile(workloads.ByName(name), "comm", 1)
+		if err != nil {
+			t.Fatalf("compile %s: %v", name, err)
+		}
+		_, clean, err := verifyAll(cp.C, freshWorld(cp.WL), noReplay)
+		if err != nil {
+			t.Fatalf("%s clean: %v", name, err)
+		}
+		world := freshWorld(cp.WL)
+		mon := sanitize.New(sanitize.VerifyAll, cp.C.Low.Prog, world)
+		cfg := resilientConfig(cp.C, world, &plan)
+		cfg.Sanitize = mon
+		res, err := exec.RunSequential(cfg)
+		if err != nil {
+			t.Fatalf("%s under %s: %v", name, plan.Name, err)
+		}
+		if res.CallRetries == 0 {
+			t.Errorf("%s: plan %s caused no retries", name, plan.Name)
+		}
+		faulty := mon.VerifyPairs(noReplay)
+		if len(clean) == 0 || !reflect.DeepEqual(faulty, clean) {
+			t.Errorf("%s: verdicts under %s differ from the clean run's:\n%+v\nclean:\n%+v", name, plan.Name, faulty, clean)
+		}
 	}
 }
 

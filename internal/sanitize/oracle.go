@@ -66,6 +66,19 @@ type PairVerdict struct {
 	Replay string `json:"replay,omitempty"`
 }
 
+// Tally counts the verified and the violating verdicts among pairs.
+func Tally(pairs []PairVerdict) (verified, violations int) {
+	for _, p := range pairs {
+		switch p.Verdict {
+		case VerdictVerified:
+			verified++
+		case VerdictViolation:
+			violations++
+		}
+	}
+	return verified, violations
+}
+
 // drawTape implements the draw-stability contract dynamically. Builtins
 // modeled ResDraw (RNG, input dequeues) return values that the semantics
 // treats as stable per execution identity: swapping two members must not

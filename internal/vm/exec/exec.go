@@ -187,24 +187,43 @@ type Result struct {
 // RunSequential executes the program sequentially and returns its virtual
 // time — the baseline for every speedup in the evaluation. When recovery is
 // enabled, transient builtin failures are retried with exponential backoff
-// charged as virtual cost.
+// charged as virtual cost. When a sanitizer monitor is attached (normally
+// in VerifyAll mode, the path behind commsetvet's dynamic verification and
+// discharge), it observes every access, and every member invocation is
+// one extent, retries included; a sequential run has no races to observe.
 func RunSequential(cfg Config) (*Result, error) {
 	env := interp.NewEnv(cfg.Prog, cfg.Builtins)
 	th := interp.NewThread(env)
+	mon := cfg.Sanitize
 	retries := 0
-	if cfg.Recovery != nil {
+	if cfg.Recovery != nil || mon != nil {
+		var setTags func(fn string) []sanitize.SetTag
+		if mon != nil {
+			th.Tracer = mon
+			setTags = memberTags(cfg.Model)
+		}
+		snap := func() (map[string]value.Value, map[int]value.Value) {
+			return env.Globals.Snapshot(), nil
+		}
 		th.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
-			if cfg.Prog.Funcs[in.Name] != nil {
-				return invoke() // user function: inner builtin calls retry individually
+			member := mon != nil && len(cfg.Model.SetsOf[in.Name]) > 0
+			if member {
+				mon.MemberEnter(t.ID, in.Name, setTags(in.Name), args, nil, nil, snap)
 			}
-			for attempt := 0; ; attempt++ {
-				rets, err := invoke()
-				if err == nil || !IsTransient(err) || attempt >= maxCallRetries {
-					return rets, err
+			rets, err := invoke()
+			// User functions are not retried: their inner builtin calls
+			// retry individually.
+			if cfg.Recovery != nil && cfg.Prog.Funcs[in.Name] == nil {
+				for attempt := 0; err != nil && IsTransient(err) && attempt < maxCallRetries; attempt++ {
+					retries++
+					t.Cost += backoff(attempt)
+					rets, err = invoke()
 				}
-				retries++
-				t.Cost += backoff(attempt)
 			}
+			if member {
+				mon.MemberExit(t.ID, rets, err)
+			}
+			return rets, err
 		}
 	}
 	if err := th.RunMain(); err != nil {
@@ -219,45 +238,22 @@ func RunSequential(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// RunSequentialSanitized executes the program sequentially with the
-// sanitizer monitor attached (normally in VerifyAll mode): every member
-// invocation is recorded — the first few per member with a full
-// pre-state snapshot — so the commute oracle can replay all same-set
-// pairs afterwards. Sequential runs have no races to observe; this is
-// the path behind commsetvet's dynamic verification and discharge.
-func RunSequentialSanitized(cfg Config, mon *sanitize.Monitor) (*Result, error) {
-	env := interp.NewEnv(cfg.Prog, cfg.Builtins)
-	th := interp.NewThread(env)
-	th.Tracer = mon
-	tags := map[string][]sanitize.SetTag{}
-	setTags := func(fn string) []sanitize.SetTag {
-		if t, ok := tags[fn]; ok {
+// memberTags returns a memoizing renderer of a member's commsets as the
+// sanitizer's set tags.
+func memberTags(model *commset.Model) func(fn string) []sanitize.SetTag {
+	memo := map[string][]sanitize.SetTag{}
+	return func(fn string) []sanitize.SetTag {
+		if t, ok := memo[fn]; ok {
 			return t
 		}
-		sets := cfg.Model.SetsOf[fn]
+		sets := model.SetsOf[fn]
 		t := make([]sanitize.SetTag, len(sets))
 		for i, s := range sets {
 			t[i] = sanitize.SetTag{Name: s.Name, Self: s.SelfSet}
 		}
-		tags[fn] = t
+		memo[fn] = t
 		return t
 	}
-	snap := func() (map[string]value.Value, map[int]value.Value) {
-		return env.Globals.Snapshot(), nil
-	}
-	th.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
-		if len(cfg.Model.SetsOf[in.Name]) == 0 {
-			return invoke()
-		}
-		mon.MemberEnter(t.ID, in.Name, setTags(in.Name), args, nil, nil, snap)
-		rets, err := invoke()
-		mon.MemberExit(t.ID, rets, err)
-		return rets, err
-	}
-	if err := th.RunMain(); err != nil {
-		return nil, err
-	}
-	return &Result{VirtualTime: th.Cost, Threads: 1, Schedule: "Sequential"}, nil
 }
 
 // Run executes the program with the target loop parallelized per the
@@ -353,8 +349,9 @@ type machine struct {
 	call   []*callInfo
 	byName map[string]*callInfo
 
-	// setTagCache memoizes the sanitizer's per-member commset tags.
-	setTagCache map[string][]sanitize.SetTag
+	// setTags renders a member's commsets for the sanitizer (nil when no
+	// monitor is attached).
+	setTags func(fn string) []sanitize.SetTag
 
 	tm tmLog
 
@@ -467,6 +464,7 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 	m.sim.Watchdog = cfg.Watchdog
 	if cfg.Sanitize != nil {
 		m.sim.Probe = cfg.Sanitize
+		m.setTags = memberTags(cfg.Model)
 	}
 	kind := des.Mutex
 	if mode == SyncSpin || mode == SyncTM {

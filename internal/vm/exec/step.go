@@ -110,23 +110,6 @@ func (m *machine) newStepper(th *des.Thread, fr *frame) *stepper {
 	return st
 }
 
-// setTags renders a member's commsets for the sanitizer, memoized.
-func (m *machine) setTags(fn string) []sanitize.SetTag {
-	if t, ok := m.setTagCache[fn]; ok {
-		return t
-	}
-	sets := m.cfg.Model.SetsOf[fn]
-	t := make([]sanitize.SetTag, len(sets))
-	for i, s := range sets {
-		t[i] = sanitize.SetTag{Name: s.Name, Self: s.SelfSet}
-	}
-	if m.setTagCache == nil {
-		m.setTagCache = map[string][]sanitize.SetTag{}
-	}
-	m.setTagCache[fn] = t
-	return t
-}
-
 // snapState hands the sanitizer the executor-side pre-state: the global
 // heap and the current shared-cell values.
 func (m *machine) snapState() (map[string]value.Value, map[int]value.Value) {

@@ -129,6 +129,17 @@ func All() []*Workload {
 	}
 }
 
+// FromSource wraps a program read from a file as a workload: its one
+// "comm" variant runs on an empty substrate, with no output validation.
+func FromSource(name, src string) *Workload {
+	return &Workload{
+		Name:     name,
+		Variants: []Variant{{Name: "comm", Source: src}},
+		Setup:    func(*builtins.World) {},
+		Validate: func(seq, par *builtins.World, ordered bool) error { return nil },
+	}
+}
+
 // Syncs returns the synchronization mechanisms applicable to the workload.
 func (w *Workload) Syncs() []exec.SyncMode {
 	out := []exec.SyncMode{exec.SyncMutex, exec.SyncSpin}
