@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/transform"
@@ -37,7 +38,7 @@ func main() {
 	if *workload != "" {
 		wl = workloads.ByName(*workload)
 		if wl == nil {
-			fatal(fmt.Errorf("unknown workload %q (have: md5sum, 456.hmmer, geti, eclat, em3d, potrace, kmeans, url)", *workload))
+			fatal(fmt.Errorf("unknown workload %q (have: %s)", *workload, strings.Join(workloads.Names(), ", ")))
 		}
 	} else {
 		if flag.NArg() != 1 {

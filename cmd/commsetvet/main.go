@@ -317,7 +317,7 @@ func resolveSource(fs *flag.FlagSet, workload, variant string) (name, src string
 	if workload != "" {
 		wl := workloads.ByName(workload)
 		if wl == nil {
-			return workload, "", fmt.Errorf("unknown workload %q (have: md5sum, 456.hmmer, geti, eclat, em3d, potrace, kmeans, url)", workload)
+			return workload, "", fmt.Errorf("unknown workload %q (have: %s)", workload, strings.Join(workloads.Names(), ", "))
 		}
 		src = wl.Variant(variant)
 		if src == "" && variant == "noannot" {

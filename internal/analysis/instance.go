@@ -205,35 +205,14 @@ func (v *vet) symVal(la *pipeline.LoopAnalysis, at *ir.Instr, r int, inst, depth
 	case ir.OpBin:
 		x := v.symVal(la, def, def.A, inst, depth+1)
 		y := v.symVal(la, def, def.B, inst, depth+1)
-		return affineFold(def.BinOp, x, y, inst)
+		r, _ := symexec.ArithVals(def.BinOp, x, y)
+		return r
 	case ir.OpUn:
 		if def.BinOp == "-" {
 			x := v.symVal(la, def, def.A, inst, depth+1)
 			if x.Kind == symexec.KAffine {
 				return symexec.Affine(-x.A, -x.B, inst)
 			}
-		}
-	}
-	return symexec.UnknownVal()
-}
-
-// affineFold folds integer arithmetic over affine operands, mirroring the
-// dependence analyzer's symbolic evaluation.
-func affineFold(op string, x, y symexec.Val, inst int) symexec.Val {
-	if x.Kind != symexec.KAffine || y.Kind != symexec.KAffine {
-		return symexec.UnknownVal()
-	}
-	switch op {
-	case "+":
-		return symexec.Affine(x.A+y.A, x.B+y.B, inst)
-	case "-":
-		return symexec.Affine(x.A-y.A, x.B-y.B, inst)
-	case "*":
-		if x.A == 0 {
-			return symexec.Affine(x.B*y.A, x.B*y.B, inst)
-		}
-		if y.A == 0 {
-			return symexec.Affine(y.B*x.A, y.B*x.B, inst)
 		}
 	}
 	return symexec.UnknownVal()

@@ -405,12 +405,7 @@ func VetWorkloads(out io.Writer, threads int) error {
 	var bad []string
 	for _, wl := range workloads.All() {
 		for _, v := range wl.Variants {
-			world := builtins.NewWorld()
-			c, err := pipeline.Compile(pipeline.Options{
-				File:    source.NewFile(fmt.Sprintf("%s[%s]", wl.Name, v.Name), v.Source),
-				Sigs:    world.Sigs(),
-				Effects: world.EffectTable(),
-			})
+			c, err := compileVetSource(fmt.Sprintf("%s[%s]", wl.Name, v.Name), v.Source)
 			if err != nil {
 				return fmt.Errorf("bench: vet gate: compile %s/%s: %w", wl.Name, v.Name, err)
 			}

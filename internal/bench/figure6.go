@@ -50,22 +50,9 @@ type seriesSpec struct {
 
 func specsFor(wl *workloads.Workload) []seriesSpec {
 	var specs []seriesSpec
-	cpCache := map[string]*Compiled{}
-	getCompiled := func(variant string) *Compiled {
-		if cp, ok := cpCache[variant]; ok {
-			return cp
-		}
-		cp, err := Compile(wl, variant, 8)
-		if err != nil {
-			return nil
-		}
-		cpCache[variant] = cp
-		return cp
-	}
-
 	for _, variant := range wl.Variants {
-		cp := getCompiled(variant.Name)
-		if cp == nil {
+		cp, err := Compile(wl, variant.Name, 8)
+		if err != nil {
 			continue
 		}
 		for _, kind := range parallelKinds {
@@ -88,7 +75,7 @@ func specsFor(wl *workloads.Workload) []seriesSpec {
 		}
 	}
 	// Best non-COMMSET parallelization (often sequential).
-	if cp := getCompiled("noannot"); cp != nil {
+	if cp, err := Compile(wl, "noannot", 8); err == nil {
 		for _, kind := range parallelKinds {
 			if cp.Schedule(kind) != nil {
 				specs = append(specs, seriesSpec{variant: "noannot", kind: kind, sync: exec.SyncSpin})
@@ -102,16 +89,10 @@ func specsFor(wl *workloads.Workload) []seriesSpec {
 // auto, every run goes through the profile-guided auto-scheduler.
 func Figure6(wl *workloads.Workload, maxThreads int, auto bool) (*Figure, error) {
 	fig := &Figure{WL: wl}
-	compiled := map[string]*Compiled{}
 	for _, spec := range specsFor(wl) {
-		cp := compiled[spec.variant]
-		if cp == nil {
-			var err error
-			cp, err = Compile(wl, spec.variant, maxThreads)
-			if err != nil {
-				return nil, err
-			}
-			compiled[spec.variant] = cp
+		cp, err := Compile(wl, spec.variant, maxThreads)
+		if err != nil {
+			return nil, err
 		}
 		if cp.Schedule(spec.kind) == nil {
 			continue

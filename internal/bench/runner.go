@@ -140,7 +140,7 @@ type Measurement struct {
 	Threads  int
 
 	// Tune is the adaptive tuning the run executed under (zero for the
-	// paper's fixed policies; the auto-scheduler's pick for RunAuto).
+	// paper's fixed policies; the auto-scheduler's pick for an auto run).
 	Tune transform.Tuning
 
 	VirtualTime int64
@@ -158,14 +158,6 @@ type Measurement struct {
 // iteration order; DOALL never).
 func (cp *Compiled) Run(kind transform.Kind, mode exec.SyncMode, threads int) (*Measurement, error) {
 	return cp.run(kind, mode, threads, false)
-}
-
-// RunAuto is Run with the profile-guided auto-scheduler enabled: the
-// executor calibrates schedule/chunk/batch/privatization candidates on
-// short slices (each against a throwaway world) and the measured run
-// adopts the fastest tuning.
-func (cp *Compiled) RunAuto(kind transform.Kind, mode exec.SyncMode, threads int) (*Measurement, error) {
-	return cp.run(kind, mode, threads, true)
 }
 
 func (cp *Compiled) runUncached(kind transform.Kind, mode exec.SyncMode, threads int, auto bool) (*Measurement, error) {

@@ -103,19 +103,3 @@ func shortSched(s string) string {
 	}
 	return s
 }
-
-// Geomean computes the geometric-mean speedup of the rows' best schemes.
-func Geomean(rows []*Row) float64 {
-	if len(rows) == 0 {
-		return 1
-	}
-	var logsum float64
-	for _, r := range rows {
-		s := 1.0
-		if r.Best != nil {
-			s = r.Best.Speedup
-		}
-		logsum += math.Log(s)
-	}
-	return math.Exp(logsum / float64(len(rows)))
-}

@@ -37,9 +37,6 @@ func (w *World) SetupPackets(n int) {
 	}
 }
 
-// NumPackets reports the pool size.
-func (w *World) NumPackets() int { return len(w.packets) }
-
 func registerNet() {
 	register("pkt_count", nil, ast.TInt, rw("pkt.pool"),
 		func(w *World, args []value.Value) (value.Value, int64, error) {

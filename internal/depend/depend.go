@@ -313,33 +313,14 @@ func (a *Analyzer) symOfDef(def *ir.Instr, inst, depth int) symexec.Val {
 	case ir.OpBin:
 		x := a.symOfDef(a.p.DefOfReg(def, def.A), inst, depth+1)
 		y := a.symOfDef(a.p.DefOfReg(def, def.B), inst, depth+1)
-		return affineArith(def.BinOp, x, y, inst)
+		r, _ := symexec.ArithVals(def.BinOp, x, y)
+		return r
 	case ir.OpUn:
 		if def.BinOp == "-" {
 			x := a.symOfDef(a.p.DefOfReg(def, def.A), inst, depth+1)
 			if x.Kind == symexec.KAffine {
 				return symexec.Affine(-x.A, -x.B, inst)
 			}
-		}
-	}
-	return symexec.UnknownVal()
-}
-
-func affineArith(op string, x, y symexec.Val, inst int) symexec.Val {
-	if x.Kind != symexec.KAffine || y.Kind != symexec.KAffine {
-		return symexec.UnknownVal()
-	}
-	switch op {
-	case "+":
-		return symexec.Affine(x.A+y.A, x.B+y.B, inst)
-	case "-":
-		return symexec.Affine(x.A-y.A, x.B-y.B, inst)
-	case "*":
-		if x.A == 0 {
-			return symexec.Affine(x.B*y.A, x.B*y.B, inst)
-		}
-		if y.A == 0 {
-			return symexec.Affine(y.B*x.A, y.B*x.B, inst)
 		}
 	}
 	return symexec.UnknownVal()

@@ -142,9 +142,6 @@ type Func struct {
 	Pos     source.Pos
 }
 
-// Entry returns the entry block.
-func (f *Func) Entry() *Block { return f.Blocks[0] }
-
 // BlockByID returns the block with the given ID. Block IDs equal slice
 // positions by construction.
 func (f *Func) BlockByID(id int) *Block { return f.Blocks[id] }

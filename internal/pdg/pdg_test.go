@@ -193,32 +193,6 @@ void main() {
 	}
 }
 
-func TestSCCPartition(t *testing.T) {
-	la := analyze(t, `
-void main() {
-	int x = 0;
-	for (int i = 0; i < 4; i++) {
-		x = pull(x);
-		emit(x);
-	}
-}`)
-	sccs := la.PDG.SCCs(pdg.FilterAll)
-	seen := map[int]bool{}
-	for _, comp := range sccs {
-		for _, n := range comp {
-			if seen[n] {
-				t.Fatalf("node %d in two components", n)
-			}
-			seen[n] = true
-		}
-	}
-	for _, n := range la.PDG.Nodes {
-		if !seen[n] {
-			t.Fatalf("node %d missing from SCC partition", n)
-		}
-	}
-}
-
 func TestRMWSlots(t *testing.T) {
 	la := analyze(t, `
 void main() {

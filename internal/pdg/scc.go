@@ -6,109 +6,6 @@ import (
 	"strings"
 )
 
-// EdgeFilter selects which edges participate in a traversal. The standard
-// filters implement the paper's Section 4.5 edge treatment: uco edges are
-// treated as non-existent and ico edges as intra-iteration edges.
-type EdgeFilter func(*Edge) bool
-
-// FilterAll keeps every edge.
-func FilterAll(*Edge) bool { return true }
-
-// FilterRelaxed drops uco edges (they are treated as non-existent after the
-// COMMSET dependence analyzer runs).
-func FilterRelaxed(e *Edge) bool { return e.Comm != CommUCO }
-
-// LoopCarriedAfterRelax reports whether the edge still constrains
-// cross-iteration execution: uco edges are gone, and ico edges count as
-// intra-iteration.
-func LoopCarriedAfterRelax(e *Edge) bool {
-	return e.LoopCarried && e.Comm == CommNone
-}
-
-// SCCs computes strongly connected components over the PDG restricted to
-// edges passing the filter, using Tarjan's algorithm. Components are
-// returned in reverse topological order reversed to topological order
-// (sources first), each sorted by instruction ID.
-func (p *PDG) SCCs(filter EdgeFilter) [][]int {
-	adj := map[int][]int{}
-	for _, e := range p.Edges {
-		if filter(e) {
-			adj[e.From] = append(adj[e.From], e.To)
-		}
-	}
-
-	index := map[int]int{}
-	low := map[int]int{}
-	onStack := map[int]bool{}
-	var stack []int
-	var sccs [][]int
-	counter := 0
-
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Ints(comp)
-			sccs = append(sccs, comp)
-		}
-	}
-	for _, v := range p.Nodes {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	// Tarjan emits components in reverse topological order.
-	for i, j := 0, len(sccs)-1; i < j; i, j = i+1, j-1 {
-		sccs[i], sccs[j] = sccs[j], sccs[i]
-	}
-	return sccs
-}
-
-// HasLoopCarriedEdgeWithin reports whether any loop-carried edge (after
-// relaxation, excluding privatized induction-variable flow) connects two
-// nodes of the given set. PS-DSWP uses this to decide stage replication.
-func (p *PDG) HasLoopCarriedEdgeWithin(nodes map[int]bool) bool {
-	for _, e := range p.Edges {
-		if !nodes[e.From] || !nodes[e.To] {
-			continue
-		}
-		if e.Kind == DepControl {
-			continue
-		}
-		if e.IVSlot {
-			continue
-		}
-		if LoopCarriedAfterRelax(e) {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the PDG in a compact textual form (the Figure 2 dump):
 // one line per node, then one line per edge with kind, loop-carried flag,
 // cause, and commutativity annotation.

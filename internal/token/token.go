@@ -196,31 +196,10 @@ func Lookup(ident string) Kind {
 	return IDENT
 }
 
-// IsKeyword reports whether k is a reserved word.
-func (k Kind) IsKeyword() bool { return k >= KwInt && k <= KwFalse }
-
-// IsLiteral reports whether k is a literal or identifier token.
-func (k Kind) IsLiteral() bool {
-	switch k {
-	case IDENT, INT, FLOAT, STRING, CHAR, KwTrue, KwFalse:
-		return true
-	}
-	return false
-}
-
 // IsTypeKeyword reports whether k begins a type (and therefore a declaration).
 func (k Kind) IsTypeKeyword() bool {
 	switch k {
 	case KwInt, KwFloat, KwBool, KwString, KwVoid:
-		return true
-	}
-	return false
-}
-
-// IsAssignOp reports whether k is one of the assignment operators.
-func (k Kind) IsAssignOp() bool {
-	switch k {
-	case ASSIGN, ADDASSIGN, SUBASSIGN, MULASSIGN, QUOASSIGN, REMASSIGN:
 		return true
 	}
 	return false

@@ -104,20 +104,6 @@ func (h *Heap) Snapshot() map[string]value.Value {
 	return out
 }
 
-// SnapshotSlots copies the global slots into dst (grown as needed) and
-// returns it. Unlike Snapshot it allocates nothing when dst already has
-// capacity, which is what the high-frequency capture paths (STM
-// validation, sanitizer state capture) want.
-func (h *Heap) SnapshotSlots(dst []value.Value) []value.Value {
-	dst = append(dst[:0], h.vals...)
-	return dst
-}
-
-// RestoreSlots writes a SnapshotSlots image back into the heap.
-func (h *Heap) RestoreSlots(src []value.Value) {
-	copy(h.vals, src)
-}
-
 // Range calls fn for every global in slot order without allocating.
 func (h *Heap) Range(fn func(name string, v value.Value)) {
 	for i, name := range h.names {

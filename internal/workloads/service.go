@@ -51,16 +51,6 @@ func Services() []*Service {
 	return []*Service{urlService(), md5sumService()}
 }
 
-// ServiceByName finds a service.
-func ServiceByName(name string) *Service {
-	for _, s := range Services() {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // urlService is packet switching as an open system: requests are packets,
 // the response is the logged route. pkt_dequeue hands out sequential packet
 // handles, so a run completing k requests logs exactly the reference lines

@@ -129,6 +129,15 @@ func All() []*Workload {
 	}
 }
 
+// Names lists every workload's name in Table 2 order.
+func Names() []string {
+	var names []string
+	for _, w := range All() {
+		names = append(names, w.Name)
+	}
+	return names
+}
+
 // FromSource wraps a program read from a file as a workload: its one
 // "comm" variant runs on an empty substrate, with no output validation.
 func FromSource(name, src string) *Workload {
