@@ -38,7 +38,7 @@ func autoTune(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, 
 		c := cfg
 		c.Auto = nil
 		c.Tune = cand
-		c.MaxIters = sliceIters
+		c.maxIters = sliceIters
 		if fresh != nil {
 			c.Builtins = fresh()
 		}

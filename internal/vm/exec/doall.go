@@ -23,7 +23,7 @@ func (m *machine) runCond(st *stepper) (bool, error) {
 
 // sweepResult is the outcome of one completed sweep — a worker's own
 // initial range or an adopted stolen one. ctrl marks sweeps that ran loop
-// control to its exit (or the MaxIters calibration cap), whose frames
+// control to its exit (or the maxIters calibration cap), whose frames
 // therefore hold the final control state.
 type sweepResult struct {
 	fr       *frame
@@ -193,10 +193,10 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 		if m.resilient() && m.failed() {
 			break // a sibling hit an unrecoverable fault; stop early
 		}
-		if m.cfg.MaxIters > 0 && iter >= m.cfg.MaxIters {
+		if m.cfg.maxIters > 0 && iter >= m.cfg.maxIters {
 			ctrl = true // calibration slice: stop after the sampled prefix
 			if board != nil {
-				board.close(m.cfg.MaxIters)
+				board.close(m.cfg.maxIters)
 			}
 			break
 		}
@@ -344,7 +344,7 @@ func (m *machine) doallSalvage(th *des.Thread, d doallDone, share, nshares int, 
 		if m.failed() {
 			break
 		}
-		if m.cfg.MaxIters > 0 && iter >= m.cfg.MaxIters {
+		if m.cfg.maxIters > 0 && iter >= m.cfg.maxIters {
 			ctrl = true
 			break
 		}

@@ -90,9 +90,9 @@ type Config struct {
 	// candidate tuning and the fastest candidate replaces Tune.
 	Auto *AutoOptions
 
-	// MaxIters, when positive, caps the number of loop iterations the
+	// maxIters, when positive, caps the number of loop iterations the
 	// parallel executors run (the auto-scheduler's calibration slices).
-	MaxIters int64
+	maxIters int64
 
 	// Recovery enables the fault-recovery policies (nil keeps the legacy
 	// abort-on-first-error behavior).

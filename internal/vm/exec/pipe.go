@@ -379,7 +379,7 @@ func (m *machine) dispatch(th *des.Thread, mainFr *frame, p *pipeNet) error {
 		if m.resilient() && m.failed() {
 			break // a stage died: stop generating iterations
 		}
-		if m.cfg.MaxIters > 0 && iter >= m.cfg.MaxIters {
+		if m.cfg.maxIters > 0 && iter >= m.cfg.maxIters {
 			break // calibration slice: stop after the sampled prefix
 		}
 		exit, err := m.runCond(st)

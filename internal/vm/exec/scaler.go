@@ -13,7 +13,7 @@ import (
 // the degradation ladder. Levels:
 //
 //	0  normal: the worker pool tracks ceil(arrival-rate × service-cost ×
-//	   Headroom) active workers (online recalibration of the one-shot
+//	   scalerHeadroom) active workers (online recalibration of the one-shot
 //	   auto-scheduler calibration).
 //	1  shed: request classes with ShedAtLevel ≤ 1 are dropped at admission.
 //	2  scale-down: the pool collapses to MinWorkers — under contention the
@@ -32,8 +32,6 @@ type ScalerConfig struct {
 	Window int64
 	// MinWorkers floors the active pool (default 1).
 	MinWorkers int
-	// Headroom multiplies the estimated required workers (default 1.25).
-	Headroom float64
 	// BadAttainment is the SLO-attainment threshold below which a window is
 	// bad (default 0.5).
 	BadAttainment float64
@@ -50,6 +48,9 @@ type ScalerConfig struct {
 	AllowFallback bool
 }
 
+// scalerHeadroom multiplies the estimated required workers.
+const scalerHeadroom = 1.25
+
 func (sc *ScalerConfig) window() int64 {
 	if sc.Window > 0 {
 		return sc.Window
@@ -62,13 +63,6 @@ func (sc *ScalerConfig) minWorkers() int {
 		return sc.MinWorkers
 	}
 	return 1
-}
-
-func (sc *ScalerConfig) headroom() float64 {
-	if sc.Headroom > 0 {
-		return sc.Headroom
-	}
-	return 1.25
 }
 
 func (sc *ScalerConfig) badAttainment() float64 {
@@ -218,7 +212,7 @@ func (sv *svcState) windowTick(m *machine, now int64) {
 		need := sc.minWorkers()
 		if arr > 0 {
 			lambda := float64(arr) / float64(sc.window()) // requests per vt unit
-			need = int(math.Ceil(lambda * float64(est) * sc.headroom()))
+			need = int(math.Ceil(lambda * float64(est) * scalerHeadroom))
 		}
 		if need < sc.minWorkers() {
 			need = sc.minWorkers()

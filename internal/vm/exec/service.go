@@ -51,10 +51,9 @@ type ServiceConfig struct {
 	IngressCap int
 
 	// Deadline, when positive, abandons requests still queued that long
-	// after arrival; the dispatcher charges AbandonCost (default 100)
-	// virtual-time units per abandonment.
-	Deadline    int64
-	AbandonCost int64
+	// after arrival; the dispatcher charges abandonCost virtual-time units
+	// per abandonment.
+	Deadline int64
 
 	// SLO is the target virtual latency; completions within it count toward
 	// SLO attainment (≤ 0 disables the distinction).
@@ -74,18 +73,15 @@ type ServiceConfig struct {
 	EstReqCost int64
 }
 
+// abandonCost is the virtual time the dispatcher charges per abandoned
+// request.
+const abandonCost = 100
+
 func (c *ServiceConfig) ingressCap() int {
 	if c.IngressCap > 0 {
 		return c.IngressCap
 	}
 	return 64
-}
-
-func (c *ServiceConfig) abandonCost() int64 {
-	if c.AbandonCost > 0 {
-		return c.AbandonCost
-	}
-	return 100
 }
 
 // svcReq is one arrival in the ingress queue (k < 0 is the end-of-trace
@@ -515,12 +511,11 @@ func RunService(cfg Config, svc ServiceConfig, la *pipeline.LoopAnalysis, sched 
 	if cfg.Recovery == nil {
 		cfg.Recovery = DefaultRecovery()
 	}
-	// Service mode owns pacing: no calibration slices, no one-shot
-	// auto-tuning (the controller recalibrates online), and — with a crash
-	// plan armed — per-token queue transfers so no request rides an
-	// unflushed batch buffer into a crash window.
+	// Service mode owns pacing: no one-shot auto-tuning (the controller
+	// recalibrates online), and — with a crash plan armed — per-token
+	// queue transfers so no request rides an unflushed batch buffer into a
+	// crash window.
 	cfg.Auto = nil
-	cfg.MaxIters = 0
 	cfg.Tune.Privatize = false
 	if cfg.CrashCheck != nil {
 		cfg.Tune.Batch = 1
@@ -602,7 +597,7 @@ func (m *machine) svcNext(th *des.Thread, st *stepper, closed *bool) (svcReq, bo
 		}
 		if d := sv.cfg.Deadline; d > 0 && th.VTime-req.arrival > d {
 			sv.abandoned++
-			th.Charge(sv.cfg.abandonCost())
+			th.Charge(abandonCost)
 			continue
 		}
 		if !*closed {

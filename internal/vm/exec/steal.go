@@ -108,7 +108,7 @@ func newStealBoard(threads int) *stealBoard {
 }
 
 // close records the loop trip count the first time any sweep reaches the
-// control exit (or the MaxIters calibration cap). Every frame agrees on it
+// control exit (or the maxIters calibration cap). Every frame agrees on it
 // — loop control is privatized and deterministic — so first-write wins.
 func (b *stealBoard) close(n int64) {
 	if b.n < 0 {
