@@ -14,16 +14,10 @@
 //
 // # Quick start
 //
-//	lib := commset.StandardLibrary()
-//	prog, err := commset.Compile(src, lib)
-//	...
-//	seq, _ := prog.RunSequential()
-//	schedules := prog.Schedules(8)
-//	res, _ := prog.Run(schedules[1], commset.SyncSpin, 8)
-//	fmt.Printf("speedup %.2f\n", seq.Speedup(res))
-//
-// See the examples/ directory for complete programs, and DESIGN.md for the
-// system inventory and the paper-experiment index.
+// ExampleCompile compiles an annotated program, lists the schedules its
+// annotations enable, and runs one in parallel. See the examples/
+// directory for complete programs, and DESIGN.md for the system inventory
+// and the paper-experiment index.
 package commset
 
 import (
@@ -60,26 +54,6 @@ const (
 	DSWP       = transform.DSWP
 	PSDSWP     = transform.PSDSWP
 )
-
-// Library is the substrate a program compiles and runs against: the
-// signatures, effect declarations, cost model, and implementations of every
-// builtin. StandardLibrary returns the full substrate used by the paper's
-// benchmark reproductions (filesystem, console, RNG, HMM scorer, mining
-// containers, graph builder, tracer, k-means state, packet pool).
-type Library struct {
-	world *builtins.World
-}
-
-// StandardLibrary creates a fresh substrate instance. Each Program
-// execution uses its own fresh substrate via the factory recorded at
-// compile time, so runs are independent and deterministic.
-func StandardLibrary() *Library {
-	return &Library{world: builtins.NewWorld()}
-}
-
-// World exposes the substrate for population (AddFile, AddTransactions,
-// SetupPackets, ...) and inspection (Console, LogLines, ...).
-func (l *Library) World() *builtins.World { return l.world }
 
 // Program is a compiled, analyzed MiniC program.
 type Program struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/builtins"
 	"repro/internal/sanitize"
 	"repro/internal/transform"
 	"repro/internal/vm/exec"
@@ -158,5 +159,45 @@ func TestVerifyAllSourceViolation(t *testing.T) {
 	}
 	if !violated {
 		t.Fatalf("no violation found in %d pairs", len(pairs))
+	}
+}
+
+// BenchmarkSanitizedCell times the sanitizer layer on md5sum: one parallel
+// cell (detect, capture, both-order replay of its oracle candidates) and
+// one sequential VerifyAll run. The plain run a cell compares against is
+// memoized, so it is warmed first; the substrate memos are reset outside
+// the timer, so every iteration's sanitized runs start cold.
+func BenchmarkSanitizedCell(b *testing.B) {
+	cp, err := Compile(workloads.Md5sum(), "comm", 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := cp.Run(transform.DOALL, exec.SyncSpin, 4); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		kind    transform.Kind
+		mode    exec.SyncMode
+		threads int
+	}{
+		{"doall", transform.DOALL, exec.SyncSpin, 4},
+		{"seq", transform.Sequential, 0, 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				builtins.ResetFastCaches()
+				b.StartTimer()
+				cell, err := SanitizeRun(cp, c.kind, c.mode, c.threads)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !cell.Clean || !cell.VTimeMatch {
+					b.Fatalf("cell not clean: %+v", cell)
+				}
+			}
+		})
 	}
 }
