@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt staticcheck race bench-layers bench-campaigns bench-perf-smoke verify
+.PHONY: all build test vet fmt staticcheck race bench-layers bench-paper examples bench-campaigns bench-perf-smoke verify
 
 all: build
 
@@ -35,6 +35,16 @@ race:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
+# The paper benchmarks of the root package (Table 1, Table 2, Figures 2,
+# 3 and 6, the ablations), one iteration each.
+bench-paper:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# Every program under examples/, run to completion (a failing run fails
+# the target; their output is not checked).
+examples:
+	@for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
+
 # The gated campaigns, CI-sized: the analyzer precision gate (corpus
 # expectations including the commute verifier's commutes/refutes pins,
 # every workload variant warning-free), the auto-scheduler schedule
@@ -55,6 +65,7 @@ bench-perf-smoke:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The full pre-merge gate: build, vet (plus staticcheck when installed),
-# formatting, the race-enabled test suite, the per-layer benchmarks, the
-# gated campaigns, and the host-time benchmark smoke.
-verify: build vet staticcheck fmt race bench-layers bench-campaigns bench-perf-smoke
+# formatting, the race-enabled test suite, the per-layer and paper
+# benchmarks, the examples, the gated campaigns, and the host-time
+# benchmark smoke.
+verify: build vet staticcheck fmt race bench-layers bench-paper examples bench-campaigns bench-perf-smoke
