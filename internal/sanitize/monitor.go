@@ -61,10 +61,13 @@ type access struct {
 }
 
 // shadow is the per-location shadow cell: the last write plus the reads
-// since that write (one slot per thread).
+// since that write (one slot per thread). raced marks a cell that already
+// has its race report (one report per cell).
 type shadow struct {
 	w     access
 	reads []access
+	raced bool
+	key   cellKey
 }
 
 // RaceReport is one unordered conflicting access pair that no common
@@ -90,6 +93,75 @@ type Candidate struct {
 	Cell  string `json:"cell"`
 }
 
+// Shadow-cell kinds.
+const (
+	cellGlobal  = iota // a MiniC global variable
+	cellSlot           // a promoted shared frame slot
+	cellBuiltin        // a builtin effect location
+)
+
+// cellKey identifies a shadow cell: a global by name, a shared frame
+// slot, or a builtin effect location with the call's instance handle and
+// element key when the declaration names them. String renders the cell's
+// name, only when a race or candidate records it.
+type cellKey struct {
+	kind            int
+	loc             string // global name, or the builtin effect location
+	slot            int
+	inst, key       int64
+	hasInst, hasKey bool
+}
+
+func (k cellKey) String() string {
+	switch k.kind {
+	case cellGlobal:
+		return "g:" + k.loc
+	case cellSlot:
+		return "cell:" + strconv.Itoa(k.slot)
+	}
+	s := k.loc
+	if k.hasInst {
+		s += "#" + strconv.FormatInt(k.inst, 10)
+	}
+	if k.hasKey {
+		s += "@" + strconv.FormatInt(k.key, 10)
+	}
+	return s
+}
+
+// planStep is one shadow-cell access of a builtin call: the location, the
+// access kind, and the argument indices that specialize the location
+// (-1 when the declaration names none).
+type planStep struct {
+	loc       string
+	write     bool
+	inst, key int
+}
+
+// candKey deduplicates candidates per (set, unordered member pair).
+type candKey struct{ set, f1, f2 string }
+
+// thread is one simulated thread's sanitizer state: its vector clock and
+// its stack of open member extents.
+type thread struct {
+	clock vclock
+	stack []*extentRef
+}
+
+func (t *thread) top() *extentRef {
+	if len(t.stack) == 0 {
+		return nil
+	}
+	return t.stack[len(t.stack)-1]
+}
+
+// tokClock is the push-time clock of one queue push, shared by every
+// token of the push until the last of them is popped.
+type tokClock struct {
+	c    vclock
+	refs int
+}
+
 const (
 	targetArgs = 1 // record arguments and returns only
 	targetFull = 2 // also snapshot heap + cells + world at entry
@@ -111,24 +183,36 @@ const verifyAllScanCap = 2048
 // The DES serializes thread goroutines (exactly one runs between
 // yields), so the monitor needs no locking and its output is
 // deterministic.
+//
+// Per-event hooks hash no thread ID and build no string: clocks and
+// extent stacks are indexed by thread ID, a lock's release clock is
+// overwritten in place, and shadow cells are interned once (globals by
+// name, shared cells by slot, builtin-effect cells by location, handle
+// and key through per-builtin access plans). A cell's name is rendered
+// only when a race or candidate records it.
 type Monitor struct {
 	mode  Mode
 	prog  *ir.Program
 	world *builtins.World
 	eff   effects.Table
 
-	clocks map[int]vclock
-	lockC  map[string]vclock
-	tokC   map[int64]vclock
+	threads []*thread
+	lockC   map[string]*vclock
+	tokC    map[int64]*tokClock
+	tokFree []*tokClock
 
-	gseq   int64
-	stacks map[int][]*extentRef
-	cells  map[string]*shadow
+	gseq  int64
+	cells []shadow
+	// Interned cells: globals by name, shared slots densely (cell index
+	// plus one, 0 for none yet), builtin-effect cells by key.
+	globals  map[string]int32
+	slots    []int32
+	effCells map[cellKey]int32
+	plans    map[string][]planStep
 
-	raceSeen map[string]bool
-	races    []RaceReport
+	races []RaceReport
 
-	candSeen map[string]bool
+	candSeen map[candKey]bool
 	cands    []Candidate
 
 	targets   map[int64]int
@@ -145,13 +229,12 @@ func New(mode Mode, prog *ir.Program, world *builtins.World) *Monitor {
 		prog:      prog,
 		world:     world,
 		eff:       world.EffectTable(),
-		clocks:    map[int]vclock{},
-		lockC:     map[string]vclock{},
-		tokC:      map[int64]vclock{},
-		stacks:    map[int][]*extentRef{},
-		cells:     map[string]*shadow{},
-		raceSeen:  map[string]bool{},
-		candSeen:  map[string]bool{},
+		lockC:     map[string]*vclock{},
+		tokC:      map[int64]*tokClock{},
+		globals:   map[string]int32{},
+		effCells:  map[cellKey]int32{},
+		plans:     map[string][]planStep{},
+		candSeen:  map[candKey]bool{},
 		targets:   map[int64]int{},
 		invs:      map[int64]*Invocation{},
 		snapCount: map[string]int{},
@@ -188,13 +271,17 @@ func (m *Monitor) Candidates() []Candidate {
 	return m.cands
 }
 
-func (m *Monitor) clock(tid int) vclock {
-	c := m.clocks[tid]
-	if c == nil {
-		c = newClock(tid)
-		m.clocks[tid] = c
+// thread returns tid's state, creating it on first use.
+func (m *Monitor) thread(tid int) *thread {
+	if tid >= len(m.threads) {
+		m.threads = append(m.threads, make([]*thread, tid+1-len(m.threads))...)
 	}
-	return c
+	t := m.threads[tid]
+	if t == nil {
+		t = &thread{clock: newClock(tid)}
+		m.threads[tid] = t
+	}
+	return t
 }
 
 // ---- des.Probe ----
@@ -204,11 +291,11 @@ func (m *Monitor) ThreadSpawned(parent, child int) {
 	if m == nil {
 		return
 	}
-	cc := m.clock(child)
+	ct := m.thread(child)
 	if parent >= 0 {
-		pc := m.clock(parent)
-		cc.join(pc)
-		pc.tick(parent)
+		pt := m.thread(parent)
+		ct.clock.join(pt.clock)
+		pt.clock.tick(parent)
 	}
 }
 
@@ -220,33 +307,49 @@ func (m *Monitor) LockAcquired(tid int, lock string) {
 		return
 	}
 	if lc := m.lockC[lock]; lc != nil {
-		m.clock(tid).join(lc)
+		m.thread(tid).clock.join(*lc)
 	}
 }
 
-// LockReleased snapshots the releaser's clock into the lock and ticks.
+// LockReleased copies the releaser's clock into the lock's release clock,
+// overwriting the previous release in place, and ticks.
 func (m *Monitor) LockReleased(tid int, lock string) {
 	if m == nil {
 		return
 	}
-	c := m.clock(tid)
-	m.lockC[lock] = c.clone()
-	c.tick(tid)
+	t := m.thread(tid)
+	lc := m.lockC[lock]
+	if lc == nil {
+		lc = new(vclock)
+		m.lockC[lock] = lc
+	}
+	lc.assign(t.clock)
+	t.clock.tick(tid)
 }
 
 // QueuePushed records the pusher's clock per token; QueuePopped joins it
 // into the popper. Pipeline stage joins and DOALL worker joins are
-// queue messages, so join edges are covered here.
+// queue messages, so join edges are covered here. The tokens of one
+// batched push share one push-time clock, recycled once every one of
+// them has been popped.
 func (m *Monitor) QueuePushed(tid int, queue string, seqs []int64) {
 	if m == nil || len(seqs) == 0 {
 		return
 	}
-	c := m.clock(tid)
-	snap := c.clone()
-	for _, s := range seqs {
-		m.tokC[s] = snap
+	t := m.thread(tid)
+	var tc *tokClock
+	if n := len(m.tokFree); n > 0 {
+		tc = m.tokFree[n-1]
+		m.tokFree = m.tokFree[:n-1]
+	} else {
+		tc = &tokClock{}
 	}
-	c.tick(tid)
+	tc.c.assign(t.clock)
+	tc.refs = len(seqs)
+	for _, s := range seqs {
+		m.tokC[s] = tc
+	}
+	t.clock.tick(tid)
 }
 
 // QueuePopped joins each popped token's push-time clock into the popper.
@@ -254,11 +357,16 @@ func (m *Monitor) QueuePopped(tid int, queue string, seqs []int64) {
 	if m == nil {
 		return
 	}
-	c := m.clock(tid)
+	t := m.thread(tid)
 	for _, s := range seqs {
-		if tc := m.tokC[s]; tc != nil {
-			c.join(tc)
-			delete(m.tokC, s)
+		tc := m.tokC[s]
+		if tc == nil {
+			continue
+		}
+		t.clock.join(tc.c)
+		delete(m.tokC, s)
+		if tc.refs--; tc.refs == 0 {
+			m.tokFree = append(m.tokFree, tc)
 		}
 	}
 }
@@ -270,57 +378,86 @@ func (m *Monitor) TraceGlobal(tid int, name string, write bool) {
 	if m == nil {
 		return
 	}
-	m.access(tid, "g:"+name, write)
+	ci, ok := m.globals[name]
+	if !ok {
+		ci = m.newCell(cellKey{kind: cellGlobal, loc: name})
+		m.globals[name] = ci
+	}
+	m.access(tid, ci, write)
 }
 
 // TraceBuiltin expands a builtin call into shadow-cell accesses using its
 // effect declaration, specializing locations by instance handle and
-// element key where the declaration names the argument. Locations the
-// call allocates are skipped: the result is fresh by construction, and
-// the allocator bump commutes under handle renaming (the same freshness
-// reasoning the static passes use).
+// element key where the declaration names the argument, so
+// bitmap_set(bm, 3) and bitmap_set(bm, 4) land in distinct shadow cells.
+// Locations the call allocates are skipped: the result is fresh by
+// construction, and the allocator bump commutes under handle renaming
+// (the same freshness reasoning the static passes use).
 func (m *Monitor) TraceBuiltin(tid int, name string, args []value.Value) {
 	if m == nil {
 		return
 	}
+	plan, ok := m.plans[name]
+	if !ok {
+		plan = m.buildPlan(name)
+		m.plans[name] = plan
+	}
+	for _, s := range plan {
+		k := cellKey{kind: cellBuiltin, loc: s.loc}
+		if s.inst >= 0 && s.inst < len(args) {
+			k.inst, k.hasInst = args[s.inst].I, true
+		}
+		if s.key >= 0 && s.key < len(args) {
+			k.key, k.hasKey = args[s.key].I, true
+		}
+		ci, ok := m.effCells[k]
+		if !ok {
+			ci = m.newCell(k)
+			m.effCells[k] = ci
+		}
+		m.access(tid, ci, s.write)
+	}
+}
+
+// buildPlan turns a builtin's effect declaration into its access plan:
+// every written location the call does not allocate, then every read
+// location it neither writes nor allocates, each with the argument
+// indices that specialize it. The handle and key arguments of every
+// instanced or keyed builtin are ints by signature, so the plan keys
+// cells by the arguments' integer payloads.
+func (m *Monitor) buildPlan(name string) []planStep {
 	d, ok := m.eff[name]
 	if !ok {
-		return
+		return nil
 	}
 	fresh := map[effects.Loc]bool{}
 	for _, loc := range d.Allocates {
 		fresh[loc] = true
 	}
 	written := map[effects.Loc]bool{}
+	plan := []planStep{}
+	step := func(loc effects.Loc, write bool) {
+		s := planStep{loc: string(loc), write: write, inst: -1, key: -1}
+		if i, ok := d.InstanceBy[loc]; ok {
+			s.inst = i
+		}
+		if i, ok := d.KeyedBy[loc]; ok {
+			s.key = i
+		}
+		plan = append(plan, s)
+	}
 	for _, loc := range d.Writes {
 		written[loc] = true
 		if !fresh[loc] {
-			m.access(tid, locKey(d, loc, args), true)
+			step(loc, true)
 		}
 	}
 	for _, loc := range d.Reads {
 		if !written[loc] && !fresh[loc] {
-			m.access(tid, locKey(d, loc, args), false)
+			step(loc, false)
 		}
 	}
-}
-
-// locKey specializes an abstract location with the concrete handle
-// (InstanceBy) and element key (KeyedBy) arguments when declared, so
-// bitmap_set(bm, 3) and bitmap_set(bm, 4) land in distinct shadow cells.
-func locKey(d effects.Decl, loc effects.Loc, args []value.Value) string {
-	k := string(loc)
-	if d.InstanceBy != nil {
-		if i, ok := d.InstanceBy[loc]; ok && i < len(args) {
-			k += "#" + args[i].String()
-		}
-	}
-	if d.KeyedBy != nil {
-		if i, ok := d.KeyedBy[loc]; ok && i < len(args) {
-			k += "@" + args[i].String()
-		}
-	}
-	return k
+	return plan
 }
 
 // ---- exec hooks ----
@@ -330,7 +467,15 @@ func (m *Monitor) Cell(tid int, slot int, write bool) {
 	if m == nil {
 		return
 	}
-	m.access(tid, "cell:"+strconv.Itoa(slot), write)
+	if slot >= len(m.slots) {
+		m.slots = append(m.slots, make([]int32, slot+1-len(m.slots))...)
+	}
+	ci := m.slots[slot] - 1
+	if ci < 0 {
+		ci = m.newCell(cellKey{kind: cellSlot, slot: slot})
+		m.slots[slot] = ci + 1
+	}
+	m.access(tid, ci, write)
 }
 
 // MemberEnter opens a member extent on tid's stack and, depending on
@@ -345,8 +490,8 @@ func (m *Monitor) MemberEnter(tid int, fn string, sets []SetTag, args []value.Va
 	}
 	g := m.gseq
 	m.gseq++
-	ref := &extentRef{gseq: g, fn: fn, sets: sets}
-	m.stacks[tid] = append(m.stacks[tid], ref)
+	t := m.thread(tid)
+	t.stack = append(t.stack, &extentRef{gseq: g, fn: fn, sets: sets})
 
 	kind := 0
 	switch m.mode {
@@ -392,12 +537,12 @@ func (m *Monitor) MemberExit(tid int, rets []value.Value, err error) {
 	if m == nil {
 		return
 	}
-	st := m.stacks[tid]
-	if len(st) == 0 {
+	t := m.thread(tid)
+	ref := t.top()
+	if ref == nil {
 		return
 	}
-	ref := st[len(st)-1]
-	m.stacks[tid] = st[:len(st)-1]
+	t.stack = t.stack[:len(t.stack)-1]
 	if inv := m.invs[ref.gseq]; inv != nil {
 		inv.Rets = append([]value.Value(nil), rets...)
 		if err != nil {
@@ -417,30 +562,25 @@ func copySlots(s map[int]int) map[int]int {
 	return out
 }
 
-func (m *Monitor) topExtent(tid int) *extentRef {
-	st := m.stacks[tid]
-	if len(st) == 0 {
-		return nil
-	}
-	return st[len(st)-1]
-}
-
 // ---- shadow-cell engine ----
 
-func (m *Monitor) access(tid int, key string, write bool) {
-	c := m.cells[key]
-	if c == nil {
-		c = &shadow{}
-		m.cells[key] = c
-	}
-	acc := access{tid: tid, clk: m.clock(tid).get(tid), ext: m.topExtent(tid), valid: true}
+// newCell interns a shadow cell and returns its index.
+func (m *Monitor) newCell(key cellKey) int32 {
+	m.cells = append(m.cells, shadow{key: key})
+	return int32(len(m.cells) - 1)
+}
+
+func (m *Monitor) access(tid int, ci int32, write bool) {
+	t := m.thread(tid)
+	c := &m.cells[ci]
+	acc := access{tid: tid, clk: t.clock.get(tid), ext: t.top(), valid: true}
 	if write {
 		if c.w.valid && c.w.tid != tid {
-			m.conflict(key, c.w, acc, "write-write")
+			m.conflict(c, c.w, acc, "write-write")
 		}
 		for _, r := range c.reads {
 			if r.tid != tid {
-				m.conflict(key, r, acc, "read-write")
+				m.conflict(c, r, acc, "read-write")
 			}
 		}
 		c.w = acc
@@ -448,7 +588,7 @@ func (m *Monitor) access(tid int, key string, write bool) {
 		return
 	}
 	if c.w.valid && c.w.tid != tid {
-		m.conflict(key, c.w, acc, "write-read")
+		m.conflict(c, c.w, acc, "write-read")
 	}
 	for i := range c.reads {
 		if c.reads[i].tid == tid {
@@ -465,15 +605,15 @@ func (m *Monitor) access(tid int, key string, write bool) {
 // annotation's claim is exactly that the serialization order does not
 // matter — which is the obligation the replay checks. Everything else is
 // a race unless ordered by the vector clocks.
-func (m *Monitor) conflict(key string, prev, cur access, kind string) {
+func (m *Monitor) conflict(c *shadow, prev, cur access, kind string) {
 	if set := commonSet(prev.ext, cur.ext); set != "" {
-		m.candidate(set, prev.ext, cur.ext, key)
+		m.candidate(set, prev.ext, cur.ext, c)
 		return
 	}
-	if prev.clk <= m.clock(cur.tid).get(prev.tid) {
+	if prev.clk <= m.thread(cur.tid).clock.get(prev.tid) {
 		return // ordered: prev happens-before cur
 	}
-	m.race(key, prev, cur, kind)
+	m.race(c, prev, cur, kind)
 }
 
 func commonSet(a, b *extentRef) string {
@@ -494,7 +634,7 @@ func commonSet(a, b *extentRef) string {
 // observed pair per (set, unordered member pair): one dynamic witness
 // discharges one static pair obligation, and deduping keeps the capture
 // phase O(#pairs) instead of O(#invocations²).
-func (m *Monitor) candidate(set string, a, b *extentRef, cell string) {
+func (m *Monitor) candidate(set string, a, b *extentRef, c *shadow) {
 	if a.gseq == b.gseq {
 		return
 	}
@@ -505,23 +645,23 @@ func (m *Monitor) candidate(set string, a, b *extentRef, cell string) {
 	if f1 > f2 {
 		f1, f2 = f2, f1
 	}
-	key := set + "|" + f1 + "|" + f2
+	key := candKey{set, f1, f2}
 	if m.candSeen[key] {
 		return
 	}
 	m.candSeen[key] = true
 	m.cands = append(m.cands, Candidate{
-		Set: set, FnA: a.fn, FnB: b.fn, GseqA: a.gseq, GseqB: b.gseq, Cell: cell,
+		Set: set, FnA: a.fn, FnB: b.fn, GseqA: a.gseq, GseqB: b.gseq, Cell: c.key.String(),
 	})
 }
 
-func (m *Monitor) race(cell string, prev, cur access, kind string) {
-	if m.raceSeen[cell] {
+func (m *Monitor) race(c *shadow, prev, cur access, kind string) {
+	if c.raced {
 		return
 	}
-	m.raceSeen[cell] = true
+	c.raced = true
 	m.races = append(m.races, RaceReport{
-		Cell:         cell,
+		Cell:         c.key.String(),
 		Kind:         kind,
 		FirstThread:  prev.tid,
 		SecondThread: cur.tid,

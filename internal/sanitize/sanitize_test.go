@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/builtins"
+	"repro/internal/effects"
 	"repro/internal/ir"
 	"repro/internal/vm/value"
 )
@@ -24,10 +26,19 @@ func TestClockBasics(t *testing.T) {
 	if b.get(1) != 2 || b.get(2) != 1 {
 		t.Fatalf("joined clock = %v", b)
 	}
-	c := a.clone()
+	// assign copies into the receiver's own storage: a lock's release
+	// clock must not alias the releaser's live clock.
+	c := newClock(3)
+	c.assign(a)
 	a.tick(1)
-	if c.get(1) != 2 {
-		t.Fatal("clone must not alias the original")
+	if c.get(1) != 2 || c.get(3) != 0 {
+		t.Fatalf("assigned clock = %v, want a copy of %v before the tick", c, a)
+	}
+	// Growing a clock past its length zeroes the components it adds,
+	// whatever an earlier, longer clock left in its storage.
+	c.join(newClock(4))
+	if c.get(3) != 0 || c.get(4) != 1 {
+		t.Fatalf("grown clock = %v, want components 3 and 4 to read 0 and 1", c)
 	}
 }
 
@@ -89,6 +100,22 @@ func TestLockEdgeOrdersAccesses(t *testing.T) {
 	if rs := m.Races(); len(rs) != 1 {
 		t.Errorf("unrelated lock suppressed a race: %v", rs)
 	}
+
+	// A reused release clock: the second release overwrites the first in
+	// place. The acquirer joins the clock of that release, not the
+	// releaser's later clock, so T1's write after the release races with
+	// T2's read; a release clock aliasing T1's live clock would hide it.
+	m2 := newTestMonitor(Detect)
+	m2.LockAcquired(1, "L")
+	m2.LockReleased(1, "L")
+	m2.LockAcquired(1, "L")
+	m2.LockReleased(1, "L")
+	m2.TraceGlobal(1, "g", true)
+	m2.LockAcquired(2, "L")
+	m2.TraceGlobal(2, "g", false)
+	if rs := m2.Races(); len(rs) != 1 || rs[0].Kind != "write-read" || rs[0].FirstThread != 1 || rs[0].SecondThread != 2 {
+		t.Errorf("write after a reused release: races = %v, want one write-read", rs)
+	}
 }
 
 func TestQueueEdgeOrdersAccesses(t *testing.T) {
@@ -106,6 +133,23 @@ func TestQueueEdgeOrdersAccesses(t *testing.T) {
 	if rs := m.Races(); len(rs) != 1 {
 		t.Errorf("unrelated token suppressed a race: %v", rs)
 	}
+
+	// The two tokens of one batched push, taken by two separate pops,
+	// each carry the push-time clock: both readers are ordered after the
+	// write before the push and neither after the write that follows it.
+	m2 := newTestMonitor(Detect)
+	m2.TraceGlobal(1, "g", true)
+	m2.QueuePushed(1, "q", []int64{7, 8})
+	m2.TraceGlobal(1, "h", true)
+	m2.QueuePopped(2, "q", []int64{7})
+	m2.TraceGlobal(2, "g", false)
+	m2.TraceGlobal(2, "h", false)
+	m2.QueuePopped(3, "q", []int64{8})
+	m2.TraceGlobal(3, "g", false)
+	m2.TraceGlobal(3, "h", false)
+	if rs := m2.Races(); len(rs) != 1 || rs[0].Cell != "g:h" || rs[0].SecondThread != 2 {
+		t.Errorf("batched push: races = %v, want one on g:h", rs)
+	}
 }
 
 func TestSpawnEdgeOrdersAccesses(t *testing.T) {
@@ -115,6 +159,16 @@ func TestSpawnEdgeOrdersAccesses(t *testing.T) {
 	m.TraceGlobal(1, "g", true)
 	if rs := m.Races(); len(rs) != 0 {
 		t.Errorf("spawn-ordered accesses raced: %v", rs)
+	}
+
+	// A thread spawned with an ID past every existing one, as a crash
+	// replacement is, is ordered after its parent's earlier accesses.
+	m.TraceGlobal(1, "h", true)
+	m.ThreadSpawned(1, 40)
+	m.TraceGlobal(40, "h", true)
+	m.TraceGlobal(40, "g", false)
+	if rs := m.Races(); len(rs) != 0 {
+		t.Errorf("accesses after a spawn past every thread ID raced: %v", rs)
 	}
 }
 
@@ -178,8 +232,21 @@ func TestBuiltinEffectShadowCells(t *testing.T) {
 		t.Errorf("distinct keys/handles conflicted: %v", rs)
 	}
 	m.TraceBuiltin(2, "bitmap_set", []value.Value{value.Int(1), value.Int(3)})
-	if rs := m.Races(); len(rs) != 1 {
+	if rs := m.Races(); len(rs) != 1 || rs[0].Cell != "t:bitmaps#1@3" {
 		t.Errorf("same handle+key must conflict: %v", rs)
+	}
+
+	// Cells are keyed by the integer payloads of the handle and key
+	// arguments, which every instanced or keyed builtin declares int.
+	w := builtins.NewWorld()
+	for name, d := range w.EffectTable() {
+		for _, by := range []map[effects.Loc]int{d.InstanceBy, d.KeyedBy} {
+			for loc, i := range by {
+				if ps := w.Sigs()[name].Params; i >= len(ps) || ps[i] != ast.TInt {
+					t.Errorf("%s: %s is specialized by argument %d, which is not an int", name, loc, i)
+				}
+			}
+		}
 	}
 }
 
@@ -256,5 +323,38 @@ func TestNilMonitorHooksAreSafe(t *testing.T) {
 	m.MemberExit(0, nil, nil)
 	if m.Races() != nil || m.Candidates() != nil || m.VerifyPairs(nil) != nil {
 		t.Error("nil monitor must report nothing")
+	}
+}
+
+func TestHooksAllocateNothing(t *testing.T) {
+	// Once a monitor has seen a cell, a lock or a builtin, repeating the
+	// event allocates nothing: no clock clone, no rendered cell name and
+	// no per-call map.
+	m := newTestMonitor(Detect)
+	set := []value.Value{value.Int(1), value.Int(3)}
+	warm := func() {
+		m.TraceGlobal(1, "g", true)
+		m.Cell(1, 2, true)
+		m.TraceBuiltin(1, "bitmap_set", set)
+		m.LockAcquired(1, "L")
+		m.LockReleased(1, "L")
+	}
+	warm()
+	warm()
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"TraceGlobal", func() { m.TraceGlobal(1, "g", true) }},
+		{"Cell", func() { m.Cell(1, 2, false) }},
+		{"TraceBuiltin", func() { m.TraceBuiltin(1, "bitmap_set", set) }},
+		{"LockAcquired+LockReleased", func() {
+			m.LockAcquired(1, "L")
+			m.LockReleased(1, "L")
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", c.name, n)
+		}
 	}
 }
