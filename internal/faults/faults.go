@@ -446,15 +446,20 @@ func (e *Error) IsTransient() bool { return !e.Perm }
 // per execution attempt: its event counters define the plan's timeline.
 // All methods are called from simulated threads, which the discrete-event
 // scheduler serializes, so no internal locking is needed.
+//
+// The specs that can fire on a builtin, a worker role or a queue, and
+// the hashes of their roll-stream names, are worked out once per
+// builtin (in Wrap), role and queue, so a call, tick or push writes no
+// map and builds no string unless a fault fires.
 type Injector struct {
 	plan Plan
 
-	calls   map[string]int // per-builtin call counters
-	total   int            // global builtin call counter
-	pushes  map[string]int // per-queue push counters
-	commits int            // TM commit counter
-	ticks   map[string]int // per-thread crash-tick counters
-	slows   map[string]int // per-thread straggler-tick counters
+	calls   map[string]*int       // per-builtin call counters, shared by every Wrap
+	total   int                   // global builtin call counter
+	queues  map[string]*queueFeed // per-queue push counters and stall specs
+	commits int                   // TM commit counter
+	tm      []specStream          // TMStorm specs
+	roles   map[string]*roleFeed  // per-role crash and straggler ticks and specs
 
 	latched []bool // Permanent Prob specs that have fired
 
@@ -462,19 +467,69 @@ type Injector struct {
 	events   []string
 }
 
+// specStream is one spec that can fire on an event stream, with the hash
+// of the stream's name (see streamHash) worked out once.
+type specStream struct {
+	si int
+	h  uint64
+}
+
+// queueFeed is one queue's push counter and the QueueStall specs its
+// name matches.
+type queueFeed struct {
+	pushes int
+	specs  []specStream
+}
+
+// roleFeed is one worker role's crash-tick and straggler-tick counters
+// and the Crash and Straggler specs that target it.
+type roleFeed struct {
+	ticks, slows int
+	crash, slow  []specStream
+}
+
 // maxTrace bounds the retained injection trace.
 const maxTrace = 64
 
 // NewInjector prepares a fresh instantiation of the plan.
 func NewInjector(plan Plan) *Injector {
-	return &Injector{
+	inj := &Injector{
 		plan:    plan,
-		calls:   map[string]int{},
-		pushes:  map[string]int{},
-		ticks:   map[string]int{},
-		slows:   map[string]int{},
+		calls:   map[string]*int{},
+		queues:  map[string]*queueFeed{},
+		roles:   map[string]*roleFeed{},
 		latched: make([]bool, len(plan.Specs)),
 	}
+	for si := range plan.Specs {
+		if plan.Specs[si].Kind == TMStorm {
+			inj.tm = append(inj.tm, inj.stream(si, "tm"))
+		}
+	}
+	return inj
+}
+
+// stream pairs spec si with the hash of the stream name it rolls on.
+func (inj *Injector) stream(si int, name string) specStream {
+	return specStream{si: si, h: inj.streamHash(name)}
+}
+
+// role returns the named worker role's feed, building it on first use.
+func (inj *Injector) role(thread string) *roleFeed {
+	r := inj.roles[thread]
+	if r == nil {
+		r = &roleFeed{}
+		for si := range inj.plan.Specs {
+			s := &inj.plan.Specs[si]
+			switch {
+			case s.Kind == Crash && s.Thread == thread:
+				r.crash = append(r.crash, inj.stream(si, "crash:"+thread))
+			case s.Kind == Straggler && s.Thread == thread:
+				r.slow = append(r.slow, inj.stream(si, "slow:"+thread))
+			}
+		}
+		inj.roles[thread] = r
+	}
+	return r
 }
 
 // Plan returns the injector's plan.
@@ -494,13 +549,19 @@ func (inj *Injector) note(format string, args ...any) {
 	}
 }
 
-// roll returns a deterministic uniform [0,1) draw for one (spec, stream,
-// index) triple.
-func (inj *Injector) roll(spec int, stream string, idx int) float64 {
+// streamHash folds a stream name into the plan seed: the first half of
+// roll, which depends on the stream alone.
+func (inj *Injector) streamHash(stream string) uint64 {
 	h := inj.plan.Seed ^ 0x9e3779b97f4a7c15
 	for _, c := range []byte(stream) {
 		h = (h ^ uint64(c)) * 0x100000001b3
 	}
+	return h
+}
+
+// roll returns a deterministic uniform [0,1) draw for one (spec, stream,
+// index) triple; h is the stream's streamHash.
+func roll(spec int, h uint64, idx int) float64 {
 	h ^= uint64(spec+1) * 0xff51afd7ed558ccd
 	h ^= uint64(idx) * 0xc4ceb9fe1a85ec53
 	// splitmix64 finalizer.
@@ -512,8 +573,9 @@ func (inj *Injector) roll(spec int, stream string, idx int) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// fires decides whether spec si fires on event idx of the named stream.
-func (inj *Injector) fires(si int, s *Spec, stream string, idx int) bool {
+// fires decides whether spec ss.si fires on event idx of its stream.
+func (inj *Injector) fires(ss specStream, idx int) bool {
+	s := &inj.plan.Specs[ss.si]
 	if s.After > 0 {
 		return s.window(idx)
 	}
@@ -521,16 +583,16 @@ func (inj *Injector) fires(si int, s *Spec, stream string, idx int) bool {
 		return false
 	}
 	if s.Kind == Permanent {
-		if inj.latched[si] {
+		if inj.latched[ss.si] {
 			return true
 		}
-		if inj.roll(si, stream, idx) < s.Prob {
-			inj.latched[si] = true
+		if roll(ss.si, ss.h, idx) < s.Prob {
+			inj.latched[ss.si] = true
 			return true
 		}
 		return false
 	}
-	return inj.roll(si, stream, idx) < s.Prob
+	return roll(ss.si, ss.h, idx) < s.Prob
 }
 
 // Wrap interposes the plan on a builtin table. The returned table is a
@@ -540,33 +602,44 @@ func (inj *Injector) fires(si int, s *Spec, stream string, idx int) bool {
 func (inj *Injector) Wrap(fns map[string]interp.BuiltinFn) map[string]interp.BuiltinFn {
 	out := make(map[string]interp.BuiltinFn, len(fns))
 	for name, base := range fns {
-		name, base := name, base
+		calls := inj.calls[name]
+		if calls == nil {
+			calls = new(int)
+			inj.calls[name] = calls
+		}
+		var specs []specStream
+		for si := range inj.plan.Specs {
+			s := &inj.plan.Specs[si]
+			if !s.matchesBuiltin(name) {
+				continue
+			}
+			switch s.Kind {
+			case Transient, Permanent:
+				specs = append(specs, inj.stream(si, "call:"+s.Builtin))
+			case Latency:
+				specs = append(specs, inj.stream(si, "lat:"+s.Builtin))
+			}
+		}
 		out[name] = func(args []value.Value) (value.Value, int64, error) {
 			inj.total++
-			inj.calls[name]++
+			*calls++
 			var extra int64
-			for si := range inj.plan.Specs {
-				s := &inj.plan.Specs[si]
-				if !s.matchesBuiltin(name) {
-					continue
-				}
-				idx := inj.calls[name]
+			for _, ss := range specs {
+				s := &inj.plan.Specs[ss.si]
+				idx := *calls
 				if s.wildcard() {
 					idx = inj.total
 				}
-				switch s.Kind {
-				case Transient, Permanent:
-					if inj.fires(si, s, "call:"+s.Builtin, idx) {
-						perm := s.Kind == Permanent
-						inj.note("%v %s call %d", s.Kind, name, idx)
-						return value.Value{}, 0, &Error{Builtin: name, Call: idx, Perm: perm}
-					}
-				case Latency:
-					if inj.fires(si, s, "lat:"+s.Builtin, idx) {
-						inj.note("latency +%d on %s call %d", s.Delay, name, idx)
-						extra += s.Delay
-					}
+				if !inj.fires(ss, idx) {
+					continue
 				}
+				if s.Kind == Latency {
+					inj.note("latency +%d on %s call %d", s.Delay, name, idx)
+					extra += s.Delay
+					continue
+				}
+				inj.note("%v %s call %d", s.Kind, name, idx)
+				return value.Value{}, 0, &Error{Builtin: name, Call: idx, Perm: s.Kind == Permanent}
 			}
 			v, cost, err := base(args)
 			return v, cost + extra, err
@@ -579,15 +652,22 @@ func (inj *Injector) Wrap(fns map[string]interp.BuiltinFn) map[string]interp.Bui
 // on the named queue (0 when no QueueStall spec fires). Call exactly once
 // per push: the call advances the queue's event counter.
 func (inj *Injector) QueueDelay(queue string) int64 {
-	inj.pushes[queue]++
-	idx := inj.pushes[queue]
-	var d int64
-	for si := range inj.plan.Specs {
-		s := &inj.plan.Specs[si]
-		if s.Kind != QueueStall || !strings.HasPrefix(queue, s.Queue) {
-			continue
+	q := inj.queues[queue]
+	if q == nil {
+		q = &queueFeed{}
+		for si := range inj.plan.Specs {
+			if s := &inj.plan.Specs[si]; s.Kind == QueueStall && strings.HasPrefix(queue, s.Queue) {
+				q.specs = append(q.specs, inj.stream(si, "queue:"+queue))
+			}
 		}
-		if inj.fires(si, s, "queue:"+queue, idx) {
+		inj.queues[queue] = q
+	}
+	q.pushes++
+	idx := q.pushes
+	var d int64
+	for _, ss := range q.specs {
+		if inj.fires(ss, idx) {
+			s := &inj.plan.Specs[ss.si]
 			inj.note("queue-stall +%d on %s push %d", s.Delay, queue, idx)
 			d += s.Delay
 		}
@@ -604,14 +684,12 @@ func (inj *Injector) QueueDelay(queue string) int64 {
 // replacement too (repeated crashes), and the replayed window after a
 // restore consumes fresh ticks of its own.
 func (inj *Injector) CrashNow(thread string) (die, permanent bool) {
-	inj.ticks[thread]++
-	idx := inj.ticks[thread]
-	for si := range inj.plan.Specs {
-		s := &inj.plan.Specs[si]
-		if s.Kind != Crash || s.Thread != thread {
-			continue
-		}
-		if inj.fires(si, s, "crash:"+thread, idx) {
+	r := inj.role(thread)
+	r.ticks++
+	idx := r.ticks
+	for _, ss := range r.crash {
+		if inj.fires(ss, idx) {
+			s := &inj.plan.Specs[ss.si]
 			kind := "crash"
 			if s.Permanent {
 				kind = "permanent crash"
@@ -626,7 +704,12 @@ func (inj *Injector) CrashNow(thread string) (die, permanent bool) {
 
 // CrashTick reports how many crash ticks the named role has consumed so
 // far (diagnostics only; does not advance the counter).
-func (inj *Injector) CrashTick(thread string) int { return inj.ticks[thread] }
+func (inj *Injector) CrashTick(thread string) int {
+	if r := inj.roles[thread]; r != nil {
+		return r.ticks
+	}
+	return 0
+}
 
 // SlowNow reports the slowdown factor (≥ 1; 1 = full speed) the named
 // worker role suffers on its next pass. Call exactly once per pass: the
@@ -636,15 +719,12 @@ func (inj *Injector) CrashTick(thread string) int { return inj.ticks[thread] }
 // When several Straggler specs fire on the same tick the largest Factor
 // wins (a throttled core is as slow as its worst cause).
 func (inj *Injector) SlowNow(thread string) float64 {
-	inj.slows[thread]++
-	idx := inj.slows[thread]
+	r := inj.role(thread)
+	r.slows++
+	idx := r.slows
 	f := 1.0
-	for si := range inj.plan.Specs {
-		s := &inj.plan.Specs[si]
-		if s.Kind != Straggler || s.Thread != thread {
-			continue
-		}
-		if inj.fires(si, s, "slow:"+thread, idx) && s.Factor > f {
+	for _, ss := range r.slow {
+		if s := &inj.plan.Specs[ss.si]; inj.fires(ss, idx) && s.Factor > f {
 			f = s.Factor
 		}
 	}
@@ -656,7 +736,12 @@ func (inj *Injector) SlowNow(thread string) float64 {
 
 // SlowTick reports how many straggler ticks the named role has consumed
 // so far (diagnostics only; does not advance the counter).
-func (inj *Injector) SlowTick(thread string) int { return inj.slows[thread] }
+func (inj *Injector) SlowTick(thread string) int {
+	if r := inj.roles[thread]; r != nil {
+		return r.slows
+	}
+	return 0
+}
 
 // ExtraAborts reports the synthetic additional conflict aborts to charge
 // for the next TM commit. Call exactly once per commit: the call advances
@@ -664,12 +749,9 @@ func (inj *Injector) SlowTick(thread string) int { return inj.slows[thread] }
 func (inj *Injector) ExtraAborts() int {
 	inj.commits++
 	n := 0
-	for si := range inj.plan.Specs {
-		s := &inj.plan.Specs[si]
-		if s.Kind != TMStorm {
-			continue
-		}
-		if inj.fires(si, s, "tm", inj.commits) {
+	for _, ss := range inj.tm {
+		if inj.fires(ss, inj.commits) {
+			s := &inj.plan.Specs[ss.si]
 			inj.note("tm-storm +%d aborts on commit %d", s.Aborts, inj.commits)
 			n += s.Aborts
 		}

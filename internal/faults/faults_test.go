@@ -560,3 +560,49 @@ func TestValidateServiceStraggler(t *testing.T) {
 		t.Errorf("straggler on scalable-only target: err = %v, want scale-away rejection", err)
 	}
 }
+
+func TestWrapSharesCallCounters(t *testing.T) {
+	// The per-builtin call counters belong to the injector: a builtin
+	// called through two wrapped tables counts one call stream.
+	var calls []string
+	inj := NewInjector(Plan{Seed: 1, Specs: []Spec{
+		{Kind: Transient, Builtin: "alpha", After: 3},
+	}})
+	a, b := inj.Wrap(table(&calls)), inj.Wrap(table(&calls))
+	for i, fns := range []map[string]interp.BuiltinFn{a, b, a, b} {
+		_, _, err := fns["alpha"](nil)
+		if wantFail := i+1 == 3; (err != nil) != wantFail {
+			t.Errorf("call %d: err = %v, want fail=%v", i+1, err, wantFail)
+		}
+	}
+}
+
+func TestInjectorHooksAllocateNothing(t *testing.T) {
+	// Once a builtin, role and queue have been seen, a call, tick or push
+	// that fires nothing allocates nothing.
+	far := 1 << 30
+	inj := NewInjector(Plan{Seed: 7, Specs: []Spec{
+		{Kind: Transient, Builtin: "alpha", Prob: 1e-12},
+		{Kind: Latency, Builtin: "*", After: far, Delay: 5},
+		{Kind: QueueStall, Queue: "q", Prob: 1e-12, Delay: 5},
+		{Kind: Crash, Thread: "doall.1", After: far},
+		{Kind: Straggler, Thread: "doall.1", Prob: 1e-12, Factor: 2},
+	}})
+	noop := map[string]interp.BuiltinFn{"alpha": func([]value.Value) (value.Value, int64, error) {
+		return value.Value{}, 1, nil
+	}}
+	fns := inj.Wrap(noop)
+	warm := func() {
+		fns["alpha"](nil)
+		inj.QueueDelay("q0.1")
+		inj.CrashNow("doall.1")
+		inj.SlowNow("doall.1")
+	}
+	warm()
+	if n := testing.AllocsPerRun(100, warm); n != 0 {
+		t.Errorf("%v allocations per call, tick and push, want 0", n)
+	}
+	if inj.Injected() != 0 {
+		t.Errorf("injected %d faults, want none", inj.Injected())
+	}
+}
