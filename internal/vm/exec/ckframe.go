@@ -43,9 +43,9 @@ type ckFrame struct {
 
 // encodeFrame compresses fr as a delta against ref. The frames must have
 // identical shapes (same function, same loop), which holds for every
-// checkpoint of a loop: workers clone the loop-entry frame.
+// checkpoint of a loop: workers clone the loop-entry frame. A counting
+// pass sizes the runs and literals, so each is allocated once.
 func encodeFrame(fr, ref *frame) *ckFrame {
-	c := &ckFrame{ref: ref}
 	nl := len(fr.locals)
 	diff := func(i int) bool {
 		if i < nl {
@@ -53,6 +53,7 @@ func encodeFrame(fr, ref *frame) *ckFrame {
 		}
 		return fr.regs[i-nl] != ref.regs[i-nl]
 	}
+	srcDiff := func(i int) bool { return fr.sharedSrc[i] != ref.sharedSrc[i] }
 	at := func(i int) value.Value {
 		if i < nl {
 			return fr.locals[i]
@@ -60,6 +61,15 @@ func encodeFrame(fr, ref *frame) *ckFrame {
 		return fr.regs[i-nl]
 	}
 	total := nl + len(fr.regs)
+	nvr, nv := countRuns(total, diff)
+	nsr, ns := countRuns(len(fr.sharedSrc), srcDiff)
+	c := &ckFrame{
+		ref:   ref,
+		vruns: make([]ckRun, 0, nvr),
+		vals:  make([]value.Value, 0, nv),
+		sruns: make([]ckRun, 0, nsr),
+		srcs:  make([]int, 0, ns),
+	}
 	for i := 0; i < total; {
 		if !diff(i) {
 			i++
@@ -74,12 +84,12 @@ func encodeFrame(fr, ref *frame) *ckFrame {
 		c.vruns = append(c.vruns, run)
 	}
 	for i := 0; i < len(fr.sharedSrc); {
-		if fr.sharedSrc[i] == ref.sharedSrc[i] {
+		if !srcDiff(i) {
 			i++
 			continue
 		}
 		run := ckRun{off: i}
-		for i < len(fr.sharedSrc) && fr.sharedSrc[i] != ref.sharedSrc[i] {
+		for i < len(fr.sharedSrc) && srcDiff(i) {
 			c.srcs = append(c.srcs, fr.sharedSrc[i])
 			i++
 			run.n++
@@ -88,6 +98,23 @@ func encodeFrame(fr, ref *frame) *ckFrame {
 	}
 	c.words = 1 + 2*len(c.vruns) + len(c.vals) + 2*len(c.sruns) + len(c.srcs)
 	return c
+}
+
+// countRuns counts the runs of consecutive slots below n that differ, and
+// the differing slots.
+func countRuns(n int, differs func(i int) bool) (runs, slots int) {
+	prev := false
+	for i := 0; i < n; i++ {
+		d := differs(i)
+		if d {
+			slots++
+			if !prev {
+				runs++
+			}
+		}
+		prev = d
+	}
+	return runs, slots
 }
 
 // decode materializes a fresh frame from the compressed delta.

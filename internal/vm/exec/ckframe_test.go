@@ -3,6 +3,10 @@ package exec
 import (
 	"testing"
 
+	"repro/internal/lower"
+	"repro/internal/pipeline"
+	"repro/internal/vm/des"
+	"repro/internal/vm/interp"
 	"repro/internal/vm/value"
 )
 
@@ -99,5 +103,43 @@ func TestCkFrameCompression(t *testing.T) {
 	}
 	if c := encodeFrame(fr, ref); c.words <= sparse.words {
 		t.Errorf("dense delta (%d words) not larger than sparse delta (%d words)", c.words, sparse.words)
+	}
+}
+
+// TestCheckpointBuffersReused: once warm, a stage checkpoint overwrites the
+// previous one in place and a resilient DOALL iteration snapshots its frame
+// into the stepper's reused retry buffer, so neither allocates.
+func TestCheckpointBuffersReused(t *testing.T) {
+	fr, _ := ckTestFrames()
+	m := &machine{
+		cfg: Config{Cost: des.DefaultCostModel(), Recovery: DefaultRecovery()},
+		la:  &pipeline.LoopAnalysis{Units: &lower.LoopUnits{}},
+	}
+	th := &des.Thread{}
+	st := &stepper{m: m, th: th, it: &interp.Thread{}, fr: fr}
+	in := []*qReader{{buf: []any{token{iter: 1}, token{iter: 2}}}}
+	out := []*qWriter{{buf: []any{token{iter: 0}}}}
+	ss := &stageState{log: [][]any{{token{iter: 0}}}}
+	m.takeStageCkpt(th, st, ss, in, out)
+	if got := ss.ck.inBufs[0]; len(got) != 2 || got[1].(token).iter != 2 {
+		t.Fatalf("checkpointed input residue = %v", got)
+	}
+	if len(ss.log[0]) != 0 {
+		t.Fatalf("token log not reset by the checkpoint: %v", ss.log[0])
+	}
+	ckFr := ss.ck.fr
+	fr.locals[0] = value.Int(-1)
+	m.takeStageCkpt(th, st, ss, in, out)
+	if ss.ck.fr != ckFr || ss.ck.fr.locals[0] != value.Int(-1) {
+		t.Fatal("second checkpoint did not overwrite the first in place")
+	}
+	if n := testing.AllocsPerRun(100, func() { m.takeStageCkpt(th, st, ss, in, out) }); n != 0 {
+		t.Errorf("takeStageCkpt: %v allocations per checkpoint, want 0", n)
+	}
+	if err := m.runIterBody(st, fr); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.runIterBody(st, fr) }); n != 0 {
+		t.Errorf("runIterBody: %v allocations per iteration, want 0", n)
 	}
 }

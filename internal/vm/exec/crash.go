@@ -6,7 +6,6 @@ import (
 	"repro/internal/transform"
 	"repro/internal/types"
 	"repro/internal/vm/des"
-	"repro/internal/vm/value"
 )
 
 // Crash/restart subsystem.
@@ -194,12 +193,15 @@ func (m *machine) checkpointing() bool { return m.cfg.CrashCheck != nil }
 
 // snapshotFrame copies a frame exactly, including the shared-source
 // register tags (unlike clone, which resets them for a fresh worker).
-func snapshotFrame(fr *frame) *frame {
-	return &frame{
-		locals:    append([]value.Value(nil), fr.locals...),
-		regs:      append([]value.Value(nil), fr.regs...),
-		sharedSrc: append([]int(nil), fr.sharedSrc...),
-	}
+func snapshotFrame(fr *frame) *frame { return snapshotInto(&frame{}, fr) }
+
+// snapshotInto copies fr exactly into dst, reusing dst's storage, and
+// returns dst.
+func snapshotInto(dst, fr *frame) *frame {
+	dst.locals = append(dst.locals[:0], fr.locals...)
+	dst.regs = append(dst.regs[:0], fr.regs...)
+	dst.sharedSrc = append(dst.sharedSrc[:0], fr.sharedSrc...)
+	return dst
 }
 
 // copyPriv copies a privatized-shadow commit map.

@@ -195,27 +195,45 @@ func TestDOALLCrashUnderTunedSchedules(t *testing.T) {
 // absorbed by a checkpoint restart that replays the in-flight tokens; the
 // in-order output (md5Det's deterministic print stage) must match the
 // sequential run exactly.
+//
+// With Count 2 the replacement dies too, at its first tick, and restarts
+// from the checkpoint its predecessor restored: a repeated stage crash is
+// where a checkpoint overwritten in place could hand over the wrong state.
 func TestStageTransientCrashRecovers(t *testing.T) {
 	cp := compileFor(t, md5Det, 8)
 	_, seqOut := cp.seqRun(t)
+	repeated := crashPlan("stage1.0", 3, false)
+	repeated.Specs[0].Count = 2
 	for _, kind := range []transform.Kind{transform.DSWP, transform.PSDSWP} {
 		if cp.sched[kind] == nil {
 			continue
 		}
-		plan := crashPlan("stage1.0", 3, false)
-		cfg, w := cp.crashed(plan, exec.DefaultRecovery())
-		res, err := exec.Run(cfg, cp.la, cp.sched[kind], exec.SyncSpin, 4)
-		if err != nil {
-			t.Fatalf("%v: stage crash not recovered: %v", kind, err)
-		}
-		if res.Restarts != 1 || !res.Recovered {
-			t.Errorf("%v: Restarts=%d Recovered=%v, want 1/true", kind, res.Restarts, res.Recovered)
-		}
-		if len(res.RestartHistory) != 1 || res.RestartHistory[0].RecoveredVTime <= res.RestartHistory[0].VTime {
-			t.Errorf("%v: restart history %+v lacks a recovery time after the death", kind, res.RestartHistory)
-		}
-		if strings.Join(w.prints, ",") != strings.Join(seqOut, ",") {
-			t.Errorf("%v: in-order output differs after stage restart:\npar: %v\nseq: %v", kind, w.prints, seqOut)
+		for _, c := range []struct {
+			plan     faults.Plan
+			restarts int
+		}{
+			{crashPlan("stage1.0", 3, false), 1},
+			{repeated, 2},
+		} {
+			cfg, w := cp.crashed(c.plan, exec.DefaultRecovery())
+			res, err := exec.Run(cfg, cp.la, cp.sched[kind], exec.SyncSpin, 4)
+			if err != nil {
+				t.Fatalf("%v, %d crashes: stage crash not recovered: %v", kind, c.restarts, err)
+			}
+			if res.Restarts != c.restarts || !res.Recovered {
+				t.Errorf("%v: Restarts=%d Recovered=%v, want %d/true", kind, res.Restarts, res.Recovered, c.restarts)
+			}
+			if len(res.RestartHistory) != c.restarts {
+				t.Errorf("%v: restart history %+v, want %d records", kind, res.RestartHistory, c.restarts)
+			}
+			for _, r := range res.RestartHistory {
+				if r.RecoveredVTime <= r.VTime {
+					t.Errorf("%v: restart record %+v lacks a recovery time after the death", kind, r)
+				}
+			}
+			if strings.Join(w.prints, ",") != strings.Join(seqOut, ",") {
+				t.Errorf("%v, %d crashes: in-order output differs after stage restart:\npar: %v\nseq: %v", kind, c.restarts, w.prints, seqOut)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/types"
 	"repro/internal/vm/des"
-	"repro/internal/vm/value"
 )
 
 // runCond evaluates the loop condition group on the stepper's frame and
@@ -118,9 +117,10 @@ func (m *machine) runIterBody(st *stepper, fr *frame) error {
 	if !m.resilient() {
 		return runUnits()
 	}
-	snapLocals := append([]value.Value(nil), fr.locals...)
-	snapRegs := append([]value.Value(nil), fr.regs...)
-	snapShared := append([]int(nil), fr.sharedSrc...)
+	if st.retry == nil {
+		st.retry = &frame{}
+	}
+	snap := snapshotInto(st.retry, fr)
 	effects0, writes0 := st.effects, st.it.HeapWrites
 	for attempt := 0; ; attempt++ {
 		err := runUnits()
@@ -131,9 +131,9 @@ func (m *machine) runIterBody(st *stepper, fr *frame) error {
 			st.effects != effects0 || st.it.HeapWrites != writes0 {
 			return err
 		}
-		copy(fr.locals, snapLocals)
-		copy(fr.regs, snapRegs)
-		copy(fr.sharedSrc, snapShared)
+		copy(fr.locals, snap.locals)
+		copy(fr.regs, snap.regs)
+		copy(fr.sharedSrc, snap.sharedSrc)
 		m.stats.iterRetries++
 		st.th.Sleep(backoff(attempt))
 	}

@@ -421,13 +421,15 @@ type groupKey struct {
 const noUnit = -2
 
 // callInfo is resolved call-site metadata: whether the callee is a
-// commutative member, whether it is a builtin, and the rank-ordered lock
-// sets a member call must acquire (Model.LockSets allocates a fresh slice
-// per query, so the resolution is worth memoizing).
+// commutative member, whether it is a builtin, whether it is an effectful
+// builtin (Config.Effectful), and the rank-ordered lock sets a member call
+// must acquire (Model.LockSets allocates a fresh slice per query, so the
+// resolution is worth memoizing).
 type callInfo struct {
-	member   bool
-	builtin  bool
-	lockSets []*types.Set
+	member    bool
+	builtin   bool
+	effectful bool
+	lockSets  []*types.Set
 }
 
 // resolve memoizes callInfo by callee name. Simulated threads are
@@ -437,9 +439,10 @@ func (m *machine) resolve(name string) *callInfo {
 		return ci
 	}
 	ci := &callInfo{
-		member:   len(m.cfg.Model.SetsOf[name]) > 0,
-		builtin:  m.env.Prog.Funcs[name] == nil,
-		lockSets: m.cfg.Model.LockSets(name),
+		member:    len(m.cfg.Model.SetsOf[name]) > 0,
+		builtin:   m.env.Prog.Funcs[name] == nil,
+		effectful: m.cfg.Effectful[name],
+		lockSets:  m.cfg.Model.LockSets(name),
 	}
 	m.byName[name] = ci
 	return ci

@@ -457,28 +457,31 @@ func (m *machine) tapReaders(ss *stageState, in []*qReader) {
 // takeStageCkpt snapshots the stage worker's resumable state: frame, input
 // cursor, batched-queue residues on both sides, and the externalization
 // baselines. The in-flight token log restarts empty at each checkpoint.
+//
+// The snapshot overwrites the stage's previous checkpoint in place. That
+// is safe because stageCrash copies the checkpoint it captured before the
+// replacement runs, and the dead incarnation takes no further checkpoint.
 func (m *machine) takeStageCkpt(th *des.Thread, st *stepper, ss *stageState, in []*qReader, out []*qWriter) {
 	th.Charge(m.cfg.Cost.Checkpoint)
-	ck := stageCkpt{
-		fr:       snapshotFrame(st.fr),
-		seq:      ss.seq,
-		lastIter: ss.lastIter,
-		event:    ss.event,
-		inBufs:   make([][]any, len(in)),
-		outBufs:  make([][]any, len(out)),
+	ck := &ss.ck
+	if ck.fr == nil {
+		ck.fr = &frame{}
+		ck.inBufs = make([][]any, len(in))
+		ck.outBufs = make([][]any, len(out))
 	}
+	snapshotInto(ck.fr, st.fr)
+	ck.seq, ck.lastIter, ck.event = ss.seq, ss.lastIter, ss.event
 	for k, r := range in {
-		ck.inBufs[k] = append([]any(nil), r.buf...)
+		ck.inBufs[k] = append(ck.inBufs[k][:0], r.buf...)
 	}
 	for k, w := range out {
-		ck.outBufs[k] = append([]any(nil), w.buf...)
+		ck.outBufs[k] = append(ck.outBufs[k][:0], w.buf...)
 	}
-	ss.ck = ck
 	ss.ckEff = st.effects
 	ss.ckWrites = st.it.HeapWrites
 	ss.ckFlushes = totalFlushes(out)
 	for k := range ss.log {
-		ss.log[k] = nil
+		ss.log[k] = ss.log[k][:0]
 	}
 }
 
@@ -698,7 +701,9 @@ func (m *machine) stageCrash(th *des.Thread, ss *stageState, p *pipeNet, perm bo
 	// replacement replays the logged in-flight tokens (popped since the
 	// checkpoint, hence gone from the queues) ahead of live queue input; the
 	// crash window externalized nothing, so the replay cannot duplicate an
-	// observable effect.
+	// observable effect. The replacement copies everything it takes from
+	// ck before it runs, and this incarnation takes no further checkpoint,
+	// so the buffers ck shares with ss.ck stay as captured.
 	ck := ss.ck
 	replays := make([][]any, len(ss.log))
 	for k := range ss.log {

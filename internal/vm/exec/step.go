@@ -74,6 +74,12 @@ type stepper struct {
 
 	flushed int64 // portion of it.Cost already charged to th
 
+	// retry is the start-of-iteration frame snapshot a resilient DOALL
+	// iteration restores before it re-executes (see runIterBody): set on
+	// the first such iteration and overwritten by every later one, so
+	// steppers that never retry carry no snapshot buffers.
+	retry *frame
+
 	// invokeFn is the one reusable invoke closure for main-frame calls; it
 	// reads the call set by execCallArgs in callIn/callArgs/callMember.
 	// Exec-level calls never nest within one stepper (callee bodies run in
@@ -101,7 +107,7 @@ func (m *machine) newStepper(th *des.Thread, fr *frame) *stepper {
 		case ci.builtin:
 			// Builtins fail atomically (an injected failure fires before
 			// the builtin runs), so call-level retry is safe.
-			return st.invokeBuiltin(in.Name, ci.member, args, invoke)
+			return st.invokeBuiltin(in.Name, ci, args, invoke)
 		case ci.member:
 			return st.withMemberSync(in.Name, args, nil, nil, invoke)
 		}
@@ -120,14 +126,14 @@ func (m *machine) snapState() (map[string]value.Value, map[int]value.Value) {
 	return m.env.Globals.Snapshot(), cells
 }
 
-// invokeBuiltin runs one builtin call — member-synchronized when member —
+// invokeBuiltin runs one builtin call — member-synchronized for a member —
 // retrying transient injected failures with exponential backoff charged in
 // virtual time. User-function calls are never retried here: they may have
 // externalized partial work, and their inner builtin calls retry
 // individually through the interceptor.
-func (st *stepper) invokeBuiltin(name string, member bool, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
+func (st *stepper) invokeBuiltin(name string, ci *callInfo, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
 	run := func() ([]value.Value, error) {
-		if member {
+		if ci.member {
 			return st.withMemberSync(name, args, nil, nil, invoke)
 		}
 		rets, err := invoke()
@@ -137,7 +143,7 @@ func (st *stepper) invokeBuiltin(name string, member bool, args []value.Value, i
 	for attempt := 0; ; attempt++ {
 		rets, err := run()
 		if err == nil {
-			if st.m.cfg.Effectful[name] {
+			if ci.effectful {
 				st.effects++
 			}
 			return rets, nil
@@ -533,7 +539,7 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 	var err error
 	switch {
 	case ci.builtin:
-		rets, err = st.invokeBuiltin(in.Name, member, args, invoke)
+		rets, err = st.invokeBuiltin(in.Name, ci, args, invoke)
 	case member:
 		rets, err = st.withMemberSync(in.Name, args, argSlots, outSlots, invoke)
 	default:
