@@ -141,7 +141,7 @@ type compiled struct {
 	sched map[transform.Kind]*transform.Schedule
 }
 
-func compileFor(t *testing.T, src string, threads int) *compiled {
+func compileFor(t testing.TB, src string, threads int) *compiled {
 	t.Helper()
 	w := &world{}
 	c, err := pipeline.Compile(pipeline.Options{
