@@ -168,7 +168,8 @@ const (
 )
 
 // verifyAllSnapCap bounds how many full pre-state snapshots VerifyAll
-// takes per member function; later invocations record args only.
+// takes per member function; later invocations record args only. It also
+// bounds how many anchors VerifyAll tries per (set, member pair).
 const verifyAllSnapCap = 4
 
 // verifyAllScanCap bounds the number of member invocations VerifyAll
@@ -680,8 +681,17 @@ func extentLabel(e *extentRef) string {
 // VerifyPairs (VerifyAll mode) pairs every same-set member invocation
 // combination — same-member pairs only for self sets, distinct-member
 // pairs for group sets, mirroring the static verifier's obligations —
-// deduplicated per (set, unordered pair), and replays each. replayCmd
-// renders the deterministic repro command for a candidate.
+// deduplicated per (set, unordered pair), and replays each from the
+// earlier invocation's snapshot. replayCmd renders the deterministic
+// repro command for a candidate.
+//
+// A pair can fail to replay where a later pair of the same members would
+// not: the later call may use a handle opened after the snapshot, or both
+// calls may be one loop iteration, which the set's predicate excludes.
+// So after an inconclusive replay, VerifyPairs tries the same member pair
+// again at each later anchor that has a snapshot, with that anchor's
+// first partner, up to verifyAllSnapCap attempts per pair; the first
+// replayable verdict takes the inconclusive one's place.
 func (m *Monitor) VerifyPairs(replayCmd func(Candidate) string) []PairVerdict {
 	if m == nil {
 		return nil
@@ -694,7 +704,14 @@ func (m *Monitor) VerifyPairs(replayCmd func(Candidate) string) []PairVerdict {
 	if len(gseqs) > verifyAllScanCap {
 		gseqs = gseqs[:verifyAllScanCap]
 	}
-	seen := map[string]bool{}
+	// tried is one member pair's replay state: its verdict's index, the
+	// last anchor tried, and the attempts so far.
+	type tried struct {
+		at       int
+		anchor   int64
+		attempts int
+	}
+	pairs := map[candKey]*tried{}
 	var verdicts []PairVerdict
 	for i, ga := range gseqs {
 		a := m.invs[ga]
@@ -711,13 +728,23 @@ func (m *Monitor) VerifyPairs(replayCmd func(Candidate) string) []PairVerdict {
 			if f1 > f2 {
 				f1, f2 = f2, f1
 			}
-			key := set + "|" + f1 + "|" + f2
-			if seen[key] {
+			key := candKey{set, f1, f2}
+			t := pairs[key]
+			if t != nil && (t.anchor == ga || t.attempts >= verifyAllSnapCap ||
+				verdicts[t.at].Verdict != VerdictInconclusive) {
 				continue
 			}
-			seen[key] = true
 			c := Candidate{Set: set, FnA: a.Fn, FnB: b.Fn, GseqA: a.Gseq, GseqB: b.Gseq}
-			verdicts = append(verdicts, m.replayPair(c, a, b, replayCmd(c)))
+			v := m.replayPair(c, a, b, replayCmd(c))
+			if t == nil {
+				pairs[key] = &tried{at: len(verdicts), anchor: ga, attempts: 1}
+				verdicts = append(verdicts, v)
+				continue
+			}
+			t.anchor, t.attempts = ga, t.attempts+1
+			if v.Verdict != VerdictInconclusive {
+				verdicts[t.at] = v
+			}
 		}
 	}
 	return verdicts
