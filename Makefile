@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt staticcheck race bench-layers bench-paper examples bench-campaigns bench-perf-smoke verify
+.PHONY: all build test vet fmt staticcheck race bench-layers bench-paper examples bench-campaigns bench-perf-smoke bench-pairs verify
 
 all: build
 
@@ -29,9 +29,10 @@ staticcheck:
 race:
 	$(GO) test -race -timeout 5m ./...
 
-# Every per-layer Go benchmark (compile and vet, DES scheduler,
-# interpreter, builtin substrate), one iteration each: go test ./... never
-# runs a benchmark, so this keeps them building and running.
+# Every per-layer Go benchmark (compile and vet, mid end, DES scheduler,
+# interpreter, builtin substrate, sanitizer, resilient executor), one
+# iteration each: go test ./... never runs a benchmark, so this keeps them
+# building and running.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
@@ -63,6 +64,14 @@ bench-campaigns:
 # imports fails here, not in the benchmark run.
 bench-perf-smoke:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# Paired perfbench runs of a base commit against the working tree, 20 s
+# each, alternating which side runs first (scripts/bench-pairs.sh; not part
+# of verify): make bench-pairs BASE=HEAD~1 WORKLOAD=sim-resilient PAIRS=10
+bench-pairs:
+	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(PAIRS)" ]; then \
+		echo "usage: make bench-pairs BASE=rev WORKLOAD=name PAIRS=n"; exit 2; fi
+	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # The full pre-merge gate: build, vet (plus staticcheck when installed),
 # formatting, the race-enabled test suite, the per-layer and paper
