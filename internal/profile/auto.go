@@ -22,11 +22,9 @@ func TuneCandidates(kind transform.Kind, threads int) []transform.Tuning {
 		}
 		return []transform.Tuning{
 			{}, // static round-robin, shared updates
-			{Sched: transform.SchedChunked, Chunk: chunk},
-			{Sched: transform.SchedGuided},
+			{Chunk: chunk},
 			{Privatize: true},
-			{Sched: transform.SchedChunked, Chunk: chunk, Privatize: true},
-			{Sched: transform.SchedGuided, Privatize: true},
+			{Chunk: chunk, Privatize: true},
 			{Steal: true},
 			{Privatize: true, Steal: true},
 		}

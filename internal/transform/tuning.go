@@ -2,46 +2,16 @@ package transform
 
 import "fmt"
 
-// SchedKind selects how DOALL iterations are assigned to worker threads.
-type SchedKind int
-
-// Iteration schedules (cf. OpenMP's schedule clause).
-const (
-	// SchedStatic is the paper's fixed round-robin: worker w owns every
-	// iteration i with i % threads == w.
-	SchedStatic SchedKind = iota
-	// SchedChunked assigns contiguous blocks of Chunk iterations
-	// round-robin: worker w owns iteration i when (i/Chunk) % threads == w.
-	SchedChunked
-	// SchedGuided hands out shrinking chunks from a shared dispenser with
-	// a work-stealing fallback; assignment is dynamic but deterministic
-	// under the simulator's virtual-time order.
-	SchedGuided
-)
-
-// String names the schedule kind.
-func (k SchedKind) String() string {
-	switch k {
-	case SchedStatic:
-		return "static"
-	case SchedChunked:
-		return "chunked"
-	case SchedGuided:
-		return "guided"
-	}
-	return "?"
-}
-
 // Tuning is the adaptive-scheduling knob set applied on top of a
-// Schedule: the DOALL iteration schedule, the pipeline-queue batch size,
-// and whether commutative updates are privatized into per-thread shadow
-// state merged at loop exit. The zero value reproduces the paper's fixed
+// Schedule: the DOALL chunk size, the pipeline-queue batch size, and
+// whether commutative updates are privatized into per-thread shadow state
+// merged at loop exit. The zero value reproduces the paper's fixed
 // policies (static round-robin, per-token queues, shared updates).
 type Tuning struct {
-	// Sched is the DOALL iteration schedule; ignored by pipeline kinds.
-	Sched SchedKind
-	// Chunk is the block size for SchedChunked (≤1 means 1) and the
-	// initial chunk hint for SchedGuided (≤0 means auto).
+	// Chunk is the DOALL iteration block size (cf. OpenMP's
+	// schedule(static, k)): worker w owns iteration i when
+	// (i/Chunk) % threads == w. Values ≤1 keep the paper's round-robin,
+	// i % threads. Ignored by pipeline kinds.
 	Chunk int
 	// Batch is the pipeline-queue transfer batch size; values ≤1 keep
 	// per-token Push/Pop.
@@ -61,17 +31,14 @@ type Tuning struct {
 
 // IsZero reports whether the tuning leaves every fixed policy in place.
 func (t Tuning) IsZero() bool {
-	return t.Sched == SchedStatic && t.Batch <= 1 && !t.Privatize && !t.Steal
+	return t.Chunk <= 1 && t.Batch <= 1 && !t.Privatize && !t.Steal
 }
 
 // String renders the non-default knobs, e.g. "chunked(4)+batch(8)+priv".
 func (t Tuning) String() string {
 	var parts []string
-	switch t.Sched {
-	case SchedChunked:
-		parts = append(parts, fmt.Sprintf("chunked(%d)", t.ChunkSize()))
-	case SchedGuided:
-		parts = append(parts, "guided")
+	if t.Chunk > 1 {
+		parts = append(parts, fmt.Sprintf("chunked(%d)", t.Chunk))
 	}
 	if t.Batch > 1 {
 		parts = append(parts, fmt.Sprintf("batch(%d)", t.Batch))
@@ -92,7 +59,7 @@ func (t Tuning) String() string {
 	return out
 }
 
-// ChunkSize returns the effective chunk size for SchedChunked.
+// ChunkSize returns the effective DOALL chunk size (≥1).
 func (t Tuning) ChunkSize() int {
 	if t.Chunk < 1 {
 		return 1

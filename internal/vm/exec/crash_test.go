@@ -109,6 +109,44 @@ func TestDOALLPermanentCrashDegrades(t *testing.T) {
 	}
 }
 
+// TestDOALLSalvageShares: a permanently dead worker's remaining iterations
+// run as salvage shares, one per survivor, each a sweep of its own role
+// salvage.<worker>.<share>. A crash of a share fails the run with a
+// diagnosis naming it; a straggling share keeps the output
+// sequential-equivalent and stretches the makespan.
+func TestDOALLSalvageShares(t *testing.T) {
+	cp := compileFor(t, md5Full, 8)
+	_, seqOut := cp.seqRun(t)
+	run := func(extra ...faults.Spec) (*exec.Result, *world, error) {
+		plan := crashPlan("doall.1", 3, true)
+		plan.Specs = append(plan.Specs, extra...)
+		cfg, w := cp.stealCfg(plan, exec.DefaultRecovery(), transform.Tuning{})
+		res, err := exec.Run(cfg, cp.la, cp.sched[transform.DOALL], exec.SyncMutex, 4)
+		return res, w, err
+	}
+	base, _, err := run()
+	if err != nil {
+		t.Fatalf("degraded run failed: %v", err)
+	}
+
+	_, _, err = run(faults.Spec{Kind: faults.Crash, Thread: "salvage.1.0", After: 2})
+	var diag *exec.FailureDiag
+	if !errors.As(err, &diag) || diag.Thread != "salvage.1.0" || !strings.Contains(err.Error(), "injected crash during salvage") {
+		t.Fatalf("salvage crash: err = %v, want a FailureDiag naming salvage.1.0 and the salvage crash", err)
+	}
+
+	slow, w, err := run(faults.Spec{Kind: faults.Straggler, Thread: "salvage.1.1", After: 1, Count: 1 << 20, Factor: 4})
+	if err != nil {
+		t.Fatalf("straggling salvage: %v", err)
+	}
+	if slow.VirtualTime <= base.VirtualTime {
+		t.Errorf("straggling salvage share: makespan %d, want more than the %d without the straggler", slow.VirtualTime, base.VirtualTime)
+	}
+	if a, b := sortedCopy(w.prints), sortedCopy(seqOut); strings.Join(a, ",") != strings.Join(b, ",") {
+		t.Errorf("straggling salvage share: output multiset differs:\npar: %v\nseq: %v", a, b)
+	}
+}
+
 // TestDOALLRepeatedCrashExhaustsBudget: a crash window that keeps killing
 // the replacements must escalate to permanent once the restart budget (3
 // per role) is spent, then recover through re-partitioning.
@@ -140,7 +178,7 @@ func TestDOALLRepeatedCrashExhaustsBudget(t *testing.T) {
 }
 
 // TestDOALLCrashUnderTunedSchedules: crash recovery must compose with the
-// chunked/guided iteration schedules and with privatized shadows — and each
+// chunked iteration schedule and with privatized shadows — and each
 // privatized shadow must be merged exactly once despite the restart.
 func TestDOALLCrashUnderTunedSchedules(t *testing.T) {
 	cp := compileFor(t, md5Full, 8)
@@ -149,11 +187,9 @@ func TestDOALLCrashUnderTunedSchedules(t *testing.T) {
 		tune transform.Tuning
 		perm bool
 	}{
-		{transform.Tuning{Sched: transform.SchedChunked, Chunk: 4}, false},
-		{transform.Tuning{Sched: transform.SchedChunked, Chunk: 4, Privatize: true}, false},
-		{transform.Tuning{Sched: transform.SchedGuided, Privatize: true}, false},
-		{transform.Tuning{Sched: transform.SchedChunked, Chunk: 4, Privatize: true}, true},
-		{transform.Tuning{Sched: transform.SchedGuided, Privatize: true}, true},
+		{transform.Tuning{Chunk: 4}, false},
+		{transform.Tuning{Chunk: 4, Privatize: true}, false},
+		{transform.Tuning{Chunk: 4, Privatize: true}, true},
 	} {
 		plan := crashPlan("doall.1", 2, tc.perm)
 		cfg, w := cp.crashed(plan, exec.DefaultRecovery())
@@ -171,14 +207,8 @@ func TestDOALLCrashUnderTunedSchedules(t *testing.T) {
 		if tc.tune.Privatize && !tc.perm {
 			// One bulk merge per worker role with a non-empty shadow: the
 			// dead incarnation never merges, its replacement merges once.
-			// Under guided scheduling a late restart can find every chunk
-			// already claimed, leaving its shadow empty (no merge), so the
-			// exact count applies to the static chunked split only.
-			if tc.tune.Sched == transform.SchedChunked && res.PrivMerges != 4 {
+			if res.PrivMerges != 4 {
 				t.Errorf("%s: PrivMerges = %d, want 4 (exactly-once merge)", tc.tune, res.PrivMerges)
-			}
-			if res.PrivMerges < 1 || res.PrivMerges > 4 {
-				t.Errorf("%s: PrivMerges = %d outside [1,4]", tc.tune, res.PrivMerges)
 			}
 		}
 		if w.prints[len(w.prints)-1] != seqOut[len(seqOut)-1] {
@@ -340,7 +370,7 @@ func TestCrashDeterminism(t *testing.T) {
 	}
 	cells := []cell{
 		{md5Full, transform.DOALL, crashPlan("doall.1", 3, false), transform.Tuning{}, true},
-		{md5Full, transform.DOALL, crashPlan("doall.2", 4, true), transform.Tuning{Sched: transform.SchedChunked, Chunk: 4, Privatize: true}, true},
+		{md5Full, transform.DOALL, crashPlan("doall.2", 4, true), transform.Tuning{Chunk: 4, Privatize: true}, true},
 		{md5Det, transform.PSDSWP, crashPlan("stage1.0", 5, false), transform.Tuning{Batch: 8}, false},
 		{md5Det, transform.DSWP, crashPlan("stage1.0", 2, true), transform.Tuning{}, false},
 	}

@@ -64,7 +64,8 @@ type doallCkpt struct {
 }
 
 // doallState is the live, restartable state of one DOALL worker chain
-// across its simulated-thread incarnations and its sequence of sweeps.
+// across its simulated-thread incarnations and its sequence of sweeps, or
+// of one salvage share (see doallSalvage).
 type doallState struct {
 	w int
 	incarnation
@@ -72,6 +73,13 @@ type doallState struct {
 	asg      assignment // current sweep's range and ownership identity
 	iter     int64      // next pass to execute
 	lastIter int64      // last owned iteration whose body ran (this sweep)
+
+	// A salvage share (shares > 0) runs the body of every shares-th
+	// iteration the assignment owns, starting with the share-th; seen
+	// counts the owned iterations it has passed. It takes no checkpoints,
+	// and a crash fails the run.
+	share, shares int
+	seen          int
 
 	lastTop int64 // virtual time of the previous pass top (-1 = none yet)
 	ranBody bool  // the pass since lastTop ran an owned body
@@ -83,11 +91,28 @@ type doallState struct {
 	ckWrites int // interp heap-write counter at the last checkpoint
 }
 
+// doallLoop is what every chain of one DOALL loop shares: the ownership
+// parameters (see owns), the steal board (nil without stealing) and the
+// join queue.
+type doallLoop struct {
+	threads, chunk int64
+	board          *stealBoard
+	join           *des.Queue
+}
+
 // takeDoallCkpt refreshes the worker's checkpoint from its live state,
 // charging the snapshot by its compressed size in virtual time.
 func (m *machine) takeDoallCkpt(th *des.Thread, st *stepper, ws *doallState) {
 	cfr := encodeFrame(st.fr, m.ckRef)
 	th.Charge(m.checkpointCost(cfr))
+	ws.recordCkpt(st, cfr)
+}
+
+// recordCkpt makes cfr, a snapshot of the live frame, the worker's
+// checkpoint, with the live sweep position, privatized shadow and effect
+// baselines. Every DOALL checkpoint is recorded here: takeDoallCkpt's, a
+// steal grant's (serveSteal) and a restored replacement's.
+func (ws *doallState) recordCkpt(st *stepper, cfr *ckFrame) {
 	ws.ck = doallCkpt{
 		asg:      ws.asg,
 		iter:     ws.iter,
@@ -142,11 +167,11 @@ func (m *machine) runIterBody(st *stepper, fr *frame) error {
 // doallRun drives one worker chain: the initial sweep, then — with
 // stealing enabled — any adopted stolen sweeps, merging the privatized
 // shadow exactly once and pushing exactly one join message at retirement.
-// Shared by the original incarnation of each worker role and by any
-// checkpoint-restored replacement.
-func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, sched *iterSched, board *stealBoard, join *des.Queue) error {
+// Shared by the original incarnation of each worker role, by any
+// checkpoint-restored replacement, and by the salvage shares.
+func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, l *doallLoop) error {
 	for {
-		res, alive, err := m.doallSweep(th, st, ws, sched, board, join)
+		res, alive, err := m.doallSweep(th, st, ws, l)
 		if err != nil {
 			return err // legacy mode: abort the whole simulation
 		}
@@ -154,18 +179,18 @@ func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, sched *i
 			return nil // crashed: restart or death certificate handled it
 		}
 		ws.done = append(ws.done, res)
-		if board == nil {
+		if l.board == nil {
 			break
 		}
-		board.retire(ws.w)
-		g := m.doallSteal(th, ws, board)
+		l.board.retire(ws.w)
+		g := m.doallSteal(th, ws, l.board)
 		if g == nil {
 			break
 		}
-		m.doallAdopt(th, st, ws, board, g)
+		m.doallAdopt(th, st, ws, l.board, g)
 	}
 	st.mergePrivatized()
-	th.Push(join, doallDone{worker: ws.w, sweeps: ws.done, vtime: th.VTime})
+	th.Push(l.join, doallDone{worker: ws.w, sweeps: ws.done, vtime: th.VTime})
 	return nil
 }
 
@@ -176,7 +201,8 @@ func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, sched *i
 // externalized work. With a steal board, the pass top also publishes the
 // watermark and answers any pending steal request. Returns alive=false
 // when the worker crashed (the crash path owns the hand-off).
-func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched *iterSched, board *stealBoard, join *des.Queue) (sweepResult, bool, error) {
+func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, l *doallLoop) (sweepResult, bool, error) {
+	board := l.board
 	// bail handles a worker-fatal error: legacy mode aborts the whole
 	// simulation; resilient mode records the diagnosis and shuts the
 	// worker down in an orderly fashion (join message still sent).
@@ -204,7 +230,13 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 			break // bounded sweep: range exhausted (a thief owns the rest)
 		}
 		if die, perm := m.crashAt(ws.role); die {
-			return sweepResult{}, false, m.doallCrash(th, ws, sched, board, join, perm)
+			if ws.shares > 0 {
+				// A salvage share has no checkpoint chain of its own; its
+				// death (transient or not) just fails the salvage attempt.
+				m.fail(ws.role, &CrashError{Thread: ws.role, VTime: th.VTime, Perm: perm, Reason: "injected crash during salvage"})
+				break
+			}
+			return sweepResult{}, false, m.doallCrash(th, ws, l, perm)
 		}
 		if board != nil {
 			e := &board.entries[ws.w]
@@ -239,7 +271,7 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 			}
 			break
 		}
-		if iter >= ws.asg.lo && sched.owns(ws.asg.src, iter, th.Sleep) {
+		if ws.runsBody(iter, l) {
 			if err := m.runIterBody(st, st.fr); err != nil {
 				if abort, fatal := bail(err); abort {
 					return sweepResult{}, false, fatal
@@ -257,7 +289,7 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 		}
 		straggleCharge(th, slow, th.VTime-passStart)
 		ws.iter = iter + 1
-		if m.checkpointing() {
+		if m.checkpointing() && ws.shares == 0 {
 			externalized := st.effects != ws.ckEff || st.it.HeapWrites != ws.ckWrites
 			if externalized || ws.iter-ws.ck.iter >= checkpointEvery {
 				m.takeDoallCkpt(th, st, ws)
@@ -265,6 +297,21 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 		}
 	}
 	return sweepResult{fr: st.fr, lastIter: ws.lastIter, ctrl: ctrl}, true, nil
+}
+
+// runsBody reports whether the sweep runs iteration iter's body: the
+// iteration lies in the assignment, the assignment's owner owns it, and,
+// for a salvage share, it falls in the share.
+func (ws *doallState) runsBody(iter int64, l *doallLoop) bool {
+	if iter < ws.asg.lo || !owns(ws.asg.src, iter, l.threads, l.chunk) {
+		return false
+	}
+	if ws.shares == 0 {
+		return true
+	}
+	mine := ws.seen%ws.shares == ws.share
+	ws.seen++
+	return mine
 }
 
 // doallCrash handles the death of a DOALL worker at a crash tick. The
@@ -277,17 +324,17 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 // the survivors. Either way any pending steal request gets its answer: a
 // transiently crashed victim keeps it pending for the replacement, a
 // permanent death denies it.
-func (m *machine) doallCrash(th *des.Thread, ws *doallState, sched *iterSched, board *stealBoard, join *des.Queue, perm bool) error {
+func (m *machine) doallCrash(th *des.Thread, ws *doallState, l *doallLoop, perm bool) error {
 	death, err := m.crash(th, ws.incarnation, ws.iter, ws.iter-ws.ck.iter, perm)
 	if err != nil {
 		return err
 	}
 	ck := ws.ck
 	if death.Perm {
-		if board != nil {
-			board.markDead(ws.w)
+		if l.board != nil {
+			l.board.markDead(ws.w)
 		}
-		th.Push(join, doallDone{
+		th.Push(l.join, doallDone{
 			worker: ws.w, sweeps: ws.done, vtime: th.VTime,
 			crashed: true, deathIter: ws.iter, ck: &ck,
 		})
@@ -303,13 +350,9 @@ func (m *machine) doallCrash(th *des.Thread, ws *doallState, sched *iterSched, b
 			asg: ck.asg, iter: ck.iter, lastIter: ck.lastIter,
 			lastTop: -1,
 			done:    ck.done,
-			ck: doallCkpt{
-				asg: ck.asg, iter: ck.iter, cfr: ck.cfr,
-				lastIter: ck.lastIter, priv: copyPriv(ck.priv),
-				done: ck.done,
-			},
 		}
-		return m.doallRun(th, st, ws2, sched, board, join)
+		ws2.recordCkpt(st, ck.cfr)
+		return m.doallRun(th, st, ws2, l)
 	})
 	return nil
 }
@@ -325,80 +368,32 @@ func (m *machine) doallCrash(th *des.Thread, ws *doallState, sched *iterSched, b
 // matter: a dead thief is salvaged only over its stolen range, and a
 // robbed victim only up to its truncated hi — iterations that migrated
 // stay exactly-once. Share 0 also adopts the dead worker's unmerged
-// privatized shadow, so each shadow is still merged exactly once.
-func (m *machine) doallSalvage(th *des.Thread, d doallDone, share, nshares int, sched *iterSched, join *des.Queue) error {
+// privatized shadow, so each shadow is still merged exactly once. The
+// share runs the sweep loop (doallRun) on a loop l without a steal board.
+func (m *machine) doallSalvage(th *des.Thread, d doallDone, share, nshares int, l *doallLoop) error {
 	ck := d.ck
 	th.Charge(m.restoreCost(ck.cfr))
-	fr := ck.cfr.decode()
-	st := m.newStepper(th, fr)
+	st := m.newStepper(th, ck.cfr.decode())
 	st.sharedActive = true
 	st.privatized = m.cfg.Tune.Privatize
 	if share == 0 {
 		st.privCommits = copyPriv(ck.priv)
 	}
-	role := fmt.Sprintf("salvage.%d.%d", d.worker, share)
-	lastIter := int64(-1)
-	ordinal := 0
-	ctrl := false
-	for iter := ck.iter; ; iter++ {
-		if m.failed() {
-			break
-		}
-		if m.cfg.maxIters > 0 && iter >= m.cfg.maxIters {
-			ctrl = true
-			break
-		}
-		if ck.asg.hi >= 0 && iter >= ck.asg.hi {
-			break
-		}
-		if die, perm := m.crashAt(role); die {
-			// A salvage runner has no checkpoint chain of its own; its
-			// death (transient or not) just fails the salvage attempt.
-			m.fail(role, &CrashError{Thread: role, VTime: th.VTime, Perm: perm, Reason: "injected crash during salvage"})
-			break
-		}
-		slow := m.straggleAt(role)
-		passStart := th.VTime
-		exit, err := m.runCond(st)
-		if err != nil {
-			m.fail(role, err)
-			break
-		}
-		if exit {
-			ctrl = true
-			break
-		}
-		if iter >= ck.asg.lo && sched.owns(ck.asg.src, iter, th.Sleep) {
-			mine := ordinal%nshares == share
-			ordinal++
-			if mine {
-				if err := m.runIterBody(st, fr); err != nil {
-					m.fail(role, err)
-					break
-				}
-				lastIter = iter
-			}
-		}
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
-			m.fail(role, err)
-			break
-		}
-		straggleCharge(th, slow, th.VTime-passStart)
+	ws := &doallState{
+		w:           d.worker,
+		incarnation: incarnation{role: fmt.Sprintf("salvage.%d.%d", d.worker, share)},
+		asg:         ck.asg, iter: ck.iter, lastIter: -1, lastTop: -1,
+		share: share, shares: nshares,
 	}
-	st.mergePrivatized()
-	th.Push(join, doallDone{
-		worker: d.worker, vtime: th.VTime,
-		sweeps: []sweepResult{{fr: fr, lastIter: lastIter, ctrl: ctrl}},
-	})
-	return nil
+	return m.doallRun(th, st, ws, l)
 }
 
 // runDOALL executes the loop with iterations scheduled over `threads`
-// workers (the calling thread acts as worker 0) according to the tuning's
-// iteration schedule — static round-robin, chunked, or guided with a
-// claim board (see iterSched). Every worker privately executes the
-// loop-control machinery — the canonical privatized-induction-variable
-// DOALL codegen — and runs the body units only for its own iterations.
+// workers (the calling thread acts as worker 0) in the tuning's chunks,
+// static round-robin at chunk 1 (see owns). Every worker privately
+// executes the loop-control machinery — the canonical
+// privatized-induction-variable DOALL codegen — and runs the body units
+// only for its own iterations.
 // With Tune.Privatize, commutative member updates run against per-thread
 // shadow state and each worker publishes one synchronized merge per
 // touched set before joining.
@@ -412,14 +407,11 @@ func (m *machine) doallSalvage(th *des.Thread, d doallDone, share, nshares int, 
 // across the survivors at join time (degraded mode).
 func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error {
 	join := m.sim.NewQueue("doall.join", threads)
-	// One claim-board round trip costs an uncontended spin acquire+release
-	// (an atomic fetch-and-add on the shared chunk counter).
-	sched := newIterSched(m.cfg.Tune, threads, m.cfg.Cost.SpinAcquire+m.cfg.Cost.SpinRelease)
-	var board *stealBoard
+	l := &doallLoop{threads: int64(threads), chunk: int64(m.cfg.Tune.ChunkSize()), join: join}
 	if m.cfg.Tune.Steal && threads > 1 {
-		board = newStealBoard(threads)
+		l.board = newStealBoard(threads)
 	}
-	if m.checkpointing() || board != nil {
+	if m.checkpointing() || l.board != nil {
 		// The immutable compression reference every checkpoint of this
 		// loop deltas against: the frame each worker starts from.
 		m.ckRef = mainFr.clone()
@@ -440,7 +432,7 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 		if m.checkpointing() {
 			m.takeDoallCkpt(th, st, ws) // initial checkpoint at pass 0
 		}
-		return m.doallRun(th, st, ws, sched, board, join)
+		return m.doallRun(th, st, ws, l)
 	}
 
 	start := mainTh.VTime
@@ -503,6 +495,7 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 			})
 		} else {
 			start := mainTh.VTime + restartDelay
+			salvage := &doallLoop{threads: l.threads, chunk: l.chunk, join: join}
 			for _, d := range crashed {
 				m.stats.repartitioned++
 				m.markRecovered(fmt.Sprintf("doall.%d", d.worker), start)
@@ -510,7 +503,7 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 				for k := 0; k < survivors; k++ {
 					k := k
 					m.sim.Spawn(fmt.Sprintf("salvage.%d.%d", d.worker, k), start, func(th *des.Thread) error {
-						return m.doallSalvage(th, d, k, survivors, sched, join)
+						return m.doallSalvage(th, d, k, survivors, salvage)
 					})
 				}
 			}

@@ -373,9 +373,8 @@ func TestFaultsUnderTunedSchedules(t *testing.T) {
 			{Kind: faults.Transient, Builtin: "digest", After: 5, Count: 2},
 		}}
 		for _, tune := range []transform.Tuning{
-			{Sched: transform.SchedChunked, Chunk: 4},
-			{Sched: transform.SchedChunked, Chunk: 4, Privatize: true},
-			{Sched: transform.SchedGuided, Privatize: true},
+			{Chunk: 4},
+			{Chunk: 4, Privatize: true},
 		} {
 			if cp.sched[transform.DOALL] == nil {
 				break // e.g. md5Det's Group-only print forbids DOALL
@@ -434,7 +433,7 @@ func TestPermanentFaultDiagnosedTuned(t *testing.T) {
 			{Kind: faults.Permanent, Builtin: "*", After: 60},
 		}}
 		tunes := map[transform.Kind]transform.Tuning{
-			transform.DOALL:  {Sched: transform.SchedChunked, Chunk: 4, Privatize: true},
+			transform.DOALL:  {Chunk: 4, Privatize: true},
 			transform.DSWP:   {Batch: 8},
 			transform.PSDSWP: {Batch: 8},
 		}

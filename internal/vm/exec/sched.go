@@ -1,119 +1,15 @@
 package exec
 
-import "repro/internal/transform"
-
-// iterSched assigns DOALL iterations to workers under a tuning. Every
-// worker privately executes the loop-control machinery for all
-// iterations (the privatized-induction-variable codegen), so ownership
-// must be a total function of the iteration index that partitions the
-// iteration space — the single place iteration assignment lives for
-// every schedule kind.
-//
-//   - static: the paper's round-robin, iter % threads.
-//   - chunked(k): contiguous blocks of k iterations dealt round-robin,
-//     (iter/k) % threads — same per-thread share, better locality and
-//     (with k matched to the workload) less lock ping-pong.
-//   - guided: workers claim shrinking chunks from a shared dispenser the
-//     first time they reach an unclaimed chunk. A worker that finishes
-//     its claims early claims (steals) the next unclaimed chunk instead
-//     of idling, so imbalanced iterations even out. The simulator
-//     serializes claim events in virtual-time order, so assignment stays
-//     deterministic.
-type iterSched struct {
-	tune    transform.Tuning
-	threads int
-
-	// guided state: chunk boundaries (starts[i] is the first iteration of
-	// chunk i; the chunk ends where the next begins) and the claim board.
-	starts []int64
-	sizes  []int64
-	claims []int
-	// grabCost is the virtual cost of one claim-board fetch-and-add.
-	grabCost int64
-}
-
-// guidedUnclaimed marks a dispensed-but-unclaimed guided chunk.
-const guidedUnclaimed = -1
-
-func newIterSched(tune transform.Tuning, threads int, grabCost int64) *iterSched {
-	s := &iterSched{tune: tune, threads: threads, grabCost: grabCost}
-	if tune.Sched == transform.SchedGuided {
-		c0 := int64(tune.Chunk)
-		if c0 <= 0 {
-			c0 = int64(4 * threads)
-		}
-		s.starts = []int64{0}
-		s.sizes = []int64{c0}
-		s.claims = []int{guidedUnclaimed}
-	}
-	return s
-}
-
-// owns reports whether worker w executes iteration iter. yield is
-// invoked with the virtual cost of any shared claim-board operation the
-// decision required and must advance the worker's clock *through the
-// scheduler* (des.Thread.Sleep), so contending claims resolve in
-// virtual-time order rather than host execution order; it may be nil for
-// the pure schedules, which never touch shared state.
-func (s *iterSched) owns(w int, iter int64, yield func(int64)) bool {
-	switch s.tune.Sched {
-	case transform.SchedStatic:
-		return iter%int64(s.threads) == int64(w)
-	case transform.SchedChunked:
-		k := int64(s.tune.ChunkSize())
-		return (iter/k)%int64(s.threads) == int64(w)
-	case transform.SchedGuided:
-		return s.claimGuided(w, iter, yield)
-	}
-	return iter%int64(s.threads) == int64(w)
-}
-
-// claimGuided resolves guided ownership of iter for worker w: the chunk
-// containing iter is located (extending the dispensed sequence with
-// geometrically shrinking chunks as needed), and an unclaimed chunk is
-// claimed by the worker that reaches it first in virtual time — each
-// contender pays one claim-board round trip (the yield) before its
-// attempt, so the scheduler arbitrates concurrent attempts
-// deterministically.
-func (s *iterSched) claimGuided(w int, iter int64, yield func(int64)) bool {
-	ci := s.chunkOf(iter)
-	for s.claims[ci] == guidedUnclaimed {
-		if yield != nil {
-			yield(s.grabCost)
-		}
-		if s.claims[ci] == guidedUnclaimed {
-			s.claims[ci] = w
-		}
-	}
-	return s.claims[ci] == w
-}
-
-// chunkOf returns the index of the chunk containing iter, dispensing new
-// chunks as needed. Chunk sizes halve every `threads` dispensed chunks
-// (guided self-scheduling) with a floor of 1.
-func (s *iterSched) chunkOf(iter int64) int {
-	for {
-		last := len(s.starts) - 1
-		if iter < s.starts[last]+s.sizes[last] {
-			// Binary search the dispensed chunks.
-			lo, hi := 0, last
-			for lo < hi {
-				mid := (lo + hi + 1) / 2
-				if s.starts[mid] <= iter {
-					lo = mid
-				} else {
-					hi = mid - 1
-				}
-			}
-			return lo
-		}
-		next := s.starts[last] + s.sizes[last]
-		size := s.sizes[last]
-		if (last+1)%s.threads == 0 && size > 1 {
-			size /= 2
-		}
-		s.starts = append(s.starts, next)
-		s.sizes = append(s.sizes, size)
-		s.claims = append(s.claims, guidedUnclaimed)
-	}
+// owns reports whether worker w executes the body of DOALL iteration iter
+// when threads workers share the loop in contiguous blocks of chunk
+// iterations dealt round-robin: (iter/chunk) % threads == w. Chunk 1 is
+// the paper's static round-robin, iter % threads; a larger chunk
+// (Tuning.Chunk) gives each worker the same share with better locality
+// and, matched to the workload, less lock ping-pong. Every worker
+// privately executes the loop-control machinery for all iterations (the
+// privatized-induction-variable codegen), so ownership must partition the
+// iteration space, and as a pure function of the worker and the iteration
+// it stays the same across restarts, steals and salvage.
+func owns(w int, iter, threads, chunk int64) bool {
+	return (iter/chunk)%threads == int64(w)
 }

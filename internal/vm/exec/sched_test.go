@@ -1,172 +1,30 @@
 package exec
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/transform"
-)
-
-// ownersOf queries every worker for every iteration in [0, n) in a fixed
-// deterministic order and returns the owner of each iteration, failing if
-// any iteration is owned by zero or more than one worker. This is the
-// partition property every schedule kind must satisfy: each worker runs
-// the full privatized control loop, so ownership must be a total function
-// that partitions the iteration space.
-func ownersOf(t *testing.T, s *iterSched, threads int, n int64) []int {
-	t.Helper()
-	owners := make([]int, n)
-	for iter := int64(0); iter < n; iter++ {
-		owner := -1
-		for w := 0; w < threads; w++ {
-			if s.owns(w, iter, func(int64) {}) {
-				if owner != -1 {
-					t.Fatalf("iter %d owned by both worker %d and %d", iter, owner, w)
-				}
-				owner = w
-			}
-		}
-		if owner == -1 {
-			t.Fatalf("iter %d owned by no worker", iter)
-		}
-		owners[iter] = owner
-	}
-	return owners
-}
-
-func TestIterSchedStaticPartition(t *testing.T) {
-	for _, threads := range []int{1, 2, 3, 8} {
-		s := newIterSched(transform.Tuning{}, threads, 25)
-		owners := ownersOf(t, s, threads, 97)
-		for iter, w := range owners {
-			if want := iter % threads; w != want {
-				t.Fatalf("static %d threads: iter %d owner %d, want %d", threads, iter, w, want)
-			}
-		}
-	}
-}
-
+// TestIterSchedChunkedPartition: for every thread count and chunk size,
+// each iteration is owned by exactly one worker, the one that gets its
+// chunk round-robin; at chunk 1 that is the paper's static round-robin,
+// iter % threads. Each worker runs the full privatized control loop, so
+// ownership must be a total function that partitions the iteration space.
 func TestIterSchedChunkedPartition(t *testing.T) {
-	for _, threads := range []int{1, 2, 4} {
-		for _, k := range []int{1, 3, 8} {
-			tune := transform.Tuning{Sched: transform.SchedChunked, Chunk: k}
-			s := newIterSched(tune, threads, 25)
-			owners := ownersOf(t, s, threads, 100)
-			for iter, w := range owners {
-				if want := (iter / k) % threads; w != want {
-					t.Fatalf("chunked(%d) %d threads: iter %d owner %d, want %d", k, threads, iter, w, want)
+	for _, threads := range []int64{1, 2, 3, 4, 8} {
+		for _, k := range []int64{1, 3, 8} {
+			for iter := int64(0); iter < 100; iter++ {
+				owner := -1
+				for w := 0; w < int(threads); w++ {
+					if !owns(w, iter, threads, k) {
+						continue
+					}
+					if owner != -1 {
+						t.Fatalf("chunked(%d) %d threads: iter %d owned by both worker %d and %d", k, threads, iter, owner, w)
+					}
+					owner = w
+				}
+				if want := (iter / k) % threads; int64(owner) != want {
+					t.Fatalf("chunked(%d) %d threads: iter %d owner %d, want %d", k, threads, iter, owner, want)
 				}
 			}
-		}
-	}
-}
-
-// Chunked with k=1 must coincide with the static schedule: the paper's
-// round-robin is the degenerate chunking.
-func TestIterSchedChunkOneIsStatic(t *testing.T) {
-	threads := 4
-	static := newIterSched(transform.Tuning{}, threads, 25)
-	chunked := newIterSched(transform.Tuning{Sched: transform.SchedChunked, Chunk: 1}, threads, 25)
-	a := ownersOf(t, static, threads, 64)
-	b := ownersOf(t, chunked, threads, 64)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("iter %d: static owner %d != chunked(1) owner %d", i, a[i], b[i])
-		}
-	}
-}
-
-func TestIterSchedGuidedPartition(t *testing.T) {
-	for _, threads := range []int{1, 2, 4} {
-		s := newIterSched(transform.Tuning{Sched: transform.SchedGuided}, threads, 25)
-		// The partition property must hold regardless of which worker
-		// reaches an unclaimed chunk first; ownersOf probes workers in
-		// order, which makes worker 0 claim everything — still a valid
-		// (degenerate) partition.
-		ownersOf(t, s, threads, 200)
-	}
-}
-
-// Guided chunk sizes start at 4*threads (or Tune.Chunk) and halve every
-// `threads` dispensed chunks with a floor of 1 — the classic guided
-// self-scheduling decay.
-func TestIterSchedGuidedChunkDecay(t *testing.T) {
-	threads := 4
-	s := newIterSched(transform.Tuning{Sched: transform.SchedGuided}, threads, 25)
-	s.chunkOf(500) // force dispensing well past the decay floor
-	if s.sizes[0] != int64(4*threads) {
-		t.Fatalf("first chunk size %d, want %d", s.sizes[0], 4*threads)
-	}
-	for i := 1; i < len(s.sizes); i++ {
-		prev, cur := s.sizes[i-1], s.sizes[i]
-		if i%threads == 0 && prev > 1 {
-			if cur != prev/2 {
-				t.Fatalf("chunk %d size %d, want %d (halved from %d)", i, cur, prev/2, prev)
-			}
-		} else if cur != prev {
-			t.Fatalf("chunk %d size %d changed mid-generation from %d", i, cur, prev)
-		}
-		if cur < 1 {
-			t.Fatalf("chunk %d size %d below floor", i, cur)
-		}
-	}
-	last := len(s.sizes) - 1
-	if s.sizes[last] != 1 {
-		t.Fatalf("decayed size %d, want floor 1", s.sizes[last])
-	}
-	// Chunks must tile the iteration space contiguously.
-	for i := 1; i < len(s.starts); i++ {
-		if s.starts[i] != s.starts[i-1]+s.sizes[i-1] {
-			t.Fatalf("chunk %d starts at %d, want %d", i, s.starts[i], s.starts[i-1]+s.sizes[i-1])
-		}
-	}
-}
-
-// A custom Chunk overrides the guided first-chunk size.
-func TestIterSchedGuidedCustomFirstChunk(t *testing.T) {
-	s := newIterSched(transform.Tuning{Sched: transform.SchedGuided, Chunk: 6}, 2, 25)
-	s.chunkOf(0)
-	if s.sizes[0] != 6 {
-		t.Fatalf("first chunk size %d, want 6", s.sizes[0])
-	}
-}
-
-// Every guided claim pays exactly one claim-board round trip: the yield
-// must be invoked once (with the grab cost) per claim attempt, and not at
-// all when the chunk is already resolved.
-func TestIterSchedGuidedYieldsPerClaim(t *testing.T) {
-	s := newIterSched(transform.Tuning{Sched: transform.SchedGuided}, 2, 25)
-	var yields []int64
-	yield := func(c int64) { yields = append(yields, c) }
-	if !s.owns(0, 0, yield) {
-		t.Fatal("worker 0 should claim chunk 0")
-	}
-	if len(yields) != 1 || yields[0] != 25 {
-		t.Fatalf("claim yields %v, want [25]", yields)
-	}
-	yields = nil
-	// Re-querying a resolved chunk touches no shared state.
-	if !s.owns(0, 1, yield) {
-		t.Fatal("worker 0 owns iter 1 of its claimed chunk")
-	}
-	if s.owns(1, 1, yield) {
-		t.Fatal("worker 1 must not own worker 0's chunk")
-	}
-	if len(yields) != 0 {
-		t.Fatalf("resolved-chunk queries yielded %v, want none", yields)
-	}
-}
-
-// Guided assignment is a pure function of the claim order: replaying the
-// same sequence of (worker, iter) queries reproduces the same ownership.
-func TestIterSchedGuidedDeterministic(t *testing.T) {
-	run := func() []int {
-		s := newIterSched(transform.Tuning{Sched: transform.SchedGuided}, 3, 25)
-		return ownersOf(t, s, 3, 150)
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("iter %d: owner %d vs %d across identical replays", i, a[i], b[i])
 		}
 	}
 }

@@ -10,7 +10,7 @@ import "repro/internal/vm/des"
 // written between simulator yields — the discrete-event scheduler
 // serializes all threads, so board state is a pure function of the virtual
 // clock and the seed, and runs with stealing enabled stay bit-for-bit
-// reproducible (the same argument `sched.go` makes for guided claims).
+// reproducible.
 //
 // The protocol is asynchronous on the victim side and polled on the thief
 // side, so a victim never blocks and a thief never waits on a queue that
@@ -225,7 +225,7 @@ func (b *stealBoard) worthWaiting(w int) bool {
 // loop-entry reference), splits the un-started range in proportion to the
 // victim's observed pace — a victim running k times slower than the
 // fastest measured peer keeps ~1/(k+1) of the remainder, equal speeds
-// halve — and, when the checkpoint layer is armed, refreshes the victim's
+// halve — and, when the checkpoint layer is armed, records the victim's
 // own checkpoint with the truncated range, reusing the frame just encoded
 // so the steal point is charged once.
 func (m *machine) serveSteal(th *des.Thread, st *stepper, ws *doallState, board *stealBoard) {
@@ -256,14 +256,7 @@ func (m *machine) serveSteal(th *des.Thread, st *stepper, ws *doallState, board 
 	ws.asg.hi = split
 	e.asg = ws.asg
 	if m.checkpointing() {
-		ws.ck = doallCkpt{
-			asg: ws.asg, iter: ws.iter, cfr: cfr,
-			lastIter: ws.lastIter,
-			priv:     copyPriv(st.privCommits),
-			done:     ws.done,
-		}
-		ws.ckEff = st.effects
-		ws.ckWrites = st.it.HeapWrites
+		ws.recordCkpt(st, cfr)
 	}
 }
 

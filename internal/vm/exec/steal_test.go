@@ -112,7 +112,7 @@ func TestStealDeterminism(t *testing.T) {
 	}{
 		{"straggler", slowPlan("doall.1", 4), transform.Tuning{Steal: true}},
 		{"straggler-8x-chunked", slowPlan("doall.2", 8),
-			transform.Tuning{Steal: true, Sched: transform.SchedChunked, Chunk: 4}},
+			transform.Tuning{Steal: true, Chunk: 4}},
 		{"straggler+crash", func() faults.Plan {
 			p := slowPlan("doall.1", 4)
 			p.Specs = append(p.Specs, faults.Spec{Kind: faults.Crash, Thread: "doall.2", After: 3})
@@ -122,7 +122,7 @@ func TestStealDeterminism(t *testing.T) {
 			p := slowPlan("doall.1", 4)
 			p.Specs = append(p.Specs, faults.Spec{Kind: faults.Crash, Thread: "doall.3", After: 4, Permanent: true})
 			return p
-		}(), transform.Tuning{Steal: true, Sched: transform.SchedChunked, Chunk: 4, Privatize: true}},
+		}(), transform.Tuning{Steal: true, Chunk: 4, Privatize: true}},
 	}
 	for _, c := range cells {
 		cp := compileFor(t, md5Full, 8)
@@ -142,8 +142,8 @@ func TestStealDeterminism(t *testing.T) {
 	}
 }
 
-// TestStealUnderTunedSchedules: stealing must compose with the chunked and
-// guided iteration schedules and with privatized shadows — same output
+// TestStealUnderTunedSchedules: stealing must compose with the chunked
+// iteration schedule and with privatized shadows — same output
 // multiset as the sequential run, and each privatized shadow merged exactly
 // once per worker chain despite ranges migrating between chains.
 func TestStealUnderTunedSchedules(t *testing.T) {
@@ -152,10 +152,8 @@ func TestStealUnderTunedSchedules(t *testing.T) {
 	plan := slowPlan("doall.1", 4)
 	for _, tune := range []transform.Tuning{
 		{Steal: true},
-		{Steal: true, Sched: transform.SchedChunked, Chunk: 4},
-		{Steal: true, Sched: transform.SchedChunked, Chunk: 4, Privatize: true},
-		{Steal: true, Sched: transform.SchedGuided},
-		{Steal: true, Sched: transform.SchedGuided, Privatize: true},
+		{Steal: true, Chunk: 4},
+		{Steal: true, Chunk: 4, Privatize: true},
 	} {
 		cfg, w := cp.stealCfg(plan, exec.DefaultRecovery(), tune)
 		res, err := exec.Run(cfg, cp.la, cp.sched[transform.DOALL], exec.SyncMutex, 4)
@@ -238,7 +236,7 @@ func TestStealThiefCrashExactlyOnce(t *testing.T) {
 	// it adopted from the straggler.
 	plan := slowPlan("doall.1", 8)
 	plan.Specs = append(plan.Specs, faults.Spec{Kind: faults.Crash, Thread: "doall.2", After: 34})
-	tune := transform.Tuning{Steal: true, Sched: transform.SchedChunked, Chunk: 4, Privatize: true}
+	tune := transform.Tuning{Steal: true, Chunk: 4, Privatize: true}
 	cfg, w := cp.stealCfg(plan, exec.DefaultRecovery(), tune)
 	res, err := exec.Run(cfg, cp.la, cp.sched[transform.DOALL], exec.SyncMutex, 4)
 	if err != nil {

@@ -30,11 +30,9 @@ func (cp *compiled) parRunTuned(t *testing.T, kind transform.Kind, mode exec.Syn
 
 func doallTunings() []transform.Tuning {
 	return []transform.Tuning{
-		{Sched: transform.SchedChunked, Chunk: 4},
-		{Sched: transform.SchedGuided},
+		{Chunk: 4},
 		{Privatize: true},
-		{Sched: transform.SchedChunked, Chunk: 4, Privatize: true},
-		{Sched: transform.SchedGuided, Privatize: true},
+		{Chunk: 4, Privatize: true},
 	}
 }
 
@@ -146,7 +144,7 @@ func TestBatchedDSWPCorrect(t *testing.T) {
 }
 
 // Tuned runs stay deterministic: identical configurations produce
-// identical makespans, including the guided claim board.
+// identical makespans.
 func TestTunedDeterministicMakespan(t *testing.T) {
 	for _, tune := range doallTunings() {
 		cp := compileFor(t, md5Full, 8)
