@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -96,16 +95,9 @@ func main() {
 		}
 		printSanitize(cell)
 		if *sanJSON != "" {
-			f, err := os.Create(*sanJSON)
-			if err != nil {
+			if err := bench.WriteJSON(*sanJSON, cell); err != nil {
 				fatal(err)
 			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(cell); err != nil {
-				fatal(err)
-			}
-			f.Close()
 		}
 		if !cell.Clean || !cell.VTimeMatch {
 			os.Exit(1)

@@ -236,14 +236,7 @@ func writeSanitizeOut(path, workload, variant, name, src string, threads int) er
 			return err
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
+	return bench.WriteJSON(path, struct {
 		Mode  string                 `json:"mode"`
 		Pairs []sanitize.PairVerdict `json:"pairs"`
 	}{Mode: "verify-all", Pairs: pairs})

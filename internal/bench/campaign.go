@@ -81,15 +81,22 @@ func RunCampaign(out io.Writer, dir string, c Campaign, o CampaignOptions) error
 		return err
 	}
 	path := filepath.Join(dir, "BENCH_"+c.Name+".json")
-	data, werr := json.MarshalIndent(rep, "", "  ")
-	if werr == nil {
-		werr = os.WriteFile(path, append(data, '\n'), 0o644)
-	}
-	if werr != nil {
+	if werr := WriteJSON(path, rep); werr != nil {
 		return errors.Join(err, fmt.Errorf("bench: %s report: %w", c.Name, werr))
 	}
 	fmt.Fprintf(out, "wrote %s\n", path)
 	return err
+}
+
+// WriteJSON writes v to path as two-space-indented JSON with a trailing
+// newline, the form of every report file: the campaign reports and the
+// sanitizer reports of commsetrun and commsetvet.
+func WriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // parDo runs fn(i) for every i in [0, n) on o.Workers goroutines and

@@ -109,7 +109,7 @@ func (m *machine) newStepper(th *des.Thread, fr *frame) *stepper {
 			// the builtin runs), so call-level retry is safe.
 			return st.invokeBuiltin(in.Name, ci, args, invoke)
 		case ci.member:
-			return st.withMemberSync(in.Name, args, nil, nil, invoke)
+			return st.withMemberSync(in.Name, ci, args, nil, nil, invoke)
 		}
 		return invoke()
 	}
@@ -134,7 +134,7 @@ func (m *machine) snapState() (map[string]value.Value, map[int]value.Value) {
 func (st *stepper) invokeBuiltin(name string, ci *callInfo, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
 	run := func() ([]value.Value, error) {
 		if ci.member {
-			return st.withMemberSync(name, args, nil, nil, invoke)
+			return st.withMemberSync(name, ci, args, nil, nil, invoke)
 		}
 		rets, err := invoke()
 		st.flush()
@@ -164,20 +164,14 @@ func (st *stepper) flush() {
 	}
 }
 
-// call invokes a function or builtin, charging its cost to the thread.
-func (st *stepper) call(name string, args []value.Value) ([]value.Value, error) {
-	rets, err := st.it.CallByName(name, args)
-	st.flush()
-	return rets, err
-}
-
 // withMemberSync executes body under the synchronization required for a
 // commutative member; a successful call counts as an externalized effect
 // (its commit is visible to other threads, so the iteration that made it
-// cannot be re-executed). args and the shared-cell slot wirings feed the
-// sanitizer's member-extent record when a monitor is attached.
-func (st *stepper) withMemberSync(name string, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
-	rets, err := st.memberSyncInner(name, args, argSlots, outSlots, body)
+// cannot be re-executed). ci is the member's resolved call-site metadata.
+// args and the shared-cell slot wirings feed the sanitizer's member-extent
+// record when a monitor is attached.
+func (st *stepper) withMemberSync(name string, ci *callInfo, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
+	rets, err := st.memberSyncInner(name, ci, args, argSlots, outSlots, body)
 	if err == nil {
 		st.effects++
 	}
@@ -187,9 +181,9 @@ func (st *stepper) withMemberSync(name string, args []value.Value, argSlots, out
 // memberSyncInner executes body under the synchronization required for a
 // commutative member: locks of every (non-nosync) set the member belongs
 // to, acquired in global rank order and released in reverse (Section 4.6).
-func (st *stepper) memberSyncInner(name string, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
+func (st *stepper) memberSyncInner(name string, ci *callInfo, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
 	m := st.m
-	lockSets := m.resolve(name).lockSets
+	lockSets := ci.lockSets
 	st.flush()
 	if mon := m.cfg.Sanitize; mon != nil {
 		// The member extent opens after synchronization is in place (the
@@ -541,7 +535,7 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 	case ci.builtin:
 		rets, err = st.invokeBuiltin(in.Name, ci, args, invoke)
 	case member:
-		rets, err = st.withMemberSync(in.Name, args, argSlots, outSlots, invoke)
+		rets, err = st.withMemberSync(in.Name, ci, args, argSlots, outSlots, invoke)
 	default:
 		rets, err = invoke()
 		st.flush()
