@@ -167,11 +167,9 @@ const (
 	reqAcquire
 	reqRelease
 	reqPush
-	reqPushN
 	reqPop
-	reqPopN
 	reqSleep
-	reqWake // internal: resume a woken thread, delivering pending.val
+	reqWake // internal: resume a woken thread, delivering pending.vals
 	reqDone
 )
 
@@ -179,15 +177,17 @@ type request struct {
 	kind reqKind
 	lock *Lock
 	q    *Queue
-	val  any
-	vals []any // batch payload of a reqPushN
-	n    int   // requested batch size of a reqPopN
-	d    int64
-	err  error
+	vals []any // tokens of a reqPush; popped tokens of a reqWake
+	n    int   // most tokens a reqPop takes
+	// batch marks a reqPush or reqPop from PushN or PopN, which stall
+	// diagnostics describe as a batch.
+	batch bool
+	d     int64
+	err   error
 }
 
 type grant struct {
-	val   any
+	vals  []any
 	vtime int64
 }
 
@@ -206,6 +206,10 @@ type Thread struct {
 	state   threadState
 	started bool
 	body    func(*Thread) error
+
+	// one carries the token of a Push or Pop, so a one-token queue
+	// operation allocates nothing.
+	one [1]any
 
 	// Blocked-state bookkeeping for stall diagnostics.
 	blockLock  *Lock
@@ -277,13 +281,17 @@ func (t *Thread) Release(l *Lock) {
 
 // Push enqueues a token, blocking in virtual time while the queue is full.
 func (t *Thread) Push(q *Queue, v any) {
-	t.yield(request{kind: reqPush, q: q, val: v})
+	t.one[0] = v
+	t.yield(request{kind: reqPush, q: q, vals: t.one[:]})
+	t.one[0] = nil
 }
 
 // Pop dequeues a token, blocking in virtual time while the queue is empty.
 func (t *Thread) Pop(q *Queue) any {
-	g := t.yield(request{kind: reqPop, q: q})
-	return g.val
+	t.yield(request{kind: reqPop, q: q, n: 1})
+	v := t.one[0]
+	t.one[0] = nil
+	return v
 }
 
 // PushN enqueues a batch of tokens in one scheduler event: the first
@@ -304,7 +312,7 @@ func (t *Thread) PushN(q *Queue, vs []any) {
 		if q.Cap > 0 && n > q.Cap {
 			n = q.Cap
 		}
-		t.yield(request{kind: reqPushN, q: q, vals: vs[:n:n]})
+		t.yield(request{kind: reqPush, q: q, vals: vs[:n:n], batch: true})
 		vs = vs[n:]
 	}
 }
@@ -317,8 +325,7 @@ func (t *Thread) PopN(q *Queue, max int) []any {
 	if max <= 1 {
 		return []any{t.Pop(q)}
 	}
-	g := t.yield(request{kind: reqPopN, q: q, n: max})
-	return g.val.([]any)
+	return t.yield(request{kind: reqPop, q: q, n: max, batch: true}).vals
 }
 
 // Sleep advances the thread's clock by d through the scheduler (so other
@@ -629,7 +636,7 @@ func (t *Thread) describe() string {
 			t.blockLock.Name, owner, len(t.blockLock.waiters))
 	case t.blockQueue != nil && t.blockOp == "pop":
 		batch := ""
-		if t.pending.kind == reqPopN {
+		if t.pending.batch {
 			batch = fmt.Sprintf(" for a batch of up to %d", t.pending.n)
 		}
 		return fmt.Sprintf("blocked popping queue %s%s (empty, %d pusher(s) blocked)",
@@ -638,7 +645,7 @@ func (t *Thread) describe() string {
 		// A stalled batch names its queue once, with the token count —
 		// not one diagnostic line per token.
 		batch := ""
-		if t.pending.kind == reqPushN {
+		if t.pending.batch {
 			batch = fmt.Sprintf(" a batch of %d to", len(t.pending.vals))
 		}
 		return fmt.Sprintf("blocked pushing%s queue %s (full %d/%d, %d popper(s) waiting)",
@@ -767,13 +774,9 @@ func (s *Scheduler) step(t *Thread) (grant, bool) {
 	case reqRelease:
 		return s.release(t, r.lock)
 	case reqPush:
-		return s.push(t, r.q, r.val)
-	case reqPushN:
-		return s.pushN(t, r.q, r.vals)
+		return s.push(t, r.q, r.vals)
 	case reqPop:
-		return s.pop(t, r.q)
-	case reqPopN:
-		return s.popN(t, r.q, r.n)
+		return s.pop(t, r.q, r.n)
 	case reqSleep:
 		// Reschedule the wake as an ordered event rather than resuming
 		// immediately, so threads with earlier virtual times run first.
@@ -782,7 +785,7 @@ func (s *Scheduler) step(t *Thread) (grant, bool) {
 		t.reqTime = t.VTime
 		s.ready.push(t)
 	case reqWake:
-		return grant{val: r.val, vtime: t.VTime}, true
+		return grant{vals: r.vals, vtime: t.VTime}, true
 	}
 	return grant{}, false
 }
@@ -861,32 +864,11 @@ func (s *Scheduler) release(t *Thread, l *Lock) (grant, bool) {
 	return grant{vtime: relTime}, true
 }
 
-func (s *Scheduler) push(t *Thread, q *Queue, v any) (grant, bool) {
-	if len(q.items) >= q.Cap {
-		t.block(nil, q, "push")
-		q.blocked = append(q.blocked, t)
-		return grant{}, false
-	}
-	pushTime := t.VTime + s.Cost.QueuePush
-	latency := s.Cost.QueueLatency
-	if q.Stall != nil {
-		latency += q.Stall()
-	}
-	seq := s.tokSeq
-	s.tokSeq++
-	q.items = append(q.items, queueItem{val: v, ready: pushTime + latency, seq: seq})
-	q.noteDepth()
-	if s.Probe != nil {
-		s.Probe.QueuePushed(t.ID, q.Name, []int64{seq})
-	}
-	s.wakePoppers(q)
-	return grant{vtime: pushTime}, true
-}
-
-// pushN appends a whole batch in one event. The batch blocks as a unit
-// while it does not fit; the Stall hook fires once for the batch and its
-// extra latency applies to every token in it.
-func (s *Scheduler) pushN(t *Thread, q *Queue, vs []any) (grant, bool) {
+// push appends a batch of tokens (one for Push) in one event. The batch
+// blocks as a unit while it does not fit; the first token pays QueuePush
+// and each additional one QueuePushPer, and the Stall hook fires once for
+// the batch, its extra latency applying to every token in it.
+func (s *Scheduler) push(t *Thread, q *Queue, vs []any) (grant, bool) {
 	if len(q.items)+len(vs) > q.Cap {
 		t.block(nil, q, "push")
 		q.blocked = append(q.blocked, t)
@@ -897,11 +879,16 @@ func (s *Scheduler) pushN(t *Thread, q *Queue, vs []any) (grant, bool) {
 	if q.Stall != nil {
 		latency += q.Stall()
 	}
-	seqs := make([]int64, 0, len(vs))
+	var seqs []int64
+	if s.Probe != nil {
+		seqs = make([]int64, 0, len(vs))
+	}
 	for _, v := range vs {
 		seq := s.tokSeq
 		s.tokSeq++
-		seqs = append(seqs, seq)
+		if s.Probe != nil {
+			seqs = append(seqs, seq)
+		}
 		q.items = append(q.items, queueItem{val: v, ready: pushTime + latency, seq: seq})
 	}
 	q.noteDepth()
@@ -912,83 +899,59 @@ func (s *Scheduler) pushN(t *Thread, q *Queue, vs []any) (grant, bool) {
 	return grant{vtime: pushTime}, true
 }
 
-func (s *Scheduler) pop(t *Thread, q *Queue) (grant, bool) {
+// pop takes up to max buffered tokens (one for Pop) in one event, blocking
+// while the queue is empty.
+func (s *Scheduler) pop(t *Thread, q *Queue, max int) (grant, bool) {
 	if len(q.items) == 0 {
 		t.block(nil, q, "pop")
 		q.waiters = append(q.waiters, t)
 		return grant{}, false
 	}
-	item := q.items[0]
-	q.items = q.items[1:]
-	if s.Probe != nil {
-		s.Probe.QueuePopped(t.ID, q.Name, []int64{item.seq})
-	}
+	taken, at := s.take(t, t.VTime, q, max)
 	s.wakePushers(t.VTime, q)
-	at := maxI64(t.VTime, item.ready) + s.Cost.QueuePop
-	return grant{val: item.val, vtime: at}, true
+	return grant{vals: taken, vtime: at}, true
 }
 
-// popN takes up to max buffered tokens in one event; the consumer's
-// clock advances to the latest taken token's ready time plus the
-// amortized pop cost.
-func (s *Scheduler) popN(t *Thread, q *Queue, max int) (grant, bool) {
-	if len(q.items) == 0 {
-		t.block(nil, q, "pop")
-		q.waiters = append(q.waiters, t)
-		return grant{}, false
+// take removes up to max tokens from the head of the queue for t, whose
+// request was posted at time from, and reports them to the probe. A Pop
+// receives its token in t's one-slot buffer, a PopN a fresh slice. at is
+// when t resumes: the latest taken token's ready time plus the amortized
+// pop cost, QueuePop for the first token and QueuePopPer for each other.
+func (s *Scheduler) take(t *Thread, from int64, q *Queue, max int) (taken []any, at int64) {
+	n := min(max, len(q.items))
+	if max == 1 {
+		taken = t.one[:]
+	} else {
+		taken = make([]any, n)
 	}
-	taken, ready, seqs := q.take(max)
+	var seqs []int64
+	if s.Probe != nil {
+		seqs = make([]int64, n)
+	}
+	ready := int64(0)
+	for i, it := range q.items[:n] {
+		taken[i] = it.val
+		if seqs != nil {
+			seqs[i] = it.seq
+		}
+		ready = maxI64(ready, it.ready)
+	}
+	q.items = q.items[n:]
 	if s.Probe != nil {
 		s.Probe.QueuePopped(t.ID, q.Name, seqs)
 	}
-	s.wakePushers(t.VTime, q)
-	at := maxI64(t.VTime, ready) + s.Cost.QueuePop + s.Cost.QueuePopPer*int64(len(taken)-1)
-	return grant{val: taken, vtime: at}, true
-}
-
-// take removes up to max items from the head of the queue, returning the
-// values, the latest ready time among them, and their token numbers.
-func (q *Queue) take(max int) ([]any, int64, []int64) {
-	n := max
-	if n > len(q.items) {
-		n = len(q.items)
-	}
-	taken := make([]any, n)
-	seqs := make([]int64, n)
-	var ready int64
-	for i := 0; i < n; i++ {
-		taken[i] = q.items[i].val
-		seqs[i] = q.items[i].seq
-		if q.items[i].ready > ready {
-			ready = q.items[i].ready
-		}
-	}
-	q.items = q.items[n:]
-	return taken, ready, seqs
+	return taken, maxI64(from, ready) + s.Cost.QueuePop + s.Cost.QueuePopPer*int64(n-1)
 }
 
 // wakePoppers hands buffered tokens to blocked poppers in block order
-// until one side runs out. A blocked PopN receives up to its requested
-// count in a single wake at the amortized cost.
+// until one side runs out. Each blocked popper receives up to its
+// requested count in a single wake.
 func (s *Scheduler) wakePoppers(q *Queue) {
 	for len(q.waiters) > 0 && len(q.items) > 0 {
 		w := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		if w.pending.kind == reqPopN {
-			taken, ready, seqs := q.take(w.pending.n)
-			if s.Probe != nil {
-				s.Probe.QueuePopped(w.ID, q.Name, seqs)
-			}
-			at := maxI64(w.reqTime, ready) + s.Cost.QueuePop + s.Cost.QueuePopPer*int64(len(taken)-1)
-			s.wake(w, at, request{kind: reqWake, val: taken})
-			continue
-		}
-		item := q.items[0]
-		q.items = q.items[1:]
-		if s.Probe != nil {
-			s.Probe.QueuePopped(w.ID, q.Name, []int64{item.seq})
-		}
-		s.wake(w, maxI64(w.reqTime, item.ready)+s.Cost.QueuePop, request{kind: reqWake, val: item.val})
+		taken, at := s.take(w, w.reqTime, q, w.pending.n)
+		s.wake(w, at, request{kind: reqWake, vals: taken})
 	}
 }
 
@@ -999,16 +962,13 @@ func (s *Scheduler) wakePushers(now int64, q *Queue) {
 	space := q.Cap - len(q.items)
 	for len(q.blocked) > 0 {
 		w := q.blocked[0]
-		need := 1
-		if w.pending.kind == reqPushN {
-			need = len(w.pending.vals)
-		}
+		need := len(w.pending.vals)
 		if need > space {
 			return
 		}
 		space -= need
 		q.blocked = q.blocked[1:]
-		s.wake(w, maxI64(w.reqTime, now), request{kind: w.pending.kind, q: q, val: w.pending.val, vals: w.pending.vals})
+		s.wake(w, maxI64(w.reqTime, now), w.pending)
 	}
 }
 
