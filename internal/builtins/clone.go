@@ -169,7 +169,7 @@ func (w *World) ObservableState(base Baseline) map[string]string {
 		// A matrix is a pure function of handle and state count, so its
 		// rendering is memoized by both (matrices recur on every replay
 		// diff).
-		r := cachedRender(h, n, func() string { return renderMatrix(h, n) })
+		r := renderMemo.get(matKey{h, n}, func() string { return renderMatrix(h, n) })
 		if h < base.NextMat {
 			out[fmt.Sprintf("hmm.mat:%d", h)] = r
 		} else {

@@ -22,14 +22,44 @@ import "sync"
 const fastCacheCap = 1 << 14
 
 var (
-	fastMu      sync.Mutex
-	fileCache   map[fileKey][]byte
-	txnCache    map[txnKey][][]int64
-	md5Cache    map[bufKey]string
-	scoreCache  map[scoreKey]int64
-	burnCache   map[int64]int64
-	renderCache map[matKey]string
+	fastMu     sync.Mutex
+	fileMemo   memo[fileKey, []byte]
+	txnMemo    memo[txnKey, [][]int64]
+	md5Memo    memo[bufKey, string]
+	scoreMemo  memo[scoreKey, int64]
+	burnMemo   memo[int64, int64]
+	renderMemo memo[matKey, string]
 )
+
+// memo is one substrate memo, guarded by fastMu.
+type memo[K comparable, V any] struct {
+	m map[K]V
+}
+
+// get returns the memoized value of key, generating it on a miss. gen
+// runs outside fastMu, so concurrent misses may each generate; the first
+// value stored wins and every caller returns it, so callers still share
+// one value (file data is keyed by identity downstream). A memo that has
+// reached fastCacheCap entries starts a fresh map.
+func (c *memo[K, V]) get(key K, gen func() V) V {
+	fastMu.Lock()
+	v, ok := c.m[key]
+	fastMu.Unlock()
+	if ok {
+		return v
+	}
+	v = gen()
+	fastMu.Lock()
+	defer fastMu.Unlock()
+	if first, ok := c.m[key]; ok {
+		return first
+	}
+	if c.m == nil || len(c.m) >= fastCacheCap {
+		c.m = map[K]V{}
+	}
+	c.m[key] = v
+	return v
+}
 
 type fileKey struct {
 	idx  int
@@ -53,6 +83,10 @@ type bufKey struct {
 	n int
 }
 
+// scoreKey content-addresses an hmm_score result: the sequence by a
+// content hash (sequences are RNG-draw dependent, so identical contents
+// recur across schedules and repeated runs), the matrix by its handle and
+// state count (its scores are a pure function of both).
 type scoreKey struct {
 	seqHash uint64
 	seqLen  int
@@ -60,147 +94,22 @@ type scoreKey struct {
 	states  int
 }
 
-// cachedFileData returns the deterministic content of file idx with the
-// given size, shared across worlds.
-func cachedFileData(idx, size int, gen func() []byte) []byte {
-	key := fileKey{idx, size}
-	fastMu.Lock()
-	defer fastMu.Unlock()
-	if data, ok := fileCache[key]; ok {
-		return data
-	}
-	if len(fileCache) >= fastCacheCap {
-		fileCache = nil
-	}
-	if fileCache == nil {
-		fileCache = map[fileKey][]byte{}
-	}
-	data := gen()
-	fileCache[key] = data
-	return data
-}
-
-// cachedTransactions returns the deterministic transaction database for
-// the given shape, rows shared read-only across worlds.
-func cachedTransactions(rows, items, rowLen int, gen func() [][]int64) [][]int64 {
-	key := txnKey{rows, items, rowLen}
-	fastMu.Lock()
-	defer fastMu.Unlock()
-	if db, ok := txnCache[key]; ok {
-		return db
-	}
-	if len(txnCache) >= fastCacheCap {
-		txnCache = nil
-	}
-	if txnCache == nil {
-		txnCache = map[txnKey][][]int64{}
-	}
-	db := gen()
-	txnCache[key] = db
-	return db
-}
-
 // cachedMD5 memoizes the digest of an immutable buffer by backing-array
 // identity (file contents are shared across worlds, so the same arrays
-// recur all campaign long).
+// recur all campaign long). An empty buffer has no array to key by.
 func cachedMD5(b []byte, gen func() string) string {
 	if len(b) == 0 {
 		return gen()
 	}
-	key := bufKey{&b[0], len(b)}
-	fastMu.Lock()
-	if s, ok := md5Cache[key]; ok {
-		fastMu.Unlock()
-		return s
-	}
-	fastMu.Unlock()
-	s := gen()
-	fastMu.Lock()
-	if len(md5Cache) >= fastCacheCap {
-		md5Cache = nil
-	}
-	if md5Cache == nil {
-		md5Cache = map[bufKey]string{}
-	}
-	md5Cache[key] = s
-	fastMu.Unlock()
-	return s
-}
-
-// cachedScore memoizes hmm_score results. The sequence is identified by a
-// content hash (sequences are RNG-draw dependent, so identical contents
-// recur across schedules and repeated runs), the matrix by its handle and
-// state count (its scores are a pure function of both).
-func cachedScore(key scoreKey, gen func() int64) int64 {
-	fastMu.Lock()
-	if v, ok := scoreCache[key]; ok {
-		fastMu.Unlock()
-		return v
-	}
-	fastMu.Unlock()
-	v := gen()
-	fastMu.Lock()
-	if len(scoreCache) >= fastCacheCap {
-		scoreCache = nil
-	}
-	if scoreCache == nil {
-		scoreCache = map[scoreKey]int64{}
-	}
-	scoreCache[key] = v
-	fastMu.Unlock()
-	return v
-}
-
-// cachedBurn memoizes the pure burn mixer by its iteration count.
-func cachedBurn(n int64, gen func() int64) int64 {
-	fastMu.Lock()
-	if v, ok := burnCache[n]; ok {
-		fastMu.Unlock()
-		return v
-	}
-	fastMu.Unlock()
-	v := gen()
-	fastMu.Lock()
-	if len(burnCache) >= fastCacheCap {
-		burnCache = nil
-	}
-	if burnCache == nil {
-		burnCache = map[int64]int64{}
-	}
-	burnCache[n] = v
-	fastMu.Unlock()
-	return v
-}
-
-// cachedRender memoizes the observable-state rendering of matrix h with n
-// states, which the sanitizer re-renders on every replay diff.
-func cachedRender(h int64, n int, gen func() string) string {
-	key := matKey{h, n}
-	fastMu.Lock()
-	if r, ok := renderCache[key]; ok {
-		fastMu.Unlock()
-		return r
-	}
-	fastMu.Unlock()
-	r := gen()
-	fastMu.Lock()
-	if len(renderCache) >= fastCacheCap {
-		renderCache = nil
-	}
-	if renderCache == nil {
-		renderCache = map[matKey]string{}
-	}
-	renderCache[key] = r
-	fastMu.Unlock()
-	return r
+	return md5Memo.get(bufKey{&b[0], len(b)}, gen)
 }
 
 // ResetFastCaches drops every substrate memo. The host-time benchmark
 // calls it before each operation so every operation starts cold.
 func ResetFastCaches() {
 	fastMu.Lock()
-	fileCache, txnCache, md5Cache = nil, nil, nil
-	scoreCache, burnCache, renderCache = nil, nil, nil
+	fileMemo.m, txnMemo.m, md5Memo.m = nil, nil, nil
+	scoreMemo.m, burnMemo.m, renderMemo.m = nil, nil, nil
 	fastMu.Unlock()
 }
 

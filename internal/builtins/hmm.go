@@ -136,7 +136,7 @@ func registerHMM() {
 			// schedules and repeated runs, and a memo hit, hashing included,
 			// is ~140x cheaper than the dynamic program at the workload's 48
 			// residues x 100 states.
-			score := cachedScore(scoreKey{
+			score := scoreMemo.get(scoreKey{
 				seqHash: hashBytes(seq), seqLen: len(seq),
 				mat: mat, states: states,
 			}, func() int64 { return w.viterbi(seq, mat, states) })

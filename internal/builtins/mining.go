@@ -17,7 +17,7 @@ import (
 // AddTransactions installs a deterministic synthetic transaction database:
 // rows of item IDs in [0, items).
 func (w *World) AddTransactions(rows, items, rowLen int) {
-	db := cachedTransactions(rows, items, rowLen, func() [][]int64 {
+	db := txnMemo.get(txnKey{rows, items, rowLen}, func() [][]int64 {
 		db := make([][]int64, 0, rows)
 		h := uint64(0xfeedface)
 		for r := 0; r < rows; r++ {

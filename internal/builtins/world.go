@@ -328,7 +328,7 @@ func registerCore() {
 			if n < 0 {
 				n = 0
 			}
-			r := cachedBurn(n, func() int64 {
+			r := burnMemo.get(n, func() int64 {
 				h := uint64(n) ^ 0x9e3779b97f4a7c15
 				for i := int64(0); i < n/64; i++ {
 					h = h*6364136223846793005 + 1442695040888963407
@@ -347,7 +347,7 @@ func registerCore() {
 // one generated copy — file data is never written).
 func (w *World) AddFile(name string, size int) {
 	idx := len(w.files)
-	data := cachedFileData(idx, size, func() []byte {
+	data := fileMemo.get(fileKey{idx, size}, func() []byte {
 		data := make([]byte, size)
 		h := uint64(idx)*0x9e3779b97f4a7c15 + 0xabcdef
 		for i := 0; i < size; i += 8 {
