@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -176,6 +177,140 @@ func TestVerifyAllSourceViolation(t *testing.T) {
 	}
 	if !violated {
 		t.Fatalf("no violation found in %d pairs", len(pairs))
+	}
+}
+
+// sharedLocalSrc is a loop whose member region updates a loop-local
+// accumulator through a recursive helper, so the static commute check
+// cannot decide and the sanitizer decides. acc is read and written back
+// by the region, so a parallel schedule promotes it to a shared cell.
+func sharedLocalSrc(update string) string {
+	return fmt.Sprintf(`#pragma commset decl self RSET
+
+int spin(int n) {
+	if (n > 0) {
+		return spin(n - 1);
+	}
+	return n;
+}
+
+void main() {
+	int acc = 1;
+	for (int i = 0; i < 6; i++) {
+		#pragma commset member RSET
+		{
+			%s
+		}
+	}
+	print_int(acc);
+}
+`, update)
+}
+
+const (
+	// sharedLocalLie does not commute with its own instances.
+	sharedLocalLie = "acc = acc * 3 + spin(i) + i;"
+	// sharedLocalTruth does.
+	sharedLocalTruth = "acc = acc + spin(i) + i;"
+)
+
+// sharedLocalReaderSrc adds a second member of a group set that only
+// prints the accumulator the first member updates: the pair does not
+// commute.
+const sharedLocalReaderSrc = `#pragma commset decl GSET
+
+int spin(int n) {
+	if (n > 0) {
+		return spin(n - 1);
+	}
+	return n;
+}
+
+void main() {
+	int acc = 1;
+	for (int i = 1; i < 6; i++) {
+		#pragma commset member GSET
+		{
+			acc = acc + spin(i) + i;
+		}
+		#pragma commset member GSET
+		{
+			print_int(acc);
+		}
+	}
+}
+`
+
+// TestVerifyAllThreadsSharedLocals: sequential VerifyAll replays a member
+// region's loop-local accumulator through both orders as the shared cell
+// a parallel schedule makes of it, instead of from each invocation's own
+// recorded argument. The lie is refuted on the cell, the truthful update
+// verified, and the printing group member refuted against the updater.
+func TestVerifyAllThreadsSharedLocals(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, verdict, diff string
+	}{
+		{"shared_local_lie", sharedLocalSrc(sharedLocalLie), sanitize.VerdictViolation, "shared cell:0: A;B=int:10 B;A=int:12"},
+		{"shared_local_truth", sharedLocalSrc(sharedLocalTruth), sanitize.VerdictVerified, ""},
+		{"shared_local_reader", sharedLocalReaderSrc, sanitize.VerdictViolation, "world io.console: A;B=2 B;A=1"},
+	} {
+		pairs, err := VerifyAllSource(tc.name+".mc", tc.src, func(sanitize.Candidate) string { return "" })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(pairs) != 1 || pairs[0].Verdict != tc.verdict || pairs[0].Diff != tc.diff {
+			t.Errorf("%s: pairs = %+v, want one %s pair with diff %q", tc.name, pairs, tc.verdict, tc.diff)
+		}
+	}
+}
+
+// sharedLocalCell runs one shared-local program through detect, capture
+// and replay at 4 threads under Mutex.
+func sharedLocalCell(t *testing.T, name, update string, kind transform.Kind) *SanitizeCell {
+	t.Helper()
+	cp, err := Compile(workloads.FromSource(name+".mc", sharedLocalSrc(update)), "comm", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := sanitizedCell(cp, kind, exec.SyncMutex, 4, func(sanitize.Candidate) string { return "" })
+	if err != nil {
+		t.Fatalf("%s %v: %v", name, kind, err)
+	}
+	return cell
+}
+
+// TestSanitizeReplayComparesSharedCells: under DOALL and PS-DSWP a
+// member's returns written back to a shared cell are the cell's
+// intermediate values, which differ between the orders even when the
+// updates commute, so the replay compares the cell instead: the truthful
+// accumulator is verified and the lie refuted.
+func TestSanitizeReplayComparesSharedCells(t *testing.T) {
+	for _, kind := range []transform.Kind{transform.DOALL, transform.PSDSWP} {
+		for _, tc := range []struct {
+			name, update string
+			violations   int
+		}{
+			{"shared_local_truth", sharedLocalTruth, 0},
+			{"shared_local_lie", sharedLocalLie, 1},
+		} {
+			cell := sharedLocalCell(t, tc.name, tc.update, kind)
+			if cell.Candidates != 1 || cell.Violations != tc.violations || cell.Verified != 1-tc.violations {
+				t.Errorf("%s %v: candidates %d verified %d violations %d, want 1 candidate with %d violation(s): %+v",
+					tc.name, kind, cell.Candidates, cell.Verified, cell.Violations, tc.violations, cell.Pairs)
+			}
+		}
+	}
+}
+
+// TestSanitizeDetectSkipsRereadArgument: the stepper's load of a shared
+// cell into a member call's argument is discarded, since the call
+// re-reads the cell under its locks, so detect reports no race on the
+// truthful accumulator under DOALL and PS-DSWP.
+func TestSanitizeDetectSkipsRereadArgument(t *testing.T) {
+	for _, kind := range []transform.Kind{transform.DOALL, transform.PSDSWP} {
+		if cell := sharedLocalCell(t, "shared_local_truth", sharedLocalTruth, kind); len(cell.Races) != 0 {
+			t.Errorf("%v: races %+v, want none", kind, cell.Races)
+		}
 	}
 }
 

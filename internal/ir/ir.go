@@ -101,6 +101,27 @@ func (b *Block) Terminator() *Instr {
 	return last
 }
 
+// ArgLoads returns, per argument of call (an instruction of b), the
+// OpLoadLocal that last defines the argument's register before call in
+// b, or nil where that definition is not a local load.
+func (b *Block) ArgLoads(call *Instr) []*Instr {
+	loads := make([]*Instr, len(call.Args))
+	for _, in := range b.Instrs {
+		if in == call {
+			break
+		}
+		for i, r := range call.Args {
+			if in.Dst == r {
+				loads[i] = nil
+				if in.Op == OpLoadLocal {
+					loads[i] = in
+				}
+			}
+		}
+	}
+	return loads
+}
+
 // Succs returns the IDs of the block's successor blocks.
 func (b *Block) Succs() []int {
 	t := b.Terminator()

@@ -264,9 +264,9 @@ func (p *PDG) RMWSlots(call *ir.Instr) []int {
 		return nil
 	}
 	argSlots := map[int]bool{}
-	for _, r := range call.Args {
-		if def := p.DefOfReg(call, r); def != nil && def.Op == ir.OpLoadLocal {
-			argSlots[def.Slot] = true
+	for _, ld := range p.F.BlockByID(p.BlockOf[call.ID]).ArgLoads(call) {
+		if ld != nil {
+			argSlots[ld.Slot] = true
 		}
 	}
 	var rmw []int

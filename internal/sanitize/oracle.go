@@ -250,7 +250,7 @@ func (m *Monitor) runOrder(pre *Snapshot, order []*Invocation, tape *drawTape) (
 				cells[slot] = rets[ri]
 			}
 		}
-		out.rets[tag] = renderVals(rets)
+		out.rets[tag] = renderRets(rets, inv.OutSlots)
 	}
 	env.Globals.Range(func(k string, val value.Value) {
 		out.heap[k] = renderVal(val)
@@ -272,10 +272,16 @@ func renderVal(v value.Value) string {
 	return v.T.String() + ":" + v.String()
 }
 
-func renderVals(vs []value.Value) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = renderVal(v)
+// renderRets renders an invocation's returns for diffing, leaving out
+// the returns written back to a shared cell: those are the cell's
+// intermediate values, which legitimately differ between the orders, and
+// the final cell is compared instead.
+func renderRets(rets []value.Value, outSlots map[int]int) []string {
+	out := make([]string, 0, len(rets))
+	for i, v := range rets {
+		if _, cell := outSlots[i]; !cell {
+			out = append(out, renderVal(v))
+		}
 	}
 	return out
 }

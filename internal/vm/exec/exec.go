@@ -32,6 +32,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/commset"
 	"repro/internal/ir"
@@ -198,17 +199,24 @@ func RunSequential(cfg Config) (*Result, error) {
 	retries := 0
 	if cfg.Recovery != nil || mon != nil {
 		var setTags func(fn string) []sanitize.SetTag
+		var wires map[*ir.Instr]slotWiring
 		if mon != nil {
 			th.Tracer = mon
 			setTags = memberTags(cfg.Model)
-		}
-		snap := func() (map[string]value.Value, map[int]value.Value) {
-			return env.Globals.Snapshot(), nil
+			wires = sharedLocalWiring(cfg.Prog, cfg.Model)
 		}
 		th.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
 			member := mon != nil && len(cfg.Model.SetsOf[in.Name]) > 0
 			if member {
-				mon.MemberEnter(t.ID, in.Name, setTags(in.Name), args, nil, nil, snap)
+				w := wires[in]
+				mon.MemberEnter(t.ID, in.Name, setTags(in.Name), args, w.args, w.outs, func() (map[string]value.Value, map[int]value.Value) {
+					// A wired local's value is the argument loaded from it.
+					cells := map[int]value.Value{}
+					for i, slot := range w.args {
+						cells[slot] = args[i]
+					}
+					return env.Globals.Snapshot(), cells
+				})
 			}
 			rets, err := invoke()
 			// User functions are not retried: their inner builtin calls
@@ -254,6 +262,52 @@ func memberTags(model *commset.Model) func(fn string) []sanitize.SetTag {
 		memo[fn] = t
 		return t
 	}
+}
+
+// slotWiring is a member call's shared-cell wiring as the sanitizer
+// records it: argument index → cell slot, and return index → cell slot.
+type slotWiring struct{ args, outs map[int]int }
+
+// sharedLocalWiring wires each member call of prog, for a sequential run's
+// sanitizer, to the locals that some member region of the same function
+// reads and writes back: the slots a parallel schedule promotes to shared
+// cells. A call's arguments loaded from such a local and its returns
+// written back to one become its cell wiring, so replays thread the local
+// through both orders as they thread a shared cell.
+func sharedLocalWiring(prog *ir.Program, model *commset.Model) map[*ir.Instr]slotWiring {
+	wires := map[*ir.Instr]slotWiring{}
+	for _, f := range prog.Funcs {
+		loads := map[*ir.Instr][]*ir.Instr{}
+		rmw := map[int]bool{}
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op != ir.OpCall || len(model.SetsOf[in.Name]) == 0 {
+					continue
+				}
+				loads[in] = b.ArgLoads(in)
+				for _, ld := range loads[in] {
+					if ld != nil && slices.Contains(in.OutSlots, ld.Slot) {
+						rmw[ld.Slot] = true
+					}
+				}
+			}
+		}
+		for call, lds := range loads {
+			w := slotWiring{args: map[int]int{}, outs: map[int]int{}}
+			for i, ld := range lds {
+				if ld != nil && rmw[ld.Slot] {
+					w.args[i] = ld.Slot
+				}
+			}
+			for i, slot := range call.OutSlots {
+				if rmw[slot] {
+					w.outs[i] = slot
+				}
+			}
+			wires[call] = w
+		}
+	}
+	return wires
 }
 
 // Run executes the program with the target loop parallelized per the
@@ -349,9 +403,12 @@ type machine struct {
 	call   []*callInfo
 	byName map[string]*callInfo
 
-	// setTags renders a member's commsets for the sanitizer (nil when no
-	// monitor is attached).
+	// setTags renders a member's commsets for the sanitizer, and reread
+	// marks, by instruction ID, the loads of main that feed a member
+	// call's argument, which the call re-reads from its cell under its
+	// locks (both nil when no monitor is attached).
 	setTags func(fn string) []sanitize.SetTag
+	reread  []bool
 
 	tm tmLog
 
@@ -510,6 +567,9 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 	m.gslot = make([]int32, numInstrs)
 	m.call = make([]*callInfo, numInstrs)
 	m.byName = map[string]*callInfo{}
+	if cfg.Sanitize != nil {
+		m.reread = make([]bool, numInstrs)
+	}
 	for _, b := range la.Fn.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
@@ -517,6 +577,13 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 				m.gslot[in.ID] = int32(m.env.Globals.SlotOf(in.Name))
 			case ir.OpCall:
 				m.call[in.ID] = m.resolve(in.Name)
+				if m.reread != nil && m.call[in.ID].member {
+					for _, ld := range b.ArgLoads(in) {
+						if ld != nil {
+							m.reread[ld.ID] = true
+						}
+					}
+				}
 			}
 		}
 	}

@@ -409,7 +409,9 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 	case ir.OpLoadLocal:
 		clearTag(in.Dst)
 		if st.sharedActive && st.m.isShared(in.Slot) {
-			if mon := st.m.cfg.Sanitize; mon != nil {
+			// A member call re-reads its argument's cell under its locks
+			// and discards this value, so the sanitizer sees that read.
+			if mon := st.m.cfg.Sanitize; mon != nil && !st.m.reread[in.ID] {
 				mon.Cell(st.th.ID, in.Slot, false)
 			}
 			fr.regs[in.Dst] = st.m.cellAt[in.Slot].v
