@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package des
 
 import "math"

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 )
 
 // kernel builds the lock-and-queue mix of the host-time benchmark's DES
@@ -36,7 +35,7 @@ func kernel(threads, rounds int) *Scheduler {
 	return s
 }
 
-// TestBatonHandoffs pins how many grants switch goroutines. A lone thread
+// TestBatonHandoffs pins how many grants switch coroutines. A lone thread
 // never contends, so every grant continues inline and the only handoff is
 // the one that starts it; the kernel hands off only when the grant goes to
 // another thread.
@@ -65,15 +64,18 @@ func TestBatonHandoffs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 6,000 requests, 8 starts, 8 done events and 2,003 wakes of blocked
-	// threads; only a grant to another thread switches goroutines.
+	// threads; only a grant to another thread switches coroutines.
 	if s.events != 8019 || s.handoffs != 2012 {
 		t.Errorf("kernel: %d events, %d handoffs; want 8019 events, 2012 handoffs", s.events, s.handoffs)
 	}
 }
 
 // TestNoLeakedGoroutines: whatever ends a run, Run returns only after
-// every thread goroutine has exited, including threads left parked on a
+// every thread coroutine has exited, including threads left parked on a
 // lock or queue, ready behind a watchdog trip, or stopped by an error.
+// The count is checked as soon as Run returns, since stopping a coroutine
+// returns only once it has exited; it is checked for a rise only, since a
+// goroutine of an earlier test may exit meanwhile.
 func TestNoLeakedGoroutines(t *testing.T) {
 	stuck := func(s *Scheduler) {
 		q := s.NewQueue("never", 1)
@@ -145,22 +147,50 @@ func TestNoLeakedGoroutines(t *testing.T) {
 			case c.kind != "" && (!errors.As(err, &se) || se.Kind != c.kind):
 				t.Fatalf("err = %v, want a %s StallError", err, c.kind)
 			}
-			// Run waits for each goroutine's deferred exit signal; give the
-			// last ones the moment they need to finish returning.
-			after := runtime.NumGoroutine()
-			for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
-				runtime.Gosched()
-				after = runtime.NumGoroutine()
-			}
-			if after > before {
+			if after := runtime.NumGoroutine(); after > before {
 				t.Errorf("%d goroutine(s) leaked", after-before)
 			}
 		})
 	}
 }
 
+// TestPanickingBodyStopsParkedThreads: a panic in a thread body
+// propagates out of Run with the body's value, and Run still stops the
+// threads left parked, so none of their coroutines outlives the run.
+func TestPanickingBodyStopsParkedThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(DefaultCostModel())
+	l := s.NewLock("held", Mutex)
+	s.Spawn("holder", 0, func(th *Thread) error {
+		th.Acquire(l)
+		th.Sleep(1000)
+		return nil
+	})
+	s.Spawn("waiter", 0, func(th *Thread) error {
+		th.Sleep(10)
+		th.Acquire(l) // parks: the holder sleeps with the lock
+		return nil
+	})
+	s.Spawn("panicker", 0, func(th *Thread) error {
+		th.Sleep(50)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Errorf("Run panicked with %v, want boom", p)
+			}
+		}()
+		s.Run()
+		t.Error("Run returned; want it to panic")
+	}()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutine(s) leaked", after-before)
+	}
+}
+
 // BenchmarkScheduler runs the kernel alone and reports host time and
-// goroutine handoffs per scheduler event.
+// coroutine handoffs per scheduler event.
 func BenchmarkScheduler(b *testing.B) {
 	for _, threads := range []int{8, 32} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {

@@ -1,25 +1,31 @@
+//go:build go1.23
+
 // Package des is a deterministic discrete-event simulator of a multicore
 // machine, the execution substrate for the parallel schedules produced by
 // the COMMSET compiler.
 //
 // The paper evaluates on an 8-core Xeon; this environment has no parallel
 // hardware, so (per DESIGN.md) parallel execution is simulated: each
-// logical thread runs as a goroutine that executes *real* work (the IR
+// logical thread runs as a coroutine that executes *real* work (the IR
 // interpreter doing real digests, clustering, etc.) while accumulating
 // virtual cost units. Threads yield at synchronization points — lock
 // acquire/release, queue push/pop, sleep — and the scheduler processes
 // these events in global virtual-time order, so results are bit-for-bit
 // reproducible regardless of host parallelism.
 //
-// Exactly one goroutine runs at a time: the one holding the baton. There
-// is no scheduler goroutine. A yielding thread records its request and
-// runs the event loop itself, taking the ready thread with the smallest
-// (request time, thread ID) from a min-heap and stepping its event until
-// one grants a thread its resumption. When that thread is the yielder (an
-// uncontended acquire or release, a sleep that is still earliest) it
-// continues inline with no goroutine switch; otherwise it passes the baton
-// with one channel send, or starts the thread's goroutine, and parks.
-// Grant order comes from the loop, not from which goroutine runs it.
+// Exactly one thread runs at a time: the one holding the baton. Each
+// started thread is an iter.Pull coroutine, and Run is the loop that
+// resumes whichever thread the event loop grants. A yielding thread
+// records its request and runs the event loop itself, taking the ready
+// thread with the smallest (request time, thread ID) from a min-heap and
+// stepping its event until one grants a thread its resumption. When that
+// thread is the yielder (an uncontended acquire or release, a sleep that
+// is still earliest) it continues inline with no switch; otherwise it
+// leaves the granted thread and its grant on the scheduler and yields to
+// Run, which resumes that thread, starting its coroutine on its first
+// grant. Both switches are direct coroutine switches on one OS thread,
+// with no run queue between them. Grant order comes from the loop, not
+// from which coroutine runs it.
 //
 // Locks model the paper's three pessimistic mechanisms (Section 4.6):
 // mutexes pay a sleep/wakeup penalty when contended, spin locks burn the
@@ -30,10 +36,10 @@
 package des
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
+	"iter"
 	"strings"
-	"sync"
 )
 
 // CostModel holds the virtual-cost parameters of the simulated machine.
@@ -192,19 +198,26 @@ type grant struct {
 }
 
 // Thread is one simulated logical thread. Methods on Thread are called
-// from within the thread's own goroutine.
+// from within the thread's own coroutine.
 type Thread struct {
 	ID    int
 	Name  string
 	VTime int64
 
-	sched    *Scheduler
-	resumeCh chan grant // the baton: a parked thread waits here for its grant
-	reqTime  int64      // virtual time of the pending request
+	sched   *Scheduler
+	reqTime int64 // virtual time of the pending request
+
+	// The thread's coroutine, created on its first grant: resume runs it
+	// until it yields the baton back to Run, and stop unwinds it if it is
+	// still parked when the run ends. park is the coroutine's yield
+	// function: it hands the baton to Run and reports false once the
+	// thread has been stopped.
+	resume func() (struct{}, bool)
+	stop   func()
+	park   func(struct{}) bool
 
 	pending request
 	state   threadState
-	started bool
 	body    func(*Thread) error
 
 	// one carries the token of a Push or Pop, so a one-token queue
@@ -239,34 +252,37 @@ func (t *Thread) post(r request) (*Thread, grant) {
 	return t.sched.next()
 }
 
+// errStopped is the panic that unwinds a thread stopped while parked at
+// the end of a run; Run recovers it.
+var errStopped = errors.New("des: thread stopped at the end of the run")
+
 // yield posts the request and waits for its grant. A grant to this thread
-// returns inline; otherwise the baton passes to the granted thread and
-// this one parks until its own grant arrives. A parked thread whose
-// channel Run closes exits its goroutine.
+// returns inline; otherwise the thread leaves the granted thread (nil once
+// the run is over) and its grant on the scheduler, parks, and reads its
+// own grant there when Run resumes it. A parked thread that Run stops
+// unwinds with errStopped.
 func (t *Thread) yield(r request) grant {
 	u, g := t.post(r)
 	if u != t {
-		if u != nil {
-			t.sched.handOff(u, g)
+		s := t.sched
+		s.passTo, s.passGrant = u, g
+		if !t.park(struct{}{}) {
+			panic(errStopped)
 		}
-		var ok bool
-		if g, ok = <-t.resumeCh; !ok {
-			runtime.Goexit()
-		}
+		g = s.passGrant
 	}
 	t.VTime = g.vtime
 	return g
 }
 
-// main is a started thread's goroutine: it runs the body, posts the done
-// event and hands the baton on. The done event may sit behind an earlier
-// event (and firstErr keeps event order), so it is never processed inline,
-// and the finished thread never parks.
-func (t *Thread) main() {
-	defer t.sched.exited.Done()
-	if u, g := t.post(request{kind: reqDone, err: t.body(t)}); u != nil {
-		t.sched.handOff(u, g)
-	}
+// main is a started thread's coroutine: it runs the body, posts the done
+// event and leaves the thread it grants for Run. The done event may sit
+// behind an earlier event (and firstErr keeps event order), so it is
+// never processed inline, and the finished thread never parks.
+func (t *Thread) main(park func(struct{}) bool) {
+	t.park = park
+	s := t.sched
+	s.passTo, s.passGrant = t.post(request{kind: reqDone, err: t.body(t)})
 }
 
 // Acquire blocks in virtual time until the lock is held by this thread.
@@ -383,11 +399,15 @@ type Scheduler struct {
 	running *Thread    // thread granted most recently: the one whose body runs
 	tokSeq  int64      // next queue-token sequence number
 
-	events   int64         // events processed (the watchdog's event count)
-	handoffs int64         // grants that switched goroutines
-	tripped  string        // why the watchdog stopped the run, if it did
-	done     chan struct{} // closed by the goroutine that ends the loop
-	exited   sync.WaitGroup
+	events   int64  // events processed (the watchdog's event count)
+	handoffs int64  // grants that switched coroutines: Run resumed their thread
+	tripped  string // why the watchdog stopped the run, if it did
+
+	// The baton on its way to Run: the thread a yielding thread's event
+	// loop granted, when it is not the yielder (nil once the run is
+	// over), and its grant.
+	passTo    *Thread
+	passGrant grant
 
 	locks  []*Lock
 	queues []*Queue
@@ -418,7 +438,7 @@ func (s *Scheduler) Deaths() []DeathRecord { return s.deaths }
 
 // New creates a scheduler with the given cost model.
 func New(cost CostModel) *Scheduler {
-	return &Scheduler{Cost: cost, done: make(chan struct{})}
+	return &Scheduler{Cost: cost}
 }
 
 // NewLock registers a lock.
@@ -439,13 +459,12 @@ func (s *Scheduler) NewQueue(name string, capacity int) *Queue {
 // body and terminate when it returns.
 func (s *Scheduler) Spawn(name string, start int64, body func(*Thread) error) *Thread {
 	t := &Thread{
-		ID:       len(s.threads),
-		Name:     name,
-		VTime:    start + s.Cost.ThreadSpawn,
-		sched:    s,
-		resumeCh: make(chan grant),
-		state:    tReady,
-		body:     body,
+		ID:    len(s.threads),
+		Name:  name,
+		VTime: start + s.Cost.ThreadSpawn,
+		sched: s,
+		state: tReady,
+		body:  body,
 	}
 	t.reqTime = t.VTime
 	s.threads = append(s.threads, t)
@@ -466,23 +485,20 @@ func (s *Scheduler) Spawn(name string, start int64, body func(*Thread) error) *T
 // exceeds its event budget returns a *StallError diagnosing every live
 // thread.
 //
-// Run starts the event loop on the calling goroutine and waits until the
-// goroutine holding the baton ends it. Threads whose bodies have not
+// Run is the loop that resumes threads: it runs the event loop until an
+// event grants a thread, then resumes that thread's coroutine until it
+// yields the baton back with the next granted thread, and so on until no
+// thread is ready or the watchdog trips. Threads whose bodies have not
 // returned by then (blocked, ready behind a watchdog trip, or halted by
-// releasing a lock they do not hold) leave their goroutines through
-// runtime.Goexit, and Run returns only after every thread goroutine has
-// exited.
+// releasing a lock they do not hold) are stopped, and Run returns only
+// after every thread coroutine has exited. A panic in a thread body
+// propagates out of Run after the same cleanup.
 func (s *Scheduler) Run() (int64, error) {
-	if t, g := s.next(); t != nil {
-		s.handOff(t, g)
+	defer s.stopThreads()
+	s.passTo, s.passGrant = s.next()
+	for s.passTo != nil {
+		s.handOff(s.passTo)
 	}
-	<-s.done
-	for _, t := range s.threads {
-		if t.started && t.pending.kind != reqDone {
-			close(t.resumeCh) // its body has not returned: it is parked in yield
-		}
-	}
-	s.exited.Wait()
 
 	makespan := s.makespan()
 	if s.tripped != "" {
@@ -717,11 +733,10 @@ func (h *readyQueue) pop() *Thread {
 	return t
 }
 
-// next runs the event loop on the calling goroutine, which holds the
-// baton: it steps events in (reqTime, ID) order until one grants a thread
-// its resumption, and returns that thread, now s.running, with its grant.
-// When no thread is ready or the watchdog trips, it closes s.done and
-// returns nil.
+// next runs the event loop for the baton holder (Run or a yielding
+// thread): it steps events in (reqTime, ID) order until one grants a
+// thread its resumption, and returns that thread, now s.running, with its
+// grant. When no thread is ready or the watchdog trips, it returns nil.
 func (s *Scheduler) next() (*Thread, grant) {
 	for len(s.ready) > 0 {
 		t := s.ready.pop()
@@ -739,22 +754,43 @@ func (s *Scheduler) next() (*Thread, grant) {
 			return t, g
 		}
 	}
-	close(s.done)
 	return nil, grant{}
 }
 
-// handOff passes the baton to a granted thread other than the caller:
-// one send to a parked thread, or a new goroutine for one not yet started
-// (whose first grant is its spawn-time clock, already in VTime).
-func (s *Scheduler) handOff(t *Thread, g grant) {
+// handOff resumes a granted thread from Run and returns when the thread
+// yields the baton back, leaving the next granted thread in passTo. A
+// parked thread reads its grant from passGrant; a thread not yet started
+// gets a new coroutine, whose first grant is its spawn-time clock,
+// already in VTime.
+func (s *Scheduler) handOff(t *Thread) {
 	s.handoffs++
-	if !t.started {
-		t.started = true
-		s.exited.Add(1)
-		go t.main()
-		return
+	if t.resume == nil {
+		t.resume, t.stop = iter.Pull(t.main)
 	}
-	t.resumeCh <- g
+	t.resume()
+}
+
+// stopThreads stops every started thread: one still parked in yield sees
+// park report false and unwinds with errStopped, which its coroutine
+// re-raises here and stopThreads recovers; a finished one is left as it
+// is. Any other panic keeps propagating.
+func (s *Scheduler) stopThreads() {
+	for _, t := range s.threads {
+		if t.stop != nil {
+			t.halt()
+		}
+	}
+}
+
+// halt stops the thread's coroutine, recovering the errStopped it
+// unwinds with.
+func (t *Thread) halt() {
+	defer func() {
+		if p := recover(); p != nil && p != errStopped {
+			panic(p)
+		}
+	}()
+	t.stop()
 }
 
 // step processes one thread's pending event and returns the thread's grant
