@@ -215,9 +215,11 @@ const (
 )
 
 // sharedLocalReaderSrc adds a second member of a group set that only
-// prints the accumulator the first member updates: the pair does not
-// commute.
-const sharedLocalReaderSrc = `#pragma commset decl GSET
+// prints the accumulator the first member updates, in a loop from start:
+// the pair does not commute, though the first iteration's pair does when
+// start is 0 (the updater adds 0).
+func sharedLocalReaderSrc(start int) string {
+	return fmt.Sprintf(`#pragma commset decl GSET
 
 int spin(int n) {
 	if (n > 0) {
@@ -228,7 +230,7 @@ int spin(int n) {
 
 void main() {
 	int acc = 1;
-	for (int i = 1; i < 6; i++) {
+	for (int i = %d; i < 6; i++) {
 		#pragma commset member GSET
 		{
 			acc = acc + spin(i) + i;
@@ -239,20 +241,24 @@ void main() {
 		}
 	}
 }
-`
+`, start)
+}
 
 // TestVerifyAllThreadsSharedLocals: sequential VerifyAll replays a member
 // region's loop-local accumulator through both orders as the shared cell
 // a parallel schedule makes of it, instead of from each invocation's own
 // recorded argument. The lie is refuted on the cell, the truthful update
-// verified, and the printing group member refuted against the updater.
+// verified, and the printing group member refuted against the updater,
+// also when its first pair commutes by accident and a later anchor
+// refutes it.
 func TestVerifyAllThreadsSharedLocals(t *testing.T) {
 	for _, tc := range []struct {
 		name, src, verdict, diff string
 	}{
 		{"shared_local_lie", sharedLocalSrc(sharedLocalLie), sanitize.VerdictViolation, "shared cell:0: A;B=int:10 B;A=int:12"},
 		{"shared_local_truth", sharedLocalSrc(sharedLocalTruth), sanitize.VerdictVerified, ""},
-		{"shared_local_reader", sharedLocalReaderSrc, sanitize.VerdictViolation, "world io.console: A;B=2 B;A=1"},
+		{"shared_local_reader", sharedLocalReaderSrc(1), sanitize.VerdictViolation, "world io.console: A;B=2 B;A=1"},
+		{"shared_local_reader_from_0", sharedLocalReaderSrc(0), sanitize.VerdictViolation, "world io.console: A;B=1 B;A=2"},
 	} {
 		pairs, err := VerifyAllSource(tc.name+".mc", tc.src, func(sanitize.Candidate) string { return "" })
 		if err != nil {

@@ -688,10 +688,12 @@ func extentLabel(e *extentRef) string {
 // A pair can fail to replay where a later pair of the same members would
 // not: the later call may use a handle opened after the snapshot, or both
 // calls may be one loop iteration, which the set's predicate excludes.
-// So after an inconclusive replay, VerifyPairs tries the same member pair
-// again at each later anchor that has a snapshot, with that anchor's
-// first partner, up to verifyAllSnapCap attempts per pair; the first
-// replayable verdict takes the inconclusive one's place.
+// And a pair can commute by accident where a later pair does not (an
+// update that adds 0). So until a replay finds a violation, VerifyPairs
+// tries the same member pair again at each later anchor that has a
+// snapshot, with that anchor's first partner, up to verifyAllSnapCap
+// attempts per pair. A violation replaces any verdict; a verified one
+// replaces only an inconclusive one.
 func (m *Monitor) VerifyPairs(replayCmd func(Candidate) string) []PairVerdict {
 	if m == nil {
 		return nil
@@ -731,7 +733,7 @@ func (m *Monitor) VerifyPairs(replayCmd func(Candidate) string) []PairVerdict {
 			key := candKey{set, f1, f2}
 			t := pairs[key]
 			if t != nil && (t.anchor == ga || t.attempts >= verifyAllSnapCap ||
-				verdicts[t.at].Verdict != VerdictInconclusive) {
+				verdicts[t.at].Verdict == VerdictViolation) {
 				continue
 			}
 			c := Candidate{Set: set, FnA: a.Fn, FnB: b.Fn, GseqA: a.Gseq, GseqB: b.Gseq}
@@ -742,7 +744,8 @@ func (m *Monitor) VerifyPairs(replayCmd func(Candidate) string) []PairVerdict {
 				continue
 			}
 			t.anchor, t.attempts = ga, t.attempts+1
-			if v.Verdict != VerdictInconclusive {
+			if v.Verdict == VerdictViolation ||
+				v.Verdict == VerdictVerified && verdicts[t.at].Verdict == VerdictInconclusive {
 				verdicts[t.at] = v
 			}
 		}
