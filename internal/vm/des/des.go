@@ -253,7 +253,7 @@ func (t *Thread) post(r request) (*Thread, grant) {
 }
 
 // errStopped is the panic that unwinds a thread stopped while parked at
-// the end of a run; Run recovers it.
+// the end of a run; halt recovers it.
 var errStopped = errors.New("des: thread stopped at the end of the run")
 
 // yield posts the request and waits for its grant. A grant to this thread
@@ -771,9 +771,9 @@ func (s *Scheduler) handOff(t *Thread) {
 }
 
 // stopThreads stops every started thread: one still parked in yield sees
-// park report false and unwinds with errStopped, which its coroutine
-// re-raises here and stopThreads recovers; a finished one is left as it
-// is. Any other panic keeps propagating.
+// park report false and unwinds with errStopped; a finished one is left
+// as it is. Run defers it, so it also runs while a thread body's panic
+// propagates out of Run.
 func (s *Scheduler) stopThreads() {
 	for _, t := range s.threads {
 		if t.stop != nil {
@@ -782,8 +782,9 @@ func (s *Scheduler) stopThreads() {
 	}
 }
 
-// halt stops the thread's coroutine, recovering the errStopped it
-// unwinds with.
+// halt stops the thread's coroutine. iter.Pull re-raises the coroutine's
+// errStopped in the caller of stop, so halt recovers it; any other panic
+// keeps propagating.
 func (t *Thread) halt() {
 	defer func() {
 		if p := recover(); p != nil && p != errStopped {
