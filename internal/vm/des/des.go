@@ -433,9 +433,6 @@ func (s *Scheduler) RecordDeath(thread string, vtime int64, reason string) {
 	s.deaths = append(s.deaths, DeathRecord{Thread: thread, VTime: vtime, Reason: reason})
 }
 
-// Deaths returns the thread deaths recorded so far, in order.
-func (s *Scheduler) Deaths() []DeathRecord { return s.deaths }
-
 // New creates a scheduler with the given cost model.
 func New(cost CostModel) *Scheduler {
 	return &Scheduler{Cost: cost}

@@ -389,9 +389,8 @@ type machine struct {
 	sim   *des.Scheduler
 	env   *interp.Env
 	locks map[*types.Set]*des.Lock
-	cells map[int]*sharedCell
-	// cellAt is the dense shared-cell lookup (indexed by frame slot, nil
-	// for private slots); cells stays the iteration-order registry.
+	// cellAt holds the shared cells, indexed by frame slot (nil for
+	// private slots); sched.SharedSlots lists the slots that have one.
 	cellAt []*sharedCell
 
 	// gslot and call resolve main's global accesses to heap slots and its
@@ -518,7 +517,6 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 		sim:      des.New(cfg.Cost),
 		env:      interp.NewEnv(cfg.Prog, cfg.Builtins),
 		locks:    map[*types.Set]*des.Lock{},
-		cells:    map[int]*sharedCell{},
 		instrPos: make([]instrLoc, numInstrs),
 	}
 	m.sim.Watchdog = cfg.Watchdog
@@ -535,9 +533,7 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 	}
 	m.cellAt = make([]*sharedCell, len(la.Fn.Locals))
 	for _, s := range sched.SharedSlots {
-		c := &sharedCell{}
-		m.cells[s] = c
-		m.cellAt[s] = c
+		m.cellAt[s] = &sharedCell{}
 	}
 	for _, b := range la.Fn.Blocks {
 		for i, in := range b.Instrs {
@@ -625,14 +621,14 @@ func (m *machine) runMain(th *des.Thread, loop func(th *des.Thread, fr *frame) e
 	if err := st.runBlocks(0, m.la.Loop.Header); err != nil {
 		return err
 	}
-	for slot, cell := range m.cells {
-		cell.v = fr.locals[slot]
+	for _, slot := range m.sched.SharedSlots {
+		m.cellAt[slot].v = fr.locals[slot]
 	}
 	if err := loop(th, fr); err != nil {
 		return err
 	}
-	for slot, cell := range m.cells {
-		fr.locals[slot] = cell.v
+	for _, slot := range m.sched.SharedSlots {
+		fr.locals[slot] = m.cellAt[slot].v
 	}
 	if m.exitBlock < 0 {
 		return nil

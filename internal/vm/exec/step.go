@@ -119,9 +119,9 @@ func (m *machine) newStepper(th *des.Thread, fr *frame) *stepper {
 // snapState hands the sanitizer the executor-side pre-state: the global
 // heap and the current shared-cell values.
 func (m *machine) snapState() (map[string]value.Value, map[int]value.Value) {
-	cells := make(map[int]value.Value, len(m.cells))
-	for slot, c := range m.cells {
-		cells[slot] = c.v
+	cells := make(map[int]value.Value, len(m.sched.SharedSlots))
+	for _, slot := range m.sched.SharedSlots {
+		cells[slot] = m.cellAt[slot].v
 	}
 	return m.env.Globals.Snapshot(), cells
 }
