@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -155,8 +156,9 @@ func TestNoLeakedGoroutines(t *testing.T) {
 }
 
 // TestPanickingBodyStopsParkedThreads: a panic in a thread body
-// propagates out of Run with the body's value, and Run still stops the
-// threads left parked, so none of their coroutines outlives the run.
+// propagates out of Run as a ThreadPanic carrying the body's value, and
+// Run still stops the threads left parked, so none of their coroutines
+// outlives the run.
 func TestPanickingBodyStopsParkedThreads(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(DefaultCostModel())
@@ -175,17 +177,56 @@ func TestPanickingBodyStopsParkedThreads(t *testing.T) {
 		th.Sleep(50)
 		panic("boom")
 	})
-	func() {
-		defer func() {
-			if p := recover(); p != "boom" {
-				t.Errorf("Run panicked with %v, want boom", p)
-			}
-		}()
-		s.Run()
-		t.Error("Run returned; want it to panic")
-	}()
+	tp := runPanicking(t, s)
+	if tp == nil || tp.Value != "boom" || tp.Thread != "panicker" {
+		t.Errorf("Run panicked with %+v, want boom from panicker", tp)
+	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutine(s) leaked", after-before)
+	}
+}
+
+// runPanicking runs s and returns the ThreadPanic Run panics with (nil,
+// with an error reported, when Run returns or panics with anything else).
+func runPanicking(t *testing.T, s *Scheduler) (tp *ThreadPanic) {
+	t.Helper()
+	defer func() {
+		p := recover()
+		var ok bool
+		if tp, ok = p.(*ThreadPanic); !ok {
+			t.Errorf("Run panicked with %v, want a *ThreadPanic", p)
+		}
+	}()
+	s.Run()
+	t.Error("Run returned; want it to panic")
+	return nil
+}
+
+// writeNilMap is a thread body's callee that panics with a runtime error.
+func writeNilMap(m map[string]int) { m["x"] = 1 }
+
+// TestThreadPanicKeepsStack: the ThreadPanic of a body that hits a
+// runtime error carries the error and a stack that names the function
+// that panicked, which the coroutine switch alone would drop.
+func TestThreadPanicKeepsStack(t *testing.T) {
+	s := New(DefaultCostModel())
+	s.Spawn("writer", 0, func(th *Thread) error {
+		th.Sleep(10)
+		writeNilMap(nil)
+		return nil
+	})
+	tp := runPanicking(t, s)
+	if tp == nil {
+		return
+	}
+	if _, ok := tp.Value.(runtime.Error); !ok {
+		t.Errorf("Value = %v, want the runtime error", tp.Value)
+	}
+	if !strings.Contains(string(tp.Stack), "writeNilMap") {
+		t.Errorf("stack does not name writeNilMap:\n%s", tp.Stack)
+	}
+	if msg := tp.Error(); !strings.Contains(msg, "thread writer panicked") || !strings.Contains(msg, "writeNilMap") {
+		t.Errorf("Error() = %q, want the thread and the panicking frame", msg)
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime/debug"
 	"strings"
 )
 
@@ -253,8 +254,24 @@ func (t *Thread) post(r request) (*Thread, grant) {
 }
 
 // errStopped is the panic that unwinds a thread stopped while parked at
-// the end of a run; halt recovers it.
+// the end of a run; main recovers it.
 var errStopped = errors.New("des: thread stopped at the end of the run")
+
+// ThreadPanic is what Run panics with when a thread body panics: the
+// thread, the body's panic value, and the stack of the goroutine at the
+// panic. The stack is taken inside the thread's coroutine, since the
+// coroutine switch re-raises only the value in Run.
+type ThreadPanic struct {
+	Thread string
+	Value  any
+	Stack  []byte
+}
+
+// Error renders the panic with the thread's stack, so an unrecovered
+// ThreadPanic crashes the process with the frame that panicked.
+func (p *ThreadPanic) Error() string {
+	return fmt.Sprintf("des: thread %s panicked: %v\n\n%s", p.Thread, p.Value, p.Stack)
+}
 
 // yield posts the request and waits for its grant. A grant to this thread
 // returns inline; otherwise the thread leaves the granted thread (nil once
@@ -278,8 +295,15 @@ func (t *Thread) yield(r request) grant {
 // main is a started thread's coroutine: it runs the body, posts the done
 // event and leaves the thread it grants for Run. The done event may sit
 // behind an earlier event (and firstErr keeps event order), so it is
-// never processed inline, and the finished thread never parks.
+// never processed inline, and the finished thread never parks. A thread
+// stopped while parked returns quietly; a body's panic leaves as a
+// ThreadPanic.
 func (t *Thread) main(park func(struct{}) bool) {
+	defer func() {
+		if p := recover(); p != nil && p != errStopped {
+			panic(&ThreadPanic{Thread: t.Name, Value: p, Stack: debug.Stack()})
+		}
+	}()
 	t.park = park
 	s := t.sched
 	s.passTo, s.passGrant = t.post(request{kind: reqDone, err: t.body(t)})
@@ -489,7 +513,7 @@ func (s *Scheduler) Spawn(name string, start int64, body func(*Thread) error) *T
 // returned by then (blocked, ready behind a watchdog trip, or halted by
 // releasing a lock they do not hold) are stopped, and Run returns only
 // after every thread coroutine has exited. A panic in a thread body
-// propagates out of Run after the same cleanup.
+// propagates out of Run after the same cleanup, as a *ThreadPanic.
 func (s *Scheduler) Run() (int64, error) {
 	defer s.stopThreads()
 	s.passTo, s.passGrant = s.next()
@@ -768,27 +792,15 @@ func (s *Scheduler) handOff(t *Thread) {
 }
 
 // stopThreads stops every started thread: one still parked in yield sees
-// park report false and unwinds with errStopped; a finished one is left
-// as it is. Run defers it, so it also runs while a thread body's panic
-// propagates out of Run.
+// park report false and unwinds with errStopped, which its main recovers;
+// a finished one is left as it is. Run defers it, so it also runs while a
+// thread body's panic propagates out of Run.
 func (s *Scheduler) stopThreads() {
 	for _, t := range s.threads {
 		if t.stop != nil {
-			t.halt()
+			t.stop()
 		}
 	}
-}
-
-// halt stops the thread's coroutine. iter.Pull re-raises the coroutine's
-// errStopped in the caller of stop, so halt recovers it; any other panic
-// keeps propagating.
-func (t *Thread) halt() {
-	defer func() {
-		if p := recover(); p != nil && p != errStopped {
-			panic(p)
-		}
-	}()
-	t.stop()
 }
 
 // step processes one thread's pending event and returns the thread's grant
