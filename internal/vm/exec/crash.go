@@ -35,6 +35,8 @@ import (
 //     diagnosed non-transient, which collapses RunResilient to its
 //     sequential fallback; a dead service pool worker leaves the pool,
 //     whose survivors absorb its share.
+//   - Without Config.Recovery there is no supervisor: every crash is a
+//     permanent death that fails the run, with no restart and no salvage.
 //
 // One supervisor handles every worker kind — DOALL workers, pipeline
 // stages and service pool workers: crash records the death, escalates it
@@ -118,23 +120,21 @@ type incarnation struct {
 
 // crash is the supervisor's record of a worker role's death at a crash
 // tick; event is the tick's pass or token ordinal and ckptAge how far the
-// role's live state was ahead of its last checkpoint. Outside resilient
-// mode the death aborts the run: crash registers it with the scheduler and
-// returns the CrashError as fatal. Otherwise a transient death past the
-// role's restart budget escalates to permanent, the death joins the
+// role's live state was ahead of its last checkpoint. A transient death
+// past the role's restart budget escalates to permanent, and without
+// Recovery every death is permanent and fails the run. The death joins the
 // restart history and the scheduler's death records, and crash describes
-// it in death. The caller then degrades in its own way when death.Perm,
+// it. The caller then degrades in its own way when the death is permanent,
 // and calls restart otherwise.
-func (m *machine) crash(th *des.Thread, life incarnation, event, ckptAge int64, perm bool) (death *CrashError, fatal error) {
-	death = &CrashError{Thread: life.role, VTime: th.VTime, Perm: perm, Reason: "injected crash"}
-	if perm {
+func (m *machine) crash(th *des.Thread, life incarnation, event, ckptAge int64, perm bool) *CrashError {
+	death := &CrashError{Thread: life.role, VTime: th.VTime, Perm: perm, Reason: "injected crash"}
+	switch {
+	case perm:
 		death.Reason = "injected permanent crash"
-	}
-	if !m.resilient() {
-		m.sim.RecordDeath(death.Thread, death.VTime, death.Reason)
-		return nil, death
-	}
-	if !perm && life.restartsLeft <= 0 {
+	case !m.resilient():
+		death.Perm = true
+		death.Reason = "injected crash without recovery"
+	case life.restartsLeft <= 0:
 		death.Perm = true
 		death.Reason = "crash with restart budget exhausted"
 	}
@@ -144,7 +144,10 @@ func (m *machine) crash(th *des.Thread, life incarnation, event, ckptAge int64, 
 	}
 	m.restarts = append(m.restarts, rec)
 	m.sim.RecordDeath(death.Thread, death.VTime, death.Reason)
-	return death, nil
+	if !m.resilient() {
+		m.fail(life.role, death)
+	}
+	return death
 }
 
 // restart replaces a role that crash just recorded as transiently dead:
@@ -152,14 +155,15 @@ func (m *machine) crash(th *des.Thread, life incarnation, event, ckptAge int64, 
 // restore cost, stamps the recovery time on the role's restart record, and
 // continues on the new thread with resume, which receives the role's next
 // incarnation.
-func (m *machine) restart(th *des.Thread, life incarnation, restore int64, resume func(th *des.Thread, life incarnation) error) {
+func (m *machine) restart(th *des.Thread, life incarnation, restore int64, resume func(th *des.Thread, life incarnation)) {
 	m.stats.restarts++
 	ri := len(m.restarts) - 1
 	next := incarnation{role: life.role, restartsLeft: life.restartsLeft - 1, restartN: life.restartN + 1}
 	m.sim.Spawn(fmt.Sprintf("%s#r%d", life.role, next.restartN), th.VTime+restartDelay, func(th *des.Thread) error {
 		th.Charge(restore)
 		m.restarts[ri].RecoveredVTime = th.VTime
-		return resume(th, next)
+		resume(th, next)
+		return nil
 	})
 }
 

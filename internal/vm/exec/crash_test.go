@@ -431,8 +431,9 @@ func TestCrashCheckpointTimingGated(t *testing.T) {
 	}
 }
 
-// TestCrashLegacyModeFatal: without a Recovery policy a crash is fatal — the
-// run aborts with the CrashError itself (no supervisor, no restart).
+// TestCrashLegacyModeFatal: without a Recovery policy a crash is a
+// permanent death that fails the run — no supervisor, no restart, no
+// salvage — and the run's FailureDiag wraps the CrashError.
 func TestCrashLegacyModeFatal(t *testing.T) {
 	cp := compileFor(t, md5Full, 8)
 	cfg, _ := cp.crashed(crashPlan("doall.1", 3, false), nil)

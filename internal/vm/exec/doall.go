@@ -169,14 +169,11 @@ func (m *machine) runIterBody(st *stepper, fr *frame) error {
 // shadow exactly once and pushing exactly one join message at retirement.
 // Shared by the original incarnation of each worker role, by any
 // checkpoint-restored replacement, and by the salvage shares.
-func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, l *doallLoop) error {
+func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, l *doallLoop) {
 	for {
-		res, alive, err := m.doallSweep(th, st, ws, l)
-		if err != nil {
-			return err // legacy mode: abort the whole simulation
-		}
+		res, alive := m.doallSweep(th, st, ws, l)
 		if !alive {
-			return nil // crashed: restart or death certificate handled it
+			return // crashed: restart or death certificate handled it
 		}
 		ws.done = append(ws.done, res)
 		if l.board == nil {
@@ -191,7 +188,6 @@ func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, l *doall
 	}
 	st.mergePrivatized()
 	th.Push(l.join, doallDone{worker: ws.w, sweeps: ws.done, vtime: th.VTime})
-	return nil
 }
 
 // doallSweep executes the current assignment to its end. Each pass is one
@@ -199,24 +195,16 @@ func (m *machine) doallRun(th *des.Thread, st *stepper, ws *doallState, l *doall
 // of any pass that externalized an effect (output-commit) and otherwise
 // every checkpointEvery passes, so a crash window never holds
 // externalized work. With a steal board, the pass top also publishes the
-// watermark and answers any pending steal request. Returns alive=false
-// when the worker crashed (the crash path owns the hand-off).
-func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, l *doallLoop) (sweepResult, bool, error) {
+// watermark and answers any pending steal request. An error the pass
+// cannot absorb fails the run and ends the sweep, and a failed run stops
+// the sweep at its next pass top. Returns alive=false when the worker
+// crashed (the crash path owns the hand-off).
+func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, l *doallLoop) (sweepResult, bool) {
 	board := l.board
-	// bail handles a worker-fatal error: legacy mode aborts the whole
-	// simulation; resilient mode records the diagnosis and shuts the
-	// worker down in an orderly fashion (join message still sent).
-	bail := func(err error) (abort bool, fatal error) {
-		if !m.resilient() {
-			return true, err
-		}
-		m.fail(ws.role, err)
-		return false, nil
-	}
 	ctrl := false
 	for {
 		iter := ws.iter
-		if m.resilient() && m.failed() {
+		if m.failed() {
 			break // a sibling hit an unrecoverable fault; stop early
 		}
 		if m.cfg.maxIters > 0 && iter >= m.cfg.maxIters {
@@ -236,7 +224,8 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, l *doa
 				m.fail(ws.role, &CrashError{Thread: ws.role, VTime: th.VTime, Perm: perm, Reason: "injected crash during salvage"})
 				break
 			}
-			return sweepResult{}, false, m.doallCrash(th, ws, l, perm)
+			m.doallCrash(th, ws, l, perm)
+			return sweepResult{}, false
 		}
 		if board != nil {
 			e := &board.entries[ws.w]
@@ -259,9 +248,7 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, l *doa
 		passStart := th.VTime
 		exit, err := m.runCond(st)
 		if err != nil {
-			if abort, fatal := bail(err); abort {
-				return sweepResult{}, false, fatal
-			}
+			m.fail(ws.role, err)
 			break
 		}
 		if exit {
@@ -273,18 +260,14 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, l *doa
 		}
 		if ws.runsBody(iter, l) {
 			if err := m.runIterBody(st, st.fr); err != nil {
-				if abort, fatal := bail(err); abort {
-					return sweepResult{}, false, fatal
-				}
+				m.fail(ws.role, err)
 				break
 			}
 			ws.lastIter = iter
 			ws.ranBody = true
 		}
 		if _, err := st.runGroup(m.la.Units.Post); err != nil {
-			if abort, fatal := bail(err); abort {
-				return sweepResult{}, false, fatal
-			}
+			m.fail(ws.role, err)
 			break
 		}
 		straggleCharge(th, slow, th.VTime-passStart)
@@ -296,7 +279,7 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, l *doa
 			}
 		}
 	}
-	return sweepResult{fr: st.fr, lastIter: ws.lastIter, ctrl: ctrl}, true, nil
+	return sweepResult{fr: st.fr, lastIter: ws.lastIter, ctrl: ctrl}, true
 }
 
 // runsBody reports whether the sweep runs iteration iter's body: the
@@ -324,11 +307,8 @@ func (ws *doallState) runsBody(iter int64, l *doallLoop) bool {
 // the survivors. Either way any pending steal request gets its answer: a
 // transiently crashed victim keeps it pending for the replacement, a
 // permanent death denies it.
-func (m *machine) doallCrash(th *des.Thread, ws *doallState, l *doallLoop, perm bool) error {
-	death, err := m.crash(th, ws.incarnation, ws.iter, ws.iter-ws.ck.iter, perm)
-	if err != nil {
-		return err
-	}
+func (m *machine) doallCrash(th *des.Thread, ws *doallState, l *doallLoop, perm bool) {
+	death := m.crash(th, ws.incarnation, ws.iter, ws.iter-ws.ck.iter, perm)
 	ck := ws.ck
 	if death.Perm {
 		if l.board != nil {
@@ -338,9 +318,9 @@ func (m *machine) doallCrash(th *des.Thread, ws *doallState, l *doallLoop, perm 
 			worker: ws.w, sweeps: ws.done, vtime: th.VTime,
 			crashed: true, deathIter: ws.iter, ck: &ck,
 		})
-		return nil
+		return
 	}
-	m.restart(th, ws.incarnation, m.restoreCost(ck.cfr), func(th *des.Thread, life incarnation) error {
+	m.restart(th, ws.incarnation, m.restoreCost(ck.cfr), func(th *des.Thread, life incarnation) {
 		st := m.newStepper(th, ck.cfr.decode())
 		st.sharedActive = true
 		st.privatized = m.cfg.Tune.Privatize
@@ -352,9 +332,8 @@ func (m *machine) doallCrash(th *des.Thread, ws *doallState, l *doallLoop, perm 
 			done:    ck.done,
 		}
 		ws2.recordCkpt(st, ck.cfr)
-		return m.doallRun(th, st, ws2, l)
+		m.doallRun(th, st, ws2, l)
 	})
-	return nil
 }
 
 // doallSalvage re-executes a permanently dead worker's share of the loop
@@ -370,7 +349,7 @@ func (m *machine) doallCrash(th *des.Thread, ws *doallState, l *doallLoop, perm 
 // stay exactly-once. Share 0 also adopts the dead worker's unmerged
 // privatized shadow, so each shadow is still merged exactly once. The
 // share runs the sweep loop (doallRun) on a loop l without a steal board.
-func (m *machine) doallSalvage(th *des.Thread, d doallDone, share, nshares int, l *doallLoop) error {
+func (m *machine) doallSalvage(th *des.Thread, d doallDone, share, nshares int, l *doallLoop) {
 	ck := d.ck
 	th.Charge(m.restoreCost(ck.cfr))
 	st := m.newStepper(th, ck.cfr.decode())
@@ -385,7 +364,7 @@ func (m *machine) doallSalvage(th *des.Thread, d doallDone, share, nshares int, 
 		asg:         ck.asg, iter: ck.iter, lastIter: -1, lastTop: -1,
 		share: share, shares: nshares,
 	}
-	return m.doallRun(th, st, ws, l)
+	m.doallRun(th, st, ws, l)
 }
 
 // runDOALL executes the loop with iterations scheduled over `threads`
@@ -417,7 +396,7 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 		m.ckRef = mainFr.clone()
 	}
 
-	worker := func(th *des.Thread, w int) error {
+	worker := func(th *des.Thread, w int) {
 		st := m.newStepper(th, mainFr.clone())
 		st.sharedActive = true
 		st.privatized = m.cfg.Tune.Privatize
@@ -432,19 +411,18 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 		if m.checkpointing() {
 			m.takeDoallCkpt(th, st, ws) // initial checkpoint at pass 0
 		}
-		return m.doallRun(th, st, ws, l)
+		m.doallRun(th, st, ws, l)
 	}
 
 	start := mainTh.VTime
 	for w := 1; w < threads; w++ {
 		w := w
 		m.sim.Spawn(fmt.Sprintf("doall.%d", w), start, func(th *des.Thread) error {
-			return worker(th, w)
+			worker(th, w)
+			return nil
 		})
 	}
-	if err := worker(mainTh, 0); err != nil {
-		return err
-	}
+	worker(mainTh, 0)
 
 	// Collect workers and merge live-outs. Control state comes from any
 	// sweep that ran loop control to its exit — every chain's unbounded
@@ -503,7 +481,8 @@ func (m *machine) runDOALL(mainTh *des.Thread, mainFr *frame, threads int) error
 				for k := 0; k < survivors; k++ {
 					k := k
 					m.sim.Spawn(fmt.Sprintf("salvage.%d.%d", d.worker, k), start, func(th *des.Thread) error {
-						return m.doallSalvage(th, d, k, survivors, salvage)
+						m.doallSalvage(th, d, k, survivors, salvage)
+						return nil
 					})
 				}
 			}

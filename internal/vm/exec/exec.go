@@ -95,8 +95,9 @@ type Config struct {
 	// parallel executors run (the auto-scheduler's calibration slices).
 	maxIters int64
 
-	// Recovery enables the fault-recovery policies (nil keeps the legacy
-	// abort-on-first-error behavior).
+	// Recovery enables the fault-recovery policies (see Recovery); nil
+	// runs without them. Either way an unrecoverable fault ends the run in
+	// the same orderly shutdown and FailureDiag.
 	Recovery *Recovery
 
 	// Watchdog bounds virtual time and scheduler events; forwarded to the
@@ -428,8 +429,8 @@ type machine struct {
 	// state here instead of treating the loop as a closed batch.
 	svc *svcState
 
-	// failDiag records the first unrecoverable fault (resilient mode only);
-	// the simulator serializes threads, so plain fields suffice.
+	// failDiag records the first unrecoverable fault; the simulator
+	// serializes threads, so plain fields suffice.
 	failDiag *FailureDiag
 	// restarts is the crash/restart history, in death order.
 	restarts []RestartRecord

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -69,6 +70,45 @@ func TestWorkerErrorPropagates(t *testing.T) {
 					if !strings.Contains(err.Error(), "injected substrate failure") {
 						t.Errorf("%v/%v failAt=%d: err = %v", kind, mode, failAt, err)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestWorkerErrorStopsSiblings: a builtin failure that no policy absorbs
+// takes the same path with and without Recovery. The run returns a
+// *exec.FailureDiag naming the worker role that failed, and every sibling
+// stops at its next pass, so the failing builtin is called as often in
+// both runs.
+func TestWorkerErrorStopsSiblings(t *testing.T) {
+	for _, src := range []string{md5Full, md5Det} {
+		cp := compileFor(t, src, 8)
+		for _, kind := range []transform.Kind{transform.DOALL, transform.DSWP, transform.PSDSWP} {
+			s := cp.sched[kind]
+			if s == nil {
+				continue
+			}
+			roster := exec.CrashRoster(s, 4)
+			for _, mode := range allSyncModes {
+				calls := map[bool]int{}
+				for _, rec := range []*exec.Recovery{nil, exec.DefaultRecovery()} {
+					fw := &failingWorld{failAt: 7}
+					cfg := cp.cfg
+					cfg.Builtins = fw.builtins()
+					cfg.Recovery = rec
+					_, err := exec.Run(cfg, cp.la, s, mode, 4)
+					var diag *exec.FailureDiag
+					if !errors.As(err, &diag) {
+						t.Fatalf("%v/%v recovery=%v: err = %v, want *exec.FailureDiag", kind, mode, rec != nil, err)
+					}
+					if !errors.Is(err, errTest) || !rosterContains(roster, diag.Thread) {
+						t.Errorf("%v/%v recovery=%v: diagnosis %v, want the injected failure in one of %v", kind, mode, rec != nil, err, roster)
+					}
+					calls[rec != nil] = fw.calls
+				}
+				if calls[false] != calls[true] {
+					t.Errorf("%v/%v: %d digest calls without Recovery, %d with", kind, mode, calls[false], calls[true])
 				}
 			}
 		}

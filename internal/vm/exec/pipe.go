@@ -198,7 +198,8 @@ func (m *machine) startPipeline(th *des.Thread, mainFr *frame, threads int) (*pi
 	for si := 1; si < len(stages); si++ {
 		for rep := 0; rep < p.reps[si]; rep++ {
 			m.sim.Spawn(fmt.Sprintf("stage%d.%d", si, rep), th.VTime, func(th *des.Thread) error {
-				return m.stageWorker(th, mainFr, si, rep, p)
+				m.stageWorker(th, mainFr, si, rep, p)
+				return nil
 			})
 		}
 	}
@@ -262,9 +263,7 @@ func (m *machine) runPipeline(mainTh *des.Thread, mainFr *frame, threads int) er
 	if err != nil {
 		return err
 	}
-	if err := m.dispatch(mainTh, mainFr, p); err != nil {
-		return err
-	}
+	m.dispatch(mainTh, mainFr, p)
 	return m.joinPipeline(mainTh, p, mainFr, p.workers+1)
 }
 
@@ -368,15 +367,16 @@ func (m *machine) mergeBodyWrites(mainFr, lastFr *frame) {
 }
 
 // dispatch runs loop control and stage 0 on the calling thread, over a
-// private clone of the main frame, and stops at the first failure.
-func (m *machine) dispatch(th *des.Thread, mainFr *frame, p *pipeNet) error {
+// private clone of the main frame, and stops at the first failure, its own
+// or a stage's.
+func (m *machine) dispatch(th *des.Thread, mainFr *frame, p *pipeNet) {
 	fr := mainFr.clone()
 	st := m.newStepper(th, fr)
 	st.sharedActive = true
 	out := newWriters(p.qs[0], m.cfg.Tune.BatchSize())
 	lastIter := int64(-1)
 	for iter := int64(0); ; iter++ {
-		if m.resilient() && m.failed() {
+		if m.failed() {
 			break // a stage died: stop generating iterations
 		}
 		if m.cfg.maxIters > 0 && iter >= m.cfg.maxIters {
@@ -389,12 +389,7 @@ func (m *machine) dispatch(th *des.Thread, mainFr *frame, p *pipeNet) error {
 			}
 		}
 		if err != nil {
-			// Legacy mode aborts the whole simulation; resilient mode
-			// records the diagnosis and falls through to the orderly
-			// stop-token broadcast below.
-			if !m.resilient() {
-				return err
-			}
+			// Fall through to the orderly stop-token broadcast below.
 			m.fail("dispatcher", err)
 			break
 		}
@@ -406,7 +401,6 @@ func (m *machine) dispatch(th *des.Thread, mainFr *frame, p *pipeNet) error {
 	st.flush()
 	sendStop(th, out, m.failed())
 	th.Push(p.join, pipeJoin{stage: 0, lastIter: lastIter, fr: fr})
-	return nil
 }
 
 // stageCkpt is a pipeline stage worker's resumable snapshot, taken under the
@@ -499,7 +493,7 @@ func (m *machine) stageIO(p *pipeNet, si int) (in []*qReader, out []*qWriter) {
 // stageWorker runs one stage (replica) of the pipeline. When the crash layer
 // is armed it takes an initial checkpoint and hands off to stageRun, which
 // every replacement incarnation re-enters.
-func (m *machine) stageWorker(th *des.Thread, mainFr *frame, si, rep int, p *pipeNet) error {
+func (m *machine) stageWorker(th *des.Thread, mainFr *frame, si, rep int, p *pipeNet) {
 	st := m.newStepper(th, mainFr.clone())
 	st.sharedActive = true
 	in, out := m.stageIO(p, si)
@@ -515,14 +509,15 @@ func (m *machine) stageWorker(th *des.Thread, mainFr *frame, si, rep int, p *pip
 		m.tapReaders(ss, in)
 		m.takeStageCkpt(th, st, ss, in, out)
 	}
-	return m.stageRun(th, st, ss, in, out, p)
+	m.stageRun(th, st, ss, in, out, p)
 }
 
 // stageRun is the stage worker loop, shared by the original incarnation and
 // every crash replacement. Crash ticks fire at the top of a token pass —
 // before the pass pops or externalizes anything — so the window between the
-// last checkpoint and a crash never contains an externalized effect.
-func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qReader, out []*qWriter, p *pipeNet) error {
+// last checkpoint and a crash never contains an externalized effect. A
+// unit's error fails the run and turns the worker into a drain.
+func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qReader, out []*qWriter, p *pipeNet) {
 	fr := st.fr
 	stage := m.sched.Stages[ss.si]
 
@@ -547,14 +542,10 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 	for {
 		if !ss.dead && m.checkpointing() {
 			if die, perm := m.crashAt(ss.role); die {
-				drain, err := m.stageCrash(th, ss, p, perm)
-				if err != nil {
-					return err
-				}
-				if !drain {
+				if !m.stageCrash(th, ss, p, perm) {
 					// A replacement thread takes over this role (and
 					// pushes its join); the dead incarnation vanishes.
-					return nil
+					return
 				}
 				ss.dead = true
 			}
@@ -591,7 +582,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			// On failure a sequential stage also drains its sibling input
 			// queues to their stops, so live upstream replicas still
 			// pushing in-flight tokens can always complete.
-			if m.resilient() && m.failed() && !stage.Parallel {
+			if m.failed() && !stage.Parallel {
 				for k := range in {
 					if k == inIdx {
 						continue
@@ -609,7 +600,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			}
 			break
 		}
-		if ss.dead || (m.resilient() && m.failed()) {
+		if ss.dead || m.failed() {
 			if m.svc != nil {
 				m.svc.rejected++ // zero silent drops: discarded requests stay accounted
 			}
@@ -625,9 +616,6 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 		}
 		for _, u := range stage.Units {
 			if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
-				if !m.resilient() {
-					return err
-				}
 				m.fail(ss.role, err)
 				ss.dead = true
 				break
@@ -674,27 +662,23 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 		}
 	}
 	th.Push(p.join, pipeJoin{stage: ss.si, lastIter: ss.lastIter, fr: fr})
-	return nil
 }
 
 // stageCrash handles a crash tick that fired for this stage worker. It
-// returns (drain=true) when the role stays permanently dead — the supervisor
+// returns drain=true when the role stays permanently dead — the supervisor
 // diagnoses a non-transient failure and reaps the worker in place, which
 // keeps draining input so the pipeline shuts down in order — and
-// (drain=false) after scheduling a replacement incarnation for a transient
-// crash. Outside resilient mode the crash surfaces as a fatal CrashError.
-func (m *machine) stageCrash(th *des.Thread, ss *stageState, p *pipeNet, perm bool) (drain bool, err error) {
-	death, err := m.crash(th, ss.incarnation, ss.event, ss.event-ss.ck.event, perm)
-	if err != nil {
-		return false, err
-	}
+// drain=false after scheduling a replacement incarnation for a transient
+// crash.
+func (m *machine) stageCrash(th *des.Thread, ss *stageState, p *pipeNet, perm bool) (drain bool) {
+	death := m.crash(th, ss.incarnation, ss.event, ss.event-ss.ck.event, perm)
 	if death.Perm {
 		// Degraded mode: a pipeline cannot re-partition around a missing
 		// stage, so the supervisor diagnoses the death as non-transient.
 		// RunResilient then collapses the schedule to the sequential
 		// fallback. The reaped worker stays behind as a drain.
 		m.fail(ss.role, death)
-		return true, nil
+		return true
 	}
 
 	// Transient: restore the checkpoint onto a fresh simulated thread. The
@@ -709,7 +693,7 @@ func (m *machine) stageCrash(th *des.Thread, ss *stageState, p *pipeNet, perm bo
 	for k := range ss.log {
 		replays[k] = append([]any(nil), ss.log[k]...)
 	}
-	m.restart(th, ss.incarnation, m.cfg.Cost.Restore, func(th *des.Thread, life incarnation) error {
+	m.restart(th, ss.incarnation, m.cfg.Cost.Restore, func(th *des.Thread, life incarnation) {
 		st := m.newStepper(th, snapshotFrame(ck.fr))
 		st.sharedActive = true
 		in, out := m.stageIO(p, ss.si)
@@ -728,7 +712,7 @@ func (m *machine) stageCrash(th *des.Thread, ss *stageState, p *pipeNet, perm bo
 		// The restored state is its own checkpoint baseline: a repeated
 		// crash before new externalization restores to this same point.
 		m.takeStageCkpt(th, st, ss2, in, out)
-		return m.stageRun(th, st, ss2, in, out, p)
+		m.stageRun(th, st, ss2, in, out, p)
 	})
-	return false, nil
+	return false
 }

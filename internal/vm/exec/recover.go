@@ -9,9 +9,12 @@ import (
 )
 
 // Recovery switches on the fault-recovery policies of the parallel
-// executors; the policies themselves are fixed (see the constants below).
-// All recovery cost is charged in virtual time, so a recovered run's
-// makespan honestly reflects the retries it paid for.
+// executors: call retry, DOALL iteration retry, and crash restart and
+// salvage. The policies themselves are fixed (see the constants below).
+// It selects no failure path: with or without it, a fault no policy
+// absorbs stops every worker at its next pass and the run returns a
+// FailureDiag. All recovery cost is charged in virtual time, so a
+// recovered run's makespan honestly reflects the retries it paid for.
 type Recovery struct{}
 
 // The fixed recovery policy.

@@ -665,7 +665,8 @@ func (m *machine) svcDOALL(th *des.Thread, st *stepper, mainFr *frame, threads i
 		role := fmt.Sprintf("svc.%d", w)
 		m.sim.Spawn(role, th.VTime, func(th *des.Thread) error {
 			ws := &svcWorkerState{w: w, incarnation: incarnation{role: role, restartsLeft: maxRestarts}, lastIter: -1}
-			return m.svcServe(th, ws, mainFr, dispatch, join)
+			m.svcServe(th, ws, mainFr, dispatch, join)
+			return nil
 		})
 	}
 
@@ -718,7 +719,7 @@ func (m *machine) svcDOALL(th *des.Thread, st *stepper, mainFr *frame, threads i
 // replacements. A scaled-down worker parks; crash ticks fire at the top of
 // an active pass, before anything is popped, so a death never strands a
 // request (completed work is output-committed at the request boundary).
-func (m *machine) svcServe(th *des.Thread, ws *svcWorkerState, mainFr *frame, dispatch, join *des.Queue) error {
+func (m *machine) svcServe(th *des.Thread, ws *svcWorkerState, mainFr *frame, dispatch, join *des.Queue) {
 	sv := m.svc
 	st := m.newStepper(th, mainFr.clone())
 	st.sharedActive = true
@@ -765,7 +766,8 @@ func (m *machine) svcServe(th *des.Thread, ws *svcWorkerState, mainFr *frame, di
 			continue
 		}
 		if die, perm := m.crashAt(ws.role); die {
-			return m.svcCrash(th, ws, mainFr, dispatch, join, perm)
+			m.svcCrash(th, ws, mainFr, dispatch, join, perm)
+			return
 		}
 		wk := th.Pop(dispatch).(svcWork)
 		if wk.stop {
@@ -785,7 +787,6 @@ func (m *machine) svcServe(th *des.Thread, ws *svcWorkerState, mainFr *frame, di
 		}
 	}
 	th.Push(join, svcJoin{w: ws.w, fr: fr, lastIter: ws.lastIter})
-	return nil
 }
 
 // svcCrash handles a crash tick on a pool worker. Transient deaths are
@@ -793,21 +794,16 @@ func (m *machine) svcServe(th *des.Thread, ws *svcWorkerState, mainFr *frame, di
 // loop-entry frame, since completed requests were output-committed and no
 // request was in flight at the tick. Permanent deaths retire the role; the
 // pool absorbs its share, and the last death fails the run.
-func (m *machine) svcCrash(th *des.Thread, ws *svcWorkerState, mainFr *frame, dispatch, join *des.Queue, perm bool) error {
-	death, err := m.crash(th, ws.incarnation, ws.served, 0, perm)
-	if err != nil {
-		return err
-	}
-	if death.Perm {
+func (m *machine) svcCrash(th *des.Thread, ws *svcWorkerState, mainFr *frame, dispatch, join *des.Queue, perm bool) {
+	if m.crash(th, ws.incarnation, ws.served, 0, perm).Perm {
 		m.svc.markDead(m, ws.w, th.VTime)
 		th.Push(join, svcJoin{w: ws.w, fr: nil, lastIter: ws.lastIter})
-		return nil
+		return
 	}
-	m.restart(th, ws.incarnation, m.cfg.Cost.Restore, func(th *des.Thread, life incarnation) error {
+	m.restart(th, ws.incarnation, m.cfg.Cost.Restore, func(th *des.Thread, life incarnation) {
 		ws2 := &svcWorkerState{w: ws.w, incarnation: life, lastIter: ws.lastIter, served: ws.served}
-		return m.svcServe(th, ws2, mainFr, dispatch, join)
+		m.svcServe(th, ws2, mainFr, dispatch, join)
 	})
-	return nil
 }
 
 // svcPipeline serves the trace through the DSWP/PS-DSWP stage network. The
