@@ -31,10 +31,10 @@ import (
 //   - A permanent crash (or an exhausted restart budget) degrades
 //     gracefully instead: a dead DOALL worker's remaining iterations are
 //     re-partitioned across the survivors at join time; a dead pipeline
-//     stage poisons the pipeline into an orderly shutdown and the run is
-//     diagnosed non-transient, which collapses RunResilient to its
-//     sequential fallback; a dead service pool worker leaves the pool,
-//     whose survivors absorb its share.
+//     stage poisons the pipeline into an orderly shutdown and fails the
+//     run, which sends RunResilient to its sequential fallback; a dead
+//     service pool worker leaves the pool, whose survivors absorb its
+//     share.
 //   - Without Config.Recovery there is no supervisor: every crash is a
 //     permanent death that fails the run, with no restart and no salvage.
 //
@@ -51,9 +51,8 @@ import (
 // restart histories.
 
 // CrashError reports an injected worker-thread crash. Perm marks crashes
-// the supervisor will not (or can no longer) restart; only those are
-// non-transient, since re-running the same deterministic plan replays the
-// same recoverable crashes.
+// the supervisor does not restart: permanent crash specs, crashes past the
+// restart budget, and every crash of a run without Recovery.
 type CrashError struct {
 	Thread string
 	VTime  int64
@@ -66,7 +65,7 @@ func (e *CrashError) Error() string {
 	return fmt.Sprintf("%s in thread %s at t=%d", e.Reason, e.Thread, e.VTime)
 }
 
-// IsTransient reports whether a restart (or a fresh attempt) can succeed.
+// IsTransient reports whether the supervisor restarts the crashed role.
 func (e *CrashError) IsTransient() bool { return !e.Perm }
 
 // RestartRecord is one entry of a run's crash/restart history.

@@ -674,9 +674,9 @@ func (m *machine) stageCrash(th *des.Thread, ss *stageState, p *pipeNet, perm bo
 	death := m.crash(th, ss.incarnation, ss.event, ss.event-ss.ck.event, perm)
 	if death.Perm {
 		// Degraded mode: a pipeline cannot re-partition around a missing
-		// stage, so the supervisor diagnoses the death as non-transient.
-		// RunResilient then collapses the schedule to the sequential
-		// fallback. The reaped worker stays behind as a drain.
+		// stage, so the death fails the run, and RunResilient falls back
+		// to the sequential run. The reaped worker stays behind as a
+		// drain.
 		m.fail(ss.role, death)
 		return true
 	}

@@ -37,9 +37,6 @@ const (
 	// restartDelay is the virtual-time supervisor latency between a thread
 	// death and its replacement starting (detection + respawn).
 	restartDelay = 800
-	// maxAttempts bounds RunResilient's parallel-schedule attempts before
-	// it degrades to the sequential fallback.
-	maxAttempts = 2
 )
 
 // DefaultRecovery returns the standard policy (3 call retries, backoff base
@@ -113,36 +110,29 @@ type ResilientOptions struct {
 	Accept func(parallel bool) error
 }
 
-// RunResilient executes the schedule with graceful degradation: up to
-// two parallel runs (each on a fresh substrate), then — if the
-// parallel schedule keeps failing or its output is rejected — a sequential
-// re-run whose output is validated the same way. Permanent (non-transient)
-// failures skip straight to the fallback, since re-running a deterministic
-// schedule cannot change the outcome.
+// RunResilient executes the schedule with graceful degradation: one
+// parallel run on a fresh substrate, then — if it fails or its output is
+// rejected — a sequential re-run on another fresh substrate whose output
+// is validated the same way. The parallel run is not retried: it replays
+// the same seeded plan, so a second attempt could not change the outcome.
 func RunResilient(opts ResilientOptions) (*Result, error) {
 	attempts := 0
 	parallel := opts.Sched != nil && opts.Sched.Kind != transform.Sequential
 	var lastErr error
 	if parallel {
-		for a := 0; a < maxAttempts; a++ {
-			attempts++
-			res, err := Run(opts.Fresh(), opts.LA, opts.Sched, opts.Mode, opts.Threads)
-			if err == nil {
-				if opts.Accept != nil {
-					if aerr := opts.Accept(true); aerr != nil {
-						lastErr = fmt.Errorf("exec: parallel output rejected: %w", aerr)
-						continue
-					}
-				}
-				res.Attempts = attempts
-				res.Recovered = res.CallRetries > 0 || res.IterRetries > 0 || res.Restarts > 0
-				return res, nil
-			}
-			lastErr = err
-			if !IsTransient(err) {
-				break
+		attempts++
+		res, err := Run(opts.Fresh(), opts.LA, opts.Sched, opts.Mode, opts.Threads)
+		if err == nil && opts.Accept != nil {
+			if aerr := opts.Accept(true); aerr != nil {
+				err = fmt.Errorf("exec: parallel output rejected: %w", aerr)
 			}
 		}
+		if err == nil {
+			res.Attempts = attempts
+			res.Recovered = res.CallRetries > 0 || res.IterRetries > 0 || res.Restarts > 0
+			return res, nil
+		}
+		lastErr = err
 	}
 
 	// Graceful degradation: sequential re-run on a fresh substrate.

@@ -238,6 +238,54 @@ func TestSequentialFallback(t *testing.T) {
 	}
 }
 
+// TestTransientFailureFallsBackAfterOneAttempt: a transient fault that
+// outlasts the call and iteration retries fails the parallel attempt, and
+// RunResilient goes straight to the sequential fallback instead of
+// replaying the parallel schedule.
+func TestTransientFailureFallsBackAfterOneAttempt(t *testing.T) {
+	cp := compileFor(t, md5Full, 8)
+	_, seqOut := cp.seqRun(t)
+	burst := faults.Plan{Name: "long-burst", Seed: 1, Recoverable: true, Specs: []faults.Spec{
+		{Kind: faults.Transient, Builtin: "digest", After: 5, Count: 100},
+	}}
+	cfg, _ := cp.faulted(burst, exec.DefaultRecovery())
+	if _, err := exec.Run(cfg, cp.la, cp.sched[transform.DOALL], exec.SyncSpin, 4); !exec.IsTransient(err) {
+		t.Fatalf("burst run: err = %v, want a transient failure", err)
+	}
+	attempt := 0
+	var lastW *world
+	fresh := func() exec.Config {
+		attempt++
+		plan := faults.Plan{Name: "clean", Seed: 1}
+		if attempt == 1 {
+			plan = burst // only the first attempt sees the burst
+		}
+		cfg, w := cp.faulted(plan, exec.DefaultRecovery())
+		lastW = w
+		return cfg
+	}
+	res, err := exec.RunResilient(exec.ResilientOptions{
+		LA:      cp.la,
+		Sched:   cp.sched[transform.DOALL],
+		Mode:    exec.SyncSpin,
+		Threads: 4,
+		Fresh:   fresh,
+		Accept: func(parallel bool) error {
+			if strings.Join(sortedCopy(lastW.prints), ",") != strings.Join(sortedCopy(seqOut), ",") {
+				return fmt.Errorf("output differs")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("RunResilient: %v", err)
+	}
+	if !res.FellBack || res.Attempts != 2 || !strings.HasSuffix(res.Schedule, "(sequential fallback)") {
+		t.Errorf("FellBack=%v Attempts=%d Schedule=%q, want a sequential fallback on the second attempt",
+			res.FellBack, res.Attempts, res.Schedule)
+	}
+}
+
 // TestFallbackAlsoFailingIsDiagnosed: when the fault reproduces in the
 // sequential fallback too, RunResilient must return a diagnosed error that
 // reports both failures — never a hang or panic.

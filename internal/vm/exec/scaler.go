@@ -109,10 +109,9 @@ type ScaleEvent struct {
 	Reason  string `json:"reason"`
 }
 
-// OverloadError is the non-transient diagnosis the controller raises when the
-// degradation ladder reaches its sequential-fallback rung: retrying the same
-// deterministic parallel schedule under the same trace cannot help, so
-// RunServiceResilient goes straight to the sequential service.
+// OverloadError is the diagnosis the controller raises when the degradation
+// ladder reaches its sequential-fallback rung: RunServiceResilient then runs
+// the sequential service.
 type OverloadError struct {
 	VTime int64
 	Level int
@@ -123,9 +122,6 @@ type OverloadError struct {
 func (e *OverloadError) Error() string {
 	return fmt.Sprintf("service overload: degradation ladder reached level %d (sequential-fallback rung) at t=%d after %d shed requests", e.Level, e.VTime, e.Shed)
 }
-
-// IsTransient marks overload as non-transient for the fallback machinery.
-func (e *OverloadError) IsTransient() bool { return false }
 
 // svcController is the recalibration loop, run on its own simulated thread.
 // It exits when the trace has drained or the run has failed.
