@@ -9,10 +9,12 @@ import "repro/internal/transform"
 // only replaces it when a candidate's slice is strictly faster.
 //
 // The set is deliberately small: each candidate costs one calibration
-// slice, and the knobs interact weakly — chunking fights imbalance,
-// privatization fights commutative-update contention, batching fights
-// per-token queue overhead, stealing fights stragglers and residual
-// skew — so a coarse grid finds the knee.
+// slice. Chunking fights imbalance, privatization fights
+// commutative-update contention and batching fights per-token queue
+// overhead. DOALL calibrates chunking and privatization one at a time:
+// of the 544 cells of the schedule campaign, none picks the two together
+// or work stealing, which repairs stragglers that a calibration slice
+// does not have.
 func TuneCandidates(kind transform.Kind, threads int) []transform.Tuning {
 	switch kind {
 	case transform.DOALL:
@@ -24,9 +26,6 @@ func TuneCandidates(kind transform.Kind, threads int) []transform.Tuning {
 			{}, // static round-robin, shared updates
 			{Chunk: chunk},
 			{Privatize: true},
-			{Chunk: chunk, Privatize: true},
-			{Steal: true},
-			{Privatize: true, Steal: true},
 		}
 	case transform.DSWP, transform.PSDSWP:
 		return []transform.Tuning{
