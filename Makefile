@@ -74,7 +74,8 @@ bench-pairs:
 	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # The full pre-merge gate: build, vet (plus staticcheck when installed),
-# formatting, the race-enabled test suite, the per-layer and paper
-# benchmarks, the examples, the gated campaigns, and the host-time
-# benchmark smoke.
-verify: build vet staticcheck fmt race bench-layers bench-paper examples bench-campaigns bench-perf-smoke
+# formatting, the test suite (which alone runs the tests that race builds
+# leave out, such as the schedule report pin), the race-enabled test
+# suite, the per-layer and paper benchmarks, the examples, the gated
+# campaigns, and the host-time benchmark smoke.
+verify: build vet staticcheck fmt test race bench-layers bench-paper examples bench-campaigns bench-perf-smoke
