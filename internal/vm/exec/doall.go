@@ -10,7 +10,7 @@ import (
 // runCond evaluates the loop condition group on the stepper's frame and
 // reports whether the loop should exit.
 func (m *machine) runCond(st *stepper) (bool, error) {
-	s, err := st.runGroup(m.la.Units.Cond)
+	s, err := st.runGroup(m.la.Units.Cond, m.code.cond)
 	if err != nil {
 		return false, err
 	}
@@ -132,8 +132,8 @@ func (ws *doallState) recordCkpt(st *stepper, cfr *ckFrame) {
 // retry can never duplicate a visible update.
 func (m *machine) runIterBody(st *stepper, fr *frame) error {
 	runUnits := func() error {
-		for _, unit := range m.la.Units.Units {
-			if _, err := st.runGroup(unit); err != nil {
+		for u := range m.la.Units.Units {
+			if _, err := st.runUnit(u); err != nil {
 				return err
 			}
 		}
@@ -266,7 +266,7 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, l *doa
 			ws.lastIter = iter
 			ws.ranBody = true
 		}
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runPost(); err != nil {
 			m.fail(ws.role, err)
 			break
 		}

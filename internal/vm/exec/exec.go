@@ -199,18 +199,18 @@ func RunSequential(cfg Config) (*Result, error) {
 	mon := cfg.Sanitize
 	retries := 0
 	if cfg.Recovery != nil || mon != nil {
-		var setTags func(fn string) []sanitize.SetTag
+		calls := resolveCalls(&cfg, nil, mon != nil)
 		var wires map[*ir.Instr]slotWiring
 		if mon != nil {
 			th.Tracer = mon
-			setTags = memberTags(cfg.Model)
 			wires = sharedLocalWiring(cfg.Prog, cfg.Model)
 		}
-		th.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
-			member := mon != nil && len(cfg.Model.SetsOf[in.Name]) > 0
+		th.Interceptor = func(t *interp.Thread, in *ir.Instr, callee int, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
+			ci := &calls[callee]
+			member := mon != nil && ci.member
 			if member {
 				w := wires[in]
-				mon.MemberEnter(t.ID, in.Name, setTags(in.Name), args, w.args, w.outs, func() (map[string]value.Value, map[int]value.Value) {
+				mon.MemberEnter(t.ID, ci.name, ci.tags, args, w.args, w.outs, func() (map[string]value.Value, map[int]value.Value) {
 					// A wired local's value is the argument loaded from it.
 					cells := map[int]value.Value{}
 					for i, slot := range w.args {
@@ -222,7 +222,7 @@ func RunSequential(cfg Config) (*Result, error) {
 			rets, err := invoke()
 			// User functions are not retried: their inner builtin calls
 			// retry individually.
-			if cfg.Recovery != nil && cfg.Prog.Funcs[in.Name] == nil {
+			if cfg.Recovery != nil && ci.builtin {
 				for attempt := 0; err != nil && IsTransient(err) && attempt < maxCallRetries; attempt++ {
 					retries++
 					t.Cost += backoff(attempt)
@@ -247,22 +247,39 @@ func RunSequential(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// memberTags returns a memoizing renderer of a member's commsets as the
-// sanitizer's set tags.
-func memberTags(model *commset.Model) func(fn string) []sanitize.SetTag {
-	memo := map[string][]sanitize.SetTag{}
-	return func(fn string) []sanitize.SetTag {
-		if t, ok := memo[fn]; ok {
-			return t
+// resolveCalls resolves every callee of the program, by callee index (see
+// interp.Callees), for one run: whether it is a member, a builtin or an
+// effectful builtin, a member's rank-ordered lock sets with their locks
+// (when locks is non-nil), and its commsets as the sanitizer's set tags
+// (when tags is set).
+func resolveCalls(cfg *Config, locks map[*types.Set]*des.Lock, tags bool) []callInfo {
+	names := interp.Callees(cfg.Prog)
+	calls := make([]callInfo, len(names))
+	for i, name := range names {
+		ci := &calls[i]
+		ci.name = name
+		ci.builtin = cfg.Prog.Funcs[name] == nil
+		ci.effectful = cfg.Effectful[name]
+		if cfg.Model == nil || len(cfg.Model.SetsOf[name]) == 0 {
+			continue
 		}
-		sets := model.SetsOf[fn]
-		t := make([]sanitize.SetTag, len(sets))
-		for i, s := range sets {
-			t[i] = sanitize.SetTag{Name: s.Name, Self: s.SelfSet}
+		ci.member = true
+		ci.lockSets = cfg.Model.LockSets(name)
+		if locks != nil {
+			ci.locks = make([]*des.Lock, len(ci.lockSets))
+			for j, set := range ci.lockSets {
+				ci.locks[j] = locks[set]
+			}
 		}
-		memo[fn] = t
-		return t
+		if tags {
+			sets := cfg.Model.SetsOf[name]
+			ci.tags = make([]sanitize.SetTag, len(sets))
+			for j, set := range sets {
+				ci.tags[j] = sanitize.SetTag{Name: set.Name, Self: set.SelfSet}
+			}
+		}
 	}
+	return calls
 }
 
 // slotWiring is a member call's shared-cell wiring as the sanitizer
@@ -394,35 +411,17 @@ type machine struct {
 	// private slots); sched.SharedSlots lists the slots that have one.
 	cellAt []*sharedCell
 
-	// gslot and call resolve main's global accesses to heap slots and its
-	// call sites to callInfo, indexed by the dense instruction ID. byName
-	// memoizes callInfo for callee-side interceptor calls, whose
-	// instruction IDs are dense per callee function and so cannot index
-	// the main tables.
-	gslot  []int32
-	call   []*callInfo
-	byName map[string]*callInfo
+	// code holds main's resolved instruction tables, and calls every
+	// callee's resolved metadata for this run, by callee index.
+	code  *loopCode
+	calls []callInfo
 
-	// setTags renders a member's commsets for the sanitizer, and reread
-	// marks, by instruction ID, the loads of main that feed a member
-	// call's argument, which the call re-reads from its cell under its
-	// locks (both nil when no monitor is attached).
-	setTags func(fn string) []sanitize.SetTag
-	reread  []bool
+	// reread marks, by instruction ID, the loads of main that feed a
+	// member call's argument, which the call re-reads from its cell under
+	// its locks (nil when no monitor is attached).
+	reread []bool
 
 	tm tmLog
-
-	// instrPos locates every instruction of main: block ID and index,
-	// indexed by the dense instruction ID.
-	instrPos []instrLoc
-	// unitOf maps loop instruction IDs to unit indices (-1 for control,
-	// noUnit for instructions outside the loop), indexed by instruction ID.
-	unitOf []int
-	// groupSets memoizes the dense membership sets instruction groups are
-	// executed under (see stepper.runGroup).
-	groupSets map[groupKey][]bool
-	// exitBlock is the loop's unique exit target.
-	exitBlock int
 
 	// svc, when non-nil, marks a service-mode (open-system) run: the
 	// executors record per-request latency, admission, and degradation
@@ -468,62 +467,41 @@ type instrLoc struct {
 	index int
 }
 
-// groupKey identifies an instruction group by its backing list.
-type groupKey struct {
-	first *ir.Instr
-	n     int
-}
-
 // noUnit marks instructions outside the parallelized loop in unitOf.
 const noUnit = -2
 
-// callInfo is resolved call-site metadata: whether the callee is a
-// commutative member, whether it is a builtin, whether it is an effectful
-// builtin (Config.Effectful), and the rank-ordered lock sets a member call
-// must acquire (Model.LockSets allocates a fresh slice per query, so the
-// resolution is worth memoizing).
+// callInfo is one callee's resolved metadata for a run (see
+// resolveCalls): its name, whether it is a commutative member, a builtin or
+// an effectful builtin (Config.Effectful), the rank-ordered lock sets a
+// member call must acquire and the run's locks of those sets, and the
+// member's commsets as sanitizer set tags when a monitor is attached.
 type callInfo struct {
+	name      string
 	member    bool
 	builtin   bool
 	effectful bool
 	lockSets  []*types.Set
-}
-
-// resolve memoizes callInfo by callee name. Simulated threads are
-// serialized by the discrete-event scheduler, so the map needs no lock.
-func (m *machine) resolve(name string) *callInfo {
-	if ci, ok := m.byName[name]; ok {
-		return ci
-	}
-	ci := &callInfo{
-		member:    len(m.cfg.Model.SetsOf[name]) > 0,
-		builtin:   m.env.Prog.Funcs[name] == nil,
-		effectful: m.cfg.Effectful[name],
-		lockSets:  m.cfg.Model.LockSets(name),
-	}
-	m.byName[name] = ci
-	return ci
+	locks     []*des.Lock
+	tags      []sanitize.SetTag
 }
 
 // newMachine builds the run's machine: the simulator with the config's
 // watchdog and sanitizer probe, one lock per commset, the shared cells,
-// and the dense per-instruction tables of main.
+// main's resolved tables and every callee's resolved call metadata.
 func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode) *machine {
-	numInstrs := la.Fn.NumInstrs()
 	m := &machine{
-		cfg:      cfg,
-		la:       la,
-		sched:    sched,
-		mode:     mode,
-		sim:      des.New(cfg.Cost),
-		env:      interp.NewEnv(cfg.Prog, cfg.Builtins),
-		locks:    map[*types.Set]*des.Lock{},
-		instrPos: make([]instrLoc, numInstrs),
+		cfg:   cfg,
+		la:    la,
+		sched: sched,
+		mode:  mode,
+		sim:   des.New(cfg.Cost),
+		env:   interp.NewEnv(cfg.Prog, cfg.Builtins),
+		locks: map[*types.Set]*des.Lock{},
+		code:  loopCodeOf(cfg.Prog, la),
 	}
 	m.sim.Watchdog = cfg.Watchdog
 	if cfg.Sanitize != nil {
 		m.sim.Probe = cfg.Sanitize
-		m.setTags = memberTags(cfg.Model)
 	}
 	kind := des.Mutex
 	if mode == SyncSpin || mode == SyncTM {
@@ -536,45 +514,15 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 	for _, s := range sched.SharedSlots {
 		m.cellAt[s] = &sharedCell{}
 	}
-	for _, b := range la.Fn.Blocks {
-		for i, in := range b.Instrs {
-			m.instrPos[in.ID] = instrLoc{block: b.ID, index: i}
-		}
-	}
-	m.unitOf = make([]int, numInstrs)
-	for i := range m.unitOf {
-		m.unitOf[i] = noUnit
-	}
-	for ui, instrs := range la.Units.Units {
-		for _, in := range instrs {
-			m.unitOf[in.ID] = ui
-		}
-	}
-	for _, in := range la.Units.Cond {
-		m.unitOf[in.ID] = -1
-	}
-	for _, in := range la.Units.Post {
-		m.unitOf[in.ID] = -1
-	}
-	m.exitBlock = -1
-	for _, e := range la.Loop.Exits {
-		m.exitBlock = e
-		break
-	}
-	m.gslot = make([]int32, numInstrs)
-	m.call = make([]*callInfo, numInstrs)
-	m.byName = map[string]*callInfo{}
+	m.calls = resolveCalls(&m.cfg, m.locks, cfg.Sanitize != nil)
 	if cfg.Sanitize != nil {
-		m.reread = make([]bool, numInstrs)
-	}
-	for _, b := range la.Fn.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpLoadGlobal, ir.OpStoreGlobal:
-				m.gslot[in.ID] = int32(m.env.Globals.SlotOf(in.Name))
-			case ir.OpCall:
-				m.call[in.ID] = m.resolve(in.Name)
-				if m.reread != nil && m.call[in.ID].member {
+		m.reread = make([]bool, la.Fn.NumInstrs())
+		for _, b := range la.Fn.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op != ir.OpCall {
+					continue
+				}
+				if i := m.code.callee[in.ID]; i >= 0 && m.calls[i].member {
 					for _, ld := range b.ArgLoads(in) {
 						if ld != nil {
 							m.reread[ld.ID] = true
@@ -631,8 +579,8 @@ func (m *machine) runMain(th *des.Thread, loop func(th *des.Thread, fr *frame) e
 	for _, slot := range m.sched.SharedSlots {
 		fr.locals[slot] = m.cellAt[slot].v
 	}
-	if m.exitBlock < 0 {
+	if m.code.exitBlock < 0 {
 		return nil
 	}
-	return st.runBlocks(m.exitBlock, -1)
+	return st.runBlocks(m.code.exitBlock, -1)
 }

@@ -215,7 +215,7 @@ func (m *machine) startPipeline(th *des.Thread, mainFr *frame, threads int) (*pi
 func (m *machine) dispatchIter(th *des.Thread, st *stepper, p *pipeNet, out []*qWriter, tok token) error {
 	tok.locals = append([]value.Value(nil), st.fr.locals...)
 	for _, u := range m.sched.Stages[0].Units {
-		if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
+		if _, err := st.runUnit(u); err != nil {
 			return err
 		}
 	}
@@ -294,11 +294,11 @@ func (m *machine) flowForward() []map[int]bool {
 		if !isSlot || e.LoopCarried || e.Kind != pdg.DepFlow || shared[slot] {
 			continue
 		}
-		if e.From >= len(m.unitOf) || e.To >= len(m.unitOf) {
+		if e.From >= len(m.code.unitOf) || e.To >= len(m.code.unitOf) {
 			continue
 		}
-		u1 := m.unitOf[e.From]
-		u2 := m.unitOf[e.To]
+		u1 := m.code.unitOf[e.From]
+		u2 := m.code.unitOf[e.To]
 		if u1 < 0 || u2 < 0 {
 			continue
 		}
@@ -385,7 +385,7 @@ func (m *machine) dispatch(th *des.Thread, mainFr *frame, p *pipeNet) {
 		exit, err := m.runCond(st)
 		if err == nil && !exit {
 			if err = m.dispatchIter(th, st, p, out, token{iter: iter}); err == nil {
-				_, err = st.runGroup(m.la.Units.Post)
+				_, err = st.runPost()
 			}
 		}
 		if err != nil {
@@ -615,7 +615,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			fr.locals[i] = v
 		}
 		for _, u := range stage.Units {
-			if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
+			if _, err := st.runUnit(u); err != nil {
 				m.fail(ss.role, err)
 				ss.dead = true
 				break

@@ -635,7 +635,7 @@ func (m *machine) svcSequential(th *des.Thread, st *stepper) error {
 		} else {
 			sv.complete(req.arrival, th.VTime, th.VTime-start)
 		}
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runPost(); err != nil {
 			m.fail("dispatcher", err)
 		}
 	}
@@ -680,7 +680,7 @@ func (m *machine) svcDOALL(th *des.Thread, st *stepper, mainFr *frame, threads i
 		locals := make([]value.Value, len(st.fr.locals))
 		copy(locals, st.fr.locals)
 		th.Push(dispatch, svcWork{iter: iter, arrival: req.arrival, locals: locals})
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runPost(); err != nil {
 			m.fail("dispatcher", err)
 		}
 		iter++
@@ -832,7 +832,7 @@ func (m *machine) svcPipeline(th *des.Thread, st *stepper, mainFr *frame, thread
 			m.fail("dispatcher", err)
 			sv.failed++
 		}
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runPost(); err != nil {
 			m.fail("dispatcher", err)
 		}
 		iter++

@@ -81,13 +81,14 @@ type stepper struct {
 	retry *frame
 
 	// invokeFn is the one reusable invoke closure for main-frame calls; it
-	// reads the call set by execCallArgs in callIn/callArgs/callMember.
-	// Exec-level calls never nest within one stepper (callee bodies run in
-	// the interpreter, which has its own reusable closure), so a single set
-	// of fields suffices, and interceptor-level retries reuse them
-	// unchanged.
+	// reads the call set by execCallArgs in callIn/callCallee/callArgs/
+	// callMember. Exec-level calls never nest within one stepper (callee
+	// bodies run in the interpreter, which has its own reusable closure),
+	// so a single set of fields suffices, and interceptor-level retries
+	// reuse them unchanged.
 	invokeFn   func() ([]value.Value, error)
 	callIn     *ir.Instr
+	callCallee int
 	callArgs   []value.Value
 	callMember bool
 }
@@ -99,17 +100,15 @@ func (m *machine) newStepper(th *des.Thread, fr *frame) *stepper {
 	if m.cfg.Sanitize != nil {
 		st.it.Tracer = m.cfg.Sanitize
 	}
-	st.it.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
-		// Callee instruction IDs are dense per function, so the
-		// interceptor resolves by name, not by the main tables.
-		ci := m.resolve(in.Name)
+	st.it.Interceptor = func(t *interp.Thread, in *ir.Instr, callee int, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
+		ci := &m.calls[callee]
 		switch {
 		case ci.builtin:
 			// Builtins fail atomically (an injected failure fires before
 			// the builtin runs), so call-level retry is safe.
-			return st.invokeBuiltin(in.Name, ci, args, invoke)
+			return st.invokeBuiltin(ci, args, invoke)
 		case ci.member:
-			return st.withMemberSync(in.Name, ci, args, nil, nil, invoke)
+			return st.withMemberSync(ci, args, nil, nil, invoke)
 		}
 		return invoke()
 	}
@@ -131,10 +130,10 @@ func (m *machine) snapState() (map[string]value.Value, map[int]value.Value) {
 // virtual time. User-function calls are never retried here: they may have
 // externalized partial work, and their inner builtin calls retry
 // individually through the interceptor.
-func (st *stepper) invokeBuiltin(name string, ci *callInfo, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
+func (st *stepper) invokeBuiltin(ci *callInfo, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
 	run := func() ([]value.Value, error) {
 		if ci.member {
-			return st.withMemberSync(name, ci, args, nil, nil, invoke)
+			return st.withMemberSync(ci, args, nil, nil, invoke)
 		}
 		rets, err := invoke()
 		st.flush()
@@ -170,8 +169,8 @@ func (st *stepper) flush() {
 // cannot be re-executed). ci is the member's resolved call-site metadata.
 // args and the shared-cell slot wirings feed the sanitizer's member-extent
 // record when a monitor is attached.
-func (st *stepper) withMemberSync(name string, ci *callInfo, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
-	rets, err := st.memberSyncInner(name, ci, args, argSlots, outSlots, body)
+func (st *stepper) withMemberSync(ci *callInfo, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
+	rets, err := st.memberSyncInner(ci, args, argSlots, outSlots, body)
 	if err == nil {
 		st.effects++
 	}
@@ -181,9 +180,9 @@ func (st *stepper) withMemberSync(name string, ci *callInfo, args []value.Value,
 // memberSyncInner executes body under the synchronization required for a
 // commutative member: locks of every (non-nosync) set the member belongs
 // to, acquired in global rank order and released in reverse (Section 4.6).
-func (st *stepper) memberSyncInner(name string, ci *callInfo, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
+func (st *stepper) memberSyncInner(ci *callInfo, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
 	m := st.m
-	lockSets := ci.lockSets
+	lockSets, locks := ci.lockSets, ci.locks
 	st.flush()
 	if mon := m.cfg.Sanitize; mon != nil {
 		// The member extent opens after synchronization is in place (the
@@ -192,7 +191,7 @@ func (st *stepper) memberSyncInner(name string, ci *callInfo, args []value.Value
 		// attributed to this invocation.
 		inner := body
 		body = func() ([]value.Value, error) {
-			mon.MemberEnter(st.th.ID, name, m.setTags(name), args, argSlots, outSlots, m.snapState)
+			mon.MemberEnter(st.th.ID, ci.name, ci.tags, args, argSlots, outSlots, m.snapState)
 			rets, err := inner()
 			mon.MemberExit(st.th.ID, rets, err)
 			return rets, err
@@ -224,13 +223,13 @@ func (st *stepper) memberSyncInner(name string, ci *callInfo, args []value.Value
 		st.flush()
 		return rets, err
 	case SyncMutex, SyncSpin:
-		for _, s := range lockSets {
-			st.th.Acquire(m.locks[s])
+		for _, l := range locks {
+			st.th.Acquire(l)
 		}
 		rets, err := body()
 		st.flush()
-		for i := len(lockSets) - 1; i >= 0; i-- {
-			st.th.Release(m.locks[lockSets[i]])
+		for i := len(locks) - 1; i >= 0; i-- {
+			st.th.Release(locks[i])
 		}
 		return rets, err
 	case SyncTM:
@@ -238,15 +237,15 @@ func (st *stepper) memberSyncInner(name string, ci *callInfo, args []value.Value
 		// cost model adds commit overhead and conflict-driven retry
 		// charges from the commit log.
 		tStart := st.th.VTime
-		for _, s := range lockSets {
-			st.th.Acquire(m.locks[s])
+		for _, l := range locks {
+			st.th.Acquire(l)
 		}
 		workStart := st.th.VTime
 		rets, err := body()
 		st.flush()
 		workCost := st.th.VTime - workStart
-		for i := len(lockSets) - 1; i >= 0; i-- {
-			st.th.Release(m.locks[lockSets[i]])
+		for i := len(locks) - 1; i >= 0; i-- {
+			st.th.Release(locks[i])
 		}
 		aborts := m.tm.conflicts(lockSets, tStart, st.th.VTime)
 		if m.cfg.ExtraAborts != nil {
@@ -315,7 +314,7 @@ func (st *stepper) exec(start *ir.Instr, inSet func(*ir.Instr) bool) (stop, erro
 			return stop{}, fmt.Errorf("exec: fell off instruction stream in %s", f.Name)
 		}
 		if !inSet(cur) {
-			return stop{next: cur, nextBlk: st.m.instrPos[cur.ID].block}, nil
+			return stop{next: cur, nextBlk: st.m.code.instrPos[cur.ID].block}, nil
 		}
 		branch, isRet, err := st.stepInstr(cur)
 		if err != nil {
@@ -332,7 +331,7 @@ func (st *stepper) exec(start *ir.Instr, inSet func(*ir.Instr) bool) (stop, erro
 			cur = blk.Instrs[0]
 			continue
 		}
-		loc := st.m.instrPos[cur.ID]
+		loc := st.m.code.instrPos[cur.ID]
 		blk := f.BlockByID(loc.block)
 		if loc.index+1 >= len(blk.Instrs) {
 			return stop{}, fmt.Errorf("exec: block b%d missing terminator", loc.block)
@@ -350,7 +349,7 @@ func (st *stepper) runBlocks(from, until int) error {
 		return fmt.Errorf("exec: empty block b%d", from)
 	}
 	inSet := func(in *ir.Instr) bool {
-		return until < 0 || st.m.instrPos[in.ID].block != until
+		return until < 0 || st.m.code.instrPos[in.ID].block != until
 	}
 	s, err := st.exec(blk.Instrs[0], inSet)
 	if err != nil {
@@ -362,34 +361,24 @@ func (st *stepper) runBlocks(from, until int) error {
 	return nil
 }
 
-// groupSet returns the dense membership set of an instruction group,
-// memoized per backing list: groups (units, condition, post increment) are
-// fixed for the whole run but executed once per iteration, so the set is
-// built once instead of per execution.
-func (m *machine) groupSet(instrs []*ir.Instr) []bool {
-	key := groupKey{first: instrs[0], n: len(instrs)}
-	if set, ok := m.groupSets[key]; ok {
-		return set
-	}
-	set := make([]bool, len(m.instrPos))
-	for _, in := range instrs {
-		set[in.ID] = true
-	}
-	if m.groupSets == nil {
-		m.groupSets = map[groupKey][]bool{}
-	}
-	m.groupSets[key] = set
-	return set
-}
-
 // runGroup executes one instruction group (a unit, the condition, or the
-// post increment) to completion on the current frame.
-func (st *stepper) runGroup(instrs []*ir.Instr) (stop, error) {
+// post increment) to completion on the current frame; set is the group's
+// membership set from the loop's tables.
+func (st *stepper) runGroup(instrs []*ir.Instr, set []bool) (stop, error) {
 	if len(instrs) == 0 {
 		return stop{}, nil
 	}
-	set := st.m.groupSet(instrs)
 	return st.exec(instrs[0], func(in *ir.Instr) bool { return set[in.ID] })
+}
+
+// runUnit executes loop unit u.
+func (st *stepper) runUnit(u int) (stop, error) {
+	return st.runGroup(st.m.la.Units.Units[u], st.m.code.units[u])
+}
+
+// runPost executes the loop's post increment.
+func (st *stepper) runPost() (stop, error) {
+	return st.runGroup(st.m.la.Units.Post, st.m.code.post)
 }
 
 // stepInstr executes one instruction. It returns the branch target block
@@ -434,7 +423,7 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 		if mon := st.m.cfg.Sanitize; mon != nil {
 			mon.TraceGlobal(st.th.ID, in.Name, false)
 		}
-		gs := st.m.gslot[in.ID]
+		gs := st.m.code.gslot[in.ID]
 		if gs < 0 {
 			return 0, false, fmt.Errorf("%s: undeclared global %s", in.Pos, in.Name)
 		}
@@ -444,21 +433,21 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 		if mon := st.m.cfg.Sanitize; mon != nil {
 			mon.TraceGlobal(st.th.ID, in.Name, true)
 		}
-		gs := st.m.gslot[in.ID]
+		gs := st.m.code.gslot[in.ID]
 		if gs < 0 {
 			return 0, false, fmt.Errorf("%s: undeclared global %s", in.Pos, in.Name)
 		}
 		st.m.env.Globals.SetSlot(int(gs), fr.regs[in.A])
 	case ir.OpBin:
 		clearTag(in.Dst)
-		v, e := interp.EvalBin(in.BinOp, fr.regs[in.A], fr.regs[in.B])
+		v, e := st.m.code.bin[in.ID](fr.regs[in.A], fr.regs[in.B])
 		if e != nil {
 			return 0, false, fmt.Errorf("%s: %v", in.Pos, e)
 		}
 		fr.regs[in.Dst] = v
 	case ir.OpUn:
 		clearTag(in.Dst)
-		v, e := interp.EvalUn(in.BinOp, fr.regs[in.A])
+		v, e := st.m.code.un[in.ID](fr.regs[in.A])
 		if e != nil {
 			return 0, false, fmt.Errorf("%s: %v", in.Pos, e)
 		}
@@ -498,7 +487,11 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 	for i, r := range in.Args {
 		args[i] = fr.regs[r]
 	}
-	ci := st.m.call[in.ID]
+	callee := int(st.m.code.callee[in.ID])
+	if callee < 0 {
+		return fmt.Errorf("interp: undefined function %s", in.Name)
+	}
+	ci := &st.m.calls[callee]
 	member := ci.member
 	mon := st.m.cfg.Sanitize
 
@@ -528,16 +521,16 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 	if st.invokeFn == nil {
 		st.invokeFn = st.invokeCurrent
 	}
-	st.callIn, st.callArgs, st.callMember = in, args, member
+	st.callIn, st.callCallee, st.callArgs, st.callMember = in, callee, args, member
 	invoke := st.invokeFn
 
 	var rets []value.Value
 	var err error
 	switch {
 	case ci.builtin:
-		rets, err = st.invokeBuiltin(in.Name, ci, args, invoke)
+		rets, err = st.invokeBuiltin(ci, args, invoke)
 	case member:
-		rets, err = st.withMemberSync(in.Name, ci, args, argSlots, outSlots, invoke)
+		rets, err = st.withMemberSync(ci, args, argSlots, outSlots, invoke)
 	default:
 		rets, err = invoke()
 		st.flush()
@@ -554,9 +547,9 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 	return st.finishCall(in, member, mon, rets)
 }
 
-// invokeCurrent performs the call staged in callIn/callArgs/callMember:
-// shared-argument refresh inside the atomic section, the call itself, and
-// shared OutSlot writeback.
+// invokeCurrent performs the call staged in callIn/callCallee/callArgs/
+// callMember: shared-argument refresh inside the atomic section, the call
+// itself, and shared OutSlot writeback.
 func (st *stepper) invokeCurrent() ([]value.Value, error) {
 	in, args, member := st.callIn, st.callArgs, st.callMember
 	fr := st.fr
@@ -574,7 +567,7 @@ func (st *stepper) invokeCurrent() ([]value.Value, error) {
 			}
 		}
 	}
-	rets, err := st.it.CallByName(in.Name, args)
+	rets, err := st.it.Call(st.callCallee, args)
 	if err != nil {
 		return nil, err
 	}

@@ -19,11 +19,12 @@ type instrFn func(t *Thread, regs, locals []value.Value) error
 // thread's accumulated cost at every observation point is exactly
 // CostPerInstr per executed instruction plus its callees' costs.
 type segment struct {
-	cost int64
-	ops  []instrFn
-	ids  []int     // instruction IDs of ops, for profiling
-	call *ir.Instr // trailing OpCall, or nil for the terminator segment
-	tail int       // instruction ID of the trailing call or terminator
+	cost   int64
+	ops    []instrFn
+	ids    []int     // instruction IDs of ops, for profiling
+	call   *ir.Instr // trailing OpCall, or nil for the terminator segment
+	callee int       // callee index of call
+	tail   int       // instruction ID of the trailing call or terminator
 }
 
 // blockCode is one compiled basic block.
@@ -41,32 +42,42 @@ type fnCode struct {
 	pool    sync.Pool // *[]value.Value frames, len == len(zero)
 }
 
-// progCode caches compiled functions for one immutable *ir.Program, and
-// the compile error of each function whose IR is malformed. The IR is
-// never structurally edited after the pipeline returns, so the cache is
-// shared read-only across every thread and campaign cell of the program.
+// progCode is one compiled *ir.Program. Every function name and every
+// name a call instruction targets gets a dense callee index, and calls
+// dispatch by that index: fns holds a user function's compiled code, errs
+// the error that rejected a malformed one's IR, and an Env binds its
+// builtins to the remaining indices. The IR is never structurally edited
+// after the pipeline returns, so the compiled form is shared read-only
+// across every Env, thread and campaign cell of the program.
 type progCode struct {
-	fns  map[string]*fnCode
-	errs map[string]error
+	callees []string       // callee index -> name
+	index   map[string]int // name -> callee index
+	fns     []*fnCode
+	errs    []error
 }
 
 var codeCache sync.Map // *ir.Program -> *progCode
 
-// codeFor returns the compiled form of f, or the error that rejected its
-// IR.
-func codeFor(prog *ir.Program, f *ir.Func) (*fnCode, error) {
+// codeOf returns the compiled form of prog, compiling it on first use.
+func codeOf(prog *ir.Program) *progCode {
 	v, ok := codeCache.Load(prog)
 	if !ok {
 		v, _ = codeCache.LoadOrStore(prog, compileProg(prog))
 	}
-	pc := v.(*progCode)
-	if fc := pc.fns[f.Name]; fc != nil {
-		return fc, nil
+	return v.(*progCode)
+}
+
+// Callees returns prog's callee names by callee index. The slice is shared
+// and must not be modified.
+func Callees(prog *ir.Program) []string { return codeOf(prog).callees }
+
+// CalleeIndex returns the callee index of name in prog, or -1 when no
+// function or call instruction of prog names it.
+func CalleeIndex(prog *ir.Program, name string) int {
+	if i, ok := codeOf(prog).index[name]; ok {
+		return i
 	}
-	if err := pc.errs[f.Name]; err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("interp: %s is not a function of the program", f.Name)
+	return -1
 }
 
 func compileProg(prog *ir.Program) *progCode {
@@ -74,14 +85,32 @@ func compileProg(prog *ir.Program) *progCode {
 	for i, g := range prog.Globals {
 		gslot[g.Name] = i
 	}
-	pc := &progCode{fns: make(map[string]*fnCode, len(prog.Funcs)), errs: map[string]error{}}
-	for name, f := range prog.Funcs {
-		fc, err := compileFunc(f, gslot)
-		if err != nil {
-			pc.errs[name] = err
-			continue
+	pc := &progCode{index: map[string]int{}}
+	number := func(name string) {
+		if _, ok := pc.index[name]; !ok {
+			pc.index[name] = len(pc.callees)
+			pc.callees = append(pc.callees, name)
 		}
-		pc.fns[name] = fc
+	}
+	for _, name := range prog.Order { // every function, as AddFunc records it
+		number(name)
+	}
+	funcs := pc.callees // the functions, numbered first
+	// Number the callees of every call site, malformed functions' too, so
+	// every segment compileFunc builds finds its callee's index.
+	for _, name := range funcs {
+		for _, b := range prog.Funcs[name].Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpCall {
+					number(in.Name)
+				}
+			}
+		}
+	}
+	pc.fns = make([]*fnCode, len(pc.callees))
+	pc.errs = make([]error, len(pc.callees))
+	for i, name := range funcs {
+		pc.fns[i], pc.errs[i] = compileFunc(prog.Funcs[name], gslot, pc.index)
 	}
 	return pc
 }
@@ -89,7 +118,7 @@ func compileProg(prog *ir.Program) *progCode {
 // compileFunc pre-compiles one function. Every block must be a
 // straight-line run ending in its only terminator, stored at the index
 // equal to its ID, with branch targets inside the function.
-func compileFunc(f *ir.Func, gslot map[string]int) (*fnCode, error) {
+func compileFunc(f *ir.Func, gslot, callee map[string]int) (*fnCode, error) {
 	if len(f.Blocks) == 0 {
 		return nil, fmt.Errorf("interp: malformed IR in %s: function has no blocks", f.Name)
 	}
@@ -130,6 +159,9 @@ func compileFunc(f *ir.Func, gslot map[string]int) (*fnCode, error) {
 		flush := func(call, tail *ir.Instr) {
 			seg.cost = int64(len(seg.ops)+1) * CostPerInstr
 			seg.call, seg.tail = call, tail.ID
+			if call != nil {
+				seg.callee = callee[call.Name]
+			}
 			bc.segs = append(bc.segs, seg)
 			seg = segment{}
 		}
@@ -202,14 +234,8 @@ func compileOp(in *ir.Instr, gslot map[string]int) (instrFn, error) {
 			return nil
 		}, nil
 	case ir.OpBin:
-		fn := binOps[in.BinOp]
+		fn := ResolveBin(in.BinOp)
 		dst, a, b, pos := in.Dst, in.A, in.B, in.Pos
-		if fn == nil {
-			name := in.BinOp
-			return func(t *Thread, regs, locals []value.Value) error {
-				return fmt.Errorf("%s: %v", pos, invalidBin(name, regs[a]))
-			}, nil
-		}
 		return func(t *Thread, regs, locals []value.Value) error {
 			v, e := fn(regs[a], regs[b])
 			if e != nil {
@@ -219,14 +245,8 @@ func compileOp(in *ir.Instr, gslot map[string]int) (instrFn, error) {
 			return nil
 		}, nil
 	case ir.OpUn:
-		fn := unOps[in.BinOp]
+		fn := ResolveUn(in.BinOp)
 		dst, a, pos := in.Dst, in.A, in.Pos
-		if fn == nil {
-			name := in.BinOp
-			return func(t *Thread, regs, locals []value.Value) error {
-				return fmt.Errorf("%s: %v", pos, invalidUn(name, regs[a]))
-			}, nil
-		}
 		return func(t *Thread, regs, locals []value.Value) error {
 			v, e := fn(regs[a])
 			if e != nil {
@@ -273,7 +293,7 @@ func (t *Thread) run(fc *fnCode, regs, locals []value.Value) ([]value.Value, err
 			}
 			before := t.Cost
 			if s.call != nil {
-				if err := t.execCall(s.call, regs, locals); err != nil {
+				if err := t.execCall(s.call, s.callee, regs, locals); err != nil {
 					return nil, err
 				}
 			}
@@ -291,7 +311,14 @@ func (t *Thread) run(fc *fnCode, regs, locals []value.Value) ([]value.Value, err
 				bi = term.Targets[1]
 			}
 		default: // OpRet
-			out := make([]value.Value, len(term.Args))
+			// Inside a call bracket the caller consumes the results before
+			// the bracket pops, so they go to the arena like a builtin's.
+			var out []value.Value
+			if t.brackets > 0 {
+				out = t.ScratchSlice(len(term.Args))
+			} else {
+				out = make([]value.Value, len(term.Args))
+			}
 			for i, r := range term.Args {
 				out[i] = regs[r]
 			}

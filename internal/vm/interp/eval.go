@@ -7,15 +7,15 @@ import (
 	"repro/internal/vm/value"
 )
 
-// binFn applies one binary operator. The table below lets compiled code
-// resolve the operator spelling once per instruction instead of
-// re-dispatching on the string every execution.
-type binFn func(a, b value.Value) (value.Value, error)
+// BinFn applies one binary operator. ResolveBin lets compiled code and the
+// executor's stepper resolve the operator spelling once per instruction
+// instead of re-dispatching on the string every execution.
+type BinFn func(a, b value.Value) (value.Value, error)
 
-// unFn applies one unary operator.
-type unFn func(a value.Value) (value.Value, error)
+// UnFn applies one unary operator.
+type UnFn func(a value.Value) (value.Value, error)
 
-var binOps = map[string]binFn{
+var binOps = map[string]BinFn{
 	"+":  evalAdd,
 	"-":  evalSub,
 	"*":  evalMul,
@@ -34,7 +34,7 @@ var binOps = map[string]binFn{
 	">=": evalGe,
 }
 
-var unOps = map[string]unFn{
+var unOps = map[string]UnFn{
 	"!": evalNot,
 	"-": evalNeg,
 }
@@ -43,10 +43,19 @@ var unOps = map[string]unFn{
 // guarantees operand types, so unexpected combinations indicate compiler
 // bugs and return errors rather than panicking.
 func EvalBin(op string, a, b value.Value) (value.Value, error) {
+	return ResolveBin(op)(a, b)
+}
+
+// ResolveBin returns the function of binary operator op. An unknown
+// operator resolves to a function that reports it as invalid on its left
+// operand's type, the error EvalBin returns.
+func ResolveBin(op string) BinFn {
 	if f := binOps[op]; f != nil {
-		return f(a, b)
+		return f
 	}
-	return value.Value{}, invalidBin(op, a)
+	return func(a, b value.Value) (value.Value, error) {
+		return value.Value{}, invalidBin(op, a)
+	}
 }
 
 func invalidBin(op string, a value.Value) error {
@@ -205,10 +214,18 @@ func compare(a, b value.Value, ok func(int) bool) (value.Value, error) {
 
 // EvalUn applies a unary operator.
 func EvalUn(op string, a value.Value) (value.Value, error) {
+	return ResolveUn(op)(a)
+}
+
+// ResolveUn returns the function of unary operator op; an unknown operator
+// resolves to a function that reports it, as ResolveBin does.
+func ResolveUn(op string) UnFn {
 	if f := unOps[op]; f != nil {
-		return f(a)
+		return f
 	}
-	return value.Value{}, invalidUn(op, a)
+	return func(a value.Value) (value.Value, error) {
+		return value.Value{}, invalidUn(op, a)
+	}
 }
 
 func invalidUn(op string, a value.Value) error {

@@ -137,7 +137,7 @@ void main() {
 }`)
 	env := interp.NewEnv(res.Prog, builtinsFor(sink))
 	th := interp.NewThread(env)
-	th.Interceptor = func(tt *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
+	th.Interceptor = func(tt *interp.Thread, in *ir.Instr, _ int, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
 		if in.Name == "emit" && args[0].AsInt() == 2 {
 			return nil, fmt.Errorf("vetoed at %d", args[0].AsInt())
 		}

@@ -116,11 +116,21 @@ type Env struct {
 	Prog     *ir.Program
 	Globals  *Heap
 	Builtins map[string]BuiltinFn
+
+	code     *progCode
+	builtins []BuiltinFn // Builtins by callee index, bound by NewEnv
 }
 
-// NewEnv creates an execution environment for prog.
+// NewEnv creates an execution environment for prog, compiling prog on
+// first use and binding builtins to prog's callee indices once, so calls
+// dispatch without a name lookup. Builtins names the map NewEnv bound.
 func NewEnv(prog *ir.Program, builtins map[string]BuiltinFn) *Env {
-	return &Env{Prog: prog, Globals: NewHeap(prog), Builtins: builtins}
+	pc := codeOf(prog)
+	env := &Env{Prog: prog, Globals: NewHeap(prog), Builtins: builtins, code: pc, builtins: make([]BuiltinFn, len(pc.callees))}
+	for i, name := range pc.callees {
+		env.builtins[i] = builtins[name]
+	}
+	return env
 }
 
 // Profile accumulates per-instruction virtual cost for one function,
@@ -138,9 +148,10 @@ func NewProfile(f *ir.Func) *Profile {
 
 // Interceptor wraps a call instruction's execution. invoke performs the
 // actual call (charging its cost to the thread); the interceptor may charge
-// additional cost or block the thread in virtual time around it. args are
-// the concrete argument values the call was issued with.
-type Interceptor func(t *Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error)
+// additional cost or block the thread in virtual time around it. callee is
+// the call's callee index (see Callees), and args are the concrete argument
+// values the call was issued with.
+type Interceptor func(t *Thread, in *ir.Instr, callee int, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error)
 
 // Tracer observes memory-relevant events as they execute: global
 // loads/stores and builtin invocations (with concrete arguments). The
@@ -177,25 +188,26 @@ type Thread struct {
 	// depth guards against runaway recursion in user programs.
 	depth int
 
-	// scratch is a stack arena for call-argument and builtin-result
-	// slices: execCall carves each call's arguments here (and CallByName
-	// its builtin's single result) and pops them once the call's results
-	// are consumed, so nested calls reuse one growing backing array
-	// instead of allocating per call. Sound because nothing retains such
-	// a slice past the call: builtins read their arguments, interceptors
-	// pass them through, every caller copies results into registers
-	// before its bracket pops, and the sanitizer copies what it records. brackets counts the active Mark/Release pairs — builtin
-	// results only go to the arena when a bracket is there to pop them.
+	// scratch is a stack arena for call-argument and result slices:
+	// execCall carves each call's arguments here (and a builtin or user
+	// function its results) and pops them once the call's results are
+	// consumed, so nested calls reuse one growing backing array instead
+	// of allocating per call. Sound because nothing retains such a slice
+	// past the call: builtins read their arguments, interceptors pass
+	// them through, every caller copies results into registers before
+	// its bracket pops, and the sanitizer copies what it records.
+	// brackets counts the active Mark/Release pairs — results only go to
+	// the arena when a bracket is there to pop them.
 	scratch  []value.Value
 	brackets int
 
 	// invokeFn is the one reusable invoke closure handed to the
-	// interceptor; it reads the current call from curIn/curArgs, which
-	// execCallArgs saves and restores around nested calls (so it stays
-	// correct across interceptor-level retries too).
-	invokeFn func() ([]value.Value, error)
-	curIn    *ir.Instr
-	curArgs  []value.Value
+	// interceptor; it reads the current call from curCallee/curArgs,
+	// which execCallArgs saves and restores around nested calls (so it
+	// stays correct across interceptor-level retries too).
+	invokeFn  func() ([]value.Value, error)
+	curCallee int
+	curArgs   []value.Value
 }
 
 // ScratchMark opens an arena bracket and returns the position to pop back
@@ -231,28 +243,54 @@ func (t *Thread) RunMain() error {
 	return err
 }
 
-// CallByName invokes a user function or builtin by name.
+// CallByName invokes a user function or builtin by name. Compiled calls
+// dispatch by callee index instead (see Call); this is the entry point for
+// callers that hold only a name.
 func (t *Thread) CallByName(name string, args []value.Value) ([]value.Value, error) {
-	if f := t.Env.Prog.Funcs[name]; f != nil {
-		return t.Exec(f, args)
+	if i, ok := t.Env.code.index[name]; ok {
+		return t.Call(i, args)
 	}
 	if b := t.Env.Builtins[name]; b != nil {
-		if t.Tracer != nil {
-			t.Tracer.TraceBuiltin(t.ID, name, args)
-		}
-		v, cost, err := b(args)
-		t.Cost += cost
-		if err != nil {
-			return nil, err
-		}
-		if t.brackets > 0 {
-			m := len(t.scratch)
-			t.scratch = append(t.scratch, v)
-			return t.scratch[m : m+1 : m+1], nil
-		}
-		return []value.Value{v}, nil
+		return t.callBuiltin(name, b, args)
 	}
 	return nil, fmt.Errorf("interp: undefined function %s", name)
+}
+
+// Call invokes callee index i of the program (see Callees): its user
+// function when the program defines one, whose malformed IR fails here
+// with its compile error, and otherwise the Env's builtin of that name. A
+// name bound to neither fails only when it is called.
+func (t *Thread) Call(i int, args []value.Value) ([]value.Value, error) {
+	env := t.Env
+	if fc := env.code.fns[i]; fc != nil {
+		return t.runFunc(fc, args)
+	}
+	if err := env.code.errs[i]; err != nil {
+		return nil, err
+	}
+	if b := env.builtins[i]; b != nil {
+		return t.callBuiltin(env.code.callees[i], b, args)
+	}
+	return nil, fmt.Errorf("interp: undefined function %s", env.code.callees[i])
+}
+
+// callBuiltin runs builtin b, charging its cost; inside a call bracket its
+// single result is carved from the arena.
+func (t *Thread) callBuiltin(name string, b BuiltinFn, args []value.Value) ([]value.Value, error) {
+	if t.Tracer != nil {
+		t.Tracer.TraceBuiltin(t.ID, name, args)
+	}
+	v, cost, err := b(args)
+	t.Cost += cost
+	if err != nil {
+		return nil, err
+	}
+	if t.brackets > 0 {
+		m := len(t.scratch)
+		t.scratch = append(t.scratch, v)
+		return t.scratch[m : m+1 : m+1], nil
+	}
+	return []value.Value{v}, nil
 }
 
 // Exec runs function f with the given arguments, returning its results
@@ -260,10 +298,23 @@ func (t *Thread) CallByName(name string, args []value.Value) ([]value.Value, err
 // was compiled to (see compile.go); malformed IR fails here, before any of
 // f executes.
 func (t *Thread) Exec(f *ir.Func, args []value.Value) ([]value.Value, error) {
-	fc, err := codeFor(t.Env.Prog, f)
-	if err != nil {
-		return nil, err
+	pc := t.Env.code
+	if i, ok := pc.index[f.Name]; ok {
+		if fc := pc.fns[i]; fc != nil {
+			return t.runFunc(fc, args)
+		}
+		if err := pc.errs[i]; err != nil {
+			return nil, err
+		}
 	}
+	return nil, fmt.Errorf("interp: %s is not a function of the program", f.Name)
+}
+
+// runFunc runs a compiled function on a pooled frame. The frame goes back
+// to the pool once the results are copied out; a panicking body abandons
+// its thread, so no deferred cleanup is needed.
+func (t *Thread) runFunc(fc *fnCode, args []value.Value) ([]value.Value, error) {
+	f := fc.f
 	if t.depth >= maxDepth {
 		return nil, fmt.Errorf("interp: call depth exceeded in %s", f.Name)
 	}
@@ -277,23 +328,22 @@ func (t *Thread) Exec(f *ir.Func, args []value.Value) ([]value.Value, error) {
 	locals := buf[:fc.nlocals:fc.nlocals]
 	regs := buf[fc.nlocals:]
 	copy(locals, args)
-	defer func() {
-		fc.pool.Put(bp)
-		t.depth--
-	}()
-	return t.run(fc, regs, locals)
+	rets, err := t.run(fc, regs, locals)
+	fc.pool.Put(bp)
+	t.depth--
+	return rets, err
 }
 
-// execCall performs one call instruction. The argument slice is carved
-// from the thread's scratch arena and popped once the call's results are
-// consumed.
-func (t *Thread) execCall(in *ir.Instr, regs, locals []value.Value) error {
+// execCall performs one call instruction, whose callee index is callee.
+// The argument slice is carved from the thread's scratch arena and popped
+// once the call's results are consumed.
+func (t *Thread) execCall(in *ir.Instr, callee int, regs, locals []value.Value) error {
 	mark := t.ScratchMark()
 	args := t.ScratchSlice(len(in.Args))
 	for i, r := range in.Args {
 		args[i] = regs[r]
 	}
-	err := t.execCallArgs(in, regs, locals, args)
+	err := t.execCallArgs(in, callee, regs, locals, args)
 	t.ScratchRelease(mark)
 	return err
 }
@@ -301,19 +351,19 @@ func (t *Thread) execCall(in *ir.Instr, regs, locals []value.Value) error {
 // execCallArgs finishes a call once its argument slice is built; every
 // result is consumed (copied into regs/locals) before it returns, which is
 // what lets execCall pop the argument arena afterwards.
-func (t *Thread) execCallArgs(in *ir.Instr, regs, locals, args []value.Value) error {
+func (t *Thread) execCallArgs(in *ir.Instr, callee int, regs, locals, args []value.Value) error {
 	var rets []value.Value
 	var err error
 	if t.Interceptor == nil {
-		rets, err = t.CallByName(in.Name, args)
+		rets, err = t.Call(callee, args)
 	} else {
 		if t.invokeFn == nil {
-			t.invokeFn = func() ([]value.Value, error) { return t.CallByName(t.curIn.Name, t.curArgs) }
+			t.invokeFn = func() ([]value.Value, error) { return t.Call(t.curCallee, t.curArgs) }
 		}
-		savedIn, savedArgs := t.curIn, t.curArgs
-		t.curIn, t.curArgs = in, args
-		rets, err = t.Interceptor(t, in, args, t.invokeFn)
-		t.curIn, t.curArgs = savedIn, savedArgs
+		savedCallee, savedArgs := t.curCallee, t.curArgs
+		t.curCallee, t.curArgs = callee, args
+		rets, err = t.Interceptor(t, in, callee, args, t.invokeFn)
+		t.curCallee, t.curArgs = savedCallee, savedArgs
 	}
 	if err != nil {
 		return err

@@ -274,7 +274,7 @@ void main() {
 	env := interp.NewEnv(res.Prog, builtinsFor(sink))
 	th := interp.NewThread(env)
 	intercepted := 0
-	th.Interceptor = func(tt *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
+	th.Interceptor = func(tt *interp.Thread, in *ir.Instr, _ int, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
 		if in.Name == "emit" {
 			intercepted++
 		}
