@@ -24,7 +24,7 @@ func (w *World) Clone() *World {
 		c.openFiles[fd] = &cp
 	}
 	c.nextFD = w.nextFD
-	c.bufs = append([][]byte(nil), w.bufs...)
+	c.bufs = append([]buffer(nil), w.bufs...)
 
 	c.seed = w.seed
 
@@ -160,7 +160,7 @@ func (w *World) ObservableState(base Baseline) map[string]string {
 	out["fs.fd.fresh"] = multiset(freshFDs)
 	var freshBufs []string
 	for i := base.Bufs; i < len(w.bufs); i++ {
-		freshBufs = append(freshBufs, fmt.Sprintf("len:%d", len(w.bufs[i])))
+		freshBufs = append(freshBufs, fmt.Sprintf("len:%d", w.bufs[i].len()))
 	}
 	out["fs.buf.fresh"] = multiset(freshBufs)
 

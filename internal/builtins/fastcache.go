@@ -3,18 +3,20 @@ package builtins
 import "sync"
 
 // Substrate memoization. Substrate contents are deterministic functions of
-// their generation parameters (AddFile data from the file index,
-// transaction rows from a fixed seed, matrices from the handle and state
+// their generation parameters (file contents of the file index,
+// transaction rows of a fixed seed, matrices of the handle and state
 // count), and several heavy builtins are pure functions of immutable
 // inputs (md5_buf, hmm_score, burn). Worlds therefore share generated data
 // and memoize those results across runs and campaign cells — virtual cost
-// accounting is untouched, only redundant host work disappears. Matrices
-// are never stored: their scores are derived from the handle (hmm.go), so
-// only their observable-state renderings are memoized.
+// accounting is untouched, only redundant host work disappears. File
+// contents and matrices are never stored: file bytes are generated when
+// read (world.go), so md5_buf's digest is memoized by file range, and
+// matrix scores are derived from the handle (hmm.go), so only their
+// observable-state renderings are memoized.
 //
-// All cached data is immutable by construction: file data and transaction
-// rows are never written after creation (the substrate's only mutating
-// operations replace whole handles or write distinct state). Caches are
+// All cached data is immutable by construction: transaction rows are never
+// written after creation (the substrate's only mutating operations replace
+// whole handles or write distinct state). Caches are
 // guarded by one mutex — campaign cells on host-parallel runs share them
 // safely — and reset when they outgrow fastCacheCap so long campaigns
 // cannot accumulate unbounded memory.
@@ -23,9 +25,8 @@ const fastCacheCap = 1 << 14
 
 var (
 	fastMu     sync.Mutex
-	fileMemo   memo[fileKey, []byte]
 	txnMemo    memo[txnKey, [][]int64]
-	md5Memo    memo[bufKey, string]
+	md5Memo    memo[fileRange, string]
 	scoreMemo  memo[scoreKey, int64]
 	burnMemo   memo[int64, int64]
 	renderMemo memo[matKey, string]
@@ -61,11 +62,6 @@ func (c *memo[K, V]) get(key K, gen func() V) V {
 	return v
 }
 
-type fileKey struct {
-	idx  int
-	size int
-}
-
 type matKey struct {
 	h int64
 	n int
@@ -73,14 +69,6 @@ type matKey struct {
 
 type txnKey struct {
 	rows, items, rowLen int
-}
-
-// bufKey identifies a byte buffer by backing-array identity. The pointer
-// in the key keeps the buffer reachable, so an address can never be reused
-// by a different live buffer while its entry is cached.
-type bufKey struct {
-	p *byte
-	n int
 }
 
 // scoreKey content-addresses an hmm_score result: the sequence by a
@@ -94,21 +82,11 @@ type scoreKey struct {
 	states  int
 }
 
-// cachedMD5 memoizes the digest of an immutable buffer by backing-array
-// identity (file contents are shared across worlds, so the same arrays
-// recur all campaign long). An empty buffer has no array to key by.
-func cachedMD5(b []byte, gen func() string) string {
-	if len(b) == 0 {
-		return gen()
-	}
-	return md5Memo.get(bufKey{&b[0], len(b)}, gen)
-}
-
 // ResetFastCaches drops every substrate memo. The host-time benchmark
 // calls it before each operation so every operation starts cold.
 func ResetFastCaches() {
 	fastMu.Lock()
-	fileMemo.m, txnMemo.m, md5Memo.m = nil, nil, nil
+	txnMemo.m, md5Memo.m = nil, nil
 	scoreMemo.m, burnMemo.m, renderMemo.m = nil, nil, nil
 	fastMu.Unlock()
 }

@@ -66,8 +66,7 @@ func registerHMM() {
 			for i := range seq {
 				seq[i] = byte(w.nextSeed() % hmmAlphabet)
 			}
-			w.bufs = append(w.bufs, seq)
-			return value.Int(int64(len(w.bufs) - 1)), 30 + 12*n, nil
+			return value.Int(w.addBuf(buffer{data: seq})), 30 + 12*n, nil
 		})
 
 	// matrix_alloc allocates an n-state scoring matrix from the shared

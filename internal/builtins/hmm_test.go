@@ -54,8 +54,7 @@ var (
 func TestHMMScoreMatchesStoredMatrix(t *testing.T) {
 	w := NewWorld()
 	w.Seed(17)
-	empty := value.Int(int64(len(w.bufs)))
-	w.bufs = append(w.bufs, nil)
+	empty := value.Int(w.addBuf(buffer{}))
 	for i := 0; i < 1000; i++ {
 		seq := empty
 		if n := i % 100; n > 0 {
@@ -66,7 +65,7 @@ func TestHMMScoreMatchesStoredMatrix(t *testing.T) {
 			w.nextMat = h
 			mat := call(t, w, "matrix_alloc", value.Int(int64(n)))
 			got := call(t, w, "hmm_score", seq, mat).AsInt()
-			if want := refScore(w.bufs[seq.AsInt()], refMatrix(h, n)); got != want {
+			if want := refScore(w.bufs[seq.AsInt()].data, refMatrix(h, n)); got != want {
 				t.Fatalf("sequence %d, matrix %d with %d states: hmm_score = %d, stored matrix scores %d",
 					i, h, n, got, want)
 			}
@@ -114,7 +113,7 @@ func TestMatrixRenderingMatchesStoredMatrix(t *testing.T) {
 // they are sized, a score allocates nothing.
 func TestViterbiAllocFree(t *testing.T) {
 	w := NewWorld()
-	seq := w.bufs[call(t, w, "seq_gen", value.Int(48)).AsInt()]
+	seq := w.bufs[call(t, w, "seq_gen", value.Int(48)).AsInt()].data
 	w.viterbi(seq, 1, 100)
 	if n := testing.AllocsPerRun(100, func() { w.viterbi(seq, 1, 100) }); n != 0 {
 		t.Errorf("viterbi allocates %v times per score", n)

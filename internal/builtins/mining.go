@@ -57,8 +57,7 @@ func registerMining() {
 			for _, it := range row {
 				ids = append(ids, byte(it))
 			}
-			w.bufs = append(w.bufs, ids)
-			return value.Int(int64(len(w.bufs) - 1)), 120 + int64(len(row)), nil
+			return value.Int(w.addBuf(buffer{data: ids})), 120 + int64(len(row)), nil
 		})
 	register("row_len", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
 		func(w *World, args []value.Value) (value.Value, int64, error) {

@@ -72,8 +72,9 @@ type World struct {
 	openFiles map[int64]*file
 	nextFD    int64
 
-	// Byte buffers (file contents read into memory).
-	bufs [][]byte
+	// Byte buffers (file contents read into memory, generated sequences,
+	// transaction rows).
+	bufs []buffer
 
 	// RNG: one shared seed, as in the paper's benchmarks.
 	seed uint64
@@ -136,10 +137,36 @@ type World struct {
 	logLines []string
 }
 
+// file is one synthetic file: its contents are generated from its index
+// (see fileStream) whenever they are read, so a file stores only its size.
 type file struct {
 	name string
-	data []byte
+	idx  int
+	size int
 	pos  int
+}
+
+// fileRange names the bytes [lo, hi) of the contents of file idx.
+type fileRange struct{ idx, lo, hi int }
+
+// buffer is one buffer handle. A buffer read from a file holds its file
+// range (src.hi > src.lo) and no bytes: md5_buf and buf_len read the range
+// itself, and any other reader generates the bytes into data once, on
+// first use.
+type buffer struct {
+	data []byte
+	src  fileRange
+}
+
+// fromFile reports whether the buffer names a (non-empty) file range.
+func (b *buffer) fromFile() bool { return b.src.hi > b.src.lo }
+
+// len returns the buffer's length in bytes.
+func (b *buffer) len() int {
+	if b.fromFile() {
+		return b.src.hi - b.src.lo
+	}
+	return len(b.data)
 }
 
 type emNode struct {
@@ -343,29 +370,79 @@ func registerCore() {
 // --- filesystem ---
 
 // AddFile installs a synthetic file. Content is derived deterministically
-// from the file index so workloads are reproducible (and worlds can share
-// one generated copy — file data is never written).
+// from the file index so workloads are reproducible; it is generated when
+// read, never stored with the file.
 func (w *World) AddFile(name string, size int) {
-	idx := len(w.files)
-	data := fileMemo.get(fileKey{idx, size}, func() []byte {
-		data := make([]byte, size)
-		h := uint64(idx)*0x9e3779b97f4a7c15 + 0xabcdef
-		for i := 0; i < size; i += 8 {
-			h = h*6364136223846793005 + 1442695040888963407
-			binary.LittleEndian.PutUint64(pad(data, i), h)
-		}
-		return data
-	})
-	w.files = append(w.files, file{name: name, data: data})
+	w.files = append(w.files, file{name: name, idx: len(w.files), size: size})
 }
 
-func pad(b []byte, i int) []byte {
-	if i+8 <= len(b) {
-		return b[i : i+8]
+// The file content generator: word k (bytes 8k to 8k+7, little-endian) of
+// file idx is the state of a linear congruential generator seeded with
+// idx·fileSeedMul + fileSeedAdd after k+1 steps.
+const (
+	fileSeedMul = 0x9e3779b97f4a7c15
+	fileSeedAdd = 0xabcdef
+	fileLCGMul  = 6364136223846793005
+	fileLCGInc  = 1442695040888963407
+)
+
+// fileStream reads the generated contents of one file from an offset. h
+// is the word holding byte pos-1 (the seed before the first word), so the
+// stream steps the generator exactly once per word it enters.
+type fileStream struct {
+	h   uint64
+	pos int
+}
+
+// newFileStream starts a stream at byte off of file idx.
+func newFileStream(idx, off int) *fileStream {
+	s := &fileStream{h: uint64(idx)*fileSeedMul + fileSeedAdd, pos: off}
+	words := (off + 7) / 8 // the words before off, and off's own when off is inside it
+	for k := 0; k < words; k++ {
+		s.h = s.h*fileLCGMul + fileLCGInc
 	}
-	tmp := make([]byte, 8)
-	copy(tmp, b[i:])
-	return tmp
+	return s
+}
+
+// read fills dst with the next len(dst) bytes.
+func (s *fileStream) read(dst []byte) {
+	n := 0
+	for ; n < len(dst) && s.pos%8 != 0; n++ { // rest of a partly read word
+		dst[n] = byte(s.h >> (8 * (s.pos % 8)))
+		s.pos++
+	}
+	for ; n+8 <= len(dst); n += 8 {
+		s.h = s.h*fileLCGMul + fileLCGInc
+		binary.LittleEndian.PutUint64(dst[n:], s.h)
+		s.pos += 8
+	}
+	for ; n < len(dst); n++ {
+		if s.pos%8 == 0 {
+			s.h = s.h*fileLCGMul + fileLCGInc
+		}
+		dst[n] = byte(s.h >> (8 * (s.pos % 8)))
+		s.pos++
+	}
+}
+
+// md5Chunk is the number of generated bytes md5_buf hashes at a time.
+const md5Chunk = 1024
+
+// md5Range returns the hex MD5 digest of a file range, streaming its
+// generated bytes through the hash, memoized by the range.
+func md5Range(r fileRange) string {
+	return md5Memo.get(r, func() string {
+		h := md5.New()
+		var chunk [md5Chunk]byte
+		s := newFileStream(r.idx, r.lo)
+		for n := r.hi - r.lo; n > 0; {
+			m := min(n, md5Chunk)
+			s.read(chunk[:m])
+			h.Write(chunk[:m])
+			n -= m
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	})
 }
 
 // NumFiles reports how many files the world holds.
@@ -387,7 +464,7 @@ func registerFS() {
 			fd := w.nextFD
 			w.nextFD++
 			f := w.files[i]
-			w.openFiles[fd] = &file{name: f.name, data: f.data}
+			w.openFiles[fd] = &file{name: f.name, idx: f.idx, size: f.size}
 			return value.Int(fd), 120, nil
 		})
 	register("fname", []ast.Type{ast.TInt}, ast.TString, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
@@ -405,10 +482,9 @@ func registerFS() {
 			if f == nil {
 				return value.Value{}, 0, errArg("fread_all", "bad fd")
 			}
-			buf := f.data[f.pos:]
-			f.pos = len(f.data)
-			w.bufs = append(w.bufs, buf)
-			return value.Int(int64(len(w.bufs) - 1)), 60 + int64(len(buf))/64, nil
+			r := fileRange{idx: f.idx, lo: f.pos, hi: f.size}
+			f.pos = f.size
+			return value.Int(w.addBuf(buffer{src: r})), 60 + int64(r.hi-r.lo)/64, nil
 		})
 	register("fclose", []ast.Type{ast.TInt}, ast.TVoid, rw("fs.table", "fs.file"),
 		func(w *World, args []value.Value) (value.Value, int64, error) {
@@ -427,33 +503,57 @@ func registerFS() {
 		})
 	register("buf_len", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
 		func(w *World, args []value.Value) (value.Value, int64, error) {
-			b, err := w.buf(args[0].AsInt())
+			b, err := w.handle(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
 			}
-			return value.Int(int64(len(b))), 2, nil
+			return value.Int(int64(b.len())), 2, nil
 		})
 	// md5_buf computes the real MD5 digest of a buffer; cost scales with
 	// size like the real computation.
 	register("md5_buf", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
 		func(w *World, args []value.Value) (value.Value, int64, error) {
-			b, err := w.buf(args[0].AsInt())
+			b, err := w.handle(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
 			}
-			digest := cachedMD5(b, func() string {
-				sum := md5.Sum(b)
-				return fmt.Sprintf("%x", sum[:])
-			})
-			return value.Str(digest), 200 + int64(len(b)), nil
+			var digest string
+			if b.fromFile() {
+				digest = md5Range(b.src)
+			} else {
+				sum := md5.Sum(b.data)
+				digest = fmt.Sprintf("%x", sum[:])
+			}
+			return value.Str(digest), 200 + int64(b.len()), nil
 		})
 }
 
-func (w *World) buf(h int64) ([]byte, error) {
+// addBuf installs a buffer and returns its handle.
+func (w *World) addBuf(b buffer) int64 {
+	w.bufs = append(w.bufs, b)
+	return int64(len(w.bufs) - 1)
+}
+
+// handle returns buffer h without generating a file range's bytes.
+func (w *World) handle(h int64) (*buffer, error) {
 	if h < 0 || h >= int64(len(w.bufs)) {
 		return nil, errArg("buffer", "bad handle")
 	}
-	return w.bufs[h], nil
+	return &w.bufs[h], nil
+}
+
+// buf returns the bytes of buffer h, generating a file range's bytes on
+// first use.
+func (w *World) buf(h int64) ([]byte, error) {
+	b, err := w.handle(h)
+	if err != nil {
+		return nil, err
+	}
+	if b.fromFile() && b.data == nil {
+		b.data = make([]byte, b.len())
+		newFileStream(b.src.idx, b.src.lo).read(b.data)
+	}
+	return b.data, nil
 }
 
 // LogLines exposes output-file lines for validation.
