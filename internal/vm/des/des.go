@@ -982,7 +982,12 @@ func (s *Scheduler) take(t *Thread, from int64, q *Queue, max int) (taken []any,
 		}
 		ready = maxI64(ready, it.ready)
 	}
-	q.items = q.items[n:]
+	// Compact in place, so the backing array is reused as tokens flow
+	// instead of reallocating behind a resliced head; the vacated slots
+	// are cleared so they do not keep popped tokens alive.
+	rest := copy(q.items, q.items[n:])
+	clear(q.items[rest:])
+	q.items = q.items[:rest]
 	if s.Probe != nil {
 		s.Probe.QueuePopped(t.ID, q.Name, seqs)
 	}

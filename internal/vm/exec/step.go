@@ -620,18 +620,24 @@ type tmEntry struct {
 
 // tmLog is a bounded log of recent commits used to model optimistic
 // conflicts: a transaction aborts once for every overlapping committed
-// transaction touching one of its sets.
+// transaction touching one of its sets. Once full it is a ring of the
+// last tmLogCap commits (the conflict count does not depend on their
+// order).
 type tmLog struct {
 	entries []tmEntry
+	next    int // ring slot the next commit overwrites once full
 }
 
 const tmLogCap = 512
 
 func (l *tmLog) record(sets []*types.Set, start, end int64) {
-	l.entries = append(l.entries, tmEntry{sets: sets, start: start, end: end})
-	if len(l.entries) > tmLogCap {
-		l.entries = l.entries[len(l.entries)-tmLogCap:]
+	e := tmEntry{sets: sets, start: start, end: end}
+	if len(l.entries) < tmLogCap {
+		l.entries = append(l.entries, e)
+		return
 	}
+	l.entries[l.next] = e
+	l.next = (l.next + 1) % tmLogCap
 }
 
 func (l *tmLog) conflicts(sets []*types.Set, start, end int64) int {
