@@ -36,7 +36,8 @@ import (
 //     service pool worker leaves the pool, whose survivors absorb its
 //     share.
 //   - Without Config.Recovery there is no supervisor: every crash is a
-//     permanent death that fails the run, with no restart and no salvage.
+//     permanent death that fails the run, with no restart and no salvage,
+//     so no checkpoint is taken either.
 //
 // One supervisor handles every worker kind — DOALL workers, pipeline
 // stages and service pool workers: crash records the death, escalates it
@@ -190,9 +191,11 @@ func (m *machine) crashAt(role string) (bool, bool) {
 }
 
 // checkpointing reports whether the checkpoint layer is active. Snapshots
-// are only taken (and charged) when a crash plan is armed, so crash-free
-// runs keep their exact legacy timings.
-func (m *machine) checkpointing() bool { return m.cfg.CrashCheck != nil }
+// are only taken (and charged) when a crash plan is armed with Recovery:
+// crash-free runs keep their exact legacy timings, and without Recovery
+// every crash is a permanent death that restores nothing. Crash ticks
+// (crashAt) fire whenever a crash plan is armed.
+func (m *machine) checkpointing() bool { return m.cfg.CrashCheck != nil && m.resilient() }
 
 // snapshotFrame copies a frame exactly, including the shared-source
 // register tags (unlike clone, which resets them for a fresh worker).

@@ -431,6 +431,42 @@ func TestCrashCheckpointTimingGated(t *testing.T) {
 	}
 }
 
+// TestNoCheckpointsWithoutRecovery: without Recovery a crash restores
+// nothing, so arming a crash plan takes and charges no checkpoint. With a
+// CrashCheck that never fires, each schedule's makespan equals the plain
+// run's, and the crash ticks still fire.
+func TestNoCheckpointsWithoutRecovery(t *testing.T) {
+	cases := []struct {
+		src  string
+		kind transform.Kind
+	}{
+		{md5Full, transform.DOALL},
+		{md5Det, transform.PSDSWP},
+		{md5Det, transform.DSWP},
+	}
+	for _, c := range cases {
+		cp := compileFor(t, c.src, 8)
+		plain, _ := cp.parRun(t, c.kind, exec.SyncSpin, 4)
+		cfg := cp.cfg
+		ticks := 0
+		cfg.CrashCheck = func(string) (bool, bool) {
+			ticks++
+			return false, false
+		}
+		cp.w.reset()
+		r, err := exec.Run(cfg, cp.la, cp.sched[c.kind], exec.SyncSpin, 4)
+		if err != nil {
+			t.Fatalf("%v armed: %v", c.kind, err)
+		}
+		if ticks == 0 {
+			t.Errorf("%v armed: no crash tick fired", c.kind)
+		}
+		if r.VirtualTime != plain {
+			t.Errorf("%v armed without Recovery: makespan %d, plain run %d", c.kind, r.VirtualTime, plain)
+		}
+	}
+}
+
 // TestCrashLegacyModeFatal: without a Recovery policy a crash is a
 // permanent death that fails the run — no supervisor, no restart, no
 // salvage — and the run's FailureDiag wraps the CrashError.

@@ -120,8 +120,8 @@ type Config struct {
 	// exactly once per crash tick — one DOALL iteration pass or one
 	// pipeline token — of each worker role, and reports whether the role's
 	// thread dies now and whether the death is permanent (wired to a fault
-	// injector's CrashNow). Arming it also activates the checkpoint layer;
-	// see crash.go for the recovery model.
+	// injector's CrashNow). Arming it together with Recovery also
+	// activates the checkpoint layer; see crash.go for the recovery model.
 	CrashCheck func(role string) (die, permanent bool)
 
 	// Straggle, when set, arms the straggler subsystem: it is called

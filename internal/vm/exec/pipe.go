@@ -540,7 +540,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 	// discarding) its input so upstream producers never block on a full
 	// queue, then forwards exactly one poisoned stop per output queue.
 	for {
-		if !ss.dead && m.checkpointing() {
+		if !ss.dead {
 			if die, perm := m.crashAt(ss.role); die {
 				if !m.stageCrash(th, ss, p, perm) {
 					// A replacement thread takes over this role (and
