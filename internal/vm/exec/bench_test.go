@@ -61,3 +61,38 @@ func BenchmarkResilientRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunCell runs one plain parallel cell per schedule kind at 4
+// threads, each iteration on a fresh world: the stepper, member
+// synchronization and the interceptor's call dispatch without any
+// resilience hook armed.
+func BenchmarkRunCell(b *testing.B) {
+	full := compileFor(b, md5Full, 8)
+	det := compileFor(b, md5Det, 8)
+	cases := []struct {
+		name string
+		cp   *compiled
+		kind transform.Kind
+		mode exec.SyncMode
+	}{
+		{"DOALL-Mutex", full, transform.DOALL, exec.SyncMutex},
+		{"DSWP-Mutex", det, transform.DSWP, exec.SyncMutex},
+		{"PS-DSWP-TM", det, transform.PSDSWP, exec.SyncTM},
+	}
+	for _, c := range cases {
+		sched := c.cp.sched[c.kind]
+		if sched == nil {
+			b.Fatalf("%s: no %v schedule", c.name, c.kind)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := c.cp.cfg
+				cfg.Builtins = (&world{}).builtins()
+				if _, err := exec.Run(cfg, c.cp.la, sched, c.mode, 4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
