@@ -293,26 +293,10 @@ func (t *Thread) callBuiltin(name string, b BuiltinFn, args []value.Value) ([]va
 	return []value.Value{v}, nil
 }
 
-// Exec runs function f with the given arguments, returning its results
-// (regions may return several). f runs as the closure chain its program
-// was compiled to (see compile.go); malformed IR fails here, before any of
-// f executes.
-func (t *Thread) Exec(f *ir.Func, args []value.Value) ([]value.Value, error) {
-	pc := t.Env.code
-	if i, ok := pc.index[f.Name]; ok {
-		if fc := pc.fns[i]; fc != nil {
-			return t.runFunc(fc, args)
-		}
-		if err := pc.errs[i]; err != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("interp: %s is not a function of the program", f.Name)
-}
-
-// runFunc runs a compiled function on a pooled frame. The frame goes back
-// to the pool once the results are copied out; a panicking body abandons
-// its thread, so no deferred cleanup is needed.
+// runFunc runs a compiled function (regions may return several results)
+// on a pooled frame. The frame goes back to the pool once the results are
+// copied out; a panicking body abandons its thread, so no deferred cleanup
+// is needed.
 func (t *Thread) runFunc(fc *fnCode, args []value.Value) ([]value.Value, error) {
 	f := fc.f
 	if t.depth >= maxDepth {
