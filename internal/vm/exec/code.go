@@ -63,19 +63,13 @@ func buildLoopCode(prog *ir.Program, la *pipeline.LoopAnalysis) *loopCode {
 		bin:      make([]interp.BinFn, n),
 		un:       make([]interp.UnFn, n),
 	}
-	gslot := make(map[string]int, len(prog.Globals))
-	for i, g := range prog.Globals {
-		gslot[g.Name] = i
-	}
+	heap := interp.NewHeap(prog)
 	for _, b := range la.Fn.Blocks {
 		for i, in := range b.Instrs {
 			lc.instrPos[in.ID] = instrLoc{block: b.ID, index: i}
 			switch in.Op {
 			case ir.OpLoadGlobal, ir.OpStoreGlobal:
-				lc.gslot[in.ID] = -1
-				if s, ok := gslot[in.Name]; ok {
-					lc.gslot[in.ID] = int32(s)
-				}
+				lc.gslot[in.ID] = int32(heap.SlotOf(in.Name))
 			case ir.OpCall:
 				lc.callee[in.ID] = int32(interp.CalleeIndex(prog, in.Name))
 			case ir.OpBin:
