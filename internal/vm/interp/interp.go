@@ -123,7 +123,8 @@ type Env struct {
 
 // NewEnv creates an execution environment for prog, compiling prog on
 // first use and binding builtins to prog's callee indices once, so calls
-// dispatch without a name lookup. Builtins names the map NewEnv bound.
+// dispatch without a name lookup. Afterwards only CallByName reads
+// Env.Builtins, for a name that no function or call site of prog has.
 func NewEnv(prog *ir.Program, builtins map[string]BuiltinFn) *Env {
 	pc := codeOf(prog)
 	env := &Env{Prog: prog, Globals: NewHeap(prog), Builtins: builtins, code: pc, builtins: make([]BuiltinFn, len(pc.callees))}
