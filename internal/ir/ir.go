@@ -16,6 +16,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/source"
@@ -251,6 +252,19 @@ type Program struct {
 	Funcs   map[string]*Func
 	Order   []string // deterministic function order (source, then regions)
 	Globals []Global
+
+	codeOnce sync.Once
+	code     any
+}
+
+// Code returns the program's executable form, which compile builds from
+// the program on the first call; every later call returns that same value.
+// The program owns it, so it lives exactly as long as the program, and the
+// IR must not be edited once it is built. Concurrent first calls compile
+// once.
+func (p *Program) Code(compile func(*Program) any) any {
+	p.codeOnce.Do(func() { p.code = compile(p) })
+	return p.code
 }
 
 // Func returns the named function or nil.

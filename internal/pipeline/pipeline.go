@@ -8,6 +8,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
@@ -76,6 +77,71 @@ type LoopAnalysis struct {
 	Units *lower.LoopUnits
 	PDG   *pdg.PDG
 	Dep   *depend.Result
+
+	layoutOnce sync.Once
+	layout     *Layout
+}
+
+// Layout is the position tables of an analyzed loop's function that depend
+// only on the loop, by instruction ID: what an executor stepping the loop
+// instruction by instruction needs.
+type Layout struct {
+	// Pos locates each instruction of Fn.
+	Pos []InstrPos
+	// UnitOf maps each instruction to its unit index, Control for the
+	// condition and the post increment, NoUnit outside the loop.
+	UnitOf []int
+	// Units, Cond and Post are the membership sets of the loop's units,
+	// its condition and its post increment.
+	Units      [][]bool
+	Cond, Post []bool
+	// Exit is the loop's exit block, or -1 when it has none.
+	Exit int
+}
+
+// InstrPos locates one instruction: its block ID and its index there.
+type InstrPos struct{ Block, Index int }
+
+// UnitOf values of Layout that are not unit indices.
+const (
+	Control = -1 // the loop condition and post increment
+	NoUnit  = -2 // instructions outside the loop
+)
+
+// Layout returns the loop's layout, building it on first use. The loop
+// analysis owns it, so it lives exactly as long as the analysis; analyses
+// that never execute never build it.
+func (la *LoopAnalysis) Layout() *Layout {
+	la.layoutOnce.Do(func() { la.layout = newLayout(la) })
+	return la.layout
+}
+
+func newLayout(la *LoopAnalysis) *Layout {
+	n := la.Fn.NumInstrs()
+	l := &Layout{Pos: make([]InstrPos, n), UnitOf: make([]int, n), Exit: -1}
+	for _, b := range la.Fn.Blocks {
+		for i, in := range b.Instrs {
+			l.Pos[in.ID] = InstrPos{Block: b.ID, Index: i}
+			l.UnitOf[in.ID] = NoUnit
+		}
+	}
+	set := func(instrs []*ir.Instr, unit int) []bool {
+		s := make([]bool, n)
+		for _, in := range instrs {
+			s[in.ID] = true
+			l.UnitOf[in.ID] = unit
+		}
+		return s
+	}
+	l.Units = make([][]bool, len(la.Units.Units))
+	for ui, instrs := range la.Units.Units {
+		l.Units[ui] = set(instrs, ui)
+	}
+	l.Cond, l.Post = set(la.Units.Cond, Control), set(la.Units.Post, Control)
+	if len(la.Loop.Exits) > 0 {
+		l.Exit = la.Loop.Exits[0]
+	}
+	return l
 }
 
 // AnalyzeLoop builds and annotates the PDG for the loop with the given

@@ -10,7 +10,7 @@ import (
 // runCond evaluates the loop condition group on the stepper's frame and
 // reports whether the loop should exit.
 func (m *machine) runCond(st *stepper) (bool, error) {
-	s, err := st.runGroup(m.la.Units.Cond, m.code.cond)
+	s, err := st.runGroup(m.la.Units.Cond, m.lay.Cond)
 	if err != nil {
 		return false, err
 	}

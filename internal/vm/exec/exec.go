@@ -351,7 +351,10 @@ func Run(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode 
 		cfg.Auto = nil
 	}
 
-	m := newMachine(cfg, la, sched, mode)
+	m, err := newMachine(cfg, la, sched, mode)
+	if err != nil {
+		return nil, err
+	}
 	makespan, err := m.simulate(func(th *des.Thread, fr *frame) error {
 		switch sched.Kind {
 		case transform.DOALL:
@@ -411,9 +414,11 @@ type machine struct {
 	// private slots); sched.SharedSlots lists the slots that have one.
 	cellAt []*sharedCell
 
-	// code holds main's resolved instruction tables, and calls every
-	// callee's resolved metadata for this run, by callee index.
-	code  *loopCode
+	// lay is the loop's layout, steps main's compiled instructions (both
+	// by instruction ID), and calls every callee's resolved metadata for
+	// this run, by callee index.
+	lay   *pipeline.Layout
+	steps *interp.Steps
 	calls []callInfo
 
 	// reread marks, by instruction ID, the loads of main that feed a
@@ -462,14 +467,6 @@ func (m *machine) fail(role string, err error) {
 // failed reports whether an unrecoverable fault has been recorded.
 func (m *machine) failed() bool { return m.failDiag != nil }
 
-type instrLoc struct {
-	block int
-	index int
-}
-
-// noUnit marks instructions outside the parallelized loop in unitOf.
-const noUnit = -2
-
 // callInfo is one callee's resolved metadata for a run (see
 // resolveCalls): its name, whether it is a commutative member, a builtin or
 // an effectful builtin (Config.Effectful), the rank-ordered lock sets a
@@ -487,17 +484,25 @@ type callInfo struct {
 
 // newMachine builds the run's machine: the simulator with the config's
 // watchdog and sanitizer probe, one lock per commset, the shared cells,
-// main's resolved tables and every callee's resolved call metadata.
-func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode) *machine {
+// main's compiled instructions, the loop's layout and every callee's
+// resolved call metadata. It fails with main's compile error when main's
+// IR is malformed.
+func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode) (*machine, error) {
+	env := interp.NewEnv(cfg.Prog, cfg.Builtins)
+	steps, err := env.Steps(la.Fn.Name)
+	if err != nil {
+		return nil, err
+	}
 	m := &machine{
 		cfg:   cfg,
 		la:    la,
 		sched: sched,
 		mode:  mode,
 		sim:   des.New(cfg.Cost),
-		env:   interp.NewEnv(cfg.Prog, cfg.Builtins),
+		env:   env,
 		locks: map[*types.Set]*des.Lock{},
-		code:  loopCodeOf(cfg.Prog, la),
+		lay:   la.Layout(),
+		steps: steps,
 	}
 	m.sim.Watchdog = cfg.Watchdog
 	if cfg.Sanitize != nil {
@@ -519,20 +524,18 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 		m.reread = make([]bool, la.Fn.NumInstrs())
 		for _, b := range la.Fn.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
+				if in.Op != ir.OpCall || !m.calls[steps.Callee(in.ID)].member {
 					continue
 				}
-				if i := m.code.callee[in.ID]; i >= 0 && m.calls[i].member {
-					for _, ld := range b.ArgLoads(in) {
-						if ld != nil {
-							m.reread[ld.ID] = true
-						}
+				for _, ld := range b.ArgLoads(in) {
+					if ld != nil {
+						m.reread[ld.ID] = true
 					}
 				}
 			}
 		}
 	}
-	return m
+	return m, nil
 }
 
 // isShared reports whether the slot is promoted to a shared cell.
@@ -579,8 +582,8 @@ func (m *machine) runMain(th *des.Thread, loop func(th *des.Thread, fr *frame) e
 	for _, slot := range m.sched.SharedSlots {
 		fr.locals[slot] = m.cellAt[slot].v
 	}
-	if m.code.exitBlock < 0 {
+	if m.lay.Exit < 0 {
 		return nil
 	}
-	return st.runBlocks(m.code.exitBlock, -1)
+	return st.runBlocks(m.lay.Exit, -1)
 }

@@ -294,11 +294,11 @@ func (m *machine) flowForward() []map[int]bool {
 		if !isSlot || e.LoopCarried || e.Kind != pdg.DepFlow || shared[slot] {
 			continue
 		}
-		if e.From >= len(m.code.unitOf) || e.To >= len(m.code.unitOf) {
+		if e.From >= len(m.lay.UnitOf) || e.To >= len(m.lay.UnitOf) {
 			continue
 		}
-		u1 := m.code.unitOf[e.From]
-		u2 := m.code.unitOf[e.To]
+		u1 := m.lay.UnitOf[e.From]
+		u2 := m.lay.UnitOf[e.To]
 		if u1 < 0 || u2 < 0 {
 			continue
 		}

@@ -521,7 +521,10 @@ func RunService(cfg Config, svc ServiceConfig, la *pipeline.LoopAnalysis, sched 
 		cfg.Tune.Batch = 1
 	}
 
-	m := newMachine(cfg, la, sched, mode)
+	m, err := newMachine(cfg, la, sched, mode)
+	if err != nil {
+		return nil, err
+	}
 	sv := newSvcState(&svc, threads, sched.Kind == transform.DOALL)
 	m.svc = sv
 	m.sim.DiagNote = sv.admissionState

@@ -306,15 +306,14 @@ type stop struct {
 }
 
 // exec runs instructions starting at `start` while inSet admits them.
+// Main compiled, so every block ends in its terminator and every branch
+// targets a block of main.
 func (st *stepper) exec(start *ir.Instr, inSet func(*ir.Instr) bool) (stop, error) {
-	f := st.m.la.Fn
+	blocks, pos := st.m.la.Fn.Blocks, st.m.lay.Pos
 	cur := start
 	for {
-		if cur == nil {
-			return stop{}, fmt.Errorf("exec: fell off instruction stream in %s", f.Name)
-		}
 		if !inSet(cur) {
-			return stop{next: cur, nextBlk: st.m.code.instrPos[cur.ID].block}, nil
+			return stop{next: cur, nextBlk: pos[cur.ID].Block}, nil
 		}
 		branch, isRet, err := st.stepInstr(cur)
 		if err != nil {
@@ -324,34 +323,21 @@ func (st *stepper) exec(start *ir.Instr, inSet func(*ir.Instr) bool) (stop, erro
 			return stop{ret: true}, nil
 		}
 		if branch >= 0 {
-			blk := f.BlockByID(branch)
-			if len(blk.Instrs) == 0 {
-				return stop{}, fmt.Errorf("exec: branch to empty block b%d", branch)
-			}
-			cur = blk.Instrs[0]
+			cur = blocks[branch].Instrs[0]
 			continue
 		}
-		loc := st.m.code.instrPos[cur.ID]
-		blk := f.BlockByID(loc.block)
-		if loc.index+1 >= len(blk.Instrs) {
-			return stop{}, fmt.Errorf("exec: block b%d missing terminator", loc.block)
-		}
-		cur = blk.Instrs[loc.index+1]
+		p := pos[cur.ID]
+		cur = blocks[p.Block].Instrs[p.Index+1]
 	}
 }
 
 // runBlocks executes from the start of block `from` until entering block
 // `until` (or returning from the function when until is -1).
 func (st *stepper) runBlocks(from, until int) error {
-	f := st.m.la.Fn
-	blk := f.BlockByID(from)
-	if len(blk.Instrs) == 0 {
-		return fmt.Errorf("exec: empty block b%d", from)
-	}
 	inSet := func(in *ir.Instr) bool {
-		return until < 0 || st.m.code.instrPos[in.ID].block != until
+		return until < 0 || st.m.lay.Pos[in.ID].Block != until
 	}
-	s, err := st.exec(blk.Instrs[0], inSet)
+	s, err := st.exec(st.m.la.Fn.Blocks[from].Instrs[0], inSet)
 	if err != nil {
 		return err
 	}
@@ -363,7 +349,7 @@ func (st *stepper) runBlocks(from, until int) error {
 
 // runGroup executes one instruction group (a unit, the condition, or the
 // post increment) to completion on the current frame; set is the group's
-// membership set from the loop's tables.
+// membership set from the loop's layout.
 func (st *stepper) runGroup(instrs []*ir.Instr, set []bool) (stop, error) {
 	if len(instrs) == 0 {
 		return stop{}, nil
@@ -373,30 +359,25 @@ func (st *stepper) runGroup(instrs []*ir.Instr, set []bool) (stop, error) {
 
 // runUnit executes loop unit u.
 func (st *stepper) runUnit(u int) (stop, error) {
-	return st.runGroup(st.m.la.Units.Units[u], st.m.code.units[u])
+	return st.runGroup(st.m.la.Units.Units[u], st.m.lay.Units[u])
 }
 
 // runPost executes the loop's post increment.
 func (st *stepper) runPost() (stop, error) {
-	return st.runGroup(st.m.la.Units.Post, st.m.code.post)
+	return st.runGroup(st.m.la.Units.Post, st.m.lay.Post)
 }
 
 // stepInstr executes one instruction. It returns the branch target block
-// (-1 when falling through) and whether an OpRet executed.
+// (-1 when falling through) and whether an OpRet executed. The stepper
+// owns the per-instruction charge, shared-cell loads and stores, calls,
+// branches and return; every other instruction runs as main's compiled
+// closure, once the register it defines drops its shared-cell tag.
 func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error) {
 	st.th.Charge(interp.CostPerInstr)
 	fr := st.fr
-	clearTag := func(dst int) {
-		if dst >= 0 {
-			fr.sharedSrc[dst] = 0
-		}
-	}
 	switch in.Op {
-	case ir.OpConst:
-		clearTag(in.Dst)
-		fr.regs[in.Dst] = in.Val
 	case ir.OpLoadLocal:
-		clearTag(in.Dst)
+		fr.sharedSrc[in.Dst] = 0
 		if st.sharedActive && st.m.isShared(in.Slot) {
 			// A member call re-reads its argument's cell under its locks
 			// and discards this value, so the sanitizer sees that read.
@@ -405,8 +386,7 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 			}
 			fr.regs[in.Dst] = st.m.cellAt[in.Slot].v
 			fr.sharedSrc[in.Dst] = in.Slot + 1
-		} else {
-			fr.regs[in.Dst] = fr.locals[in.Slot]
+			return -1, false, nil
 		}
 	case ir.OpStoreLocal:
 		if st.sharedActive && st.m.isShared(in.Slot) {
@@ -415,48 +395,15 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 				mon.Cell(st.th.ID, in.Slot, true)
 			}
 			st.m.cellAt[in.Slot].v = fr.regs[in.A]
-		} else {
-			fr.locals[in.Slot] = fr.regs[in.A]
+			return -1, false, nil
 		}
-	case ir.OpLoadGlobal:
-		clearTag(in.Dst)
-		if mon := st.m.cfg.Sanitize; mon != nil {
-			mon.TraceGlobal(st.th.ID, in.Name, false)
-		}
-		gs := st.m.code.gslot[in.ID]
-		if gs < 0 {
-			return 0, false, fmt.Errorf("%s: undeclared global %s", in.Pos, in.Name)
-		}
-		fr.regs[in.Dst] = st.m.env.Globals.GetSlot(int(gs))
-	case ir.OpStoreGlobal:
-		st.it.HeapWrites++
-		if mon := st.m.cfg.Sanitize; mon != nil {
-			mon.TraceGlobal(st.th.ID, in.Name, true)
-		}
-		gs := st.m.code.gslot[in.ID]
-		if gs < 0 {
-			return 0, false, fmt.Errorf("%s: undeclared global %s", in.Pos, in.Name)
-		}
-		st.m.env.Globals.SetSlot(int(gs), fr.regs[in.A])
-	case ir.OpBin:
-		clearTag(in.Dst)
-		v, e := st.m.code.bin[in.ID](fr.regs[in.A], fr.regs[in.B])
-		if e != nil {
-			return 0, false, fmt.Errorf("%s: %v", in.Pos, e)
-		}
-		fr.regs[in.Dst] = v
-	case ir.OpUn:
-		clearTag(in.Dst)
-		v, e := st.m.code.un[in.ID](fr.regs[in.A])
-		if e != nil {
-			return 0, false, fmt.Errorf("%s: %v", in.Pos, e)
-		}
-		fr.regs[in.Dst] = v
+	case ir.OpConst, ir.OpLoadGlobal, ir.OpBin, ir.OpUn:
+		fr.sharedSrc[in.Dst] = 0
 	case ir.OpCall:
-		clearTag(in.Dst)
-		if err := st.execCall(in); err != nil {
-			return 0, false, err
+		if in.Dst >= 0 {
+			fr.sharedSrc[in.Dst] = 0
 		}
+		return -1, false, st.execCall(in)
 	case ir.OpBr:
 		return in.Targets[0], false, nil
 	case ir.OpCondBr:
@@ -467,7 +414,7 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 	case ir.OpRet:
 		return -1, true, nil
 	}
-	return -1, false, nil
+	return -1, false, st.m.steps.Run(st.it, in.ID, fr.regs, fr.locals)
 }
 
 // execCall performs a top-level call in the main frame, applying member
@@ -487,10 +434,7 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 	for i, r := range in.Args {
 		args[i] = fr.regs[r]
 	}
-	callee := int(st.m.code.callee[in.ID])
-	if callee < 0 {
-		return fmt.Errorf("interp: undefined function %s", in.Name)
-	}
+	callee := st.m.steps.Callee(in.ID)
 	ci := &st.m.calls[callee]
 	member := ci.member
 	mon := st.m.cfg.Sanitize

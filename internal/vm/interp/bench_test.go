@@ -52,20 +52,3 @@ func BenchmarkHeapByName(b *testing.B) {
 		h.Set("g", value.Int(v.AsInt()+1))
 	}
 }
-
-// BenchmarkHeapSlot measures the same access pair through the resolved
-// slot index — the representation compiled code uses.
-func BenchmarkHeapSlot(b *testing.B) {
-	res, _ := compile(b, benchSrc)
-	h := interp.NewEnv(res.Prog, nil).Globals
-	slot := h.SlotOf("g")
-	if slot < 0 {
-		b.Fatal("global g has no slot")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := h.GetSlot(slot)
-		h.SetSlot(slot, value.Int(v.AsInt()+1))
-	}
-}

@@ -17,11 +17,12 @@ type instrFn func(t *Thread, regs, locals []value.Value) error
 // Segments end at call instructions (the only observation points a
 // scheduler interceptor can see) and at the block terminator, so the
 // thread's accumulated cost at every observation point is exactly
-// CostPerInstr per executed instruction plus its callees' costs.
+// CostPerInstr per executed instruction plus its callees' costs. Its ops
+// are the closures of instructions tail-len(ops) .. tail-1: IDs run
+// densely in block order.
 type segment struct {
 	cost   int64
-	ops    []instrFn
-	ids    []int     // instruction IDs of ops, for profiling
+	ops    []instrFn // a window of the function's Steps
 	call   *ir.Instr // trailing OpCall, or nil for the terminator segment
 	callee int       // callee index of call
 	tail   int       // instruction ID of the trailing call or terminator
@@ -33,22 +34,45 @@ type blockCode struct {
 	term *ir.Instr // OpBr, OpCondBr, or OpRet; cost folded into last segment
 }
 
+// Steps is one compiled function by instruction ID, for an executor that
+// walks the function's instructions itself (the parallel executor steps
+// main this way): the closure of each straight-line instruction and the
+// callee index of each call.
+type Steps struct {
+	ops     []instrFn // nil at calls and terminators
+	callees []int     // -1 except at calls
+}
+
+// Run executes straight-line instruction id (a Const, LoadLocal,
+// StoreLocal, LoadGlobal, StoreGlobal, Bin or Un) on thread t's frame
+// regs/locals exactly as the interpreter does: a global store counts in
+// t.HeapWrites, a global access reaches t.Tracer, and an operator's error
+// carries the instruction's position. It charges no cost.
+func (s *Steps) Run(t *Thread, id int, regs, locals []value.Value) error {
+	return s.ops[id](t, regs, locals)
+}
+
+// Callee returns the callee index (see Callees) of call instruction id.
+func (s *Steps) Callee(id int) int { return s.callees[id] }
+
 // fnCode is one compiled function.
 type fnCode struct {
 	f       *ir.Func
 	blocks  []blockCode
+	steps   Steps
 	zero    []value.Value // frame template: typed local zeros then zero regs
 	nlocals int
 	pool    sync.Pool // *[]value.Value frames, len == len(zero)
 }
 
-// progCode is one compiled *ir.Program. Every function name and every
-// name a call instruction targets gets a dense callee index, and calls
-// dispatch by that index: fns holds a user function's compiled code, errs
-// the error that rejected a malformed one's IR, and an Env binds its
-// builtins to the remaining indices. The IR is never structurally edited
-// after the pipeline returns, so the compiled form is shared read-only
-// across every Env, thread and campaign cell of the program.
+// progCode is one compiled *ir.Program, kept in the program's code slot
+// (see ir.Program.Code). Every function name and every name a call
+// instruction targets gets a dense callee index, and calls dispatch by
+// that index: fns holds a user function's compiled code, errs the error
+// that rejected a malformed one's IR, and an Env binds its builtins to the
+// remaining indices. The IR is never structurally edited after the
+// pipeline returns, so the compiled form is shared read-only across every
+// Env, thread and campaign cell of the program, and lives as long as it.
 type progCode struct {
 	callees []string       // callee index -> name
 	index   map[string]int // name -> callee index
@@ -56,29 +80,14 @@ type progCode struct {
 	errs    []error
 }
 
-var codeCache sync.Map // *ir.Program -> *progCode
-
 // codeOf returns the compiled form of prog, compiling it on first use.
 func codeOf(prog *ir.Program) *progCode {
-	v, ok := codeCache.Load(prog)
-	if !ok {
-		v, _ = codeCache.LoadOrStore(prog, compileProg(prog))
-	}
-	return v.(*progCode)
+	return prog.Code(func(p *ir.Program) any { return compileProg(p) }).(*progCode)
 }
 
 // Callees returns prog's callee names by callee index. The slice is shared
 // and must not be modified.
 func Callees(prog *ir.Program) []string { return codeOf(prog).callees }
-
-// CalleeIndex returns the callee index of name in prog, or -1 when no
-// function or call instruction of prog names it.
-func CalleeIndex(prog *ir.Program, name string) int {
-	if i, ok := codeOf(prog).index[name]; ok {
-		return i
-	}
-	return -1
-}
 
 func compileProg(prog *ir.Program) *progCode {
 	gslot := make(map[string]int, len(prog.Globals))
@@ -117,14 +126,17 @@ func compileProg(prog *ir.Program) *progCode {
 
 // compileFunc pre-compiles one function. Every block must be a
 // straight-line run ending in its only terminator, stored at the index
-// equal to its ID, with branch targets inside the function.
+// equal to its ID, with branch targets inside the function, and the
+// instruction IDs must run densely in block order (see ir.Func.Renumber).
 func compileFunc(f *ir.Func, gslot, callee map[string]int) (*fnCode, error) {
 	if len(f.Blocks) == 0 {
 		return nil, fmt.Errorf("interp: malformed IR in %s: function has no blocks", f.Name)
 	}
+	n := f.NumInstrs()
 	fc := &fnCode{
 		f:       f,
 		blocks:  make([]blockCode, len(f.Blocks)),
+		steps:   Steps{ops: make([]instrFn, n), callees: make([]int, n)},
 		nlocals: len(f.Locals),
 	}
 	fc.zero = make([]value.Value, len(f.Locals)+f.NumRegs)
@@ -137,6 +149,7 @@ func compileFunc(f *ir.Func, gslot, callee map[string]int) (*fnCode, error) {
 		return &b
 	}
 
+	id := 0 // the ID the next instruction must carry
 	for bi, blk := range f.Blocks {
 		malformed := func(format string, args ...any) error {
 			return fmt.Errorf("interp: malformed IR in %s b%d: %s", f.Name, blk.ID, fmt.Sprintf(format, args...))
@@ -155,32 +168,37 @@ func compileFunc(f *ir.Func, gslot, callee map[string]int) (*fnCode, error) {
 		}
 		bc := &fc.blocks[bi]
 		bc.term = term
-		var seg segment
-		flush := func(call, tail *ir.Instr) {
-			seg.cost = int64(len(seg.ops)+1) * CostPerInstr
-			seg.call, seg.tail = call, tail.ID
-			if call != nil {
-				seg.callee = callee[call.Name]
+		first := id // the ID of the current segment's first instruction
+		for _, in := range blk.Instrs {
+			if in.ID != id {
+				return nil, malformed("instruction ID %d, want %d: IDs must run densely in block order", in.ID, id)
 			}
-			bc.segs = append(bc.segs, seg)
-			seg = segment{}
-		}
-		for _, in := range blk.Instrs[:len(blk.Instrs)-1] {
-			if in.IsTerminator() {
+			id++
+			fc.steps.callees[in.ID] = -1
+			if in.IsTerminator() && in != term {
 				return nil, malformed("%s before the end of the block", in.Op)
 			}
-			if in.Op == ir.OpCall {
-				flush(in, in)
+			if in.Op != ir.OpCall && in != term {
+				fn, err := compileOp(in, gslot)
+				if err != nil {
+					return nil, malformed("%v", err)
+				}
+				fc.steps.ops[in.ID] = fn
 				continue
 			}
-			fn, err := compileOp(in, gslot)
-			if err != nil {
-				return nil, malformed("%v", err)
+			// A call or the terminator ends the segment.
+			seg := segment{
+				cost: int64(in.ID-first+1) * CostPerInstr,
+				ops:  fc.steps.ops[first:in.ID:in.ID],
+				tail: in.ID,
 			}
-			seg.ops = append(seg.ops, fn)
-			seg.ids = append(seg.ids, in.ID)
+			if in.Op == ir.OpCall {
+				seg.call, seg.callee = in, callee[in.Name]
+				fc.steps.callees[in.ID] = seg.callee
+			}
+			bc.segs = append(bc.segs, seg)
+			first = in.ID + 1
 		}
-		flush(nil, term) // trailing segment carries the terminator's cost
 	}
 	return fc, nil
 }
@@ -263,7 +281,7 @@ func compileOp(in *ir.Instr, gslot map[string]int) (instrFn, error) {
 // each straight-line instruction, and CostPerInstr plus the callee's cost
 // to the trailing call or terminator.
 func (p *Profile) charge(s *segment, callee int64) {
-	for _, id := range s.ids {
+	for id := s.tail - len(s.ops); id < s.tail; id++ {
 		p.Cost[id] += CostPerInstr
 	}
 	p.Cost[s.tail] += CostPerInstr + callee

@@ -118,3 +118,18 @@ func TestUnboundCalleeFailsWhenCalled(t *testing.T) {
 		t.Errorf("calling unused: err = %v, want undefined function nope", err)
 	}
 }
+
+// TestCallByNameResolvesCalleeNumbering: CallByName reaches a builtin
+// through the program's callee numbering only, so a builtin of the Env
+// that no function or call site of the program names is undefined.
+func TestCallByNameResolvesCalleeNumbering(t *testing.T) {
+	prog := irProg(irFunc("main", 1, irCall(0, "named"), irStore("g", 0), irRet()))
+	seven := func(args []value.Value) (value.Value, int64, error) { return value.Int(7), 1, nil }
+	th := interp.NewThread(interp.NewEnv(prog, map[string]interp.BuiltinFn{"named": seven, "unnamed": seven}))
+	if rets, err := th.CallByName("named", nil); err != nil || len(rets) != 1 || rets[0].AsInt() != 7 {
+		t.Errorf("CallByName(named) = %v, %v; want [7]", rets, err)
+	}
+	if _, err := th.CallByName("unnamed", nil); err == nil || err.Error() != "interp: undefined function unnamed" {
+		t.Errorf("CallByName(unnamed): err = %v, want interp: undefined function unnamed", err)
+	}
+}

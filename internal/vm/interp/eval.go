@@ -7,9 +7,9 @@ import (
 	"repro/internal/vm/value"
 )
 
-// BinFn applies one binary operator. ResolveBin lets compiled code and the
-// executor's stepper resolve the operator spelling once per instruction
-// instead of re-dispatching on the string every execution.
+// BinFn applies one binary operator. ResolveBin lets compiled code resolve
+// the operator spelling once per instruction instead of re-dispatching on
+// the string every execution.
 type BinFn func(a, b value.Value) (value.Value, error)
 
 // UnFn applies one unary operator.
@@ -39,16 +39,11 @@ var unOps = map[string]UnFn{
 	"-": evalNeg,
 }
 
-// EvalBin applies a binary operator to two values. The type checker
-// guarantees operand types, so unexpected combinations indicate compiler
-// bugs and return errors rather than panicking.
-func EvalBin(op string, a, b value.Value) (value.Value, error) {
-	return ResolveBin(op)(a, b)
-}
-
-// ResolveBin returns the function of binary operator op. An unknown
-// operator resolves to a function that reports it as invalid on its left
-// operand's type, the error EvalBin returns.
+// ResolveBin returns the function of binary operator op. The type checker
+// guarantees operand types, so an unexpected combination indicates a
+// compiler bug and the function returns an error rather than panicking;
+// an unknown operator resolves to a function that reports it as invalid
+// on its left operand's type.
 func ResolveBin(op string) BinFn {
 	if f := binOps[op]; f != nil {
 		return f
@@ -210,11 +205,6 @@ func compare(a, b value.Value, ok func(int) bool) (value.Value, error) {
 		return value.Value{}, fmt.Errorf("ordered comparison on %s", a.T)
 	}
 	return value.Bool(ok(c)), nil
-}
-
-// EvalUn applies a unary operator.
-func EvalUn(op string, a value.Value) (value.Value, error) {
-	return ResolveUn(op)(a)
 }
 
 // ResolveUn returns the function of unary operator op; an unknown operator

@@ -54,7 +54,7 @@ void main() {
 }
 
 // TestRuntimeErrorCarriesPosition drives a division by zero through the
-// full lower-then-execute path: EvalBin's error must surface from RunMain
+// full lower-then-execute path: the division's error must surface from RunMain
 // prefixed with the source position of the faulting instruction.
 func TestRuntimeErrorCarriesPosition(t *testing.T) {
 	res, sink := compile(t, `

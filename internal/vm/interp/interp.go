@@ -33,8 +33,8 @@ type BuiltinFn func(args []value.Value) (value.Value, int64, error)
 // serializes thread execution, so no locking is needed.
 //
 // Storage is a dense slice indexed by slot; slots are assigned in program
-// declaration order (so compiled code can resolve a global name to its slot
-// once, at load time, and index the slice directly). The named
+// declaration order (so compiled code resolves a global name to its slot
+// once, at compile time, and indexes the slice directly). The named
 // Get/Set/Snapshot API serves snapshots, tracing, and tests.
 type Heap struct {
 	vals  []value.Value
@@ -78,23 +78,6 @@ func (h *Heap) Set(name string, v value.Value) {
 	h.vals = append(h.vals, v)
 }
 
-// SlotOf returns the slot index of a declared global, or -1.
-func (h *Heap) SlotOf(name string) int {
-	if i, ok := h.idx[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// GetSlot reads the global stored in slot i.
-func (h *Heap) GetSlot(i int) value.Value { return h.vals[i] }
-
-// SetSlot writes the global stored in slot i.
-func (h *Heap) SetSlot(i int, v value.Value) { h.vals[i] = v }
-
-// Len returns the number of global slots.
-func (h *Heap) Len() int { return len(h.vals) }
-
 // Snapshot copies the globals (used by STM validation and tests).
 func (h *Heap) Snapshot() map[string]value.Value {
 	out := make(map[string]value.Value, len(h.vals))
@@ -113,25 +96,37 @@ func (h *Heap) Range(fn func(name string, v value.Value)) {
 
 // Env bundles the immutable program with the mutable shared state.
 type Env struct {
-	Prog     *ir.Program
-	Globals  *Heap
-	Builtins map[string]BuiltinFn
+	Prog    *ir.Program
+	Globals *Heap
 
 	code     *progCode
-	builtins []BuiltinFn // Builtins by callee index, bound by NewEnv
+	builtins []BuiltinFn // the builtins by callee index, bound by NewEnv
 }
 
 // NewEnv creates an execution environment for prog, compiling prog on
 // first use and binding builtins to prog's callee indices once, so calls
-// dispatch without a name lookup. Afterwards only CallByName reads
-// Env.Builtins, for a name that no function or call site of prog has.
+// dispatch without a name lookup. A builtin that no function or call site
+// of prog names is never called.
 func NewEnv(prog *ir.Program, builtins map[string]BuiltinFn) *Env {
 	pc := codeOf(prog)
-	env := &Env{Prog: prog, Globals: NewHeap(prog), Builtins: builtins, code: pc, builtins: make([]BuiltinFn, len(pc.callees))}
+	env := &Env{Prog: prog, Globals: NewHeap(prog), code: pc, builtins: make([]BuiltinFn, len(pc.callees))}
 	for i, name := range pc.callees {
 		env.builtins[i] = builtins[name]
 	}
 	return env
+}
+
+// Steps returns the compiled form of the program's function name, by
+// instruction ID, or the error that rejected its IR.
+func (env *Env) Steps(name string) (*Steps, error) {
+	i, ok := env.code.index[name]
+	switch {
+	case !ok || env.code.fns[i] == nil && env.code.errs[i] == nil:
+		return nil, fmt.Errorf("interp: undefined function %s", name)
+	case env.code.errs[i] != nil:
+		return nil, env.code.errs[i]
+	}
+	return &env.code.fns[i].steps, nil
 }
 
 // Profile accumulates per-instruction virtual cost for one function,
@@ -244,15 +239,14 @@ func (t *Thread) RunMain() error {
 	return err
 }
 
-// CallByName invokes a user function or builtin by name. Compiled calls
-// dispatch by callee index instead (see Call); this is the entry point for
-// callers that hold only a name.
+// CallByName invokes a user function or builtin by name, through the
+// program's callee numbering (see Callees): a name that no function or
+// call site of the program has is undefined. Compiled calls dispatch by
+// callee index instead (see Call); this is the entry point for callers
+// that hold only a name.
 func (t *Thread) CallByName(name string, args []value.Value) ([]value.Value, error) {
 	if i, ok := t.Env.code.index[name]; ok {
 		return t.Call(i, args)
-	}
-	if b := t.Env.Builtins[name]; b != nil {
-		return t.callBuiltin(name, b, args)
 	}
 	return nil, fmt.Errorf("interp: undefined function %s", name)
 }

@@ -77,7 +77,7 @@ func TestEvalBinTable(t *testing.T) {
 		{">=", i(1), i(2), b(false)},
 	}
 	for _, c := range cases {
-		got, err := interp.EvalBin(c.op, c.a, c.c)
+		got, err := interp.ResolveBin(c.op)(c.a, c.c)
 		if err != nil {
 			t.Errorf("%v %s %v: %v", c.a, c.op, c.c, err)
 			continue
@@ -103,7 +103,7 @@ func TestEvalBinErrors(t *testing.T) {
 		{"+", value.Bool(true), value.Bool(false)},
 	}
 	for _, c := range bad {
-		if _, err := interp.EvalBin(c.op, c.a, c.b); err == nil {
+		if _, err := interp.ResolveBin(c.op)(c.a, c.b); err == nil {
 			t.Errorf("%v %s %v: expected error", c.a, c.op, c.b)
 		}
 	}
@@ -112,15 +112,15 @@ func TestEvalBinErrors(t *testing.T) {
 func TestEvalBinIntQuick(t *testing.T) {
 	// Interpreter arithmetic must agree with Go's int64 semantics.
 	f := func(a, b int64) bool {
-		sum, err := interp.EvalBin("+", value.Int(a), value.Int(b))
+		sum, err := interp.ResolveBin("+")(value.Int(a), value.Int(b))
 		if err != nil || sum.AsInt() != a+b {
 			return false
 		}
-		prod, err := interp.EvalBin("*", value.Int(a), value.Int(b))
+		prod, err := interp.ResolveBin("*")(value.Int(a), value.Int(b))
 		if err != nil || prod.AsInt() != a*b {
 			return false
 		}
-		lt, err := interp.EvalBin("<", value.Int(a), value.Int(b))
+		lt, err := interp.ResolveBin("<")(value.Int(a), value.Int(b))
 		if err != nil || lt.AsBool() != (a < b) {
 			return false
 		}
@@ -132,19 +132,19 @@ func TestEvalBinIntQuick(t *testing.T) {
 }
 
 func TestEvalUn(t *testing.T) {
-	if v, _ := interp.EvalUn("-", value.Int(5)); v.AsInt() != -5 {
+	if v, _ := interp.ResolveUn("-")(value.Int(5)); v.AsInt() != -5 {
 		t.Error("unary minus int")
 	}
-	if v, _ := interp.EvalUn("-", value.Float(2.5)); v.AsFloat() != -2.5 {
+	if v, _ := interp.ResolveUn("-")(value.Float(2.5)); v.AsFloat() != -2.5 {
 		t.Error("unary minus float")
 	}
-	if v, _ := interp.EvalUn("!", value.Bool(true)); v.AsBool() {
+	if v, _ := interp.ResolveUn("!")(value.Bool(true)); v.AsBool() {
 		t.Error("not")
 	}
-	if _, err := interp.EvalUn("!", value.Int(1)); err == nil {
+	if _, err := interp.ResolveUn("!")(value.Int(1)); err == nil {
 		t.Error("! on int should error")
 	}
-	if _, err := interp.EvalUn("-", value.Str("x")); err == nil {
+	if _, err := interp.ResolveUn("-")(value.Str("x")); err == nil {
 		t.Error("- on string should error")
 	}
 }
@@ -297,6 +297,7 @@ void main() {
 func TestMalformedIR(t *testing.T) {
 	ret := func() *ir.Instr { return &ir.Instr{Op: ir.OpRet, Dst: -1, A: -1, B: -1} }
 	konst := func() *ir.Instr { return &ir.Instr{Op: ir.OpConst, Dst: 0, A: -1, B: -1, Val: value.Int(1)} }
+	shared := konst() // renumbered twice: its ID ends up 2, out of block order
 	cases := []struct {
 		name   string
 		blocks []*ir.Block
@@ -320,6 +321,12 @@ func TestMalformedIR(t *testing.T) {
 		{"branch to a missing block",
 			[]*ir.Block{{ID: 0, Instrs: []*ir.Instr{{Op: ir.OpBr, Dst: -1, A: -1, B: -1, Targets: [2]int{3}}}}},
 			"bad b0: branch to missing block b3"},
+		{"instruction in two blocks",
+			[]*ir.Block{
+				{ID: 0, Instrs: []*ir.Instr{shared, {Op: ir.OpBr, Dst: -1, A: -1, B: -1, Targets: [2]int{1}}}},
+				{ID: 1, Instrs: []*ir.Instr{shared, ret()}},
+			},
+			"bad b0: instruction ID 2, want 0: IDs must run densely in block order"},
 		{"no blocks", nil, "bad: function has no blocks"},
 	}
 	for _, c := range cases {
