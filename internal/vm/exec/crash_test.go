@@ -532,3 +532,50 @@ func rosterContains(roster []string, name string) bool {
 	}
 	return false
 }
+
+// accDet keeps a running sum in a sequential stage and prints it from a
+// later one, so the sum's slot flows forward on every token while the
+// stage that owns it takes its value from the first token it installs.
+// The loop starts at 1: digest(0) is 0, which would hide a replayed first
+// token that carries the sum after its iteration instead of before.
+const accDet = `
+void main() {
+	int acc = 0;
+	for (int i = 1; i <= 32; i++) {
+		int d = digest(i);
+		acc = acc + d;
+		print_int(acc);
+	}
+	print_int(acc);
+}
+`
+
+// TestStageCrashReplaysUnmodifiedTokens: a stage crash under batched
+// queues replays the tokens popped since the last checkpoint as they
+// arrived, not as the dead incarnation forwarded them, whichever stage
+// dies after whichever token pass.
+func TestStageCrashReplaysUnmodifiedTokens(t *testing.T) {
+	cp := compileFor(t, accDet, 4)
+	_, seqOut := cp.seqRun(t)
+	for _, kind := range []transform.Kind{transform.DSWP, transform.PSDSWP} {
+		sched := cp.sched[kind]
+		if sched == nil {
+			t.Fatalf("no %v schedule", kind)
+		}
+		for _, role := range exec.CrashRoster(sched, 4) {
+			if !strings.HasPrefix(role, "stage") {
+				continue
+			}
+			for after := 1; after <= 4; after++ {
+				cfg, w := cp.crashed(crashPlan(role, after, false), exec.DefaultRecovery())
+				cfg.Tune = transform.Tuning{Batch: 8}
+				if _, err := exec.Run(cfg, cp.la, sched, exec.SyncSpin, 4); err != nil {
+					t.Fatalf("%v %s after=%d: %v", kind, role, after, err)
+				}
+				if strings.Join(w.prints, ",") != strings.Join(seqOut, ",") {
+					t.Errorf("%v %s after=%d: output differs:\npar: %v\nseq: %v", kind, role, after, w.prints, seqOut)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/pdg"
@@ -637,10 +638,16 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			// Forward the incoming snapshot, overlaying only the values
 			// this stage flows to later stages; slots this stage mutates
 			// for its own use keep their snapshot (pre-write) values.
-			locals := make([]value.Value, len(tok.locals))
-			copy(locals, tok.locals)
+			// The consuming stage is the only holder of a popped token's
+			// locals, so the overlay goes onto them in place, except when
+			// checkpointing: the in-flight token log and the checkpoint's
+			// input residue still reference popped tokens, and a replay
+			// after a crash must see them unmodified.
+			if m.checkpointing() {
+				tok.locals = slices.Clone(tok.locals)
+			}
 			for slot := range p.ff[ss.si] {
-				locals[slot] = fr.locals[slot]
+				tok.locals[slot] = fr.locals[slot]
 			}
 			st.flush()
 			var w *qWriter
@@ -649,7 +656,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			} else {
 				w = out[int(tok.iter)%len(out)]
 			}
-			w.push(th, token{iter: tok.iter, arrival: tok.arrival, locals: locals})
+			w.push(th, token{iter: tok.iter, arrival: tok.arrival, locals: tok.locals})
 		}
 		advance()
 		if m.checkpointing() {
