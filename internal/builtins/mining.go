@@ -2,6 +2,7 @@ package builtins
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
@@ -22,16 +23,13 @@ func (w *World) AddTransactions(rows, items, rowLen int) {
 		h := uint64(0xfeedface)
 		for r := 0; r < rows; r++ {
 			row := make([]int64, 0, rowLen)
-			seen := map[int64]bool{}
 			for len(row) < rowLen {
 				h = h*6364136223846793005 + 1442695040888963407
-				it := int64((h >> 17) % uint64(items))
-				if !seen[it] {
-					seen[it] = true
+				if it := int64((h >> 17) % uint64(items)); !slices.Contains(row, it) {
 					row = append(row, it)
 				}
 			}
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+			slices.Sort(row)
 			db = append(db, row)
 		}
 		return db
