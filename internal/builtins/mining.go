@@ -183,14 +183,21 @@ func registerMining() {
 			sa, sb := w.itemsets[a], w.itemsets[b]
 			// Reuse one epoch-stamped scratch map: a per-call allocation
 			// here dominates the host profile on the mining workloads.
+			// Itemsets only grow (iset_insert appends), so a handle and a
+			// length fix an itemset's content, and the map still holds the
+			// last stamped operand when both match: eclat intersects its
+			// frozen base with every candidate.
+			if w.isectEpoch == 0 || a != w.isectSet || len(sa) != w.isectLen {
+				w.isectEpoch++
+				if w.isectSeen == nil {
+					w.isectSeen = make(map[int64]uint32, 64)
+				}
+				for _, x := range sa {
+					w.isectSeen[x] = w.isectEpoch
+				}
+				w.isectSet, w.isectLen = a, len(sa)
+			}
 			n := int64(0)
-			w.isectEpoch++
-			if w.isectSeen == nil {
-				w.isectSeen = make(map[int64]uint32, 64)
-			}
-			for _, x := range sa {
-				w.isectSeen[x] = w.isectEpoch
-			}
 			for _, x := range sb {
 				if w.isectSeen[x] == w.isectEpoch {
 					n++

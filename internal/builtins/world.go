@@ -107,9 +107,12 @@ type World struct {
 
 	// Epoch-stamped scratch for iset_intersect_size: one map reused across
 	// calls, entries invalidated by bumping the epoch instead of
-	// reallocating.
+	// reallocating. isectSet and isectLen name the itemset stamped at the
+	// current epoch (none while the epoch is 0); Clone leaves them unset.
 	isectSeen  map[int64]uint32
 	isectEpoch uint32
+	isectSet   int64
+	isectLen   int
 
 	// Transaction database (eclat, geti).
 	dbRows   [][]int64
