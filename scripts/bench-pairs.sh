@@ -4,12 +4,12 @@
 #   scripts/bench-pairs.sh BASE WORKLOAD PAIRS [SECONDS] [FIRST_SEED]
 #   scripts/bench-pairs.sh HEAD~1 sim-resilient 10 20 1
 #
-# Run it from the repository root. BASE is checked out as a detached git
-# worktree in a temporary directory (under $TMPDIR), which is removed on
-# exit. Each pair runs `bash perfbench/run.sh --workload WORKLOAD --seed S
-# --seconds SECONDS --trace 0` once in the base worktree and once in the
-# working tree, each side with its own build directory, so both build from
-# their own sources. The side that runs first alternates from pair to pair,
+# Run it from the repository root. BASE is extracted with `git archive`
+# into a temporary directory (under $TMPDIR), which is removed on exit, so
+# the script never writes to .git. Each pair runs `bash perfbench/run.sh
+# --workload WORKLOAD --seed S --seconds SECONDS --trace 0` once in the
+# base copy and once in the working tree, each side with its own build
+# directory, so both build from their own sources. The side that runs first alternates from pair to pair,
 # and the seed of pair i is FIRST_SEED+i (SECONDS defaults to 20,
 # FIRST_SEED to 1).
 #
@@ -34,13 +34,10 @@ fi
 rev=$(git rev-parse --verify "$base^{commit}")
 
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach "$tmp/base" "$rev" >/dev/null 2>&1 || {
-	echo "bench-pairs: cannot check out $base in $tmp/base" >&2
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/base" || {
+	echo "bench-pairs: cannot extract $base into $tmp/base" >&2
 	exit 1
 }
 
