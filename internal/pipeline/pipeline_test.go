@@ -2,10 +2,12 @@ package pipeline_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/effects"
+	"repro/internal/ir"
 	"repro/internal/parser"
 	"repro/internal/pipeline"
 	"repro/internal/source"
@@ -137,5 +139,84 @@ func TestNestingLimit(t *testing.T) {
 	src := wrap(parens(n) + "\n" + minus(n) + "\n" + blocks(n) + "\n" + ifs(n))
 	if _, err := pipeline.Compile(opts(src)); err != nil {
 		t.Errorf("program at the limit: %v", err)
+	}
+}
+
+// TestLayoutBuiltOnce: concurrent first uses of a loop analysis's layout
+// build it once, and the layout places every instruction: its block and
+// index, its unit (Control for the condition and the post increment,
+// NoUnit outside the loop), the membership sets and the exit block.
+func TestLayoutBuiltOnce(t *testing.T) {
+	c, err := pipeline.Compile(opts(`
+void main() {
+	int s = 0;
+	for (int i = 0; i < 4; i++) {
+		s = s + i;
+		emit(s);
+	}
+	emit(s);
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	la, err := c.AnalyzeLoop("main", c.Loops("main")[0].Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layouts := make([]*pipeline.Layout, 8)
+	var wg sync.WaitGroup
+	for i := range layouts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			layouts[i] = la.Layout()
+		}(i)
+	}
+	wg.Wait()
+	for _, l := range layouts[1:] {
+		if l != layouts[0] {
+			t.Fatal("concurrent first uses built more than one layout")
+		}
+	}
+	l := layouts[0]
+	want := make([]int, la.Fn.NumInstrs())
+	for i := range want {
+		want[i] = pipeline.NoUnit
+	}
+	for u, instrs := range la.Units.Units {
+		for _, in := range instrs {
+			want[in.ID] = u
+			if !l.Units[u][in.ID] {
+				t.Errorf("%v missing from unit %d's set", in, u)
+			}
+		}
+	}
+	for _, group := range [][]*ir.Instr{la.Units.Cond, la.Units.Post} {
+		for _, in := range group {
+			want[in.ID] = pipeline.Control
+		}
+	}
+	for _, in := range la.Units.Cond {
+		if !l.Cond[in.ID] {
+			t.Errorf("%v missing from the condition's set", in)
+		}
+	}
+	for _, in := range la.Units.Post {
+		if !l.Post[in.ID] {
+			t.Errorf("%v missing from the post increment's set", in)
+		}
+	}
+	for _, b := range la.Fn.Blocks {
+		for i, in := range b.Instrs {
+			if l.Pos[in.ID] != (pipeline.InstrPos{Block: b.ID, Index: i}) {
+				t.Errorf("%v at %+v, want b%d index %d", in, l.Pos[in.ID], b.ID, i)
+			}
+			if l.UnitOf[in.ID] != want[in.ID] {
+				t.Errorf("%v in unit %d, want %d", in, l.UnitOf[in.ID], want[in.ID])
+			}
+		}
+	}
+	if len(la.Loop.Exits) != 1 || l.Exit != la.Loop.Exits[0] {
+		t.Errorf("exit block b%d, loop exits %v", l.Exit, la.Loop.Exits)
 	}
 }

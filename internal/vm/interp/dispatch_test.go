@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -131,5 +132,30 @@ func TestCallByNameResolvesCalleeNumbering(t *testing.T) {
 	}
 	if _, err := th.CallByName("unnamed", nil); err == nil || err.Error() != "interp: undefined function unnamed" {
 		t.Errorf("CallByName(unnamed): err = %v, want interp: undefined function unnamed", err)
+	}
+}
+
+// TestCompileOnceUnderConcurrentFirstUse: Envs made concurrently over a
+// program that was never compiled share one compiled form.
+func TestCompileOnceUnderConcurrentFirstUse(t *testing.T) {
+	prog := irProg(irFunc("main", 1, irConst(0, 1), irStore("g", 0), irRet()))
+	steps := make([]*interp.Steps, 8)
+	var wg sync.WaitGroup
+	for i := range steps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := interp.NewEnv(prog, nil).Steps("main")
+			if err != nil {
+				t.Error(err)
+			}
+			steps[i] = s
+		}(i)
+	}
+	wg.Wait()
+	for _, s := range steps[1:] {
+		if s != steps[0] {
+			t.Fatal("concurrent first uses compiled the program more than once")
+		}
 	}
 }
