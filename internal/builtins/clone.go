@@ -1,12 +1,5 @@
 package builtins
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
-
 // Clone deep-copies the world's mutable state into a fresh World, to which
 // the copy's Fns bind the builtins. Immutable payloads (file data,
 // buffer contents, kmeans points, packets, db rows, graph topology) are
@@ -126,170 +119,4 @@ func (w *World) Baseline() Baseline {
 		Lists:        len(w.lists),
 		TraceBitmaps: len(w.traceBitmaps),
 	}
-}
-
-// ObservableState renders the world's observable locations for the
-// commute oracle's diff, applying the same quotients the static verifier
-// uses for its update models:
-//
-//   - append streams (console, output files, per-handle containers) are
-//     compared as sorted multisets — the annotation licenses reordering
-//     the stream, not changing its contents;
-//   - the RNG seed (UScramble) is excluded — draws are taped separately;
-//   - float accumulators (UBump) render through %.9g so IEEE
-//     reassociation noise does not read as a semantic difference;
-//   - handles allocated after base are quotiented by renaming: rendered
-//     as a multiset of contents, while pre-existing handles keep their
-//     identity as the map key.
-func (w *World) ObservableState(base Baseline) map[string]string {
-	out := map[string]string{}
-
-	out["io.console"] = multiset(w.Console)
-	out["fs.log"] = multiset(w.logLines)
-	out["fs.images"] = multiset(w.outImages)
-
-	var freshFDs []string
-	for fd, f := range w.openFiles {
-		r := fmt.Sprintf("%s:%d", f.name, f.pos)
-		if fd < base.NextFD {
-			out[fmt.Sprintf("fs.fd:%d", fd)] = r
-		} else {
-			freshFDs = append(freshFDs, r)
-		}
-	}
-	out["fs.fd.fresh"] = multiset(freshFDs)
-	var freshBufs []string
-	for i := base.Bufs; i < len(w.bufs); i++ {
-		freshBufs = append(freshBufs, fmt.Sprintf("len:%d", w.bufs[i].len()))
-	}
-	out["fs.buf.fresh"] = multiset(freshBufs)
-
-	var freshMats []string
-	for h, n := range w.matrices {
-		// A matrix is a pure function of handle and state count, so its
-		// rendering is memoized by both (matrices recur on every replay
-		// diff).
-		r := renderMemo.get(matKey{h, n}, func() string { return renderMatrix(h, n) })
-		if h < base.NextMat {
-			out[fmt.Sprintf("hmm.mat:%d", h)] = r
-		} else {
-			freshMats = append(freshMats, r)
-		}
-	}
-	out["hmm.mat.fresh"] = multiset(freshMats)
-	for h := range w.freedMats {
-		if h < base.NextMat {
-			out[fmt.Sprintf("hmm.freed:%d", h)] = "freed"
-		}
-	}
-
-	histo := make([]string, 0, len(w.histo))
-	for k, v := range w.histo {
-		histo = append(histo, fmt.Sprintf("%d=%d", k, v))
-	}
-	out["hmm.histo"] = multiset(histo)
-	out["hmm.histo.count"] = fmt.Sprint(w.histoCount)
-
-	renderHandles(out, "geti.bitmap", base.Bitmaps, w.bitmaps, func(b []uint64) string {
-		return fmt.Sprintf("%x", b)
-	})
-	renderHandles(out, "geti.vec", base.Vectors, w.vectors, renderInt64Multiset)
-	renderHandles(out, "eclat.iset", base.Itemsets, w.itemsets, renderInt64Multiset)
-	renderHandles(out, "eclat.list", base.Lists, w.lists, renderInt64Multiset)
-	out["eclat.stats"] = fmt.Sprintf("n=%d sum=%.9g", w.statsN, w.statsSum)
-
-	out["db.cursor"] = fmt.Sprint(w.dbCursor)
-
-	nodes := make([]string, len(w.nodes))
-	for i, n := range w.nodes {
-		nodes[i] = fmt.Sprintf("%d:%d:%.9g", n.next, n.degree, n.value)
-	}
-	out["em.nodes"] = strings.Join(nodes, ";")
-
-	renderHandles(out, "trace.bmp", base.TraceBitmaps, w.traceBitmaps, func(tb traceBitmap) string {
-		return fmt.Sprintf("%dx%d:%x", tb.w, tb.h, tb.bits)
-	})
-
-	out["km.centers"] = renderFloatRows(w.kmCenters)
-	out["km.new"] = renderFloatRows(w.kmNew)
-	out["km.counts"] = renderInt64s(w.kmCounts)
-	out["km.assign"] = renderInt64s(w.kmAssign)
-
-	out["pkt.next"] = fmt.Sprint(w.pktNext)
-	out["pkt.routes"] = strings.Join(w.routes, ";")
-
-	return out
-}
-
-// renderHandles keys pre-baseline handles by index and folds fresh ones
-// into a renaming-quotient multiset.
-func renderHandles[T any](out map[string]string, prefix string, base int, s []T, render func(T) string) {
-	var fresh []string
-	for i, v := range s {
-		if i < base {
-			out[fmt.Sprintf("%s:%d", prefix, i)] = render(v)
-		} else {
-			fresh = append(fresh, render(v))
-		}
-	}
-	out[prefix+".fresh"] = multiset(fresh)
-}
-
-func multiset(s []string) string {
-	cp := append([]string(nil), s...)
-	sort.Strings(cp)
-	return strings.Join(cp, "␞") // ␞ separator: never in payloads
-}
-
-func renderInt64s(s []int64) string {
-	buf := make([]byte, 0, 8*len(s))
-	for i, v := range s {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, v, 10)
-	}
-	return string(buf)
-}
-
-func renderInt64Multiset(s []int64) string {
-	cp := append([]int64(nil), s...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return renderInt64s(cp)
-}
-
-// renderFloats renders through 'g'/precision 9 — byte-identical to the
-// former per-element %.9g Sprintf, without fmt's interface boxing.
-func renderFloats(s []float64) string {
-	buf := make([]byte, 0, 12*len(s))
-	for i, v := range s {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendFloat(buf, v, 'g', 9, 64)
-	}
-	return string(buf)
-}
-
-// renderMatrix renders matrix h with n states as renderFloats renders its
-// cells, generating them in storage order from the rendered scores.
-func renderMatrix(h int64, n int) string {
-	cells := n * hmmAlphabet
-	var b strings.Builder
-	b.Grow(7 * cells)
-	for i := 0; i < cells; i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(emissionText[emission(h, i)])
-	}
-	return b.String()
-}
-
-func renderFloatRows(s [][]float64) string {
-	parts := make([]string, len(s))
-	for i, v := range s {
-		parts[i] = renderFloats(v)
-	}
-	return strings.Join(parts, ";")
 }

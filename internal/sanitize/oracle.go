@@ -146,15 +146,18 @@ func (m *Monitor) wrapReplay(fns map[string]interp.BuiltinFn, t *drawTape, out *
 	return fns
 }
 
-// outcome is the rendered observable state after replaying one order.
-// fresh maps a rendered handle value to its allocation identity
+// outcome is the state after replaying one order: the rendered returns,
+// globals and shared cells, and the replayed world with the snapshot's
+// baseline, which the diff compares in place. fresh maps a rendered
+// handle value to its allocation identity
 // ("fresh:<invocation>:<builtin>#<n>"), so two orders that hand the same
 // member differently-numbered fresh handles still compare equal.
 type outcome struct {
 	rets   map[string][]string
 	cells  map[string]string
 	heap   map[string]string
-	obs    map[string]string
+	world  *builtins.World
+	base   builtins.Baseline
 	fresh  map[string]string
 	allocN map[string]int
 }
@@ -213,13 +216,16 @@ func (m *Monitor) replayPair(c Candidate, a, b *Invocation, replay string) PairV
 
 // runOrder replays the invocations in order on a fresh clone of pre,
 // threading shared cells through arguments and returns, and renders the
-// resulting observable state.
+// resulting returns, globals and shared cells; the world stays unrendered
+// until the diff finds where the orders' worlds differ.
 func (m *Monitor) runOrder(pre *Snapshot, order []*Invocation, tape *drawTape) (*outcome, error) {
 	w := pre.World.Clone()
 	out := &outcome{
 		rets:   map[string][]string{},
 		cells:  map[string]string{},
 		heap:   map[string]string{},
+		world:  w,
+		base:   pre.Base,
 		fresh:  map[string]string{},
 		allocN: map[string]int{},
 	}
@@ -258,7 +264,6 @@ func (m *Monitor) runOrder(pre *Snapshot, order []*Invocation, tape *drawTape) (
 	for slot, val := range cells {
 		out.cells[fmt.Sprintf("cell:%d", slot)] = renderVal(val)
 	}
-	out.obs = w.ObservableState(pre.Base)
 	return out, nil
 }
 
@@ -290,8 +295,21 @@ func renderRets(rets []value.Value, outSlots map[int]int) []string {
 // orders, or "" if they agree. Per-invocation returns are compared by
 // invocation identity (a member must see the same results regardless of
 // its peer's position), then heap, shared cells, and world observables —
-// returns, heap, and cells up to fresh-handle renaming.
+// all up to fresh-handle renaming. The two worlds are compared location
+// by location, and only the locations where they may differ are rendered
+// (builtins.ObservableDiff), so the first divergence is the one a diff of
+// the two whole ObservableState renderings finds.
 func diffOutcome(a, b *outcome) string {
+	if d := diffLocal(a, b); d != "" {
+		return d
+	}
+	wa, wb := builtins.ObservableDiff(a.world, b.world, a.base)
+	return diffMap("world", a, b, wa, wb)
+}
+
+// diffLocal compares what the replay renders itself: per-invocation
+// returns, then heap and shared cells.
+func diffLocal(a, b *outcome) string {
 	for _, k := range sortedKeys(a.rets) {
 		av, bv := a.rets[k], b.rets[k]
 		same := len(av) == len(bv)
@@ -306,13 +324,7 @@ func diffOutcome(a, b *outcome) string {
 	if d := diffMap("global", a, b, a.heap, b.heap); d != "" {
 		return d
 	}
-	if d := diffMap("shared", a, b, a.cells, b.cells); d != "" {
-		return d
-	}
-	if d := diffMap("world", a, b, a.obs, b.obs); d != "" {
-		return d
-	}
-	return ""
+	return diffMap("shared", a, b, a.cells, b.cells)
 }
 
 func diffMap(kind string, ao, bo *outcome, a, b map[string]string) string {
