@@ -2,12 +2,14 @@ package sanitize
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
 	"repro/internal/builtins"
 	"repro/internal/effects"
 	"repro/internal/ir"
+	"repro/internal/vm/interp"
 	"repro/internal/vm/value"
 )
 
@@ -24,12 +26,14 @@ const (
 	// Capture (phase 2, parallel runs): an identical deterministic rerun
 	// that snapshots the concrete pre-state of the member invocations
 	// named by the Detect pass's candidates, then replays each racing
-	// pair in both orders offline.
+	// pair in both orders offline. It only numbers invocations and
+	// records its targets: the race engine stays off.
 	Capture
 	// VerifyAll (sequential runs): there are no races to observe, so the
-	// monitor proactively snapshots the first few invocations of every
-	// member and pairs all same-set invocations for replay. This is the
-	// mode behind commsetvet -sanitize-out / -discharge.
+	// race engine stays off and the monitor proactively snapshots the
+	// first few invocations of every member and pairs all same-set
+	// invocations for replay. This is the mode behind commsetvet
+	// -sanitize-out / -discharge.
 	VerifyAll
 )
 
@@ -40,32 +44,45 @@ type SetTag struct {
 	Self bool   `json:"self"`
 }
 
-// extentRef identifies one dynamic member invocation. gseq is the global
-// member-invocation sequence number, incremented at every MemberEnter;
-// because the DES is deterministic, gseq values are stable across reruns
-// and serve as capture targets and replay seeds.
-type extentRef struct {
-	gseq int64
+// member is one member function as the detect pass records it: its name
+// and commsets, interned once per monitor.
+type member struct {
 	fn   string
 	sets []SetTag
 }
 
-// access is one read or write recorded in a shadow cell: the thread, its
-// clock component at access time (its epoch), and the innermost member
-// extent it happened under (nil outside any member).
-type access struct {
-	tid   int
-	clk   int64
-	ext   *extentRef
-	valid bool
+// extent is one open member invocation on a thread's stack: its gseq,
+// the global member-invocation sequence number, incremented at every
+// MemberEnter (because the DES is deterministic, gseq values are stable
+// across reruns and serve as capture targets and replay seeds), and, in
+// the detect pass, its interned member's index plus one.
+type extent struct {
+	gseq   int64
+	member int32
 }
 
+// access is one read or write recorded in a shadow cell: the thread, its
+// own clock component at access time (its epoch, at least 1, so 0 marks
+// no access), and the innermost member extent it happened under (member
+// 0 outside any member).
+type access struct {
+	clk    int64
+	gseq   int64
+	member int32
+	tid    int32
+}
+
+// extent returns the member extent an access happened under.
+func (a access) extent() extent { return extent{a.gseq, a.member} }
+
 // shadow is the per-location shadow cell: the last write plus the reads
-// since that write (one slot per thread). raced marks a cell that already
-// has its race report (one report per cell).
+// since that write, one per thread in the order the threads first read —
+// the first in r, the later ones in the monitor's overflow read set
+// more-1 (0 for none). raced marks a cell that already has its race
+// report (one report per cell). A cell holds no pointer.
 type shadow struct {
-	w     access
-	reads []access
+	w, r  access
+	more  int32
 	raced bool
 	key   cellKey
 }
@@ -100,26 +117,27 @@ const (
 	cellBuiltin        // a builtin effect location
 )
 
-// cellKey identifies a shadow cell: a global by name, a shared frame
-// slot, or a builtin effect location with the call's instance handle and
-// element key when the declaration names them. String renders the cell's
-// name, only when a race or candidate records it.
+// cellKey identifies a shadow cell: a global by slot, a shared frame
+// slot, or an interned builtin effect location with the call's instance
+// handle and element key when the declaration names them. cellName
+// renders the cell's name, only when a race or candidate records it.
 type cellKey struct {
-	kind            int
-	loc             string // global name, or the builtin effect location
-	slot            int
 	inst, key       int64
+	loc             int32 // global slot, frame slot, or interned location
+	kind            int8
 	hasInst, hasKey bool
 }
 
-func (k cellKey) String() string {
+// cellName renders a cell's name: g:<global>, cell:<slot>, or the
+// builtin effect location with #<handle> and @<key> when specialized.
+func (m *Monitor) cellName(k cellKey) string {
 	switch k.kind {
 	case cellGlobal:
-		return "g:" + k.loc
+		return "g:" + m.prog.Globals[k.loc].Name
 	case cellSlot:
-		return "cell:" + strconv.Itoa(k.slot)
+		return "cell:" + strconv.Itoa(int(k.loc))
 	}
-	s := k.loc
+	s := m.locs[k.loc].name
 	if k.hasInst {
 		s += "#" + strconv.FormatInt(k.inst, 10)
 	}
@@ -129,28 +147,60 @@ func (k cellKey) String() string {
 	return s
 }
 
-// planStep is one shadow-cell access of a builtin call: the location, the
-// access kind, and the argument indices that specialize the location
-// (-1 when the declaration names none).
+// locCells holds one builtin effect location's shadow cells, each as its
+// index plus one (0 for none yet): the cell of the whole location, and
+// dense tables of cells by handle, by key, and by handle then key. A
+// handle's keys are kept in blocks of keyBlockLen consecutive keys,
+// allocated from the monitor's paged block store as the handle first
+// touches them, and byBoth holds each handle's block indices (plus one).
+// A handle past denseHandles or a key past denseKeys (or a negative one)
+// keys its cell in the monitor's far map instead.
+type locCells struct {
+	loc    int32
+	name   string
+	whole  int32
+	byInst []int32
+	byKey  []int32
+	byBoth [][denseKeys / keyBlockLen]int32
+}
+
+// keyBlock holds the cells of keyBlockLen consecutive keys of one handle.
+type keyBlock [keyBlockLen]int32
+
+// Bounds of the dense cell tables: a table by handle grows to at most
+// denseHandles entries, a table by key to at most denseKeys.
+const (
+	denseHandles = 1 << 16
+	denseKeys    = 1 << 10
+	keyBlockLen  = 64
+)
+
+// planStep is one shadow-cell access of a builtin call: the location's
+// cells, the access kind, and the argument indices that specialize the
+// location (-1 when the declaration names none).
 type planStep struct {
-	loc       string
+	cells     *locCells
 	write     bool
 	inst, key int
 }
 
+// plan is one callee's access plan, built on its first traced call.
+type plan struct{ steps []planStep }
+
 // candKey deduplicates candidates per (set, unordered member pair).
 type candKey struct{ set, f1, f2 string }
 
-// thread is one simulated thread's sanitizer state: its vector clock and
-// its stack of open member extents.
+// thread is one simulated thread's sanitizer state: its vector clock
+// (detect pass only) and its stack of open member extents.
 type thread struct {
 	clock vclock
-	stack []*extentRef
+	stack []extent
 }
 
-func (t *thread) top() *extentRef {
+// top returns the innermost open extent (member 0 when none is open).
+func (t *thread) top() extent {
 	if len(t.stack) == 0 {
-		return nil
+		return extent{}
 	}
 	return t.stack[len(t.stack)-1]
 }
@@ -160,6 +210,29 @@ func (t *thread) top() *extentRef {
 type tokClock struct {
 	c    vclock
 	refs int
+}
+
+// pageBits sizes the pages of the monitor's paged tables (256 entries).
+const pageBits = 8
+
+// paged is an append-only table kept in fixed-size pages, so growing it
+// never moves or copies what it holds.
+type paged[T any] struct{ pages [][]T }
+
+// at returns entry i, adding pages up to it.
+func (p *paged[T]) at(i int64) *T {
+	for int(i>>pageBits) >= len(p.pages) {
+		p.pages = append(p.pages, make([]T, 1<<pageBits))
+	}
+	return &p.pages[i>>pageBits][i&(1<<pageBits-1)]
+}
+
+// grow returns entry i of s, extending s with zero entries to cover it.
+func grow[T any](s *[]T, i int) *T {
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
+	}
+	return &(*s)[i]
 }
 
 const (
@@ -179,43 +252,73 @@ const verifyAllScanCap = 2048
 // Monitor is the sanitizer core. It implements des.Probe (happens-before
 // edges), interp.Tracer (global and builtin accesses), and the member and
 // shared-cell hooks called by exec. All exported hook methods are
-// nil-safe so the executor can call them unconditionally.
+// nil-safe so the executor can call them unconditionally. A monitor
+// observes runs of the program it was built over: the tracer names
+// globals by slot and builtins by callee index in that program.
+//
+// Only the detect pass runs the race engine — vector clocks, shadow cells
+// and member extents. A capture or VerifyAll monitor numbers member
+// invocations, keeps each thread's extent stack and records its targets;
+// its probe, tracer and shared-cell hooks return at once, and it reports
+// no races and no candidates (nothing reads a capture pass's, and a
+// single thread cannot race).
 //
 // The DES serializes thread goroutines (exactly one runs between
 // yields), so the monitor needs no locking and its output is
 // deterministic.
 //
-// Per-event hooks hash no thread ID and build no string: clocks and
-// extent stacks are indexed by thread ID, a lock's release clock is
-// overwritten in place, and shadow cells are interned once (globals by
-// name, shared cells by slot, builtin-effect cells by location, handle
-// and key through per-builtin access plans). A cell's name is rendered
-// only when a race or candidate records it.
+// The detect pass's per-event hooks build no string, and its shadow
+// memory is dense and pointer-light. Clocks and extent stacks are indexed
+// by thread ID, and a lock's release clock is overwritten in place.
+// Globals, shared frame slots and builtin calls arrive as indices (global
+// slot, frame slot, callee index); a callee's access plan is built once,
+// and a builtin-effect cell sits in its location's dense table by handle
+// and key. Cells and key blocks live in fixed-size pages, and a cell
+// holds no pointer. A member extent is its gseq and its interned
+// member's index, kept on the thread's stack and in each access, so a
+// member call allocates nothing. A cell's name is rendered only when a
+// race or candidate records it.
 type Monitor struct {
 	mode  Mode
 	prog  *ir.Program
 	world *builtins.World
 	eff   effects.Table
 
+	gseq    int64
 	threads []*thread
+
+	// The race engine (detect pass only).
 	lockC   map[string]*vclock
 	tokC    map[int64]*tokClock
 	tokFree []*tokClock
-
-	gseq  int64
-	cells []shadow
-	// Interned cells: globals by name, shared slots densely (cell index
-	// plus one, 0 for none yet), builtin-effect cells by key.
-	globals  map[string]int32
+	// members are the interned members; memberIdx finds one's index plus
+	// one by name, and lastMember is the last one entered.
+	members    []member
+	memberIdx  map[string]int32
+	lastMember int32
+	cells      paged[shadow] // by cell index
+	ncells     int32
+	blocks     paged[keyBlock] // key blocks of locCells.byBoth
+	nblocks    int32
+	// reads are the overflow read sets of the cells read by more than
+	// one thread since their last write.
+	reads [][]access
+	// Interned cells, each as its index plus one: globals by slot and
+	// shared frame slots densely, builtin-effect cells through each
+	// callee's plan into its locations' tables, or in far.
+	globals  []int32
 	slots    []int32
-	effCells map[cellKey]int32
-	plans    map[string][]planStep
+	plans    []*plan // by callee index
+	locs     []*locCells
+	locIndex map[effects.Loc]int32
+	far      map[cellKey]int32
 
 	races []RaceReport
 
 	candSeen map[candKey]bool
 	cands    []Candidate
 
+	// Recording (capture and VerifyAll passes).
 	targets   map[int64]int
 	invs      map[int64]*Invocation
 	snapCount map[string]int
@@ -232,9 +335,9 @@ func New(mode Mode, prog *ir.Program, world *builtins.World) *Monitor {
 		eff:       world.EffectTable(),
 		lockC:     map[string]*vclock{},
 		tokC:      map[int64]*tokClock{},
-		globals:   map[string]int32{},
-		effCells:  map[cellKey]int32{},
-		plans:     map[string][]planStep{},
+		memberIdx: map[string]int32{},
+		locIndex:  map[effects.Loc]int32{},
+		far:       map[cellKey]int32{},
 		candSeen:  map[candKey]bool{},
 		targets:   map[int64]int{},
 		invs:      map[int64]*Invocation{},
@@ -272,24 +375,27 @@ func (m *Monitor) Candidates() []Candidate {
 	return m.cands
 }
 
+// detects reports whether m runs the race engine: a non-nil detect-pass
+// monitor.
+func (m *Monitor) detects() bool { return m != nil && m.mode == Detect }
+
 // thread returns tid's state, creating it on first use.
 func (m *Monitor) thread(tid int) *thread {
-	if tid >= len(m.threads) {
-		m.threads = append(m.threads, make([]*thread, tid+1-len(m.threads))...)
+	t := grow(&m.threads, tid)
+	if *t == nil {
+		*t = &thread{}
+		if m.mode == Detect {
+			(*t).clock = newClock(tid)
+		}
 	}
-	t := m.threads[tid]
-	if t == nil {
-		t = &thread{clock: newClock(tid)}
-		m.threads[tid] = t
-	}
-	return t
+	return *t
 }
 
 // ---- des.Probe ----
 
 // ThreadSpawned adds the parent→child happens-before edge.
 func (m *Monitor) ThreadSpawned(parent, child int) {
-	if m == nil {
+	if !m.detects() {
 		return
 	}
 	ct := m.thread(child)
@@ -304,7 +410,7 @@ func (m *Monitor) ThreadSpawned(parent, child int) {
 // commits ride on this edge too: the TM executor serializes commits
 // through spin locks.
 func (m *Monitor) LockAcquired(tid int, lock string) {
-	if m == nil {
+	if !m.detects() {
 		return
 	}
 	if lc := m.lockC[lock]; lc != nil {
@@ -315,7 +421,7 @@ func (m *Monitor) LockAcquired(tid int, lock string) {
 // LockReleased copies the releaser's clock into the lock's release clock,
 // overwriting the previous release in place, and ticks.
 func (m *Monitor) LockReleased(tid int, lock string) {
-	if m == nil {
+	if !m.detects() {
 		return
 	}
 	t := m.thread(tid)
@@ -334,7 +440,7 @@ func (m *Monitor) LockReleased(tid int, lock string) {
 // batched push share one push-time clock, recycled once every one of
 // them has been popped.
 func (m *Monitor) QueuePushed(tid int, queue string, seqs []int64) {
-	if m == nil || len(seqs) == 0 {
+	if !m.detects() || len(seqs) == 0 {
 		return
 	}
 	t := m.thread(tid)
@@ -355,7 +461,7 @@ func (m *Monitor) QueuePushed(tid int, queue string, seqs []int64) {
 
 // QueuePopped joins each popped token's push-time clock into the popper.
 func (m *Monitor) QueuePopped(tid int, queue string, seqs []int64) {
-	if m == nil {
+	if !m.detects() {
 		return
 	}
 	t := m.thread(tid)
@@ -374,49 +480,33 @@ func (m *Monitor) QueuePopped(tid int, queue string, seqs []int64) {
 
 // ---- interp.Tracer ----
 
-// TraceGlobal records a global variable access.
-func (m *Monitor) TraceGlobal(tid int, name string, write bool) {
-	if m == nil {
+// TraceGlobal records an access of the global in slot (its index in
+// the program's Globals).
+func (m *Monitor) TraceGlobal(tid, slot int, write bool) {
+	if !m.detects() {
 		return
 	}
-	ci, ok := m.globals[name]
-	if !ok {
-		ci = m.newCell(cellKey{kind: cellGlobal, loc: name})
-		m.globals[name] = ci
-	}
-	m.access(tid, ci, write)
+	m.access(tid, m.denseCell(&m.globals, slot, cellKey{kind: cellGlobal, loc: int32(slot)}), write)
 }
 
-// TraceBuiltin expands a builtin call into shadow-cell accesses using its
-// effect declaration, specializing locations by instance handle and
-// element key where the declaration names the argument, so
-// bitmap_set(bm, 3) and bitmap_set(bm, 4) land in distinct shadow cells.
-// Locations the call allocates are skipped: the result is fresh by
-// construction, and the allocator bump commutes under handle renaming
-// (the same freshness reasoning the static passes use).
-func (m *Monitor) TraceBuiltin(tid int, name string, args []value.Value) {
-	if m == nil {
+// TraceBuiltin expands a call of the builtin at callee index callee into
+// shadow-cell accesses using its effect declaration, specializing
+// locations by instance handle and element key where the declaration
+// names the argument, so bitmap_set(bm, 3) and bitmap_set(bm, 4) land in
+// distinct shadow cells. Locations the call allocates are skipped: the
+// result is fresh by construction, and the allocator bump commutes under
+// handle renaming (the same freshness reasoning the static passes use).
+func (m *Monitor) TraceBuiltin(tid, callee int, args []value.Value) {
+	if !m.detects() {
 		return
 	}
-	plan, ok := m.plans[name]
-	if !ok {
-		plan = m.buildPlan(name)
-		m.plans[name] = plan
+	p := grow(&m.plans, callee)
+	if *p == nil {
+		*p = &plan{steps: m.buildPlan(interp.Callees(m.prog)[callee])}
 	}
-	for _, s := range plan {
-		k := cellKey{kind: cellBuiltin, loc: s.loc}
-		if s.inst >= 0 && s.inst < len(args) {
-			k.inst, k.hasInst = args[s.inst].I, true
-		}
-		if s.key >= 0 && s.key < len(args) {
-			k.key, k.hasKey = args[s.key].I, true
-		}
-		ci, ok := m.effCells[k]
-		if !ok {
-			ci = m.newCell(k)
-			m.effCells[k] = ci
-		}
-		m.access(tid, ci, s.write)
+	for i := range (*p).steps {
+		s := &(*p).steps[i]
+		m.access(tid, m.builtinCell(s, args), s.write)
 	}
 }
 
@@ -436,9 +526,9 @@ func (m *Monitor) buildPlan(name string) []planStep {
 		fresh[loc] = true
 	}
 	written := map[effects.Loc]bool{}
-	plan := []planStep{}
+	var plan []planStep
 	step := func(loc effects.Loc, write bool) {
-		s := planStep{loc: string(loc), write: write, inst: -1, key: -1}
+		s := planStep{cells: m.locCells(loc), write: write, inst: -1, key: -1}
 		if i, ok := d.InstanceBy[loc]; ok {
 			s.inst = i
 		}
@@ -461,29 +551,95 @@ func (m *Monitor) buildPlan(name string) []planStep {
 	return plan
 }
 
+// locCells returns the cell tables of a builtin effect location,
+// interning the location on first use.
+func (m *Monitor) locCells(loc effects.Loc) *locCells {
+	i, ok := m.locIndex[loc]
+	if !ok {
+		i = int32(len(m.locs))
+		m.locIndex[loc] = i
+		m.locs = append(m.locs, &locCells{loc: i, name: string(loc)})
+	}
+	return m.locs[i]
+}
+
+// builtinCell returns the cell one plan step of a call accesses, creating
+// it on first use.
+func (m *Monitor) builtinCell(s *planStep, args []value.Value) int32 {
+	lc := s.cells
+	k := cellKey{kind: cellBuiltin, loc: lc.loc}
+	if s.inst >= 0 && s.inst < len(args) {
+		k.inst, k.hasInst = args[s.inst].I, true
+	}
+	if s.key >= 0 && s.key < len(args) {
+		k.key, k.hasKey = args[s.key].I, true
+	}
+	var slot *int32
+	switch {
+	case !k.hasInst && !k.hasKey:
+		slot = &lc.whole
+	case !k.hasKey:
+		slot = denseSlot(&lc.byInst, k.inst, denseHandles)
+	case !k.hasInst:
+		slot = denseSlot(&lc.byKey, k.key, denseKeys)
+	case k.inst >= 0 && k.inst < denseHandles && k.key >= 0 && k.key < denseKeys:
+		b := &grow(&lc.byBoth, int(k.inst))[k.key/keyBlockLen]
+		if *b == 0 {
+			m.nblocks++
+			*b = m.nblocks
+		}
+		slot = &m.blocks.at(int64(*b - 1))[k.key%keyBlockLen]
+	}
+	if slot == nil {
+		ci, ok := m.far[k]
+		if !ok {
+			ci = m.newCell(k)
+			m.far[k] = ci
+		}
+		return ci
+	}
+	if *slot == 0 {
+		*slot = m.newCell(k) + 1
+	}
+	return *slot - 1
+}
+
+// denseSlot returns entry i of a dense cell table, growing the table to
+// cover it, or nil when i falls outside [0, limit).
+func denseSlot(t *[]int32, i, limit int64) *int32 {
+	if i < 0 || i >= limit {
+		return nil
+	}
+	return grow(t, int(i))
+}
+
+// denseCell returns the cell at entry i of a dense table, creating the
+// cell with key k on first use.
+func (m *Monitor) denseCell(t *[]int32, i int, k cellKey) int32 {
+	p := grow(t, i)
+	if *p == 0 {
+		*p = m.newCell(k) + 1
+	}
+	return *p - 1
+}
+
 // ---- exec hooks ----
 
 // Cell records a promoted-shared-frame-slot access.
 func (m *Monitor) Cell(tid int, slot int, write bool) {
-	if m == nil {
+	if !m.detects() {
 		return
 	}
-	if slot >= len(m.slots) {
-		m.slots = append(m.slots, make([]int32, slot+1-len(m.slots))...)
-	}
-	ci := m.slots[slot] - 1
-	if ci < 0 {
-		ci = m.newCell(cellKey{kind: cellSlot, slot: slot})
-		m.slots[slot] = ci + 1
-	}
-	m.access(tid, ci, write)
+	m.access(tid, m.denseCell(&m.slots, slot, cellKey{kind: cellSlot, loc: int32(slot)}), write)
 }
 
 // MemberEnter opens a member extent on tid's stack and, depending on
 // mode, records the invocation: args always when targeted, plus a full
 // pre-state snapshot (heap, shared cells, world clone) for replay
 // anchors. snap supplies the executor-side state (globals map and
-// shared-cell values) without the monitor reaching into exec.
+// shared-cell values) without the monitor reaching into exec; it is
+// called, if at all, before MemberEnter returns. The detect pass records
+// only the extent.
 func (m *Monitor) MemberEnter(tid int, fn string, sets []SetTag, args []value.Value,
 	argSlots, outSlots map[int]int, snap func() (map[string]value.Value, map[int]value.Value)) {
 	if m == nil {
@@ -492,7 +648,11 @@ func (m *Monitor) MemberEnter(tid int, fn string, sets []SetTag, args []value.Va
 	g := m.gseq
 	m.gseq++
 	t := m.thread(tid)
-	t.stack = append(t.stack, &extentRef{gseq: g, fn: fn, sets: sets})
+	if m.mode == Detect {
+		t.stack = append(t.stack, extent{g, m.intern(fn, sets)})
+		return
+	}
+	t.stack = append(t.stack, extent{gseq: g})
 
 	kind := 0
 	switch m.mode {
@@ -539,17 +699,48 @@ func (m *Monitor) MemberExit(tid int, rets []value.Value, err error) {
 		return
 	}
 	t := m.thread(tid)
-	ref := t.top()
-	if ref == nil {
+	n := len(t.stack)
+	if n == 0 {
 		return
 	}
-	t.stack = t.stack[:len(t.stack)-1]
-	if inv := m.invs[ref.gseq]; inv != nil {
+	g := t.stack[n-1].gseq
+	t.stack = t.stack[:n-1]
+	if m.mode == Detect {
+		return
+	}
+	if inv := m.invs[g]; inv != nil {
 		inv.Rets = append([]value.Value(nil), rets...)
 		if err != nil {
 			inv.Err = err.Error()
 		}
 	}
+}
+
+// intern returns the index plus one of member fn with sets, interning
+// it on first use. A member entered again right away is found without a
+// lookup.
+func (m *Monitor) intern(fn string, sets []SetTag) int32 {
+	if i := m.lastMember; i > 0 && m.members[i-1].is(fn, sets) {
+		return i
+	}
+	i := m.memberIdx[fn]
+	if i == 0 || !m.members[i-1].is(fn, sets) {
+		// A name entered with other sets than before is a member of its own.
+		i = int32(slices.IndexFunc(m.members, func(mb member) bool { return mb.is(fn, sets) }) + 1)
+		if i == 0 {
+			m.members = append(m.members, member{fn, sets})
+			i = int32(len(m.members))
+			if m.memberIdx[fn] == 0 {
+				m.memberIdx[fn] = i
+			}
+		}
+	}
+	m.lastMember = i
+	return i
+}
+
+func (mb member) is(fn string, sets []SetTag) bool {
+	return mb.fn == fn && slices.Equal(mb.sets, sets)
 }
 
 func copySlots(s map[int]int) map[int]int {
@@ -565,39 +756,56 @@ func copySlots(s map[int]int) map[int]int {
 
 // ---- shadow-cell engine ----
 
-// newCell interns a shadow cell and returns its index.
-func (m *Monitor) newCell(key cellKey) int32 {
-	m.cells = append(m.cells, shadow{key: key})
-	return int32(len(m.cells) - 1)
+// newCell adds a shadow cell and returns its index.
+func (m *Monitor) newCell(k cellKey) int32 {
+	ci := m.ncells
+	m.ncells++
+	*m.cells.at(int64(ci)) = shadow{key: k}
+	return ci
 }
 
 func (m *Monitor) access(tid int, ci int32, write bool) {
 	t := m.thread(tid)
-	c := &m.cells[ci]
-	acc := access{tid: tid, clk: t.clock.get(tid), ext: t.top(), valid: true}
+	c := m.cells.at(int64(ci))
+	top := t.top()
+	acc := access{clk: t.clock.get(tid), gseq: top.gseq, member: top.member, tid: int32(tid)}
 	if write {
-		if c.w.valid && c.w.tid != tid {
+		if c.w.clk != 0 && c.w.tid != acc.tid {
 			m.conflict(c, c.w, acc, "write-write")
 		}
-		for _, r := range c.reads {
-			if r.tid != tid {
-				m.conflict(c, r, acc, "read-write")
-			}
+		if c.r.clk != 0 && c.r.tid != acc.tid {
+			m.conflict(c, c.r, acc, "read-write")
 		}
-		c.w = acc
-		c.reads = c.reads[:0]
+		if c.more != 0 {
+			for _, r := range m.reads[c.more-1] {
+				if r.tid != acc.tid {
+					m.conflict(c, r, acc, "read-write")
+				}
+			}
+			m.reads[c.more-1] = m.reads[c.more-1][:0]
+		}
+		c.w, c.r = acc, access{}
 		return
 	}
-	if c.w.valid && c.w.tid != tid {
+	if c.w.clk != 0 && c.w.tid != acc.tid {
 		m.conflict(c, c.w, acc, "write-read")
 	}
-	for i := range c.reads {
-		if c.reads[i].tid == tid {
-			c.reads[i] = acc
+	if c.r.clk == 0 || c.r.tid == acc.tid {
+		c.r = acc
+		return
+	}
+	if c.more == 0 {
+		m.reads = append(m.reads, nil)
+		c.more = int32(len(m.reads))
+	}
+	rs := m.reads[c.more-1]
+	for i := range rs {
+		if rs[i].tid == acc.tid {
+			rs[i] = acc
 			return
 		}
 	}
-	c.reads = append(c.reads, acc)
+	m.reads[c.more-1] = append(rs, acc)
 }
 
 // conflict routes one cross-thread conflicting pair. If both extents
@@ -607,22 +815,24 @@ func (m *Monitor) access(tid int, ci int32, write bool) {
 // matter — which is the obligation the replay checks. Everything else is
 // a race unless ordered by the vector clocks.
 func (m *Monitor) conflict(c *shadow, prev, cur access, kind string) {
-	if set := commonSet(prev.ext, cur.ext); set != "" {
-		m.candidate(set, prev.ext, cur.ext, c)
+	if set := m.commonSet(prev.member, cur.member); set != "" {
+		m.candidate(set, prev.extent(), cur.extent(), c)
 		return
 	}
-	if prev.clk <= m.thread(cur.tid).clock.get(prev.tid) {
+	if prev.clk <= m.thread(int(cur.tid)).clock.get(int(prev.tid)) {
 		return // ordered: prev happens-before cur
 	}
 	m.race(c, prev, cur, kind)
 }
 
-func commonSet(a, b *extentRef) string {
-	if a == nil || b == nil {
+// commonSet returns the first commset two members (indices plus one)
+// share, "" when either access happened outside any member.
+func (m *Monitor) commonSet(a, b int32) string {
+	if a == 0 || b == 0 {
 		return ""
 	}
-	for _, sa := range a.sets {
-		for _, sb := range b.sets {
+	for _, sa := range m.members[a-1].sets {
+		for _, sb := range m.members[b-1].sets {
 			if sa.Name == sb.Name {
 				return sa.Name
 			}
@@ -635,14 +845,15 @@ func commonSet(a, b *extentRef) string {
 // observed pair per (set, unordered member pair): one dynamic witness
 // discharges one static pair obligation, and deduping keeps the capture
 // phase O(#pairs) instead of O(#invocations²).
-func (m *Monitor) candidate(set string, a, b *extentRef, c *shadow) {
+func (m *Monitor) candidate(set string, a, b extent, c *shadow) {
 	if a.gseq == b.gseq {
 		return
 	}
 	if a.gseq > b.gseq {
 		a, b = b, a
 	}
-	f1, f2 := a.fn, b.fn
+	fa, fb := m.members[a.member-1].fn, m.members[b.member-1].fn
+	f1, f2 := fa, fb
 	if f1 > f2 {
 		f1, f2 = f2, f1
 	}
@@ -652,7 +863,7 @@ func (m *Monitor) candidate(set string, a, b *extentRef, c *shadow) {
 	}
 	m.candSeen[key] = true
 	m.cands = append(m.cands, Candidate{
-		Set: set, FnA: a.fn, FnB: b.fn, GseqA: a.gseq, GseqB: b.gseq, Cell: c.key.String(),
+		Set: set, FnA: fa, FnB: fb, GseqA: a.gseq, GseqB: b.gseq, Cell: m.cellName(c.key),
 	})
 }
 
@@ -662,20 +873,21 @@ func (m *Monitor) race(c *shadow, prev, cur access, kind string) {
 	}
 	c.raced = true
 	m.races = append(m.races, RaceReport{
-		Cell:         c.key.String(),
+		Cell:         m.cellName(c.key),
 		Kind:         kind,
-		FirstThread:  prev.tid,
-		SecondThread: cur.tid,
-		FirstExtent:  extentLabel(prev.ext),
-		SecondExtent: extentLabel(cur.ext),
+		FirstThread:  int(prev.tid),
+		SecondThread: int(cur.tid),
+		FirstExtent:  m.extentLabel(prev.extent()),
+		SecondExtent: m.extentLabel(cur.extent()),
 	})
 }
 
-func extentLabel(e *extentRef) string {
-	if e == nil {
+// extentLabel renders a member extent (fn#gseq), "" for none.
+func (m *Monitor) extentLabel(e extent) string {
+	if e.member == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%s#%d", e.fn, e.gseq)
+	return fmt.Sprintf("%s#%d", m.members[e.member-1].fn, e.gseq)
 }
 
 // VerifyPairs (VerifyAll mode) pairs every same-set member invocation

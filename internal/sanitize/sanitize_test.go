@@ -1,18 +1,70 @@
 package sanitize
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/builtins"
 	"repro/internal/effects"
 	"repro/internal/ir"
+	"repro/internal/pipeline"
+	"repro/internal/source"
+	"repro/internal/vm/interp"
 	"repro/internal/vm/value"
 )
 
+// testSrc declares the globals g, h and k (slots 0–2) and calls the
+// builtins the tests trace.
+const testSrc = `
+int g;
+int h;
+int k;
+
+void main() {
+	int bm = bitmap_new(8);
+	bitmap_set(bm, 1);
+	print_int(g + h + k);
+}
+`
+
+const (
+	slotG = iota
+	slotH
+	slotK
+)
+
+var testProg = sync.OnceValue(func() *ir.Program {
+	w := builtins.NewWorld()
+	c, err := pipeline.Compile(pipeline.Options{
+		File: source.NewFile("monitor_test.mc", testSrc), Sigs: w.Sigs(), Effects: w.EffectTable(),
+	})
+	if err != nil {
+		panic(err)
+	}
+	for slot, name := range []string{slotG: "g", slotH: "h", slotK: "k"} {
+		if got := c.Low.Prog.Globals[slot].Name; got != name {
+			panic("testSrc: global slot " + got + " is not " + name)
+		}
+	}
+	return c.Low.Prog
+})
+
+// newTestMonitor builds a monitor over testSrc.
 func newTestMonitor(mode Mode) *Monitor {
-	return New(mode, &ir.Program{}, builtins.NewWorld())
+	return New(mode, testProg(), builtins.NewWorld())
+}
+
+// callee returns the callee index of a builtin testSrc calls.
+func callee(t *testing.T, name string) int {
+	t.Helper()
+	i := slices.Index(interp.Callees(testProg()), name)
+	if i < 0 {
+		t.Fatalf("testSrc does not call %s", name)
+	}
+	return i
 }
 
 func TestClockBasics(t *testing.T) {
@@ -44,8 +96,8 @@ func TestClockBasics(t *testing.T) {
 
 func TestWriteWriteRaceUnordered(t *testing.T) {
 	m := newTestMonitor(Detect)
-	m.TraceGlobal(1, "g", true)
-	m.TraceGlobal(2, "g", true)
+	m.TraceGlobal(1, slotG, true)
+	m.TraceGlobal(2, slotG, true)
 	races := m.Races()
 	if len(races) != 1 {
 		t.Fatalf("races = %v, want 1", races)
@@ -55,7 +107,7 @@ func TestWriteWriteRaceUnordered(t *testing.T) {
 		t.Errorf("race = %+v", r)
 	}
 	// Dedup: further conflicts on the same cell report once.
-	m.TraceGlobal(3, "g", true)
+	m.TraceGlobal(3, slotG, true)
 	if len(m.Races()) != 1 {
 		t.Errorf("per-cell dedup failed: %v", m.Races())
 	}
@@ -63,21 +115,21 @@ func TestWriteWriteRaceUnordered(t *testing.T) {
 
 func TestReadWriteKinds(t *testing.T) {
 	m := newTestMonitor(Detect)
-	m.TraceGlobal(1, "g", true)
-	m.TraceGlobal(2, "g", false)
+	m.TraceGlobal(1, slotG, true)
+	m.TraceGlobal(2, slotG, false)
 	if rs := m.Races(); len(rs) != 1 || rs[0].Kind != "write-read" {
 		t.Errorf("races = %v, want one write-read", rs)
 	}
 	m2 := newTestMonitor(Detect)
-	m2.TraceGlobal(1, "h", false)
-	m2.TraceGlobal(2, "h", true)
+	m2.TraceGlobal(1, slotH, false)
+	m2.TraceGlobal(2, slotH, true)
 	if rs := m2.Races(); len(rs) != 1 || rs[0].Kind != "read-write" {
 		t.Errorf("races = %v, want one read-write", rs)
 	}
 	// Two concurrent reads never conflict.
 	m3 := newTestMonitor(Detect)
-	m3.TraceGlobal(1, "k", false)
-	m3.TraceGlobal(2, "k", false)
+	m3.TraceGlobal(1, slotK, false)
+	m3.TraceGlobal(2, slotK, false)
 	if rs := m3.Races(); len(rs) != 0 {
 		t.Errorf("read-read raced: %v", rs)
 	}
@@ -86,17 +138,17 @@ func TestReadWriteKinds(t *testing.T) {
 func TestLockEdgeOrdersAccesses(t *testing.T) {
 	m := newTestMonitor(Detect)
 	m.LockAcquired(1, "L")
-	m.TraceGlobal(1, "g", true)
+	m.TraceGlobal(1, slotG, true)
 	m.LockReleased(1, "L")
 	m.LockAcquired(2, "L")
-	m.TraceGlobal(2, "g", true)
+	m.TraceGlobal(2, slotG, true)
 	m.LockReleased(2, "L")
 	if rs := m.Races(); len(rs) != 0 {
 		t.Errorf("lock-ordered accesses raced: %v", rs)
 	}
 	// A different lock provides no edge.
 	m.LockAcquired(3, "M")
-	m.TraceGlobal(3, "g", true)
+	m.TraceGlobal(3, slotG, true)
 	if rs := m.Races(); len(rs) != 1 {
 		t.Errorf("unrelated lock suppressed a race: %v", rs)
 	}
@@ -110,9 +162,9 @@ func TestLockEdgeOrdersAccesses(t *testing.T) {
 	m2.LockReleased(1, "L")
 	m2.LockAcquired(1, "L")
 	m2.LockReleased(1, "L")
-	m2.TraceGlobal(1, "g", true)
+	m2.TraceGlobal(1, slotG, true)
 	m2.LockAcquired(2, "L")
-	m2.TraceGlobal(2, "g", false)
+	m2.TraceGlobal(2, slotG, false)
 	if rs := m2.Races(); len(rs) != 1 || rs[0].Kind != "write-read" || rs[0].FirstThread != 1 || rs[0].SecondThread != 2 {
 		t.Errorf("write after a reused release: races = %v, want one write-read", rs)
 	}
@@ -120,16 +172,16 @@ func TestLockEdgeOrdersAccesses(t *testing.T) {
 
 func TestQueueEdgeOrdersAccesses(t *testing.T) {
 	m := newTestMonitor(Detect)
-	m.TraceGlobal(1, "g", true)
+	m.TraceGlobal(1, slotG, true)
 	m.QueuePushed(1, "q", []int64{7})
 	m.QueuePopped(2, "q", []int64{7})
-	m.TraceGlobal(2, "g", true)
+	m.TraceGlobal(2, slotG, true)
 	if rs := m.Races(); len(rs) != 0 {
 		t.Errorf("queue-ordered accesses raced: %v", rs)
 	}
 	// A pop of a different token does not order thread 3.
 	m.QueuePopped(3, "q", []int64{99})
-	m.TraceGlobal(3, "g", true)
+	m.TraceGlobal(3, slotG, true)
 	if rs := m.Races(); len(rs) != 1 {
 		t.Errorf("unrelated token suppressed a race: %v", rs)
 	}
@@ -138,15 +190,15 @@ func TestQueueEdgeOrdersAccesses(t *testing.T) {
 	// each carry the push-time clock: both readers are ordered after the
 	// write before the push and neither after the write that follows it.
 	m2 := newTestMonitor(Detect)
-	m2.TraceGlobal(1, "g", true)
+	m2.TraceGlobal(1, slotG, true)
 	m2.QueuePushed(1, "q", []int64{7, 8})
-	m2.TraceGlobal(1, "h", true)
+	m2.TraceGlobal(1, slotH, true)
 	m2.QueuePopped(2, "q", []int64{7})
-	m2.TraceGlobal(2, "g", false)
-	m2.TraceGlobal(2, "h", false)
+	m2.TraceGlobal(2, slotG, false)
+	m2.TraceGlobal(2, slotH, false)
 	m2.QueuePopped(3, "q", []int64{8})
-	m2.TraceGlobal(3, "g", false)
-	m2.TraceGlobal(3, "h", false)
+	m2.TraceGlobal(3, slotG, false)
+	m2.TraceGlobal(3, slotH, false)
 	if rs := m2.Races(); len(rs) != 1 || rs[0].Cell != "g:h" || rs[0].SecondThread != 2 {
 		t.Errorf("batched push: races = %v, want one on g:h", rs)
 	}
@@ -154,19 +206,19 @@ func TestQueueEdgeOrdersAccesses(t *testing.T) {
 
 func TestSpawnEdgeOrdersAccesses(t *testing.T) {
 	m := newTestMonitor(Detect)
-	m.TraceGlobal(0, "g", true)
+	m.TraceGlobal(0, slotG, true)
 	m.ThreadSpawned(0, 1)
-	m.TraceGlobal(1, "g", true)
+	m.TraceGlobal(1, slotG, true)
 	if rs := m.Races(); len(rs) != 0 {
 		t.Errorf("spawn-ordered accesses raced: %v", rs)
 	}
 
 	// A thread spawned with an ID past every existing one, as a crash
 	// replacement is, is ordered after its parent's earlier accesses.
-	m.TraceGlobal(1, "h", true)
+	m.TraceGlobal(1, slotH, true)
 	m.ThreadSpawned(1, 40)
-	m.TraceGlobal(40, "h", true)
-	m.TraceGlobal(40, "g", false)
+	m.TraceGlobal(40, slotH, true)
+	m.TraceGlobal(40, slotG, false)
 	if rs := m.Races(); len(rs) != 0 {
 		t.Errorf("accesses after a spawn past every thread ID raced: %v", rs)
 	}
@@ -176,10 +228,10 @@ func TestCommonSetRoutesToCandidate(t *testing.T) {
 	m := newTestMonitor(Detect)
 	tags := []SetTag{{Name: "S", Self: true}}
 	m.MemberEnter(1, "f", tags, nil, nil, nil, nil)
-	m.TraceGlobal(1, "g", true)
+	m.TraceGlobal(1, slotG, true)
 	m.MemberExit(1, nil, nil)
 	m.MemberEnter(2, "f", tags, nil, nil, nil, nil)
-	m.TraceGlobal(2, "g", true)
+	m.TraceGlobal(2, slotG, true)
 	m.MemberExit(2, nil, nil)
 	if rs := m.Races(); len(rs) != 0 {
 		t.Errorf("common-set conflict reported as race: %v", rs)
@@ -194,7 +246,7 @@ func TestCommonSetRoutesToCandidate(t *testing.T) {
 	}
 	// Dedup: a third conflicting invocation adds no new (set, pair) entry.
 	m.MemberEnter(3, "f", tags, nil, nil, nil, nil)
-	m.TraceGlobal(3, "g", true)
+	m.TraceGlobal(3, slotG, true)
 	m.MemberExit(3, nil, nil)
 	if got := m.Candidates(); len(got) != 1 {
 		t.Errorf("candidate dedup failed: %v", got)
@@ -204,10 +256,10 @@ func TestCommonSetRoutesToCandidate(t *testing.T) {
 func TestDisjointSetsStillRace(t *testing.T) {
 	m := newTestMonitor(Detect)
 	m.MemberEnter(1, "f", []SetTag{{Name: "A"}}, nil, nil, nil, nil)
-	m.TraceGlobal(1, "g", true)
+	m.TraceGlobal(1, slotG, true)
 	m.MemberExit(1, nil, nil)
 	m.MemberEnter(2, "h", []SetTag{{Name: "B"}}, nil, nil, nil, nil)
-	m.TraceGlobal(2, "g", true)
+	m.TraceGlobal(2, slotG, true)
 	m.MemberExit(2, nil, nil)
 	rs := m.Races()
 	if len(rs) != 1 {
@@ -225,13 +277,13 @@ func TestBuiltinEffectShadowCells(t *testing.T) {
 	// bitmap_set is instanced by handle and keyed by bit: different
 	// handles or different bits land in distinct shadow cells.
 	m := newTestMonitor(Detect)
-	m.TraceBuiltin(1, "bitmap_set", []value.Value{value.Int(1), value.Int(3)})
-	m.TraceBuiltin(2, "bitmap_set", []value.Value{value.Int(1), value.Int(4)})
-	m.TraceBuiltin(2, "bitmap_set", []value.Value{value.Int(2), value.Int(3)})
+	m.TraceBuiltin(1, callee(t, "bitmap_set"), []value.Value{value.Int(1), value.Int(3)})
+	m.TraceBuiltin(2, callee(t, "bitmap_set"), []value.Value{value.Int(1), value.Int(4)})
+	m.TraceBuiltin(2, callee(t, "bitmap_set"), []value.Value{value.Int(2), value.Int(3)})
 	if rs := m.Races(); len(rs) != 0 {
 		t.Errorf("distinct keys/handles conflicted: %v", rs)
 	}
-	m.TraceBuiltin(2, "bitmap_set", []value.Value{value.Int(1), value.Int(3)})
+	m.TraceBuiltin(2, callee(t, "bitmap_set"), []value.Value{value.Int(1), value.Int(3)})
 	if rs := m.Races(); len(rs) != 1 || rs[0].Cell != "t:bitmaps#1@3" {
 		t.Errorf("same handle+key must conflict: %v", rs)
 	}
@@ -254,8 +306,8 @@ func TestAllocatingBuiltinIsFresh(t *testing.T) {
 	// bitmap_new allocates its result: the allocator-bump write commutes
 	// under handle renaming and must not register shadow accesses.
 	m := newTestMonitor(Detect)
-	m.TraceBuiltin(1, "bitmap_new", nil)
-	m.TraceBuiltin(2, "bitmap_new", nil)
+	m.TraceBuiltin(1, callee(t, "bitmap_new"), nil)
+	m.TraceBuiltin(2, callee(t, "bitmap_new"), nil)
 	if rs := m.Races(); len(rs) != 0 {
 		t.Errorf("fresh allocation raced: %v", rs)
 	}
@@ -316,8 +368,8 @@ func TestNilMonitorHooksAreSafe(t *testing.T) {
 	m.LockReleased(0, "L")
 	m.QueuePushed(0, "q", []int64{1})
 	m.QueuePopped(0, "q", []int64{1})
-	m.TraceGlobal(0, "g", true)
-	m.TraceBuiltin(0, "print_int", nil)
+	m.TraceGlobal(0, slotG, true)
+	m.TraceBuiltin(0, callee(t, "print_int"), nil)
 	m.Cell(0, 1, true)
 	m.MemberEnter(0, "f", nil, nil, nil, nil, nil)
 	m.MemberExit(0, nil, nil)
@@ -329,15 +381,20 @@ func TestNilMonitorHooksAreSafe(t *testing.T) {
 func TestHooksAllocateNothing(t *testing.T) {
 	// Once a monitor has seen a cell, a lock or a builtin, repeating the
 	// event allocates nothing: no clock clone, no rendered cell name and
-	// no per-call map.
+	// no per-call map; nor does a member enter/exit pair.
 	m := newTestMonitor(Detect)
 	set := []value.Value{value.Int(1), value.Int(3)}
+	bitmapSet := callee(t, "bitmap_set")
+	tags := []SetTag{{Name: "S", Self: true}}
 	warm := func() {
-		m.TraceGlobal(1, "g", true)
+		m.TraceGlobal(1, slotG, true)
 		m.Cell(1, 2, true)
-		m.TraceBuiltin(1, "bitmap_set", set)
+		m.TraceBuiltin(1, bitmapSet, set)
 		m.LockAcquired(1, "L")
 		m.LockReleased(1, "L")
+		m.MemberEnter(1, "f", tags, set, nil, nil, nil)
+		m.TraceBuiltin(1, bitmapSet, set)
+		m.MemberExit(1, nil, nil)
 	}
 	warm()
 	warm()
@@ -345,16 +402,62 @@ func TestHooksAllocateNothing(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"TraceGlobal", func() { m.TraceGlobal(1, "g", true) }},
+		{"TraceGlobal", func() { m.TraceGlobal(1, slotG, true) }},
 		{"Cell", func() { m.Cell(1, 2, false) }},
-		{"TraceBuiltin", func() { m.TraceBuiltin(1, "bitmap_set", set) }},
+		{"TraceBuiltin", func() { m.TraceBuiltin(1, bitmapSet, set) }},
 		{"LockAcquired+LockReleased", func() {
 			m.LockAcquired(1, "L")
 			m.LockReleased(1, "L")
 		}},
+		{"MemberEnter+MemberExit", func() {
+			m.MemberEnter(1, "f", tags, set, nil, nil, nil)
+			m.MemberExit(1, nil, nil)
+		}},
 	} {
 		if n := testing.AllocsPerRun(100, c.f); n != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", c.name, n)
+		}
+	}
+}
+
+// TestRecordingMonitorsRunNoRaceEngine: a capture or VerifyAll monitor
+// runs no race engine. Its probe, tracer and shared-cell hooks allocate
+// nothing, even on first use, and conflicting accesses of two threads
+// leave no race and no candidate; member invocations are still numbered
+// and recorded.
+func TestRecordingMonitorsRunNoRaceEngine(t *testing.T) {
+	bitmapSet := callee(t, "bitmap_set")
+	set := []value.Value{value.Int(1), value.Int(3)}
+	tags := []SetTag{{Name: "S", Self: true}}
+	for _, m := range []*Monitor{
+		NewCapture(testProg(), builtins.NewWorld(), []Candidate{{GseqA: 0, GseqB: 1}}),
+		newTestMonitor(VerifyAll),
+	} {
+		hooks := func() {
+			for tid := 1; tid <= 2; tid++ {
+				m.ThreadSpawned(0, tid)
+				m.LockAcquired(tid, "L")
+				m.TraceGlobal(tid, slotG, true)
+				m.Cell(tid, 2, true)
+				m.TraceBuiltin(tid, bitmapSet, set)
+				m.LockReleased(tid, "L")
+				m.QueuePushed(tid, "q", []int64{int64(tid)})
+				m.QueuePopped(3-tid, "q", []int64{int64(tid)})
+			}
+		}
+		if n := testing.AllocsPerRun(10, hooks); n != 0 {
+			t.Errorf("mode %d: %v allocations per round of hooks, want 0", m.mode, n)
+		}
+		for tid := 1; tid <= 2; tid++ {
+			m.MemberEnter(tid, "f", tags, set, nil, nil, nil)
+			m.TraceGlobal(tid, slotG, true)
+			m.MemberExit(tid, nil, nil)
+		}
+		if len(m.Races()) != 0 || len(m.Candidates()) != 0 {
+			t.Errorf("mode %d: races %v candidates %v, want none", m.mode, m.Races(), m.Candidates())
+		}
+		if len(m.invs) != 2 || m.invs[0].Pre == nil || m.invs[1].Fn != "f" {
+			t.Errorf("mode %d: recorded %+v, want invocations 0 (with a snapshot) and 1", m.mode, m.invs)
 		}
 	}
 }

@@ -229,10 +229,10 @@ func compileOp(in *ir.Instr, gslot map[string]int) (instrFn, error) {
 		if !ok {
 			return nil, fmt.Errorf("undeclared global %s", in.Name)
 		}
-		dst, name := in.Dst, in.Name
+		dst := in.Dst
 		return func(t *Thread, regs, locals []value.Value) error {
 			if t.Tracer != nil {
-				t.Tracer.TraceGlobal(t.ID, name, false)
+				t.Tracer.TraceGlobal(t.ID, gs, false)
 			}
 			regs[dst] = t.Env.Globals.vals[gs]
 			return nil
@@ -242,11 +242,11 @@ func compileOp(in *ir.Instr, gslot map[string]int) (instrFn, error) {
 		if !ok {
 			return nil, fmt.Errorf("undeclared global %s", in.Name)
 		}
-		a, name := in.A, in.Name
+		a := in.A
 		return func(t *Thread, regs, locals []value.Value) error {
 			t.HeapWrites++
 			if t.Tracer != nil {
-				t.Tracer.TraceGlobal(t.ID, name, true)
+				t.Tracer.TraceGlobal(t.ID, gs, true)
 			}
 			t.Env.Globals.vals[gs] = regs[a]
 			return nil

@@ -152,21 +152,23 @@ void main() {
 	}
 }
 
-// recordingTracer captures the event stream the sanitizer hangs off.
+// recordingTracer captures the event stream the sanitizer hangs off,
+// naming globals and builtins through prog.
 type recordingTracer struct {
+	prog   *ir.Program
 	events []string
 }
 
-func (r *recordingTracer) TraceGlobal(tid int, name string, write bool) {
+func (r *recordingTracer) TraceGlobal(tid, slot int, write bool) {
 	kind := "load"
 	if write {
 		kind = "store"
 	}
-	r.events = append(r.events, fmt.Sprintf("%s:%s", kind, name))
+	r.events = append(r.events, fmt.Sprintf("%s:%s", kind, r.prog.Globals[slot].Name))
 }
 
-func (r *recordingTracer) TraceBuiltin(tid int, name string, args []value.Value) {
-	r.events = append(r.events, fmt.Sprintf("call:%s/%d", name, len(args)))
+func (r *recordingTracer) TraceBuiltin(tid, callee int, args []value.Value) {
+	r.events = append(r.events, fmt.Sprintf("call:%s/%d", interp.Callees(r.prog)[callee], len(args)))
 }
 
 // TestTracerEventStream pins the tracer hook points: every global load,
@@ -189,7 +191,7 @@ void main() {
 	res2, sink2 := compile(t, src)
 	env2 := interp.NewEnv(res2.Prog, builtinsFor(sink2))
 	traced := interp.NewThread(env2)
-	tr := &recordingTracer{}
+	tr := &recordingTracer{prog: res2.Prog}
 	traced.Tracer = tr
 	if err := traced.RunMain(); err != nil {
 		t.Fatal(err)

@@ -150,11 +150,13 @@ func NewProfile(f *ir.Func) *Profile {
 type Interceptor func(t *Thread, in *ir.Instr, callee int, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error)
 
 // Tracer observes memory-relevant events as they execute: global
-// loads/stores and builtin invocations (with concrete arguments). The
-// sanitizer's shadow-cell engine hangs off it. Tracing charges no cost.
+// loads/stores, by the global's slot (its index in the program's
+// Globals), and builtin invocations, by callee index (see Callees) with
+// the concrete arguments. The sanitizer's shadow-cell engine hangs off
+// it. Tracing charges no cost.
 type Tracer interface {
-	TraceGlobal(tid int, name string, write bool)
-	TraceBuiltin(tid int, name string, args []value.Value)
+	TraceGlobal(tid, slot int, write bool)
+	TraceBuiltin(tid, callee int, args []value.Value)
 }
 
 // Thread is one logical execution context.
@@ -264,16 +266,16 @@ func (t *Thread) Call(i int, args []value.Value) ([]value.Value, error) {
 		return nil, err
 	}
 	if b := env.builtins[i]; b != nil {
-		return t.callBuiltin(env.code.callees[i], b, args)
+		return t.callBuiltin(i, b, args)
 	}
 	return nil, fmt.Errorf("interp: undefined function %s", env.code.callees[i])
 }
 
-// callBuiltin runs builtin b, charging its cost; inside a call bracket its
-// single result is carved from the arena.
-func (t *Thread) callBuiltin(name string, b BuiltinFn, args []value.Value) ([]value.Value, error) {
+// callBuiltin runs builtin b, callee index i, charging its cost; inside a
+// call bracket its single result is carved from the arena.
+func (t *Thread) callBuiltin(i int, b BuiltinFn, args []value.Value) ([]value.Value, error) {
 	if t.Tracer != nil {
-		t.Tracer.TraceBuiltin(t.ID, name, args)
+		t.Tracer.TraceBuiltin(t.ID, i, args)
 	}
 	v, cost, err := b(args)
 	t.Cost += cost
