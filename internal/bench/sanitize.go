@@ -270,24 +270,9 @@ func sanitizedCell(cp *Compiled, kind transform.Kind, mode exec.SyncMode, thread
 		return nil, err
 	}
 
-	runWith := func(mon *sanitize.Monitor, world *builtins.World) (int64, error) {
-		cfg := exec.Config{
-			Prog:     cp.C.Low.Prog,
-			Builtins: world.Fns(),
-			Model:    cp.C.Model,
-			Cost:     des.DefaultCostModel(),
-			Sanitize: mon,
-		}
-		res, err := exec.Run(cfg, cp.LA, cp.Schedule(kind), mode, threads)
-		if err != nil {
-			return 0, fmt.Errorf("bench: sanitized run %s/%s %v/%v: %w", cp.WL.Name, cp.Variant, kind, mode, err)
-		}
-		return res.VirtualTime, nil
-	}
-
 	detectWorld := freshWorld(cp.WL)
 	det := sanitize.New(sanitize.Detect, cp.C.Low.Prog, detectWorld)
-	vtDetect, err := runWith(det, detectWorld)
+	vtDetect, err := sanitizedRun(cp, kind, mode, threads, det, detectWorld)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +289,7 @@ func sanitizedCell(cp *Compiled, kind transform.Kind, mode exec.SyncMode, thread
 	if cands := det.Candidates(); len(cands) > 0 {
 		capWorld := freshWorld(cp.WL)
 		capMon := sanitize.NewCapture(cp.C.Low.Prog, capWorld, cands)
-		vtCap, err := runWith(capMon, capWorld)
+		vtCap, err := sanitizedRun(cp, kind, mode, threads, capMon, capWorld)
 		if err != nil {
 			return nil, err
 		}
@@ -316,6 +301,23 @@ func sanitizedCell(cp *Compiled, kind transform.Kind, mode exec.SyncMode, thread
 	}
 	cell.Clean = len(cell.Races) == 0 && cell.Violations == 0
 	return cell, nil
+}
+
+// sanitizedRun runs one parallel cell on world with mon attached (a plain
+// run when mon is nil) and returns its virtual time.
+func sanitizedRun(cp *Compiled, kind transform.Kind, mode exec.SyncMode, threads int, mon *sanitize.Monitor, world *builtins.World) (int64, error) {
+	cfg := exec.Config{
+		Prog:     cp.C.Low.Prog,
+		Builtins: world.Fns(),
+		Model:    cp.C.Model,
+		Cost:     des.DefaultCostModel(),
+		Sanitize: mon,
+	}
+	res, err := exec.Run(cfg, cp.LA, cp.Schedule(kind), mode, threads)
+	if err != nil {
+		return 0, fmt.Errorf("bench: sanitized run %s/%s %v/%v: %w", cp.WL.Name, cp.Variant, kind, mode, err)
+	}
+	return res.VirtualTime, nil
 }
 
 // sanitizeNegatives runs every seeded misannotation negative: the

@@ -320,27 +320,70 @@ func TestSanitizeDetectSkipsRereadArgument(t *testing.T) {
 	}
 }
 
-// BenchmarkSanitizedCell times the sanitizer layer on md5sum: one parallel
-// cell (detect, capture, both-order replay of its oracle candidates) and
-// one sequential VerifyAll run. The plain run a cell compares against is
-// memoized, so it is warmed first; the substrate memos are reset outside
-// the timer, so every iteration's sanitized runs start cold.
+// BenchmarkSanitizedCell times the sanitizer layer. On md5sum: one
+// parallel cell (detect, capture, both-order replay of its oracle
+// candidates) and one sequential VerifyAll run. On geti DOALL/Mutex at 8
+// threads, the cell whose shadow memory works hardest: its detect pass
+// alone (geti-doall) next to the same cell's plain run (geti-plain), so
+// one run gives the detect/plain ratio. On 456.hmmer PS-DSWP/Mutex at 8
+// threads, the cell whose replays work hardest (~200 live matrices at its
+// late candidate): the whole detect → capture → replay cell. The plain
+// runs a cell compares against are memoized, so they are warmed first;
+// the substrate memos are reset outside the timer, so every iteration's
+// runs start cold.
 func BenchmarkSanitizedCell(b *testing.B) {
-	cp, err := Compile(workloads.Md5sum(), "comm", 4)
+	md5, err := Compile(workloads.Md5sum(), "comm", 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := cp.Run(transform.DOALL, exec.SyncSpin, 4); err != nil {
+	geti, err := Compile(workloads.ByName("geti"), "comm", 8)
+	if err != nil {
 		b.Fatal(err)
 	}
+	hmmer, err := Compile(workloads.ByName("456.hmmer"), "comm", 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cell := func(cp *Compiled, kind transform.Kind, mode exec.SyncMode, threads int) func(b *testing.B) {
+		if kind != transform.Sequential {
+			if _, err := cp.Run(kind, mode, threads); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return func(b *testing.B) {
+			cell, err := SanitizeRun(cp, kind, mode, threads)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !cell.Clean || !cell.VTimeMatch {
+				b.Fatalf("cell not clean: %+v", cell)
+			}
+		}
+	}
+	run := func(cp *Compiled, detect bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			w := freshWorld(cp.WL)
+			var mon *sanitize.Monitor
+			if detect {
+				mon = sanitize.New(sanitize.Detect, cp.C.Low.Prog, w)
+			}
+			if _, err := sanitizedRun(cp, transform.DOALL, exec.SyncMutex, 8, mon, w); err != nil {
+				b.Fatal(err)
+			}
+			if len(mon.Races()) > 0 {
+				b.Fatalf("races: %+v", mon.Races())
+			}
+		}
+	}
 	for _, c := range []struct {
-		name    string
-		kind    transform.Kind
-		mode    exec.SyncMode
-		threads int
+		name string
+		op   func(b *testing.B)
 	}{
-		{"doall", transform.DOALL, exec.SyncSpin, 4},
-		{"seq", transform.Sequential, 0, 1},
+		{"doall", cell(md5, transform.DOALL, exec.SyncSpin, 4)},
+		{"seq", cell(md5, transform.Sequential, 0, 1)},
+		{"geti-doall", run(geti, true)},
+		{"geti-plain", run(geti, false)},
+		{"hmmer-psdswp", cell(hmmer, transform.PSDSWP, exec.SyncMutex, 8)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -348,13 +391,7 @@ func BenchmarkSanitizedCell(b *testing.B) {
 				b.StopTimer()
 				builtins.ResetFastCaches()
 				b.StartTimer()
-				cell, err := SanitizeRun(cp, c.kind, c.mode, c.threads)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !cell.Clean || !cell.VTimeMatch {
-					b.Fatalf("cell not clean: %+v", cell)
-				}
+				c.op(b)
 			}
 		})
 	}
