@@ -68,10 +68,11 @@ bench-perf-smoke:
 # Paired perfbench runs of a base commit against the working tree, 20 s
 # each, alternating which side runs first (scripts/bench-pairs.sh; not part
 # of verify): make bench-pairs BASE=HEAD~1 WORKLOAD=sim-resilient PAIRS=10
+# (TRACED=1 runs them traced and summarizes the per-layer metrics).
 bench-pairs:
 	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(PAIRS)" ]; then \
-		echo "usage: make bench-pairs BASE=rev WORKLOAD=name PAIRS=n"; exit 2; fi
-	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
+		echo "usage: make bench-pairs BASE=rev WORKLOAD=name PAIRS=n [TRACED=1]"; exit 2; fi
+	bash scripts/bench-pairs.sh $(if $(TRACED),--traced) $(BASE) $(WORKLOAD) $(PAIRS)
 
 # The full pre-merge gate: build, vet (plus staticcheck when installed),
 # formatting, the test suite (which alone runs the tests that race builds

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Paired perfbench runs of a base commit against the working tree.
 #
-#   scripts/bench-pairs.sh BASE WORKLOAD PAIRS [SECONDS] [FIRST_SEED]
+#   scripts/bench-pairs.sh [--traced] BASE WORKLOAD PAIRS [SECONDS] [FIRST_SEED]
 #   scripts/bench-pairs.sh HEAD~1 sim-resilient 10 20 1
+#   scripts/bench-pairs.sh --traced HEAD~1 sim-resilient 3 20 1
 #
 # Run it from the repository root. BASE is extracted with `git archive`
 # into a temporary directory (under $TMPDIR), which is removed on exit, so
@@ -19,10 +20,23 @@
 # the base median and quartiles, the change median, the ratio change/base,
 # and the number of pairs the change won (by the metric's "better"
 # direction), then the attempted and failed ops per side.
+#
+# With --traced, every run is `--trace 1` instead, the lines go to
+# .bench_build/pairs/WORKLOAD.traced.base.jsonl and
+# .bench_build/pairs/WORKLOAD.traced.change.jsonl, and the summary gives
+# the same columns for each per-layer metric of BENCHMARK.json (the pairs
+# "won" count then follows the metric's "better" direction, which for a
+# layer's time is lower), leaving out the layers that read 0 in every run
+# of both sides.
 set -euo pipefail
 
+trace=0 tag= section=end_to_end
+if [ "${1:-}" = --traced ]; then
+	trace=1 tag=.traced section=per_layer
+	shift
+fi
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
-	echo "usage: scripts/bench-pairs.sh BASE WORKLOAD PAIRS [SECONDS] [FIRST_SEED]" >&2
+	echo "usage: scripts/bench-pairs.sh [--traced] BASE WORKLOAD PAIRS [SECONDS] [FIRST_SEED]" >&2
 	exit 2
 fi
 base=$1 workload=$2 pairs=$3 seconds=${4:-20} first=${5:-1}
@@ -43,8 +57,8 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/base" || {
 
 out=$root/.bench_build/pairs
 mkdir -p "$out"
-: >"$out/$workload.base.jsonl"
-: >"$out/$workload.change.jsonl"
+: >"$out/$workload$tag.base.jsonl"
+: >"$out/$workload$tag.change.jsonl"
 
 # run SIDE SEED appends one run's JSON line to the side's file; a run that
 # fails (exit 1 on a failed op) still leaves its line.
@@ -53,11 +67,11 @@ run() {
 	if [ "$side" = base ]; then dir=$tmp/base; else dir=$root; fi
 	line=$(cd "$dir" && CARGO_TARGET_DIR=$root/.bench_build/pairs-$side \
 		bash perfbench/run.sh --workload "$workload" --seed "$seed" \
-		--seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || true
+		--seconds "$seconds" --trace "$trace" 2>/dev/null | tail -n 1) || true
 	if [ -z "$line" ]; then
 		line='{"correct":false,"attempted":0,"failed":0,"metrics":{}}'
 	fi
-	echo "$line" >>"$out/$workload.$side.jsonl"
+	echo "$line" >>"$out/$workload$tag.$side.jsonl"
 }
 
 for ((i = 0; i < pairs; i++)); do
@@ -72,15 +86,16 @@ for ((i = 0; i < pairs; i++)); do
 	echo "pair $((i + 1))/$pairs (seed $seed) done" >&2
 done
 
-echo "$workload: $pairs pairs of ${seconds}s, seeds $first-$((first + pairs - 1)), base $base (${rev:0:12}) vs working tree"
-echo "runs: $out/$workload.{base,change}.jsonl"
-awk '
-# Metric names and directions: the "end_to_end" entries of BENCHMARK.json.
+echo "$workload: $pairs ${tag:+traced }pairs of ${seconds}s, seeds $first-$((first + pairs - 1)), base $base (${rev:0:12}) vs working tree"
+echo "runs: $out/$workload$tag.{base,change}.jsonl"
+awk -v section="$section" '
+# Metric names and directions: the entries of the BENCHMARK.json section
+# ("end_to_end", or "per_layer" for traced runs).
 FNR == 1 { file++ }
 file == 1 {
-	if ($0 ~ /"end_to_end"/) { e2e = 1; next }
-	if (e2e && $0 ~ /^[[:space:]]*\]/) { e2e = 0 }
-	if (e2e && match($0, /"name": *"[^"]*"/)) {
+	if ($0 ~ "\"" section "\"") { insec = 1; next }
+	if (insec && $0 ~ /^[[:space:]]*\]/) { insec = 0 }
+	if (insec && match($0, /"name": *"[^"]*"/)) {
 		s = substr($0, RSTART, RLENGTH); sub(/"name": *"/, "", s); sub(/"$/, "", s)
 		n++; name[n] = s
 		better[n] = ($0 ~ /"better": *"higher"/) ? "higher" : "lower"
@@ -119,7 +134,7 @@ function sortn(a, m,    i, j, t) {
 }
 END {
 	p = (runs["base"] < runs["change"]) ? runs["base"] : runs["change"]
-	printf "%-16s %12s %25s %12s %8s %6s\n", "metric", "base p50", "base q1-q3", "change p50", "ratio", "won"
+	printf "%-32s %12s %25s %12s %8s %6s\n", "metric", "base p50", "base q1-q3", "change p50", "ratio", "won"
 	for (k = 1; k <= n; k++) {
 		mb = 0; mc = 0; won = 0; pw = 0
 		delete b; delete c
@@ -131,12 +146,13 @@ END {
 		}
 		sortn(b, mb); sortn(c, mc)
 		bm = quant(b, mb, 0.5); cm = quant(c, mc, 0.5)
+		if (bm == 0 && cm == 0 && b[mb] == 0 && c[mc] == 0) continue # a layer neither side ran
 		ratio = (bm == "NA" || cm == "NA" || bm == 0) ? "NA" : sprintf("%.4f", cm / bm)
-		printf "%-16s %12s %25s %12s %8s %6s\n", name[k], \
+		printf "%-32s %12s %25s %12s %8s %6s\n", name[k], \
 			(bm == "NA") ? "NA" : sprintf("%.4g", bm), \
 			(mb == 0) ? "NA" : sprintf("%.4g-%.4g", quant(b, mb, 0.25), quant(b, mb, 0.75)), \
 			(cm == "NA") ? "NA" : sprintf("%.4g", cm), ratio, won "/" pw
 	}
 	printf "failed ops: base %d of %d, change %d of %d\n", fail["base"], att["base"], fail["change"], att["change"]
 }
-' BENCHMARK.json "$out/$workload.base.jsonl" "$out/$workload.change.jsonl"
+' BENCHMARK.json "$out/$workload$tag.base.jsonl" "$out/$workload$tag.change.jsonl"
