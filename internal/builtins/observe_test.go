@@ -1,6 +1,8 @@
 package builtins
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/vm/value"
@@ -51,8 +53,9 @@ func observedWorld(t *testing.T) *World {
 // ObservableDiff against the whole-world renderings: every key that the
 // two ObservableState maps render differently (or that one world lacks)
 // is in the diff's maps, every key in them carries ObservableState's
-// rendering in each world that has it, and worlds that agree render
-// nothing.
+// rendering in each world that has it, the first divergence in key order
+// (the one the commute oracle reports) is the same, and worlds that
+// agree render nothing.
 func TestObservableDiffMatchesFullRendering(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -135,6 +138,9 @@ func TestObservableDiffMatchesFullRendering(t *testing.T) {
 				}
 			}
 		}
+		if got, want := firstDivergence(da, db), firstDivergence(fa, fb); got != want {
+			t.Errorf("%s: first divergence %q, whole worlds' %q", tc.name, got, want)
+		}
 		if differs != tc.keys {
 			t.Errorf("%s: %d keys differ, want %d", tc.name, differs, tc.keys)
 		}
@@ -155,4 +161,17 @@ func unionKeys(a, b map[string]string) []string {
 		}
 	}
 	return keys
+}
+
+// firstDivergence renders the first key, in sorted order, that a and b
+// hold differently, as the commute oracle's diff names it.
+func firstDivergence(a, b map[string]string) string {
+	keys := unionKeys(a, b)
+	sort.Strings(keys)
+	for _, k := range keys {
+		if a[k] != b[k] {
+			return fmt.Sprintf("world %s: A;B=%q B;A=%q", k, a[k], b[k])
+		}
+	}
+	return ""
 }
