@@ -149,26 +149,25 @@ func (m *Monitor) cellName(k cellKey) string {
 
 // locCells holds one builtin effect location's shadow cells, each as its
 // index plus one (0 for none yet): the cell of the whole location, and
-// dense tables of cells by handle, by key, and by handle then key. A
-// handle's keys are kept in blocks of keyBlockLen consecutive keys,
-// allocated from the monitor's paged block store as the handle first
-// touches them, and byBoth holds each handle's block indices (plus one).
-// A handle past denseHandles or a key past denseKeys (or a negative one)
-// keys its cell in the monitor's far map instead.
+// dense tables of cells by handle and by handle then key. A handle's
+// keys are kept in blocks of keyBlockLen consecutive keys, allocated from
+// the monitor's paged block store as the handle first touches them, and
+// byBoth holds each handle's block indices (plus one). A handle past
+// denseHandles or a key past denseKeys (or a negative one), and a key
+// without a handle, key their cells in the monitor's far map instead.
 type locCells struct {
 	loc    int32
 	name   string
 	whole  int32
 	byInst []int32
-	byKey  []int32
 	byBoth [][denseKeys / keyBlockLen]int32
 }
 
 // keyBlock holds the cells of keyBlockLen consecutive keys of one handle.
 type keyBlock [keyBlockLen]int32
 
-// Bounds of the dense cell tables: a table by handle grows to at most
-// denseHandles entries, a table by key to at most denseKeys.
+// Bounds of the dense cell tables: they cover handles below denseHandles
+// and keys below denseKeys.
 const (
 	denseHandles = 1 << 16
 	denseKeys    = 1 << 10
@@ -578,11 +577,12 @@ func (m *Monitor) builtinCell(s *planStep, args []value.Value) int32 {
 	switch {
 	case !k.hasInst && !k.hasKey:
 		slot = &lc.whole
+	case !k.hasInst || k.inst < 0 || k.inst >= denseHandles:
+		// A key without a handle (no builtin declares one) or a handle
+		// past the dense tables.
 	case !k.hasKey:
-		slot = denseSlot(&lc.byInst, k.inst, denseHandles)
-	case !k.hasInst:
-		slot = denseSlot(&lc.byKey, k.key, denseKeys)
-	case k.inst >= 0 && k.inst < denseHandles && k.key >= 0 && k.key < denseKeys:
+		slot = grow(&lc.byInst, int(k.inst))
+	case k.key >= 0 && k.key < denseKeys:
 		b := &grow(&lc.byBoth, int(k.inst))[k.key/keyBlockLen]
 		if *b == 0 {
 			m.nblocks++
@@ -602,15 +602,6 @@ func (m *Monitor) builtinCell(s *planStep, args []value.Value) int32 {
 		*slot = m.newCell(k) + 1
 	}
 	return *slot - 1
-}
-
-// denseSlot returns entry i of a dense cell table, growing the table to
-// cover it, or nil when i falls outside [0, limit).
-func denseSlot(t *[]int32, i, limit int64) *int32 {
-	if i < 0 || i >= limit {
-		return nil
-	}
-	return grow(t, int(i))
 }
 
 // denseCell returns the cell at entry i of a dense table, creating the

@@ -1,6 +1,7 @@
 package sanitize
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -286,6 +287,25 @@ func TestBuiltinEffectShadowCells(t *testing.T) {
 	m.TraceBuiltin(2, callee(t, "bitmap_set"), []value.Value{value.Int(1), value.Int(3)})
 	if rs := m.Races(); len(rs) != 1 || rs[0].Cell != "t:bitmaps#1@3" {
 		t.Errorf("same handle+key must conflict: %v", rs)
+	}
+
+	// So do handles and keys outside the dense cell tables (a negative
+	// key, a key past denseKeys, a handle past denseHandles), beside the
+	// dense neighbours of each.
+	for _, hk := range [][2]int64{{1, -1}, {1, denseKeys + 7}, {denseHandles + 3, 3}} {
+		m := newTestMonitor(Detect)
+		set := []value.Value{value.Int(hk[0]), value.Int(hk[1])}
+		m.TraceBuiltin(1, callee(t, "bitmap_set"), set)
+		m.TraceBuiltin(2, callee(t, "bitmap_set"), []value.Value{value.Int(hk[0]), value.Int(hk[1] + 1)})
+		m.TraceBuiltin(2, callee(t, "bitmap_set"), []value.Value{value.Int(hk[0] - 1), value.Int(hk[1])})
+		if rs := m.Races(); len(rs) != 0 {
+			t.Errorf("handle %d key %d: distinct keys/handles conflicted: %v", hk[0], hk[1], rs)
+		}
+		m.TraceBuiltin(2, callee(t, "bitmap_set"), set)
+		want := fmt.Sprintf("t:bitmaps#%d@%d", hk[0], hk[1])
+		if rs := m.Races(); len(rs) != 1 || rs[0].Cell != want {
+			t.Errorf("handle %d key %d: races %v, want one on %s", hk[0], hk[1], rs, want)
+		}
 	}
 
 	// Cells are keyed by the integer payloads of the handle and key
