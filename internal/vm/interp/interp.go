@@ -17,6 +17,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/vm/value"
@@ -222,10 +223,12 @@ func (t *Thread) ScratchRelease(mark int) {
 }
 
 // ScratchSlice carves an n-element slice from the arena, capacity-clamped
-// so callee carves can never alias it.
+// so callee carves can never alias it. The slots are not cleared: they may
+// hold values of an earlier, released carve, and every caller writes each
+// slot before it reads it.
 func (t *Thread) ScratchSlice(n int) []value.Value {
 	m := len(t.scratch)
-	t.scratch = append(t.scratch, make([]value.Value, n)...)
+	t.scratch = slices.Grow(t.scratch, n)[:m+n]
 	return t.scratch[m : m+n : m+n]
 }
 
