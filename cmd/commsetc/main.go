@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/bench"
@@ -118,19 +117,11 @@ func dumpUnits(cp *bench.Compiled) {
 			ui, g.Weights[ui], len(unit), unit[0])
 	}
 	fmt.Printf("control weight %d\n", g.ControlWeight)
-	printDeps := func(name string, deps map[int]map[int]bool) {
-		var froms []int
-		for u := range deps {
-			froms = append(froms, u)
-		}
-		sort.Ints(froms)
-		for _, u := range froms {
-			var tos []int
-			for t := range deps[u] {
-				tos = append(tos, t)
+	printDeps := func(name string, deps [][]int) {
+		for u, tos := range deps {
+			if len(tos) > 0 {
+				fmt.Printf("%s %d -> %v\n", name, u, tos)
 			}
-			sort.Ints(tos)
-			fmt.Printf("%s %d -> %v\n", name, u, tos)
 		}
 	}
 	printDeps("intra", g.Intra)

@@ -28,9 +28,11 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/effects"
+	"repro/internal/ir"
 	"repro/internal/pdg"
 	"repro/internal/pipeline"
 	"repro/internal/source"
@@ -78,6 +80,34 @@ type Options struct {
 type loopCtx struct {
 	fn string
 	la *pipeline.LoopAnalysis
+	// calls are the IDs of the loop's call instructions that have
+	// memberships, ascending, and membs[i] the memberships of calls[i].
+	calls []int
+	membs [][]memb
+}
+
+// addLoop records an analyzed loop of function fn, resolving the
+// memberships of its calls.
+func (v *vet) addLoop(fn string, la *pipeline.LoopAnalysis) {
+	lc := loopCtx{fn: fn, la: la}
+	for _, id := range la.PDG.Nodes {
+		if in := la.PDG.Instrs[id]; in.Op == ir.OpCall {
+			if ms := v.resolveMembs(la, in); len(ms) > 0 {
+				lc.calls = append(lc.calls, id)
+				lc.membs = append(lc.membs, ms)
+			}
+		}
+	}
+	v.loops = append(v.loops, lc)
+}
+
+// membsOf returns the memberships of the representative call node id, nil
+// when id is not a member call.
+func (lc loopCtx) membsOf(id int) []memb {
+	if i, ok := slices.BinarySearch(lc.calls, id); ok {
+		return lc.membs[i]
+	}
+	return nil
 }
 
 // vet carries the state shared by the check families.
@@ -119,7 +149,7 @@ func Run(c *pipeline.Compiled, opts Options) (*source.DiagList, error) {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		for _, la := range las {
-			v.loops = append(v.loops, loopCtx{fn: fn, la: la})
+			v.addLoop(fn, la)
 		}
 	}
 	if opts.Checks.Unsound {

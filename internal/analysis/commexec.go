@@ -105,32 +105,27 @@ func sortedLocs(states ...*commState) []effects.Loc {
 // a warning, never as a verified/refuted verdict.
 type commBail struct{ reason string }
 
-// funcCFG caches the control-flow artifacts of one function.
-type funcCFG struct {
-	g     *cfg.Graph
-	loops map[int]*cfg.Loop // header block -> loop
-	ipdom []int
-}
-
 // commEnv is the per-program cache shared by all pair verifications.
 type commEnv struct {
-	v    *vet
-	cfgs map[string]*funcCFG
+	v *vet
+	// cfgs holds the control-flow context of each function executed so
+	// far, starting with those of the analyzed loops' functions.
+	cfgs map[string]*cfg.Flow
 }
 
-func newCommEnv(v *vet) *commEnv { return &commEnv{v: v, cfgs: map[string]*funcCFG{}} }
+func newCommEnv(v *vet) *commEnv {
+	e := &commEnv{v: v, cfgs: map[string]*cfg.Flow{}}
+	for _, lc := range v.loops {
+		e.cfgs[lc.la.Fn.Name] = lc.la.Flow
+	}
+	return e
+}
 
-func (e *commEnv) cfgOf(f *ir.Func) *funcCFG {
+func (e *commEnv) cfgOf(f *ir.Func) *cfg.Flow {
 	if fc, ok := e.cfgs[f.Name]; ok {
 		return fc
 	}
-	g := cfg.New(f)
-	fc := &funcCFG{g: g, loops: map[int]*cfg.Loop{}, ipdom: g.PostDominators()}
-	for _, l := range g.Loops() {
-		if prev, ok := fc.loops[l.Header]; !ok || len(l.Blocks) > len(prev.Blocks) {
-			fc.loops[l.Header] = l
-		}
-	}
+	fc := cfg.NewFlow(f)
 	e.cfgs[f.Name] = fc
 	return fc
 }
@@ -589,7 +584,7 @@ func (x *commExec) execFunc(f *ir.Func, args []*symexec.Term) []*symexec.Term {
 
 // runBlocks interprets from block b until `stop` (exclusive) or a return.
 // With restrict non-nil, leaving the set is an error (loop-body passes).
-func (x *commExec) runBlocks(fr *cframe, fc *funcCFG, b, stop int, restrict map[int]bool) ([]*symexec.Term, bool) {
+func (x *commExec) runBlocks(fr *cframe, fc *cfg.Flow, b, stop int, restrict []bool) ([]*symexec.Term, bool) {
 	for {
 		if b == stop {
 			return nil, false
@@ -597,7 +592,7 @@ func (x *commExec) runBlocks(fr *cframe, fc *funcCFG, b, stop int, restrict map[
 		if restrict != nil && !restrict[b] {
 			x.bail("loop in %s leaves its body early (break?)", fr.f.Name)
 		}
-		if l, ok := fc.loops[b]; ok {
+		if l := fc.LoopAt(b); l != nil {
 			b = x.summarizeLoop(fr, fc, l, restrict)
 			continue
 		}
@@ -630,7 +625,7 @@ func (x *commExec) runBlocks(fr *cframe, fc *funcCFG, b, stop int, restrict map[
 			case symexec.False:
 				b = t.Targets[1]
 			default:
-				ip := fc.ipdom[b]
+				ip := fc.Ipdom[b]
 				if ip < 0 {
 					x.bail("no postdominator for branch in %s", fr.f.Name)
 				}
@@ -675,7 +670,7 @@ func mergeOcc(dst, a, b map[string]int) {
 // postdominator under complementary path conditions, then merges the
 // frames with if-then-else terms. Log entries keep their guards: the
 // normalization lets mutually exclusive entries commute.
-func (x *commExec) fork(fr *cframe, fc *funcCFG, t *ir.Instr, cond *symexec.Term, stop int, restrict map[int]bool) {
+func (x *commExec) fork(fr *cframe, fc *cfg.Flow, t *ir.Instr, cond *symexec.Term, stop int, restrict []bool) {
 	slots0 := cloneSlots(fr.slots)
 	occ0 := cloneOcc(x.occ)
 	guard0 := x.guard
@@ -710,7 +705,7 @@ func (x *commExec) fork(fr *cframe, fc *funcCFG, t *ir.Instr, cond *symexec.Term
 
 // forkToReturn handles an undecidable branch whose join is the function
 // exit: both arms run to their returns and the results merge.
-func (x *commExec) forkToReturn(fr *cframe, fc *funcCFG, t *ir.Instr, cond *symexec.Term, restrict map[int]bool) ([]*symexec.Term, bool) {
+func (x *commExec) forkToReturn(fr *cframe, fc *cfg.Flow, t *ir.Instr, cond *symexec.Term, restrict []bool) ([]*symexec.Term, bool) {
 	if restrict != nil {
 		x.bail("conditional return inside a loop body in %s", fr.f.Name)
 	}
@@ -753,9 +748,9 @@ func lvTainted(t *symexec.Term) bool { return t != nil && t.ContainsOpPrefix("lv
 // entries whose values are uninterpreted functions of everything the body
 // read. Commutative write kinds keep their kind (a loop of bumps is still
 // a bump); assigns weaken to wSummary. Returns the loop's unique exit.
-func (x *commExec) summarizeLoop(fr *cframe, fc *funcCFG, l *cfg.Loop, restrict map[int]bool) int {
+func (x *commExec) summarizeLoop(fr *cframe, fc *cfg.Flow, l *cfg.Loop, restrict []bool) int {
 	exit := -1
-	for bid := range l.Blocks {
+	for _, bid := range l.Blocks {
 		for _, s := range fr.f.Blocks[bid].Succs() {
 			if !l.Contains(s) {
 				if exit != -1 && exit != s {
@@ -775,7 +770,7 @@ func (x *commExec) summarizeLoop(fr *cframe, fc *funcCFG, l *cfg.Loop, restrict 
 	id := fr.f.Name + ":b" + strconv.Itoa(l.Header)
 
 	written := map[int]bool{}
-	for bid := range l.Blocks {
+	for _, bid := range l.Blocks {
 		for _, in := range fr.f.Blocks[bid].Instrs {
 			switch in.Op {
 			case ir.OpStoreLocal:
@@ -854,7 +849,7 @@ func (x *commExec) summarizeLoop(fr *cframe, fc *funcCFG, l *cfg.Loop, restrict 
 		x.execInstr(fr, in)
 	}
 	if inLoop != l.Header {
-		if _, ret := x.runBlocks(fr, fc, inLoop, l.Header, l.Blocks); ret {
+		if _, ret := x.runBlocks(fr, fc, inLoop, l.Header, l.In); ret {
 			x.bail("loop body of %s returns", fr.f.Name)
 		}
 	}

@@ -335,20 +335,18 @@ func (v *vet) bindMember(env *commEnv, s *types.Set, fn string, inst int) (*boun
 	}
 	fc := env.cfgOf(caller)
 	var L *cfg.Loop
-	for _, l := range fc.loops {
+	for _, l := range fc.Loops {
 		if l.Contains(blk.ID) && (L == nil || len(l.Blocks) < len(L.Blocks)) {
 			L = l
 		}
 	}
-	ivSlots := map[int]bool{}
+	var ivSlots []bool
 	var ivTerm *symexec.Term
 	if L != nil {
 		ivTerm = symexec.Sym("it:"+caller.Name+":b"+strconv.Itoa(L.Header), inst)
 		for _, lc := range v.loops {
 			if lc.fn == caller.Name && lc.la.Loop.Header == L.Header {
-				for sl := range lc.la.PDG.IVSlots {
-					ivSlots[sl] = true
-				}
+				ivSlots = lc.la.PDG.IVSlots
 				break
 			}
 		}
@@ -398,7 +396,7 @@ func (v *vet) regionCallSite(fn string) (*ir.Func, *ir.Block, *ir.Instr) {
 }
 
 // bindArgReg maps one live-in register of a region call to a symbolic term.
-func (v *vet) bindArgReg(env *commEnv, caller *ir.Func, blk *ir.Block, call *ir.Instr, r, inst int, L *cfg.Loop, ivTerm *symexec.Term, ivSlots map[int]bool, fn string) *symexec.Term {
+func (v *vet) bindArgReg(env *commEnv, caller *ir.Func, blk *ir.Block, call *ir.Instr, r, inst int, L *cfg.Loop, ivTerm *symexec.Term, ivSlots []bool, fn string) *symexec.Term {
 	root := rootLoad(blk, call, r, 0)
 	if root == nil {
 		def := defBefore(blk, call, r)
@@ -416,7 +414,7 @@ func (v *vet) bindArgReg(env *commEnv, caller *ir.Func, blk *ir.Block, call *ir.
 		return symexec.Sym("opq:"+fn+":r"+strconv.Itoa(r), inst)
 	}
 	slot := root.Slot
-	if L != nil && ivSlots[slot] {
+	if L != nil && slot < len(ivSlots) && ivSlots[slot] {
 		return ivTerm
 	}
 	if t := v.freshArgTerm(caller, slot, L, ivTerm); t != nil {
@@ -436,7 +434,7 @@ func slotName(f *ir.Func, slot int) string {
 }
 
 func slotStoredInLoop(f *ir.Func, l *cfg.Loop, slot int) bool {
-	for bid := range l.Blocks {
+	for _, bid := range l.Blocks {
 		for _, in := range f.Blocks[bid].Instrs {
 			if in.Op == ir.OpStoreLocal && in.Slot == slot {
 				return true

@@ -54,7 +54,7 @@ func prepare(t *testing.T, v *vet) {
 			t.Fatal(err)
 		}
 		for _, la := range las {
-			v.loops = append(v.loops, loopCtx{fn: lu.Func, la: la})
+			v.addLoop(lu.Func, la)
 		}
 	}
 }

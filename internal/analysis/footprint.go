@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/effects"
@@ -22,15 +23,11 @@ type memb struct {
 	params []int
 }
 
-// membsOf resolves the memberships of the representative call node id in la:
+// resolveMembs resolves the memberships of call instruction in of la:
 // region calls carry CallMembs (predicate arguments are live-in registers,
 // mapped back to region parameter positions), and interface members carry
 // FuncMembs with parameter indices directly.
-func (v *vet) membsOf(la *pipeline.LoopAnalysis, id int) []memb {
-	in := la.PDG.Instrs[id]
-	if in == nil || in.Op != ir.OpCall {
-		return nil
-	}
+func (v *vet) resolveMembs(la *pipeline.LoopAnalysis, in *ir.Instr) []memb {
 	var out []memb
 	if refs, ok := v.c.Low.CallMembs[in]; ok {
 		blk := blockOf(la.Fn, in)
@@ -57,18 +54,33 @@ func (v *vet) membsOf(la *pipeline.LoopAnalysis, id int) []memb {
 func (v *vet) conflictLocs(fn1, fn2 string) []effects.Loc {
 	r1, w1 := v.c.Summary.CallEffects(fn1)
 	r2, w2 := v.c.Summary.CallEffects(fn2)
-	locs := effects.Set{}
-	for l := range w1 {
-		if w2[l] || r2[l] {
-			locs.Add(l)
+	var locs []effects.Loc
+	// Walk the ascending union of w1 and r1.
+	for i, j := 0, 0; i < len(w1) || j < len(r1); {
+		var l effects.Loc
+		var written bool
+		switch {
+		case j == len(r1) || i < len(w1) && w1[i] < r1[j]:
+			l, written = w1[i], true
+			i++
+		case i == len(w1) || r1[j] < w1[i]:
+			l = r1[j]
+			j++
+		default:
+			l, written = w1[i], true
+			i, j = i+1, j+1
+		}
+		if hasLoc(w2, l) || written && hasLoc(r2, l) {
+			locs = append(locs, l)
 		}
 	}
-	for l := range r1 {
-		if w2[l] {
-			locs.Add(l)
-		}
-	}
-	return locs.Sorted()
+	return locs
+}
+
+// hasLoc reports whether the ascending list locs holds l.
+func hasLoc(locs []effects.Loc, l effects.Loc) bool {
+	_, ok := slices.BinarySearch(locs, l)
+	return ok
 }
 
 // covers reports whether justifying set s actually protects the conflict on
@@ -161,7 +173,7 @@ func (v *vet) accessKeyPositions(f *ir.Func, b *ir.Block, in *ir.Instr, m memb, 
 		return map[int]keyXform{}, true
 	case ir.OpCall:
 		r, w := v.c.Summary.CallEffects(in.Name)
-		if !r[loc] && !w[loc] {
+		if !hasLoc(r, loc) && !hasLoc(w, loc) {
 			return nil, false
 		}
 		// Keying callee positions: a declared key argument for builtins, the

@@ -241,8 +241,8 @@ func (v *vet) allocStoreVal(la *pipeline.LoopAnalysis, st, load *ir.Instr, site 
 	if sb == nil || lb == nil {
 		return symexec.Val{}, false
 	}
-	if !la.Loop.Blocks[sb.ID] {
-		if la.PDG.Dom.Dominates(sb.ID, la.Loop.Header) {
+	if !la.Loop.Contains(sb.ID) {
+		if la.Flow.Dom.Dominates(sb.ID, la.Loop.Header) {
 			return symexec.Alloc(site, false, inst), true
 		}
 		return symexec.Val{}, false
@@ -253,7 +253,7 @@ func (v *vet) allocStoreVal(la *pipeline.LoopAnalysis, st, load *ir.Instr, site 
 		}
 		return symexec.Val{}, false
 	}
-	if la.PDG.Dom.Dominates(sb.ID, lb.ID) {
+	if la.Flow.Dom.Dominates(sb.ID, lb.ID) {
 		return symexec.Alloc(site, true, inst), true
 	}
 	return symexec.Val{}, false
@@ -270,8 +270,8 @@ func (v *vet) globalAllocDominatesLoop(la *pipeline.LoopAnalysis, g string) bool
 	}
 	st := kf.globalStoreIn[g]
 	sb := la.Fn.BlockOfInstr(st)
-	if sb == nil || la.Loop.Blocks[sb.ID] {
+	if sb == nil || la.Loop.Contains(sb.ID) {
 		return false
 	}
-	return la.PDG.Dom.Dominates(sb.ID, la.Loop.Header)
+	return la.Flow.Dom.Dominates(sb.ID, la.Loop.Header)
 }

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/effects"
@@ -171,6 +171,14 @@ func newKeyFlow(v *vet) *keyFlow {
 		universe[name] = true
 	}
 	for _, scc := range v.c.CG.SCCs(universe) {
+		// A function on no call cycle reads only final callee summaries,
+		// so one computation is its fixed point.
+		if fn := scc[0]; len(scc) == 1 {
+			if _, self := slices.BinarySearch(v.c.CG.Callees[fn], fn); !self {
+				kf.fns[fn] = kf.compute(fn)
+				continue
+			}
+		}
 		// Optimistic start for the component: every unstored parameter
 		// keys every touched location, and no access has been seen.
 		for _, fn := range scc {
@@ -272,10 +280,8 @@ func (kf *keyFlow) compute(fn string) *fnKeyFlow {
 	if f == nil {
 		return s
 	}
-	seen := map[effects.Loc]bool{}
 	access := func(loc effects.Loc, ps map[int]keyXform, d instDesc) {
-		if !seen[loc] {
-			seen[loc] = true
+		if _, seen := s.keyed[loc]; !seen {
 			if ps == nil {
 				ps = map[int]keyXform{}
 			}
@@ -308,24 +314,35 @@ func (kf *keyFlow) compute(fn string) *fnKeyFlow {
 // one call instruction into access.
 func (kf *keyFlow) callAccesses(f *ir.Func, b *ir.Block, in *ir.Instr, access func(effects.Loc, map[int]keyXform, instDesc)) {
 	r, w := kf.v.c.Summary.CallEffects(in.Name)
-	locs := effects.Set{}
-	locs.AddSet(r)
-	locs.AddSet(w)
 	callee := kf.fns[in.Name] // nil for builtins
-	for _, loc := range locs.Sorted() {
+	var posBuf [8]int
+	for i, j := 0, 0; i < len(r) || j < len(w); {
+		// The next location of the ascending union of r and w.
+		var loc effects.Loc
+		switch {
+		case j == len(w) || i < len(r) && r[i] < w[j]:
+			loc = r[i]
+			i++
+		case i == len(r) || w[j] < r[i]:
+			loc = w[j]
+			j++
+		default:
+			loc = r[i]
+			i, j = i+1, j+1
+		}
 		// Keyed positions of the callee for loc, as callee parameter (=
-		// argument) indices with the transform the callee applies.
-		var calleePos []int
-		calleeX := map[int]keyXform{}
+		// argument) indices in ascending order, with the transform the
+		// callee applies.
+		calleePos := posBuf[:0]
+		var calleeX map[int]keyXform
 		if callee != nil {
-			for p, x := range callee.keyed[loc] {
+			calleeX = callee.keyed[loc]
+			for p := range calleeX {
 				calleePos = append(calleePos, p)
-				calleeX[p] = x
 			}
-			sort.Ints(calleePos)
+			slices.Sort(calleePos)
 		} else if k, ok := kf.v.c.Summary.KeyedArg(in.Name, loc); ok {
 			calleePos = append(calleePos, k)
-			calleeX[k] = xformID
 		}
 		var ps map[int]keyXform
 		for _, k := range calleePos {
@@ -340,7 +357,11 @@ func (kf *keyFlow) callAccesses(f *ir.Func, b *ir.Block, in *ir.Instr, access fu
 					ps = map[int]keyXform{}
 				}
 				if _, dup := ps[slot]; !dup {
-					ps[slot] = calleeX[k].then(ax)
+					x := xformID
+					if callee != nil {
+						x = calleeX[k]
+					}
+					ps[slot] = x.then(ax)
 				}
 			}
 		}

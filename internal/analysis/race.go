@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/effects"
 	"repro/internal/pdg"
-	"repro/internal/pipeline"
 	"repro/internal/source"
 	"repro/internal/transform"
 )
@@ -44,17 +43,15 @@ func (v *vet) checkRace() {
 
 func (v *vet) checkSchedule(lc loopCtx, g *transform.UnitGraph, sched *transform.Schedule) {
 	la := lc.la
-	stageOf := map[int]int{}
+	// stageOf maps a unit to its stage, -1 when no stage runs it.
+	stageOf := make([]int, g.NumUnits)
+	for u := range stageOf {
+		stageOf[u] = -1
+	}
 	for si, st := range sched.Stages {
 		for _, u := range st.Units {
 			stageOf[u] = si
 		}
-	}
-	unitOf := func(id int) int {
-		if u, ok := g.UnitOf[id]; ok {
-			return u
-		}
-		return transform.ControlUnit
 	}
 	for _, e := range la.PDG.Edges {
 		switch e.Kind {
@@ -65,13 +62,12 @@ func (v *vet) checkSchedule(lc loopCtx, g *transform.UnitGraph, sched *transform
 		if !e.LoopCarried || e.SlotID > 0 || !sharedLoc(e.Loc) {
 			continue
 		}
-		u1, u2 := unitOf(e.From), unitOf(e.To)
+		u1, u2 := g.UnitOf[e.From], g.UnitOf[e.To]
 		if u1 == transform.ControlUnit || u2 == transform.ControlUnit {
 			continue // the iteration dispatcher serializes loop control
 		}
-		s1, ok1 := stageOf[u1]
-		s2, ok2 := stageOf[u2]
-		if !ok1 || !ok2 {
+		s1, s2 := stageOf[u1], stageOf[u2]
+		if s1 < 0 || s2 < 0 {
 			continue
 		}
 		concurrent := false
@@ -91,10 +87,10 @@ func (v *vet) checkSchedule(lc loopCtx, g *transform.UnitGraph, sched *transform
 			continue
 		}
 		for _, loc := range v.conflictLocsAt(la, e) {
-			if v.raceProtected(la, e, n1, n2, loc) {
+			if v.raceProtected(lc, e, n1, n2, loc) {
 				continue
 			}
-			if v.opts.Privatize && v.privatizable(la, e, n1, n2) {
+			if v.opts.Privatize && v.privatizable(lc, e, n1, n2) {
 				// Under the privatization tuning the commutative update
 				// runs on per-thread shadow state and merges once under
 				// the set's sync mode — the conflict is never concurrent.
@@ -119,12 +115,12 @@ func (v *vet) checkSchedule(lc loopCtx, g *transform.UnitGraph, sched *transform
 // raceProtected reports whether some justifying set protects the concurrent
 // conflict on loc: a synchronized set's lock, a trusted thread-safe library
 // claim, or a key-disjointness argument from the predicate.
-func (v *vet) raceProtected(la *pipeline.LoopAnalysis, e *pdg.Edge, n1, n2 int, loc effects.Loc) bool {
+func (v *vet) raceProtected(lc loopCtx, e *pdg.Edge, n1, n2 int, loc effects.Loc) bool {
 	if e.Comm == pdg.CommNone {
 		return false
 	}
-	m1s := v.membsOf(la, n1)
-	m2s := v.membsOf(la, n2)
+	m1s := lc.membsOf(n1)
+	m2s := lc.membsOf(n2)
 	for _, s := range e.CommBy {
 		m1, ok1 := membIn(m1s, s)
 		m2, ok2 := membIn(m2s, s)
@@ -141,12 +137,12 @@ func (v *vet) raceProtected(la *pipeline.LoopAnalysis, e *pdg.Edge, n1, n2 int, 
 // through one synchronized merge per worker. A conflict that touches
 // state no commset declares commutative (CommNone, or no common set) is
 // not rescued — its merge would touch non-commutative state.
-func (v *vet) privatizable(la *pipeline.LoopAnalysis, e *pdg.Edge, n1, n2 int) bool {
+func (v *vet) privatizable(lc loopCtx, e *pdg.Edge, n1, n2 int) bool {
 	if e.Comm == pdg.CommNone {
 		return false
 	}
-	m1s := v.membsOf(la, n1)
-	m2s := v.membsOf(la, n2)
+	m1s := lc.membsOf(n1)
+	m2s := lc.membsOf(n2)
 	for _, s := range e.CommBy {
 		_, ok1 := membIn(m1s, s)
 		_, ok2 := membIn(m2s, s)

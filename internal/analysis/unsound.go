@@ -34,8 +34,8 @@ func (v *vet) checkUnsound() {
 			if !sharedLoc(e.Loc) {
 				continue
 			}
-			m1s := v.membsOf(la, n1)
-			m2s := v.membsOf(la, n2)
+			m1s := lc.membsOf(n1)
+			m2s := lc.membsOf(n2)
 			for _, loc := range v.conflictLocsAt(la, e) {
 				v.checkLocCoverage(e, in1.Pos, in2.Pos, in1.Name, in2.Name, m1s, m2s, loc)
 			}

@@ -3,6 +3,11 @@
 // detection. These feed the PDG builder (control dependence via
 // post-dominance) and the parallelizing transforms (loop identification,
 // induction variable discovery).
+//
+// Everything is indexed by block ID. NewFlow computes a function's CFG,
+// dominator and post-dominator trees and loop forest once; each Loop keeps
+// its blocks both as an ascending list and as a block-indexed membership
+// table, so loop analyses iterate and test membership without maps.
 package cfg
 
 import (
@@ -257,8 +262,11 @@ func (g *Graph) PostDominators() []int {
 
 // Loop describes one natural loop.
 type Loop struct {
-	Header  int
-	Blocks  map[int]bool
+	Header int
+	// Blocks lists the loop's block IDs in ascending order; In holds the
+	// same set as a table indexed by block ID.
+	Blocks  []int
+	In      []bool
 	Latches []int // blocks with back edges to the header
 	Exits   []int // blocks outside the loop targeted from inside
 	Depth   int   // nesting depth, 1 = outermost
@@ -266,25 +274,59 @@ type Loop struct {
 }
 
 // Contains reports whether block b belongs to the loop.
-func (l *Loop) Contains(b int) bool { return l.Blocks[b] }
+func (l *Loop) Contains(b int) bool { return b >= 0 && b < len(l.In) && l.In[b] }
 
-// BlockIDs returns the loop's blocks in ascending order.
-func (l *Loop) BlockIDs() []int {
-	ids := make([]int, 0, len(l.Blocks))
-	for b := range l.Blocks {
-		ids = append(ids, b)
-	}
-	sort.Ints(ids)
-	return ids
+// Flow is the control-flow context of one function, shared by every loop
+// analysis of the function: the CFG, its dominator and post-dominator
+// trees, and the loop forest. It is built whole by NewFlow and never
+// changes afterwards, so concurrent readers need no synchronization.
+type Flow struct {
+	G *Graph
+	// Idom and Ipdom are the Dominators and PostDominators arrays; Dom
+	// and PostDom answer queries over them.
+	Idom, Ipdom  []int
+	Dom, PostDom *DomTree
+	// Loops is the loop forest, ordered by header block ID.
+	Loops []*Loop
+	// BlockOf maps each instruction ID of the function to its block ID.
+	BlockOf []int
+	// headed maps a block ID to the loop it heads, or nil.
+	headed []*Loop
 }
 
-// Loops finds all natural loops (merging loops that share a header) and
-// computes nesting. The result is ordered by header block ID.
-func (g *Graph) Loops() []*Loop {
-	idom := g.Dominators()
-	dt := NewDomTree(idom)
+// NewFlow builds the control-flow context of f, whose instruction IDs must
+// be dense in block order (see ir.Func.Renumber).
+func NewFlow(f *ir.Func) *Flow {
+	g := New(f)
+	fl := &Flow{G: g, Idom: g.Dominators(), Ipdom: g.PostDominators()}
+	fl.Dom = NewDomTree(fl.Idom)
+	fl.PostDom = NewDomTreeP(fl.Ipdom)
+	fl.Loops, fl.headed = g.loops(fl.Dom)
+	fl.BlockOf = make([]int, 0, f.NumInstrs())
+	for _, b := range f.Blocks {
+		for range b.Instrs {
+			fl.BlockOf = append(fl.BlockOf, b.ID)
+		}
+	}
+	return fl
+}
+
+// LoopAt returns the loop headed by block h, or nil when h heads none.
+func (fl *Flow) LoopAt(h int) *Loop {
+	if h < 0 || h >= len(fl.headed) {
+		return nil
+	}
+	return fl.headed[h]
+}
+
+// loops finds all natural loops (merging loops that share a header) and
+// computes nesting. The result is ordered by header block ID; headed
+// indexes it by header.
+func (g *Graph) loops(dt *DomTree) (loops []*Loop, headed []*Loop) {
+	n := len(g.Succs)
 	reach := g.ReachableFromEntry()
-	byHeader := map[int]*Loop{}
+	headed = make([]*Loop, n)
+	var stack []int
 	for b := range g.Succs {
 		if !reach[b] {
 			continue
@@ -294,56 +336,61 @@ func (g *Graph) Loops() []*Loop {
 				continue
 			}
 			// Back edge b -> h.
-			l := byHeader[h]
+			l := headed[h]
 			if l == nil {
-				l = &Loop{Header: h, Blocks: map[int]bool{h: true}}
-				byHeader[h] = l
+				l = &Loop{Header: h, In: make([]bool, n)}
+				l.In[h] = true
+				headed[h] = l
 			}
 			l.Latches = append(l.Latches, b)
 			// Natural loop body: nodes reaching b without passing h.
-			var stack []int
-			if !l.Blocks[b] {
-				l.Blocks[b] = true
+			if !l.In[b] {
+				l.In[b] = true
 				stack = append(stack, b)
 			}
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				for _, p := range g.Preds[x] {
-					if reach[p] && !l.Blocks[p] {
-						l.Blocks[p] = true
+					if reach[p] && !l.In[p] {
+						l.In[p] = true
 						stack = append(stack, p)
 					}
 				}
 			}
 		}
 	}
-	var loops []*Loop
-	for _, l := range byHeader {
+	for _, l := range headed {
+		if l == nil {
+			continue
+		}
 		loops = append(loops, l)
-	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Header < loops[j].Header })
-	// Exits.
-	for _, l := range loops {
-		seen := map[int]bool{}
-		for b := range l.Blocks {
-			for _, s := range g.Succs[b] {
-				if !l.Blocks[s] && !seen[s] {
-					seen[s] = true
-					l.Exits = append(l.Exits, s)
+		for b, in := range l.In {
+			if in {
+				l.Blocks = append(l.Blocks, b)
+			}
+		}
+		// Exits, in ascending order.
+		for x := range l.In {
+			if l.In[x] {
+				continue
+			}
+			for _, b := range g.Preds[x] {
+				if l.In[b] {
+					l.Exits = append(l.Exits, x)
+					break
 				}
 			}
 		}
-		sort.Ints(l.Exits)
 		sort.Ints(l.Latches)
 	}
 	// Nesting: parent is the smallest strictly-containing loop.
 	for _, l := range loops {
 		for _, cand := range loops {
-			if cand == l || !containsAll(cand.Blocks, l.Blocks) {
+			if cand == l || !containsAll(cand, l) {
 				continue
 			}
-			if l.Parent == nil || containsAll(l.Parent.Blocks, cand.Blocks) {
+			if l.Parent == nil || containsAll(l.Parent, cand) {
 				l.Parent = cand
 			}
 		}
@@ -355,15 +402,16 @@ func (g *Graph) Loops() []*Loop {
 		}
 		l.Depth = d
 	}
-	return loops
+	return loops, headed
 }
 
-func containsAll(outer, inner map[int]bool) bool {
-	if len(outer) <= len(inner) {
+// containsAll reports whether outer strictly contains inner.
+func containsAll(outer, inner *Loop) bool {
+	if len(outer.Blocks) <= len(inner.Blocks) {
 		return false
 	}
-	for b := range inner {
-		if !outer[b] {
+	for _, b := range inner.Blocks {
+		if !outer.In[b] {
 			return false
 		}
 	}

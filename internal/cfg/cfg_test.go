@@ -73,8 +73,7 @@ int f(int n) {
 	return s;
 }`)
 	f := prog.Funcs["f"]
-	g := New(f)
-	loops := g.Loops()
+	loops := NewFlow(f).Loops
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(loops))
 	}
@@ -105,8 +104,7 @@ int f(int n) {
 	return s;
 }`)
 	f := prog.Funcs["f"]
-	g := New(f)
-	loops := g.Loops()
+	loops := NewFlow(f).Loops
 	if len(loops) != 2 {
 		t.Fatalf("loops = %d, want 2", len(loops))
 	}
@@ -124,7 +122,7 @@ int f(int n) {
 	if inner.Parent != outer {
 		t.Errorf("inner.Parent wrong")
 	}
-	for b := range inner.Blocks {
+	for _, b := range inner.Blocks {
 		if !outer.Contains(b) {
 			t.Errorf("inner block b%d not inside outer loop", b)
 		}
@@ -142,7 +140,7 @@ int f(int n) {
 	return i;
 }`)
 	f := prog.Funcs["f"]
-	loops := New(f).Loops()
+	loops := NewFlow(f).Loops
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(loops))
 	}

@@ -23,6 +23,8 @@ package depend
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/effects"
@@ -35,9 +37,17 @@ import (
 
 // membInst is one set membership of a call node.
 type membInst struct {
-	set      *types.Set
-	memberID string // static member identity
-	argRegs  []int  // predicate actual-argument registers at the call site
+	set    *types.Set
+	member memberID
+	// argRegs are the predicate actual-argument registers at the call site.
+	argRegs []int
+}
+
+// memberID is a static member's identity: a region call instruction, or
+// an interface-level member function (call is then -1).
+type memberID struct {
+	call int
+	fn   string
 }
 
 // Analyzer annotates PDG edges with commutativity properties.
@@ -45,14 +55,18 @@ type Analyzer struct {
 	p   *pdg.PDG
 	low *lower.Result
 
-	// rep folds argument-feeding loads into their call node.
-	rep map[int]int
-	// membs caches memberships per call instruction ID.
-	membs map[int][]membInst
-	// storedSlots are local slots written anywhere in the loop.
-	storedSlots map[int]bool
-	// writtenGlobals are global locations written by the loop.
-	writtenGlobals map[effects.Loc]bool
+	// rep folds argument-feeding loads into their call node, by
+	// instruction ID.
+	rep []int
+	// calls are the member call instruction IDs in ascending order, and
+	// membs[i] the memberships of calls[i].
+	calls []int
+	membs [][]membInst
+	// storedSlots marks, by slot, the local slots written anywhere in the
+	// loop.
+	storedSlots []bool
+	// writtenGlobals names the globals the loop writes.
+	writtenGlobals []string
 }
 
 // Result reports the analyzer's derived structures for tools, tests, and
@@ -62,15 +76,16 @@ type Analyzer struct {
 type Result struct {
 	// Rep maps an instruction ID to its representative member call's ID
 	// (identity for instructions that are not folded loads).
-	Rep map[int]int
-	// MemberCalls holds the IDs of member call instructions in the loop.
+	Rep []int
+	// MemberCalls holds the IDs of member call instructions in the loop,
+	// in ascending order.
 	MemberCalls []int
 }
 
 // Of maps an instruction ID through the representative relation.
 func (r *Result) Of(id int) int {
-	if rep, ok := r.Rep[id]; ok {
-		return rep
+	if id >= 0 && id < len(r.Rep) {
+		return r.Rep[id]
 	}
 	return id
 }
@@ -80,38 +95,40 @@ func (r *Result) Of(id int) int {
 func Analyze(p *pdg.PDG, low *lower.Result, summary *effects.Summary) *Result {
 	a := &Analyzer{
 		p: p, low: low,
-		rep:            map[int]int{},
-		membs:          map[int][]membInst{},
-		storedSlots:    map[int]bool{},
-		writtenGlobals: map[effects.Loc]bool{},
+		rep:         make([]int, len(p.Instrs)),
+		storedSlots: make([]bool, len(p.F.Locals)),
+	}
+	for id := range a.rep {
+		a.rep[id] = id
 	}
 	a.collect(summary)
 	a.annotate()
-	res := &Result{Rep: a.rep}
-	for _, id := range a.p.Nodes {
-		if len(a.membs[id]) > 0 {
-			res.MemberCalls = append(res.MemberCalls, id)
-		}
-	}
-	return res
+	return &Result{Rep: a.rep, MemberCalls: a.calls}
 }
 
 func (a *Analyzer) collect(summary *effects.Summary) {
 	// Loop write sets for invariance checks.
+	writeGlobal := func(name string) {
+		if !slices.Contains(a.writtenGlobals, name) {
+			a.writtenGlobals = append(a.writtenGlobals, name)
+		}
+	}
 	for _, id := range a.p.Nodes {
 		in := a.p.Instrs[id]
 		switch in.Op {
 		case ir.OpStoreLocal:
 			a.storedSlots[in.Slot] = true
 		case ir.OpStoreGlobal:
-			a.writtenGlobals[effects.GlobalLoc(in.Name)] = true
+			writeGlobal(in.Name)
 		case ir.OpCall:
 			for _, s := range in.OutSlots {
 				a.storedSlots[s] = true
 			}
 			_, w := summary.CallEffects(in.Name)
-			for loc := range w {
-				a.writtenGlobals[loc] = true
+			for _, loc := range w {
+				if g, ok := strings.CutPrefix(string(loc), "g:"); ok {
+					writeGlobal(g)
+				}
 			}
 		}
 	}
@@ -126,15 +143,15 @@ func (a *Analyzer) collect(summary *effects.Summary) {
 		if refs, ok := a.low.CallMembs[in]; ok {
 			for _, ref := range refs {
 				ms = append(ms, membInst{
-					set:      ref.Set,
-					memberID: fmt.Sprintf("call:%d", in.ID),
-					argRegs:  ref.ArgRegs,
+					set:     ref.Set,
+					member:  memberID{call: in.ID},
+					argRegs: ref.ArgRegs,
 				})
 			}
 		}
 		if refs, ok := a.low.FuncMembs[in.Name]; ok {
 			for _, ref := range refs {
-				mi := membInst{set: ref.Set, memberID: "fn:" + in.Name}
+				mi := membInst{set: ref.Set, member: memberID{call: -1, fn: in.Name}}
 				usable := true
 				for _, pi := range ref.ParamIdx {
 					if pi < 0 || pi >= len(in.Args) {
@@ -151,7 +168,8 @@ func (a *Analyzer) collect(summary *effects.Summary) {
 		if len(ms) == 0 {
 			continue
 		}
-		a.membs[in.ID] = ms
+		a.calls = append(a.calls, in.ID)
+		a.membs = append(a.membs, ms)
 		// Fold the loads feeding this member call (arguments and predicate
 		// arguments) into the call node: a dependence that reaches the load
 		// is a dependence on the member's execution.
@@ -173,11 +191,13 @@ func (a *Analyzer) collect(summary *effects.Summary) {
 	}
 }
 
-func (a *Analyzer) repOf(id int) int {
-	if r, ok := a.rep[id]; ok {
-		return r
+// membsOf returns the memberships of call instruction id, nil for a
+// non-member.
+func (a *Analyzer) membsOf(id int) []membInst {
+	if i, ok := slices.BinarySearch(a.calls, id); ok {
+		return a.membs[i]
 	}
-	return id
+	return nil
 }
 
 func (a *Analyzer) annotate() {
@@ -187,15 +207,14 @@ func (a *Analyzer) annotate() {
 		default:
 			continue
 		}
-		n1 := a.repOf(e.From)
-		n2 := a.repOf(e.To)
-		m1s := a.membs[n1]
-		m2s := a.membs[n2]
+		n1 := a.rep[e.From]
+		n2 := a.rep[e.To]
+		m1s := a.membsOf(n1)
+		m2s := a.membsOf(n2)
 		if len(m1s) == 0 || len(m2s) == 0 {
 			continue // Lines 3-5: both endpoints must be member calls
 		}
 		best := pdg.CommNone
-		seen := map[*types.Set]bool{}
 		for _, m1 := range m1s {
 			for _, m2 := range m2s {
 				if m1.set != m2.set {
@@ -205,8 +224,7 @@ func (a *Analyzer) annotate() {
 				if c > best {
 					best = c
 				}
-				if c > pdg.CommNone && !seen[m1.set] {
-					seen[m1.set] = true
+				if c > pdg.CommNone && !slices.Contains(e.CommBy, m1.set) {
 					e.CommBy = append(e.CommBy, m1.set)
 				}
 			}
@@ -220,13 +238,13 @@ func (a *Analyzer) judge(e *pdg.Edge, m1, m2 membInst, n1, n2 int) pdg.Comm {
 	set := m1.set
 	if set.SelfSet {
 		// Self semantics: instances of the same static member commute.
-		if m1.memberID != m2.memberID {
+		if m1.member != m2.member {
 			return pdg.CommNone
 		}
 	} else {
 		// Group semantics: distinct static members commute pairwise; a
 		// member does not commute with itself.
-		if m1.memberID == m2.memberID {
+		if m1.member == m2.member {
 			return pdg.CommNone
 		}
 	}
@@ -277,7 +295,7 @@ func (a *Analyzer) dominates(x, y int) bool {
 	if bx == by {
 		return x <= y
 	}
-	return a.p.Dom.Dominates(bx, by)
+	return a.p.Flow.Dom.Dominates(bx, by)
 }
 
 // symOfReg derives the symbolic value of register r at member call `call`
@@ -306,7 +324,7 @@ func (a *Analyzer) symOfDef(def *ir.Instr, inst, depth int) symexec.Val {
 		}
 		return symexec.UnknownVal()
 	case ir.OpLoadGlobal:
-		if !a.writtenGlobals[effects.GlobalLoc(def.Name)] {
+		if !slices.Contains(a.writtenGlobals, def.Name) {
 			return symexec.Invariant("g:" + def.Name)
 		}
 		return symexec.UnknownVal()

@@ -19,7 +19,7 @@ package effects
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -150,7 +150,7 @@ func (s Set) Sorted() []Loc {
 	for l := range s {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -178,56 +178,132 @@ type FnEffects struct {
 type Summary struct {
 	Fns      map[string]*FnEffects
 	Builtins Table
+
+	// calls tabulates, for every user function and every builtin the
+	// program calls, the reads and writes of a call as ascending lists.
+	calls map[string]locLists
+}
+
+// locLists holds a callee's reads and writes as ascending lists.
+type locLists struct {
+	reads, writes []Loc
 }
 
 // Summarize computes, for each user function, the set of abstract locations
 // transitively read and written: its own global accesses, its builtins'
-// declared tags, and its callees' summaries, iterated to a fixpoint to
-// handle recursion.
+// declared tags, and its callees' summaries. Functions are summarized
+// callees first, one call-graph strongly connected component at a time,
+// iterating to a fixpoint only within a component (recursion).
 func Summarize(prog *ir.Program, builtins Table) *Summary {
-	s := &Summary{Fns: map[string]*FnEffects{}, Builtins: builtins}
-	for _, name := range prog.Order {
-		s.Fns[name] = &FnEffects{Reads: Set{}, Writes: Set{}}
+	s := &Summary{Fns: make(map[string]*FnEffects, len(prog.Order)), Builtins: builtins, calls: map[string]locLists{}}
+	index := make(map[string]int, len(prog.Order))
+	fes := make([]*FnEffects, len(prog.Order))
+	for i, name := range prog.Order {
+		index[name] = i
+		fes[i] = &FnEffects{Reads: Set{}, Writes: Set{}}
+		s.Fns[name] = fes[i]
 	}
-	changed := true
-	for changed {
-		changed = false
-		for _, name := range prog.Order {
-			f := prog.Funcs[name]
-			fe := s.Fns[name]
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					switch in.Op {
-					case ir.OpLoadGlobal:
-						if fe.Reads.Add(GlobalLoc(in.Name)) {
-							changed = true
+	// Each function's own accesses, and the other user functions it calls.
+	callees := make([][]int, len(prog.Order))
+	for i, name := range prog.Order {
+		fe := fes[i]
+		for _, b := range prog.Funcs[name].Blocks {
+			for _, in := range b.Instrs {
+				switch in.Op {
+				case ir.OpLoadGlobal:
+					fe.Reads.Add(GlobalLoc(in.Name))
+				case ir.OpStoreGlobal:
+					fe.Writes.Add(GlobalLoc(in.Name))
+				case ir.OpCall:
+					if j, ok := index[in.Name]; ok {
+						if j != i && !slices.Contains(callees[i], j) {
+							callees[i] = append(callees[i], j)
 						}
-					case ir.OpStoreGlobal:
-						if fe.Writes.Add(GlobalLoc(in.Name)) {
-							changed = true
-						}
-					case ir.OpCall:
-						if callee, ok := s.Fns[in.Name]; ok {
-							if fe.Reads.AddSet(callee.Reads) {
-								changed = true
-							}
-							if fe.Writes.AddSet(callee.Writes) {
-								changed = true
-							}
-						} else if decl, ok := builtins[in.Name]; ok {
-							if fe.Reads.Add(decl.Reads...) {
-								changed = true
-							}
-							if fe.Writes.Add(decl.Writes...) {
-								changed = true
-							}
+					} else if decl, ok := builtins[in.Name]; ok {
+						fe.Reads.Add(decl.Reads...)
+						fe.Writes.Add(decl.Writes...)
+						if _, done := s.calls[in.Name]; !done {
+							s.calls[in.Name] = declLists(decl)
 						}
 					}
 				}
 			}
 		}
 	}
+	for _, comp := range callSCCs(callees) {
+		for changed := true; changed; {
+			changed = false
+			for _, i := range comp {
+				fe := fes[i]
+				for _, j := range callees[i] {
+					if fe.Reads.AddSet(fes[j].Reads) {
+						changed = true
+					}
+					if fe.Writes.AddSet(fes[j].Writes) {
+						changed = true
+					}
+				}
+			}
+			// Outside a cycle every callee is final after one pass.
+			if len(comp) == 1 {
+				break
+			}
+		}
+	}
+	for i, name := range prog.Order {
+		s.calls[name] = locLists{reads: fes[i].Reads.Sorted(), writes: fes[i].Writes.Sorted()}
+	}
 	return s
+}
+
+// callSCCs returns the strongly connected components of the call graph
+// whose edges are callees (by function index), callees first: every
+// component comes after all components it calls into (Tarjan's
+// algorithm).
+func callSCCs(callees [][]int) [][]int {
+	n := len(callees)
+	index, low := make([]int, n), make([]int, n)
+	for i := range index {
+		index[i] = -1
+	}
+	onStack := make([]bool, n)
+	var stack []int
+	var comps [][]int
+	next := 0
+	var visit func(v int)
+	visit = func(v int) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range callees[v] {
+			if index[w] < 0 {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
+			}
+		}
+		if low[v] == index[v] {
+			var comp []int
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				comp = append(comp, w)
+				if w == v {
+					break
+				}
+			}
+			comps = append(comps, comp)
+		}
+	}
+	for v := range callees {
+		if index[v] < 0 {
+			visit(v)
+		}
+	}
+	return comps
 }
 
 // KeyedArg reports which argument of builtin name keys its accesses to loc,
@@ -270,18 +346,33 @@ func (s *Summary) AllocatesFresh(name string, loc Loc) bool {
 	return false
 }
 
-// CallEffects returns the abstract reads/writes of a call to name: the
-// summary for user functions, the declared effects for builtins, and empty
-// sets for unknown names.
-func (s *Summary) CallEffects(name string) (reads, writes Set) {
-	if fe, ok := s.Fns[name]; ok {
-		return fe.Reads, fe.Writes
+// CallEffects returns the abstract reads and writes of a call to name, as
+// ascending lists: the summary for user functions, the declared effects for
+// builtins, and none for unknown names. The lists are shared: callers must
+// not modify them.
+func (s *Summary) CallEffects(name string) (reads, writes []Loc) {
+	if ll, ok := s.calls[name]; ok {
+		return ll.reads, ll.writes
 	}
 	if decl, ok := s.Builtins[name]; ok {
-		r, w := Set{}, Set{}
-		r.Add(decl.Reads...)
-		w.Add(decl.Writes...)
-		return r, w
+		ll := declLists(decl)
+		return ll.reads, ll.writes
 	}
-	return Set{}, Set{}
+	return nil, nil
+}
+
+// declLists tabulates a builtin declaration's effects.
+func declLists(decl Decl) locLists {
+	return locLists{reads: sortedUnique(decl.Reads), writes: sortedUnique(decl.Writes)}
+}
+
+// sortedUnique returns locs sorted ascending without duplicates, in a new
+// slice.
+func sortedUnique(locs []Loc) []Loc {
+	if len(locs) == 0 {
+		return nil
+	}
+	out := slices.Clone(locs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

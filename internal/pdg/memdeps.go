@@ -1,9 +1,8 @@
 package pdg
 
 import (
-	"fmt"
+	"slices"
 
-	"repro/internal/cfg"
 	"repro/internal/effects"
 	"repro/internal/ir"
 )
@@ -30,11 +29,11 @@ type slotAccess struct {
 // flow (write→read) edges are intra-iteration per reachability, loop-carried
 // only into upward-exposed reads (values genuinely flowing across
 // iterations); anti and output edges are intra-iteration only.
-func (p *PDG) addLocalMemEdges() {
+func (b *builder) addLocalMemEdges() {
 	var accesses []slotAccess
-	shared := map[int]bool{}
-	for _, id := range p.Nodes {
-		in := p.Instrs[id]
+	shared := make([]bool, len(b.F.Locals))
+	for _, id := range b.Nodes {
+		in := b.Instrs[id]
 		switch in.Op {
 		case ir.OpLoadLocal:
 			accesses = append(accesses, slotAccess{id: id, slot: in.Slot})
@@ -46,31 +45,34 @@ func (p *PDG) addLocalMemEdges() {
 			}
 			// Only read-modify-written slots are shared across threads;
 			// write-only region outputs are per-iteration dataflow.
-			for _, s := range p.RMWSlots(in) {
+			for _, s := range b.RMWSlots(in) {
 				shared[s] = true
 			}
 		}
 	}
-
-	reach := p.intraReach()
-	exposed := p.upwardExposedLoads()
-
-	bySlot := map[int][]slotAccess{}
-	for _, a := range accesses {
-		bySlot[a.slot] = append(bySlot[a.slot], a)
+	if len(accesses) == 0 {
+		return
 	}
-	// Slots are visited in index order so the edge list, and with it the
-	// PDG dump, is the same on every build.
-	for slot := range p.F.Locals {
-		accs := bySlot[slot]
-		if len(accs) == 0 {
-			continue
+	exposed := b.upwardExposedLoads()
+
+	// Slots are visited in index order, each with its accesses in node
+	// order, so the edge list, and with it the PDG dump, is the same on
+	// every build.
+	slices.SortStableFunc(accesses, func(x, y slotAccess) int { return x.slot - y.slot })
+	for len(accesses) > 0 {
+		slot := accesses[0].slot
+		n := 1
+		for n < len(accesses) && accesses[n].slot == slot {
+			n++
 		}
-		loc := fmt.Sprintf("slot %s", p.F.Locals[slot].Name)
+		accs := accesses[:n]
+		accesses = accesses[n:]
+		loc := "slot " + b.F.Locals[slot].Name
+		lid := b.memLoc(loc)
 		sid := slot + 1
-		iv := p.IVSlots[slot]
+		iv := b.IVSlots[slot]
 		if shared[slot] {
-			p.addSharedSlotEdges(accs, reach, loc, sid)
+			b.addSharedSlotEdges(accs, loc, lid, sid)
 			continue
 		}
 		for _, w := range accs {
@@ -80,22 +82,22 @@ func (p *PDG) addLocalMemEdges() {
 			for _, o := range accs {
 				if o.write {
 					// Output dependence, intra only.
-					if o.id != w.id && canReachIntra(p, reach, w.id, o.id) {
-						p.addEdge(Edge{From: w.id, To: o.id, Kind: DepOutput, Loc: loc, SlotID: sid})
+					if o.id != w.id && b.canReachIntra(w.id, o.id) {
+						b.addEdge(Edge{From: w.id, To: o.id, Kind: DepOutput, Loc: loc, SlotID: sid}, lid)
 					}
 					continue
 				}
 				// Flow: intra when the write reaches the read in-iteration.
-				if canReachIntra(p, reach, w.id, o.id) {
-					p.addEdge(Edge{From: w.id, To: o.id, Kind: DepFlow, Loc: loc, SlotID: sid})
+				if b.canReachIntra(w.id, o.id) {
+					b.addEdge(Edge{From: w.id, To: o.id, Kind: DepFlow, Loc: loc, SlotID: sid}, lid)
 				}
 				// Loop-carried flow into upward-exposed reads.
 				if exposed[o.id] {
-					p.addEdge(Edge{From: w.id, To: o.id, Kind: DepFlow, LoopCarried: true, Loc: loc, IVSlot: iv, SlotID: sid})
+					b.addEdge(Edge{From: w.id, To: o.id, Kind: DepFlow, LoopCarried: true, Loc: loc, IVSlot: iv, SlotID: sid}, lid)
 				}
 				// Anti, intra only (locals are privatized per iteration).
-				if canReachIntra(p, reach, o.id, w.id) {
-					p.addEdge(Edge{From: o.id, To: w.id, Kind: DepAnti, Loc: loc, SlotID: sid})
+				if b.canReachIntra(o.id, w.id) {
+					b.addEdge(Edge{From: o.id, To: w.id, Kind: DepAnti, Loc: loc, SlotID: sid}, lid)
 				}
 			}
 		}
@@ -105,136 +107,106 @@ func (p *PDG) addLocalMemEdges() {
 // addSharedSlotEdges applies the conservative shared-state treatment to one
 // slot's accesses: intra edges per reachability plus loop-carried edges in
 // both directions for every conflicting pair.
-func (p *PDG) addSharedSlotEdges(accs []slotAccess, reach map[int]map[int]bool, loc string, sid int) {
-	for _, a := range accs {
-		for _, b := range accs {
+func (b *builder) addSharedSlotEdges(accs []slotAccess, loc string, lid, sid int) {
+	for _, x := range accs {
+		for _, y := range accs {
 			switch {
-			case a.write && !b.write:
-				p.memEdgePairSlot(reach, a.id, b.id, DepFlow, loc, sid)
-			case !a.write && b.write:
-				p.memEdgePairSlot(reach, a.id, b.id, DepAnti, loc, sid)
-			case a.write && b.write:
-				if a.id == b.id {
-					p.addEdge(Edge{From: a.id, To: a.id, Kind: DepOutput, LoopCarried: true, Loc: loc, SlotID: sid})
+			case x.write && !y.write:
+				b.memEdgePair(x.id, y.id, DepFlow, loc, lid, sid)
+			case !x.write && y.write:
+				b.memEdgePair(x.id, y.id, DepAnti, loc, lid, sid)
+			case x.write && y.write:
+				if x.id == y.id {
+					b.addEdge(Edge{From: x.id, To: x.id, Kind: DepOutput, LoopCarried: true, Loc: loc, SlotID: sid}, lid)
 				} else {
-					p.memEdgePairSlot(reach, a.id, b.id, DepOutput, loc, sid)
+					b.memEdgePair(x.id, y.id, DepOutput, loc, lid, sid)
 				}
 			}
 		}
 	}
 }
 
-// memEdgePairSlot is memEdgePair with a slot identity.
-func (p *PDG) memEdgePairSlot(reach map[int]map[int]bool, a, b int, kind DepKind, loc string, sid int) {
-	if a != b && canReachIntra(p, reach, a, b) {
-		p.addEdge(Edge{From: a, To: b, Kind: kind, Loc: loc, SlotID: sid})
+// upwardExposedLoads computes, by instruction ID, which OpLoadLocal
+// instructions may observe a value from a previous iteration: loads not
+// preceded on every intra-iteration path by a store to the same slot. The
+// must-define dataflow runs over slot bitsets per block and iterates to a
+// fixpoint so that inner-loop back edges (cycles in the iteration body)
+// are handled precisely: an inner loop's own induction variable is
+// defined before its header on every path from the outer header.
+func (b *builder) upwardExposedLoads() []bool {
+	nb, ns := len(b.F.Blocks), len(b.F.Locals)
+	defs, in, out := newBitMatrix(nb, ns), newBitMatrix(nb, ns), newBitMatrix(nb, ns)
+	universe := make([]uint64, defs.words)
+	def := func(x, slot int) {
+		defs.set(x, slot)
+		universe[slot/64] |= 1 << (slot % 64)
 	}
-	p.addEdge(Edge{From: a, To: b, Kind: kind, LoopCarried: true, Loc: loc, SlotID: sid})
-}
-
-// upwardExposedLoads computes which OpLoadLocal instructions may observe a
-// value from a previous iteration: loads not preceded on every
-// intra-iteration path by a store to the same slot. The must-define
-// dataflow iterates to a fixpoint so that inner-loop back edges (cycles in
-// the iteration body) are handled precisely: an inner loop's own induction
-// variable is defined before its header on every path from the outer
-// header.
-func (p *PDG) upwardExposedLoads() map[int]bool {
-	blocks := p.Loop.BlockIDs()
-	type slotSet map[int]bool
-	in := map[int]slotSet{}
-	out := map[int]slotSet{}
-
-	order := p.intraTopoOrder()
-
-	intraPreds := func(b int) []int {
-		var preds []int
-		for _, pr := range p.G.Preds[b] {
-			if p.Loop.Contains(pr) && b != p.Loop.Header {
-				preds = append(preds, pr)
-			}
-		}
-		return preds
-	}
-
-	universe := slotSet{}
-	defsIn := map[int]slotSet{}
-	for _, b := range blocks {
-		ds := slotSet{}
-		for _, instr := range p.F.BlockByID(b).Instrs {
+	for _, x := range b.Loop.Blocks {
+		for _, instr := range b.F.BlockByID(x).Instrs {
 			if instr.Op == ir.OpStoreLocal {
-				ds[instr.Slot] = true
-				universe[instr.Slot] = true
+				def(x, instr.Slot)
 			}
 			if instr.Op == ir.OpCall {
 				for _, s := range instr.OutSlots {
-					ds[s] = true
-					universe[s] = true
+					def(x, s)
 				}
 			}
 		}
-		defsIn[b] = ds
 	}
 
 	// Optimistic initialization (OUT = universe) and iteration to fixpoint.
-	copySet := func(s slotSet) slotSet {
-		c := make(slotSet, len(s))
-		for k := range s {
-			c[k] = true
-		}
-		return c
+	for _, x := range b.Loop.Blocks {
+		copy(out.row(x), universe)
 	}
-	for _, b := range blocks {
-		out[b] = copySet(universe)
-	}
-	changed := true
-	for changed {
+	order := b.intraTopoOrder()
+	preds := b.Flow.G.Preds
+	for changed := true; changed; {
 		changed = false
-		for _, b := range order {
-			preds := intraPreds(b)
-			var cur slotSet
-			if len(preds) == 0 {
-				cur = slotSet{} // header: nothing defined at iteration start
-			} else {
-				cur = copySet(out[preds[0]])
-				for _, pr := range preds[1:] {
-					po := out[pr]
-					for s := range cur {
-						if !po[s] {
-							delete(cur, s)
-						}
+		for _, x := range order {
+			// IN is the intersection over intra-iteration predecessors;
+			// nothing is defined at iteration start (the header).
+			cur := in.row(x)
+			clear(cur)
+			first := true
+			for _, pr := range preds[x] {
+				if x == b.Loop.Header || !b.Loop.Contains(pr) {
+					continue
+				}
+				po := out.row(pr)
+				for w := range cur {
+					if first {
+						cur[w] = po[w]
+					} else {
+						cur[w] &= po[w]
 					}
 				}
+				first = false
 			}
-			in[b] = cur
-			o := copySet(cur)
-			for s := range defsIn[b] {
-				o[s] = true
-			}
-			if !equalSlotSet(o, out[b]) {
-				out[b] = o
-				changed = true
+			o, d := out.row(x), defs.row(x)
+			for w := range cur {
+				if v := cur[w] | d[w]; v != o[w] {
+					o[w] = v
+					changed = true
+				}
 			}
 		}
 	}
 
-	exposed := map[int]bool{}
-	for _, b := range blocks {
-		have := slotSet{}
-		for s := range in[b] {
-			have[s] = true
-		}
-		for _, instr := range p.F.BlockByID(b).Instrs {
+	exposed := make([]bool, len(b.Instrs))
+	have := make([]uint64, defs.words)
+	for _, x := range b.Loop.Blocks {
+		copy(have, in.row(x))
+		for _, instr := range b.F.BlockByID(x).Instrs {
 			switch instr.Op {
 			case ir.OpLoadLocal:
-				if !have[instr.Slot] {
+				if have[instr.Slot/64]&(1<<(instr.Slot%64)) == 0 {
 					exposed[instr.ID] = true
 				}
 			case ir.OpStoreLocal:
-				have[instr.Slot] = true
+				have[instr.Slot/64] |= 1 << (instr.Slot % 64)
 			case ir.OpCall:
 				for _, s := range instr.OutSlots {
-					have[s] = true
+					have[s/64] |= 1 << (s % 64)
 				}
 			}
 		}
@@ -242,38 +214,25 @@ func (p *PDG) upwardExposedLoads() map[int]bool {
 	return exposed
 }
 
-func equalSlotSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // intraTopoOrder orders loop blocks so that intra-iteration predecessors
 // come first (header first, back edges ignored).
-func (p *PDG) intraTopoOrder() []int {
-	visited := map[int]bool{}
-	var order []int
-	var dfs func(b int)
-	dfs = func(b int) {
-		visited[b] = true
-		for _, s := range p.G.Succs[b] {
-			if p.Loop.Contains(s) && s != p.Loop.Header && !visited[s] {
+func (b *builder) intraTopoOrder() []int {
+	visited := make([]bool, len(b.F.Blocks))
+	order := make([]int, 0, len(b.Loop.Blocks))
+	succs := b.Flow.G.Succs
+	var dfs func(x int)
+	dfs = func(x int) {
+		visited[x] = true
+		for _, s := range succs[x] {
+			if b.Loop.Contains(s) && s != b.Loop.Header && !visited[s] {
 				dfs(s)
 			}
 		}
-		order = append(order, b)
+		order = append(order, x)
 	}
-	dfs(p.Loop.Header)
+	dfs(b.Loop.Header)
 	// Reverse postorder.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	slices.Reverse(order)
 	return order
 }
 
@@ -286,24 +245,20 @@ func (p *PDG) intraTopoOrder() []int {
 // edge implied by reachability (paper Section 4.3: edges are loop carried
 // "whenever the source and/or destination nodes read and update shared
 // memory state").
-func (p *PDG) addSharedMemEdges(summary *effects.Summary) {
+func (b *builder) addSharedMemEdges(summary *effects.Summary) {
+	// Each access's locations, in ascending order.
 	type memAccess struct {
-		id     int
-		reads  effects.Set
-		writes effects.Set
+		id            int
+		reads, writes []effects.Loc
 	}
 	var accs []memAccess
-	for _, id := range p.Nodes {
-		in := p.Instrs[id]
+	for _, id := range b.Nodes {
+		in := b.Instrs[id]
 		switch in.Op {
 		case ir.OpLoadGlobal:
-			r := effects.Set{}
-			r.Add(effects.GlobalLoc(in.Name))
-			accs = append(accs, memAccess{id: id, reads: r, writes: effects.Set{}})
+			accs = append(accs, memAccess{id: id, reads: []effects.Loc{effects.GlobalLoc(in.Name)}})
 		case ir.OpStoreGlobal:
-			w := effects.Set{}
-			w.Add(effects.GlobalLoc(in.Name))
-			accs = append(accs, memAccess{id: id, reads: effects.Set{}, writes: w})
+			accs = append(accs, memAccess{id: id, writes: []effects.Loc{effects.GlobalLoc(in.Name)}})
 		case ir.OpCall:
 			r, w := summary.CallEffects(in.Name)
 			if len(r) == 0 && len(w) == 0 {
@@ -313,42 +268,49 @@ func (p *PDG) addSharedMemEdges(summary *effects.Summary) {
 		}
 	}
 
-	reach := p.intraReach()
-	conflictLoc := func(a, b effects.Set) (effects.Loc, bool) {
-		for _, l := range a.Sorted() {
-			if b[l] {
-				return l, true
-			}
-		}
-		return "", false
-	}
-
 	for i := range accs {
 		for j := range accs {
-			a, b := accs[i], accs[j]
-			// Flow/output from a's writes; anti from a's reads.
-			if loc, ok := conflictLoc(a.writes, b.reads); ok {
-				p.memEdgePair(reach, a.id, b.id, DepFlow, string(loc))
+			x, y := accs[i], accs[j]
+			// Flow/output from x's writes; anti from x's reads.
+			if loc, ok := firstCommon(x.writes, y.reads); ok {
+				b.memEdgePair(x.id, y.id, DepFlow, string(loc), b.memLoc(string(loc)), 0)
 			}
-			if loc, ok := conflictLoc(a.writes, b.writes); ok && a.id != b.id {
-				p.memEdgePair(reach, a.id, b.id, DepOutput, string(loc))
-			} else if ok && a.id == b.id {
-				p.addEdge(Edge{From: a.id, To: a.id, Kind: DepOutput, LoopCarried: true, Loc: string(loc)})
+			if loc, ok := firstCommon(x.writes, y.writes); ok && x.id != y.id {
+				b.memEdgePair(x.id, y.id, DepOutput, string(loc), b.memLoc(string(loc)), 0)
+			} else if ok && x.id == y.id {
+				b.addEdge(Edge{From: x.id, To: x.id, Kind: DepOutput, LoopCarried: true, Loc: string(loc)}, b.memLoc(string(loc)))
 			}
-			if loc, ok := conflictLoc(a.reads, b.writes); ok {
-				p.memEdgePair(reach, a.id, b.id, DepAnti, string(loc))
+			if loc, ok := firstCommon(x.reads, y.writes); ok {
+				b.memEdgePair(x.id, y.id, DepAnti, string(loc), b.memLoc(string(loc)), 0)
 			}
 		}
 	}
 }
 
-// memEdgePair adds the intra-iteration edge (when a reaches b within the
-// iteration) and the conservative loop-carried edge a -> b.
-func (p *PDG) memEdgePair(reach map[int]map[int]bool, a, b int, kind DepKind, loc string) {
-	if a != b && canReachIntra(p, reach, a, b) {
-		p.addEdge(Edge{From: a, To: b, Kind: kind, Loc: loc})
+// firstCommon returns the smallest location of two ascending lists'
+// intersection.
+func firstCommon(a, b []effects.Loc) (effects.Loc, bool) {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			return a[i], true
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
 	}
-	p.addEdge(Edge{From: a, To: b, Kind: kind, LoopCarried: true, Loc: loc})
+	return "", false
+}
+
+// memEdgePair adds the intra-iteration edge (when x reaches y within the
+// iteration) and the conservative loop-carried edge x -> y. sid is the
+// slot identity of a local-slot location, 0 otherwise.
+func (b *builder) memEdgePair(x, y int, kind DepKind, loc string, lid, sid int) {
+	if x != y && b.canReachIntra(x, y) {
+		b.addEdge(Edge{From: x, To: y, Kind: kind, Loc: loc, SlotID: sid}, lid)
+	}
+	b.addEdge(Edge{From: x, To: y, Kind: kind, LoopCarried: true, Loc: loc, SlotID: sid}, lid)
 }
 
 // --- control dependences ---
@@ -359,19 +321,20 @@ func (p *PDG) memEdgePair(reach map[int]map[int]bool, a, b int, kind DepKind, lo
 // depend on X's terminator. The loop-header branch additionally carries a
 // loop-carried control dependence to every loop instruction (it decides
 // whether the next iteration executes).
-func (p *PDG) addControlEdges() {
-	ipdom := p.G.PostDominators()
-	pd := cfg.NewDomTreeP(ipdom)
-
-	for _, x := range p.Loop.BlockIDs() {
-		term := p.F.BlockByID(x).Terminator()
+func (b *builder) addControlEdges() {
+	pd := b.Flow.PostDom
+	for _, x := range b.Loop.Blocks {
+		term := b.F.BlockByID(x).Terminator()
 		if term == nil || term.Op != ir.OpCondBr {
 			continue
 		}
-		for _, y := range p.Loop.BlockIDs() {
+		for _, y := range b.Loop.Blocks {
+			if pd.Dominates(y, x) {
+				continue
+			}
 			dep := false
-			for _, s := range p.G.Succs[x] {
-				if pd.Dominates(y, s) && !pd.Dominates(y, x) {
+			for _, s := range b.Flow.G.Succs[x] {
+				if pd.Dominates(y, s) {
 					dep = true
 					break
 				}
@@ -379,18 +342,18 @@ func (p *PDG) addControlEdges() {
 			if !dep {
 				continue
 			}
-			for _, in := range p.F.BlockByID(y).Instrs {
-				p.addEdge(Edge{From: term.ID, To: in.ID, Kind: DepControl, Loc: "cd"})
+			for _, in := range b.F.BlockByID(y).Instrs {
+				b.addEdge(Edge{From: term.ID, To: in.ID, Kind: DepControl, Loc: "cd"}, 0)
 			}
 		}
 	}
 
 	// Loop-carried control: the header's exit branch controls the next
 	// iteration of every node.
-	hterm := p.F.BlockByID(p.Loop.Header).Terminator()
+	hterm := b.F.BlockByID(b.Loop.Header).Terminator()
 	if hterm != nil && hterm.Op == ir.OpCondBr {
-		for _, id := range p.Nodes {
-			p.addEdge(Edge{From: hterm.ID, To: id, Kind: DepControl, LoopCarried: true, Loc: "loop"})
+		for _, id := range b.Nodes {
+			b.addEdge(Edge{From: hterm.ID, To: id, Kind: DepControl, LoopCarried: true, Loc: "loop"}, 0)
 		}
 	}
 }

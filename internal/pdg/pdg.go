@@ -22,8 +22,7 @@
 package pdg
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/effects"
@@ -111,76 +110,122 @@ func (e *Edge) LocalSlot() (int, bool) {
 	return -1, false
 }
 
-// PDG is the dependence graph of one loop.
+// PDG is the dependence graph of one loop. Its tables are indexed by
+// instruction ID (dense per function) or by local slot, and are complete
+// once Build returns: readers may share a PDG without synchronization.
 type PDG struct {
 	F    *ir.Func
 	Loop *cfg.Loop
-	G    *cfg.Graph
+	// Flow is the control-flow context of F, shared with every other loop
+	// analysis of F.
+	Flow *cfg.Flow
 
-	Nodes   []int // sorted instruction IDs within the loop
-	InLoop  map[int]bool
-	Edges   []*Edge
-	Instrs  map[int]*ir.Instr
-	BlockOf map[int]int // instr ID -> block ID
+	Nodes []int // sorted instruction IDs within the loop
+	// Edges lists the edges in insertion order; they point into one
+	// backing array.
+	Edges []*Edge
+	// Instrs maps an instruction ID to the instruction, nil outside the
+	// loop.
+	Instrs []*ir.Instr
+	// BlockOf maps every instruction ID of F to its block ID.
+	BlockOf []int
 
-	// IVSlots are induction-variable slots of this loop.
-	IVSlots map[int]bool
-
-	Dom *cfg.DomTree
-
-	edgeSet map[edgeKey]*Edge
+	// IVSlots marks, by local slot, the induction-variable slots of this
+	// loop.
+	IVSlots []bool
 }
 
-type edgeKey struct {
-	from, to int
-	kind     DepKind
-	lc       bool
-	loc      string
+// builder holds the scratch state of one Build.
+type builder struct {
+	*PDG
+	edges []Edge
+	// links[i] holds edges[i]'s location ID and the index of the previous
+	// edge into the same instruction (-1 at the end); into[id] is the
+	// latest edge into instruction id, or -1. Walking these chains
+	// deduplicates edges on (From, To, Kind, LoopCarried, Loc).
+	links []edgeLink
+	into  []int32
+	// locs interns memory locations: an edge's location ID is its index.
+	locs []string
+	// reach is the intra-iteration block reachability of the loop (see
+	// intraReach).
+	reach bitMatrix
 }
 
-// Build constructs the PDG for loop in f. summary supplies call effects.
-// controlIDs, when non-nil, lists the instruction IDs of the loop's
-// condition and post-increment groups: only slots updated there qualify as
-// privatizable induction variables (the executors recompute control state
-// per iteration; a counter updated in the body is a genuine loop-carried
-// dependence).
-func Build(f *ir.Func, loop *cfg.Loop, g *cfg.Graph, summary *effects.Summary, controlIDs map[int]bool) *PDG {
-	p := &PDG{
-		F: f, Loop: loop, G: g,
-		InLoop:  map[int]bool{},
-		Instrs:  map[int]*ir.Instr{},
-		BlockOf: map[int]int{},
-		IVSlots: map[int]bool{},
-		edgeSet: map[edgeKey]*Edge{},
-		Dom:     cfg.NewDomTree(g.Dominators()),
-	}
-	for _, bid := range loop.BlockIDs() {
+// edgeLink chains the edges into one instruction. A location ID is a
+// register number for register edges, an index of builder.locs for
+// memory edges and 0 for control edges; kinds never mix, so within a kind
+// equal IDs mean equal locations.
+type edgeLink struct {
+	lid, prev int32
+}
+
+// Build constructs the PDG for loop in f, whose control-flow context is
+// flow. summary supplies call effects. control, when non-nil, marks by
+// instruction ID the loop's condition and post-increment groups: only
+// slots updated there qualify as privatizable induction variables (the
+// executors recompute control state per iteration; a counter updated in
+// the body is a genuine loop-carried dependence).
+func Build(f *ir.Func, loop *cfg.Loop, flow *cfg.Flow, summary *effects.Summary, control []bool) *PDG {
+	n := f.NumInstrs()
+	b := &builder{PDG: &PDG{
+		F: f, Loop: loop, Flow: flow,
+		Instrs:  make([]*ir.Instr, n),
+		BlockOf: flow.BlockOf,
+		IVSlots: make([]bool, len(f.Locals)),
+	}}
+	for _, bid := range loop.Blocks {
 		for _, in := range f.BlockByID(bid).Instrs {
-			p.Nodes = append(p.Nodes, in.ID)
-			p.InLoop[in.ID] = true
-			p.Instrs[in.ID] = in
-			p.BlockOf[in.ID] = bid
+			b.Nodes = append(b.Nodes, in.ID)
+			b.Instrs[in.ID] = in
 		}
 	}
-	sort.Ints(p.Nodes)
+	// Blocks are visited in ascending ID order and IDs are dense in block
+	// order, so Nodes is already sorted.
+	b.edges = make([]Edge, 0, 4*len(b.Nodes))
+	b.links = make([]edgeLink, 0, 4*len(b.Nodes))
+	b.into = make([]int32, n)
+	for id := range b.into {
+		b.into[id] = -1
+	}
+	b.reach = b.intraReach()
 
-	p.detectIVs(controlIDs)
-	p.addRegEdges()
-	p.addLocalMemEdges()
-	p.addSharedMemEdges(summary)
-	p.addControlEdges()
-	return p
+	b.detectIVs(control)
+	b.addRegEdges()
+	b.addLocalMemEdges()
+	b.addSharedMemEdges(summary)
+	b.addControlEdges()
+	b.Edges = make([]*Edge, len(b.edges))
+	for i := range b.edges {
+		b.Edges[i] = &b.edges[i]
+	}
+	return b.PDG
 }
 
-func (p *PDG) addEdge(e Edge) *Edge {
-	k := edgeKey{e.From, e.To, e.Kind, e.LoopCarried, e.Loc}
-	if ex, ok := p.edgeSet[k]; ok {
-		return ex
+// addEdge appends e unless an edge with the same identity exists; locID
+// is e.Loc's integer form (see edgeLink).
+func (b *builder) addEdge(e Edge, locID int) {
+	lid := int32(locID)
+	for i := b.into[e.To]; i >= 0; i = b.links[i].prev {
+		x := &b.edges[i]
+		if x.From == e.From && x.Kind == e.Kind && x.LoopCarried == e.LoopCarried && b.links[i].lid == lid {
+			return
+		}
 	}
-	ne := &e
-	p.edgeSet[k] = ne
-	p.Edges = append(p.Edges, ne)
-	return ne
+	b.links = append(b.links, edgeLink{lid: lid, prev: b.into[e.To]})
+	b.into[e.To] = int32(len(b.edges))
+	b.edges = append(b.edges, e)
+}
+
+// memLoc interns a memory location, returning its ID.
+func (b *builder) memLoc(loc string) int {
+	for i, l := range b.locs {
+		if l == loc {
+			return i
+		}
+	}
+	b.locs = append(b.locs, loc)
+	return len(b.locs) - 1
 }
 
 // --- induction variables ---
@@ -188,37 +233,40 @@ func (p *PDG) addEdge(e Edge) *Edge {
 // detectIVs finds slots whose only store within the loop writes
 // load(slot) ± const, computed in the same block (the canonical post
 // increment produced by the lowerer).
-func (p *PDG) detectIVs(controlIDs map[int]bool) {
-	storesBySlot := map[int][]*ir.Instr{}
-	for _, id := range p.Nodes {
-		in := p.Instrs[id]
+func (b *builder) detectIVs(control []bool) {
+	// store[slot] is the slot's only in-loop store; stores counts them, a
+	// region write counting as disqualifying.
+	store := make([]*ir.Instr, len(b.F.Locals))
+	stores := make([]int, len(b.F.Locals))
+	for _, id := range b.Nodes {
+		in := b.Instrs[id]
 		if in.Op == ir.OpStoreLocal {
-			storesBySlot[in.Slot] = append(storesBySlot[in.Slot], in)
+			store[in.Slot] = in
+			stores[in.Slot]++
 		}
 		if in.Op == ir.OpCall {
 			for _, s := range in.OutSlots {
-				storesBySlot[s] = append(storesBySlot[s], nil) // region write: disqualifies
+				stores[s] = 2
 			}
 		}
 	}
-	for slot, stores := range storesBySlot {
-		if len(stores) != 1 || stores[0] == nil {
+	for slot, st := range store {
+		if stores[slot] != 1 {
 			continue
 		}
-		st := stores[0]
-		if controlIDs != nil && !controlIDs[st.ID] {
+		if control != nil && !control[st.ID] {
 			continue
 		}
-		blk := p.F.BlockByID(p.BlockOf[st.ID])
-		if p.isAffineUpdate(blk, st, slot) {
-			p.IVSlots[slot] = true
+		blk := b.F.BlockByID(b.BlockOf[st.ID])
+		if isAffineUpdate(blk, st, slot) {
+			b.IVSlots[slot] = true
 		}
 	}
 }
 
 // isAffineUpdate reports whether store st writes slot with the value
 // load(slot) ± const computed earlier in the same block.
-func (p *PDG) isAffineUpdate(blk *ir.Block, st *ir.Instr, slot int) bool {
+func isAffineUpdate(blk *ir.Block, st *ir.Instr, slot int) bool {
 	def := defInBlock(blk, st, st.A)
 	if def == nil || def.Op != ir.OpBin || (def.BinOp != "+" && def.BinOp != "-") {
 		return false
@@ -263,16 +311,14 @@ func (p *PDG) RMWSlots(call *ir.Instr) []int {
 	if call.Op != ir.OpCall || len(call.OutSlots) == 0 {
 		return nil
 	}
-	argSlots := map[int]bool{}
-	for _, ld := range p.F.BlockByID(p.BlockOf[call.ID]).ArgLoads(call) {
-		if ld != nil {
-			argSlots[ld.Slot] = true
-		}
-	}
+	loads := p.F.BlockByID(p.BlockOf[call.ID]).ArgLoads(call)
 	var rmw []int
 	for _, s := range call.OutSlots {
-		if argSlots[s] {
-			rmw = append(rmw, s)
+		for _, ld := range loads {
+			if ld != nil && ld.Slot == s {
+				rmw = append(rmw, s)
+				break
+			}
 		}
 	}
 	return rmw
@@ -280,74 +326,117 @@ func (p *PDG) RMWSlots(call *ir.Instr) []int {
 
 // --- register dependences ---
 
-func (p *PDG) addRegEdges() {
-	for _, bid := range p.Loop.BlockIDs() {
-		blk := p.F.BlockByID(bid)
-		lastDef := map[int]*ir.Instr{}
+// regLocs holds the location strings of the first registers, so register
+// edges need not format one each.
+var regLocs = func() []string {
+	locs := make([]string, 256)
+	for r := range locs {
+		locs[r] = "r" + strconv.Itoa(r)
+	}
+	return locs
+}()
+
+func regLoc(r int) string {
+	if r < len(regLocs) {
+		return regLocs[r]
+	}
+	return "r" + strconv.Itoa(r)
+}
+
+func (b *builder) addRegEdges() {
+	// lastDef[r] is the latest definition of register r in the current
+	// block; registers are block-local, so entries of earlier blocks are
+	// cleared as each block ends.
+	lastDef := make([]*ir.Instr, b.F.NumRegs)
+	var buf [2]int
+	for _, bid := range b.Loop.Blocks {
+		blk := b.F.BlockByID(bid)
 		for _, in := range blk.Instrs {
-			for _, r := range regUses(in) {
+			for _, r := range regUses(in, buf[:0]) {
 				if def := lastDef[r]; def != nil {
-					p.addEdge(Edge{From: def.ID, To: in.ID, Kind: DepRegFlow, Loc: fmt.Sprintf("r%d", r)})
+					b.addEdge(Edge{From: def.ID, To: in.ID, Kind: DepRegFlow, Loc: regLoc(r)}, r)
 				}
 			}
 			if in.Dst >= 0 {
 				lastDef[in.Dst] = in
 			}
 		}
+		for _, in := range blk.Instrs {
+			if in.Dst >= 0 {
+				lastDef[in.Dst] = nil
+			}
+		}
 	}
 }
 
-func regUses(in *ir.Instr) []int {
-	var uses []int
+// regUses returns the registers in reads, appending operands to buf.
+func regUses(in *ir.Instr, buf []int) []int {
 	switch in.Op {
-	case ir.OpStoreLocal, ir.OpStoreGlobal, ir.OpUn:
-		uses = append(uses, in.A)
-	case ir.OpCondBr:
-		uses = append(uses, in.A)
+	case ir.OpStoreLocal, ir.OpStoreGlobal, ir.OpUn, ir.OpCondBr:
+		return append(buf, in.A)
 	case ir.OpBin:
-		uses = append(uses, in.A, in.B)
+		return append(buf, in.A, in.B)
 	case ir.OpCall, ir.OpRet:
-		uses = append(uses, in.Args...)
+		return in.Args
 	}
-	return uses
+	return nil
 }
 
 // --- intra-iteration reachability ---
 
+// bitMatrix is a square bit matrix over block IDs (or any small dense
+// index), one row of words per index.
+type bitMatrix struct {
+	words int
+	bits  []uint64
+}
+
+func newBitMatrix(rows, cols int) bitMatrix {
+	w := (cols + 63) / 64
+	return bitMatrix{words: w, bits: make([]uint64, rows*w)}
+}
+
+func (m bitMatrix) row(i int) []uint64 { return m.bits[i*m.words : (i+1)*m.words] }
+
+func (m bitMatrix) has(i, j int) bool { return m.bits[i*m.words+j/64]&(1<<(j%64)) != 0 }
+
+func (m bitMatrix) set(i, j int) { m.bits[i*m.words+j/64] |= 1 << (j % 64) }
+
 // intraReach computes block-level reachability within the loop ignoring
-// back edges into the header (the "iteration body" DAG).
-func (p *PDG) intraReach() map[int]map[int]bool {
-	reach := map[int]map[int]bool{}
-	for _, b := range p.Loop.BlockIDs() {
-		r := map[int]bool{}
-		var stack []int
+// back edges into the header (the "iteration body" DAG): row b holds the
+// blocks reachable from loop block b.
+func (b *builder) intraReach() bitMatrix {
+	nb := len(b.F.Blocks)
+	reach := newBitMatrix(nb, nb)
+	succs := b.Flow.G.Succs
+	var stack []int
+	for _, x := range b.Loop.Blocks {
 		push := func(s int) {
-			if s != p.Loop.Header && p.Loop.Contains(s) && !r[s] {
-				r[s] = true
+			if s != b.Loop.Header && b.Loop.Contains(s) && !reach.has(x, s) {
+				reach.set(x, s)
 				stack = append(stack, s)
 			}
 		}
-		for _, s := range p.G.Succs[b] {
+		for _, s := range succs[x] {
 			push(s)
 		}
 		for len(stack) > 0 {
-			x := stack[len(stack)-1]
+			y := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, s := range p.G.Succs[x] {
+			for _, s := range succs[y] {
 				push(s)
 			}
 		}
-		reach[b] = r
 	}
 	return reach
 }
 
 // canReachIntra reports whether execution can flow from instruction a to
 // instruction b within a single iteration.
-func canReachIntra(p *PDG, reach map[int]map[int]bool, a, b int) bool {
-	ba, bb := p.BlockOf[a], p.BlockOf[b]
-	if ba == bb {
-		return a < b // IDs are dense in block order
+func (b *builder) canReachIntra(x, y int) bool {
+	bx, by := b.BlockOf[x], b.BlockOf[y]
+	if bx == by {
+		return x < y // IDs are dense in block order
 	}
-	return reach[ba][bb]
+	return b.reach.has(bx, by)
 }

@@ -60,8 +60,10 @@ void main() {
 	// Exactly one IV slot (i); bodyCounter updates in the body and must
 	// not be treated as privatizable.
 	ivNames := []string{}
-	for slot := range la.PDG.IVSlots {
-		ivNames = append(ivNames, la.Fn.Locals[slot].Name)
+	for slot, iv := range la.PDG.IVSlots {
+		if iv {
+			ivNames = append(ivNames, la.Fn.Locals[slot].Name)
+		}
 	}
 	if len(ivNames) != 1 || ivNames[0] != "i" {
 		t.Errorf("IV slots = %v, want [i]", ivNames)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -88,13 +87,10 @@ func renderMidEnd(t *testing.T, pg midendProgram) string {
 					e.From, e.To, e.Kind, e.LoopCarried, e.Loc, e.Comm, e.IVSlot, e.SlotID, by)
 			}
 			b.WriteString(la.PDG.String())
-			var reps []int
-			for id := range la.Dep.Rep {
-				reps = append(reps, id)
-			}
-			sort.Ints(reps)
-			for _, id := range reps {
-				fmt.Fprintf(&b, "rep %d -> %d\n", id, la.Dep.Rep[id])
+			for id, rep := range la.Dep.Rep {
+				if rep != id {
+					fmt.Fprintf(&b, "rep %d -> %d\n", id, rep)
+				}
 			}
 			fmt.Fprintf(&b, "members %v\n", la.Dep.MemberCalls)
 			renderUnitGraph(&b, la, transform.BuildUnitGraph(la, nil))
@@ -120,35 +116,24 @@ func renderMidEnd(t *testing.T, pg midendProgram) string {
 func renderUnitGraph(b *strings.Builder, la *pipeline.LoopAnalysis, g *transform.UnitGraph) {
 	fmt.Fprintf(b, "units %d\n", g.NumUnits)
 	for _, id := range la.PDG.Nodes {
-		u, ok := g.UnitOf[id]
-		if !ok {
-			u = transform.ControlUnit
-		}
-		fmt.Fprintf(b, " %d:%d", id, u)
+		fmt.Fprintf(b, " %d:%d", id, g.UnitOf[id])
 	}
 	b.WriteString("\n")
-	deps := func(name string, m map[int]map[int]bool) {
-		var froms []int
-		for u := range m {
-			froms = append(froms, u)
-		}
-		sort.Ints(froms)
-		for _, u := range froms {
-			var tos []int
-			for to := range m[u] {
-				tos = append(tos, to)
+	deps := func(name string, lists [][]int) {
+		for u, tos := range lists {
+			if len(tos) > 0 {
+				fmt.Fprintf(b, "%s %d -> %v\n", name, u, tos)
 			}
-			sort.Ints(tos)
-			fmt.Fprintf(b, "%s %d -> %v\n", name, u, tos)
 		}
 	}
 	deps("intra", g.Intra)
 	deps("lc", g.LC)
 	var into []int
-	for u := range g.IntoControl {
-		into = append(into, u)
+	for u, in := range g.IntoControl {
+		if in {
+			into = append(into, u)
+		}
 	}
-	sort.Ints(into)
 	fmt.Fprintf(b, "into-control %v weights %v control %d shared %v\n", into, g.Weights, g.ControlWeight, g.SharedSlots)
 }
 

@@ -68,11 +68,13 @@ func Compile(opts Options) (*Compiled, error) {
 	return c, nil
 }
 
-// LoopAnalysis bundles the artifacts for one target loop: its CFG context,
-// unit structure, and commutativity-annotated PDG.
+// LoopAnalysis bundles the artifacts for one target loop: its function's
+// control-flow context, unit structure, and commutativity-annotated PDG.
 type LoopAnalysis struct {
-	Fn    *ir.Func
-	G     *cfg.Graph
+	Fn *ir.Func
+	// Flow is Fn's control-flow context, shared by every loop analysis of
+	// Fn built together (see AnalyzeFuncLoops).
+	Flow  *cfg.Flow
 	Loop  *cfg.Loop
 	Units *lower.LoopUnits
 	PDG   *pdg.PDG
@@ -151,46 +153,54 @@ func (c *Compiled) AnalyzeLoop(fnName string, header int) (*LoopAnalysis, error)
 	if f == nil {
 		return nil, fmt.Errorf("pipeline: no function %s", fnName)
 	}
-	g := cfg.New(f)
-	var loop *cfg.Loop
-	for _, l := range g.Loops() {
-		if l.Header == header {
-			loop = l
-			break
-		}
-	}
+	return c.analyzeLoop(f, cfg.NewFlow(f), header)
+}
+
+// analyzeLoop analyzes the loop headed by block header of f, whose
+// control-flow context is flow.
+func (c *Compiled) analyzeLoop(f *ir.Func, flow *cfg.Flow, header int) (*LoopAnalysis, error) {
+	loop := flow.LoopAt(header)
 	if loop == nil {
-		return nil, fmt.Errorf("pipeline: no loop with header b%d in %s", header, fnName)
+		return nil, fmt.Errorf("pipeline: no loop with header b%d in %s", header, f.Name)
 	}
 	var units *lower.LoopUnits
 	for _, lu := range c.Low.Loops {
-		if lu.Func == fnName && lu.Header == header {
+		if lu.Func == f.Name && lu.Header == header {
 			units = lu
 			break
 		}
 	}
-	var controlIDs map[int]bool
+	var control []bool
 	if units != nil {
-		controlIDs = map[int]bool{}
+		control = make([]bool, len(flow.BlockOf))
 		for _, in := range units.Cond {
-			controlIDs[in.ID] = true
+			control[in.ID] = true
 		}
 		for _, in := range units.Post {
-			controlIDs[in.ID] = true
+			control[in.ID] = true
 		}
 	}
-	p := pdg.Build(f, loop, g, c.Summary, controlIDs)
+	p := pdg.Build(f, loop, flow, c.Summary, control)
 	dep := depend.Analyze(p, c.Low, c.Summary)
-	return &LoopAnalysis{Fn: f, G: g, Loop: loop, Units: units, PDG: p, Dep: dep}, nil
+	return &LoopAnalysis{Fn: f, Flow: flow, Loop: loop, Units: units, PDG: p, Dep: dep}, nil
 }
 
 // AnalyzeFuncLoops analyzes every recorded loop of the named function in
 // source order — the whole-program view analysis tools need (a pragma may
-// target a setup loop rather than the hot loop).
+// target a setup loop rather than the hot loop). The function's
+// control-flow context is built once and shared by the loop analyses.
 func (c *Compiled) AnalyzeFuncLoops(fnName string) ([]*LoopAnalysis, error) {
+	f := c.Low.Prog.Funcs[fnName]
+	var flow *cfg.Flow
 	var out []*LoopAnalysis
 	for _, lu := range c.Loops(fnName) {
-		la, err := c.AnalyzeLoop(fnName, lu.Header)
+		if f == nil {
+			return nil, fmt.Errorf("pipeline: no function %s", fnName)
+		}
+		if flow == nil {
+			flow = cfg.NewFlow(f)
+		}
+		la, err := c.analyzeLoop(f, flow, lu.Header)
 		if err != nil {
 			return nil, err
 		}

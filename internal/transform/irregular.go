@@ -15,11 +15,9 @@ import (
 func IrregularIteration(la *pipeline.LoopAnalysis) (bool, string) {
 	// Block IDs of the post group (a branch into it from a unit is a
 	// `continue`) and of the loop itself.
-	postBlocks := map[int]bool{}
+	postBlocks := make([]bool, len(la.Fn.Blocks))
 	for _, in := range la.Units.Post {
-		if b, ok := la.PDG.BlockOf[in.ID]; ok {
-			postBlocks[b] = true
-		}
+		postBlocks[la.PDG.BlockOf[in.ID]] = true
 	}
 	headerTargets := func(t int) bool {
 		return t == la.Loop.Header || postBlocks[t]

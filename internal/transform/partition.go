@@ -8,8 +8,7 @@ import (
 
 // sccResult is the unit-level DAG of strongly connected components.
 type sccResult struct {
-	comps   [][]int     // unit lists (may include ControlUnit), topo order
-	compOf  map[int]int // unit -> component index
+	comps   [][]int // unit lists (may include ControlUnit), topo order
 	weights []int64
 }
 
@@ -19,29 +18,28 @@ type sccResult struct {
 // with dependences into control therefore collapse into the control
 // component (e.g. pointer-chasing traversals), which is exactly the
 // paper's em3d behaviour: the traversal shares the sequential first stage.
+//
+// Nodes are indexed by unit+1, so the control pseudo-unit is node 0.
 func (g *UnitGraph) unitSCCs() *sccResult {
-	nodes := []int{ControlUnit}
+	n := g.NumUnits + 1
+	adj := make([][]int, n)
+	adj[0] = make([]int, 0, g.NumUnits)
 	for u := 0; u < g.NumUnits; u++ {
-		nodes = append(nodes, u)
-	}
-	adj := map[int][]int{}
-	addEdges := func(m map[int]map[int]bool) {
-		for from, tos := range m {
-			for to := range tos {
-				adj[from] = append(adj[from], to)
+		adj[0] = append(adj[0], u+1)
+		for _, tos := range [][]int{g.Intra[u], g.LC[u]} {
+			for _, to := range tos {
+				adj[u+1] = append(adj[u+1], to+1)
 			}
 		}
 	}
-	addEdges(g.Intra)
-	addEdges(g.LC)
-	for u := 0; u < g.NumUnits; u++ {
-		adj[ControlUnit] = append(adj[ControlUnit], u)
-	}
 
 	// Tarjan.
-	index := map[int]int{}
-	low := map[int]int{}
-	onStack := map[int]bool{}
+	index := make([]int, n)
+	low := make([]int, n)
+	for v := range index {
+		index[v] = -1
+	}
+	onStack := make([]bool, n)
 	var stack []int
 	var comps [][]int
 	counter := 0
@@ -53,13 +51,11 @@ func (g *UnitGraph) unitSCCs() *sccResult {
 		stack = append(stack, v)
 		onStack[v] = true
 		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
+			if index[w] < 0 {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
@@ -68,7 +64,7 @@ func (g *UnitGraph) unitSCCs() *sccResult {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				comp = append(comp, w-1)
 				if w == v {
 					break
 				}
@@ -77,8 +73,8 @@ func (g *UnitGraph) unitSCCs() *sccResult {
 			comps = append(comps, comp)
 		}
 	}
-	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
+	for v := range adj {
+		if index[v] < 0 {
 			strongconnect(v)
 		}
 	}
@@ -88,13 +84,7 @@ func (g *UnitGraph) unitSCCs() *sccResult {
 	// across pipeline stages (sequential semantics for unordered pairs).
 	comps = stableTopo(comps, adj)
 
-	res := &sccResult{comps: comps, compOf: map[int]int{}}
-	for ci, comp := range comps {
-		for _, u := range comp {
-			res.compOf[u] = ci
-		}
-	}
-	res.weights = make([]int64, len(comps))
+	res := &sccResult{comps: comps, weights: make([]int64, len(comps))}
 	for ci, comp := range comps {
 		for _, u := range comp {
 			if u == ControlUnit {
@@ -111,25 +101,26 @@ func (g *UnitGraph) unitSCCs() *sccResult {
 }
 
 // stableTopo orders components topologically, breaking ties by the
-// smallest contained unit index (the control pseudo-unit −1 first).
-func stableTopo(comps [][]int, adj map[int][]int) [][]int {
+// smallest contained unit index (the control pseudo-unit −1 first). adj is
+// unitSCCs' adjacency over unit+1 node indices.
+func stableTopo(comps [][]int, adj [][]int) [][]int {
 	n := len(comps)
-	compOf := map[int]int{}
+	compOf := make([]int, len(adj))
 	for ci, comp := range comps {
 		for _, u := range comp {
-			compOf[u] = ci
+			compOf[u+1] = ci
 		}
 	}
 	indeg := make([]int, n)
 	succs := make([][]int, n)
-	seen := map[[2]int]bool{}
+	linked := make([]bool, n*n)
 	for from, tos := range adj {
 		for _, to := range tos {
 			cf, ct := compOf[from], compOf[to]
-			if cf == ct || seen[[2]int{cf, ct}] {
+			if cf == ct || linked[cf*n+ct] {
 				continue
 			}
-			seen[[2]int{cf, ct}] = true
+			linked[cf*n+ct] = true
 			succs[cf] = append(succs[cf], ct)
 			indeg[ct]++
 		}
@@ -138,7 +129,7 @@ func stableTopo(comps [][]int, adj map[int][]int) [][]int {
 	for ci, comp := range comps {
 		minUnit[ci] = comp[0] // comps are sorted ascending
 	}
-	var order [][]int
+	order := make([][]int, 0, n)
 	done := make([]bool, n)
 	for len(order) < n {
 		best := -1
@@ -176,7 +167,7 @@ func (g *UnitGraph) replicable(comp []int) bool {
 		if u == ControlUnit {
 			return false
 		}
-		for to := range g.LC[u] {
+		for _, to := range g.LC[u] {
 			if containsUnit(comp, to) || to == u {
 				return false
 			}

@@ -22,10 +22,8 @@ package transform
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/ir"
 	"repro/internal/pdg"
 	"repro/internal/pipeline"
 )
@@ -105,24 +103,28 @@ func (s *Schedule) String() string {
 	return fmt.Sprintf("%s [%s]", s.Kind, strings.Join(parts, ", "))
 }
 
-// UnitGraph is the unit-level dependence graph derived from the PDG.
+// UnitGraph is the unit-level dependence graph derived from the PDG. Its
+// tables are indexed by unit or by instruction ID and are complete once
+// BuildUnitGraph returns.
 type UnitGraph struct {
 	La *pipeline.LoopAnalysis
 
 	NumUnits int
-	// UnitOf maps instruction IDs to unit indices (ControlUnit for loop
-	// control and unassigned instructions).
-	UnitOf map[int]int
+	// UnitOf maps each instruction ID of the loop's function to its unit
+	// index (ControlUnit for loop control, loop glue and instructions
+	// outside the loop).
+	UnitOf []int
 
-	// Intra[u] lists unit targets of intra-iteration dependences; LC[u]
-	// likewise for loop-carried dependences (after relaxation). Self
+	// Intra[u] lists, in ascending order, the unit targets of unit u's
+	// intra-iteration dependences; LC[u] likewise for loop-carried
+	// dependences (after relaxation), ControlUnit included. Self
 	// loop-carried dependences appear as LC[u] containing u.
-	Intra map[int]map[int]bool
-	LC    map[int]map[int]bool
+	Intra [][]int
+	LC    [][]int
 
-	// IntoControl reports units with dependences into the loop control
-	// (e.g. pointer-chasing loop conditions).
-	IntoControl map[int]bool
+	// IntoControl marks, by unit, the units with dependences into the loop
+	// control (e.g. pointer-chasing loop conditions).
+	IntoControl []bool
 
 	// Weights holds per-unit profile weight (instruction cost sums).
 	Weights []int64
@@ -136,13 +138,15 @@ type UnitGraph struct {
 // maps instruction IDs to profiled cost; nil charges 1 per instruction.
 func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph {
 	units := la.Units
+	nu := len(units.Units)
 	g := &UnitGraph{
 		La:          la,
-		NumUnits:    len(units.Units),
-		UnitOf:      map[int]int{},
-		Intra:       map[int]map[int]bool{},
-		LC:          map[int]map[int]bool{},
-		IntoControl: map[int]bool{},
+		NumUnits:    nu,
+		UnitOf:      make([]int, len(la.PDG.Instrs)),
+		IntoControl: make([]bool, nu),
+	}
+	for id := range g.UnitOf {
+		g.UnitOf[id] = ControlUnit // loop glue (branches) belongs to control
 	}
 	for ui, instrs := range units.Units {
 		for _, in := range instrs {
@@ -155,15 +159,9 @@ func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph
 	for _, in := range units.Post {
 		g.UnitOf[in.ID] = ControlUnit
 	}
-	unitOf := func(id int) int {
-		if u, ok := g.UnitOf[id]; ok {
-			return u
-		}
-		return ControlUnit // loop glue (branches) belongs to control
-	}
 
 	// Weights.
-	g.Weights = make([]int64, g.NumUnits)
+	g.Weights = make([]int64, nu)
 	cost := func(id int) int64 {
 		if weights == nil {
 			return 1
@@ -171,7 +169,7 @@ func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph
 		return weights[id]
 	}
 	for _, id := range la.PDG.Nodes {
-		u := unitOf(id)
+		u := g.UnitOf[id]
 		if u == ControlUnit {
 			g.ControlWeight += cost(id)
 		} else {
@@ -179,43 +177,36 @@ func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph
 		}
 	}
 
-	addDep := func(m map[int]map[int]bool, from, to int) {
-		if m[from] == nil {
-			m[from] = map[int]bool{}
-		}
-		m[from][to] = true
-	}
+	// intra and lc are the dependence matrices: row u (a unit, never
+	// control), column to+1 (a unit or control).
+	intra := make([]bool, nu*(nu+1))
+	lc := make([]bool, nu*(nu+1))
+	addDep := func(m []bool, from, to int) { m[from*(nu+1)+to+1] = true }
 
 	// Shared slots: read-modify-written accumulators of commutative member
 	// calls in the loop (write-only region outputs stay private). Computed
 	// up front so the edge walk can distinguish private-slot dependences.
-	memberCall := map[int]bool{}
+	nslots := len(la.Fn.Locals)
+	shared := make([]bool, nslots)
 	for _, id := range la.Dep.MemberCalls {
-		memberCall[id] = true
-	}
-	sharedSet := map[int]bool{}
-	for _, id := range la.PDG.Nodes {
-		in := la.PDG.Instrs[id]
-		if in.Op == ir.OpCall && memberCall[id] {
-			for _, s := range la.PDG.RMWSlots(in) {
-				sharedSet[s] = true
-			}
+		for _, s := range la.PDG.RMWSlots(la.PDG.Instrs[id]) {
+			shared[s] = true
 		}
 	}
 
-	// flowOut records (slot, writerUnit) pairs where the written value
-	// flows intra-iteration to another unit; anti edges into such writers
-	// must be preserved (the snapshot cannot hold both pre- and post-write
-	// values of the slot).
-	flowOut := map[[2]int]bool{}
+	// flowOut marks (slot, writer unit) pairs, at slot*nu+unit, where the
+	// written value flows intra-iteration to another unit; anti edges into
+	// such writers must be preserved (the snapshot cannot hold both pre-
+	// and post-write values of the slot).
+	flowOut := make([]bool, nslots*nu)
 	for _, e := range la.PDG.Edges {
 		slot, isSlot := e.LocalSlot()
-		if !isSlot || e.LoopCarried || e.Kind != pdg.DepFlow || sharedSet[slot] {
+		if !isSlot || e.LoopCarried || e.Kind != pdg.DepFlow || shared[slot] {
 			continue
 		}
-		u1, u2 := unitOfID(g, e.From), unitOfID(g, e.To)
+		u1, u2 := g.UnitOf[e.From], g.UnitOf[e.To]
 		if u1 != u2 && u1 != ControlUnit {
-			flowOut[[2]int{slot, u1}] = true
+			flowOut[slot*nu+u1] = true
 		}
 	}
 
@@ -226,9 +217,9 @@ func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph
 		if e.IVSlot {
 			continue // privatized induction variable
 		}
-		u1 := unitOf(e.From)
-		u2 := unitOf(e.To)
-		lc := e.LoopCarried && e.Comm == pdg.CommNone // ico => intra
+		u1 := g.UnitOf[e.From]
+		u2 := g.UnitOf[e.To]
+		lcDep := e.LoopCarried && e.Comm == pdg.CommNone // ico => intra
 		if u1 == ControlUnit {
 			// Satisfied by per-iteration tokens from the dispatcher.
 			continue
@@ -240,7 +231,7 @@ func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph
 			// each iteration receives its control values by value.
 			if e.Kind == pdg.DepFlow || e.Kind == pdg.DepOutput {
 				g.IntoControl[u1] = true
-				addDep(g.LC, u1, ControlUnit)
+				addDep(lc, u1, ControlUnit)
 			}
 			continue
 		}
@@ -248,7 +239,7 @@ func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph
 			// Intra-iteration control between units follows unit order.
 			continue
 		}
-		if u1 == u2 && !lc {
+		if u1 == u2 && !lcDep {
 			continue
 		}
 		// Private-slot anti dependences between units are satisfied by the
@@ -260,47 +251,69 @@ func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph
 		// stay: they order writers so the last writer in source order is
 		// also last in stage order, which the forwarding overlay and
 		// live-out merge rely on.
-		if slot, isSlot := e.LocalSlot(); isSlot && !sharedSet[slot] && u1 != u2 && e.Kind == pdg.DepAnti {
-			if !flowOut[[2]int{slot, u2}] {
+		if slot, isSlot := e.LocalSlot(); isSlot && !shared[slot] && u1 != u2 && e.Kind == pdg.DepAnti {
+			if !flowOut[slot*nu+u2] {
 				continue
 			}
 		}
-		if lc {
-			addDep(g.LC, u1, u2)
+		if lcDep {
+			addDep(lc, u1, u2)
 			// A genuinely loop-carried scalar chain between distinct units
 			// (an upward-exposed private-slot read of another unit's write,
 			// e.g. em3d's list traversal) delivers previous-iteration
 			// values. Only the dispatcher's iteration-start snapshot can
 			// supply those, so the writing unit must join the control
 			// stage: close a cycle with the control pseudo-unit.
-			if slot, isSlot := e.LocalSlot(); isSlot && !sharedSet[slot] && u1 != u2 && e.Kind == pdg.DepFlow {
+			if slot, isSlot := e.LocalSlot(); isSlot && !shared[slot] && u1 != u2 && e.Kind == pdg.DepFlow {
 				g.IntoControl[u1] = true
-				addDep(g.LC, u1, ControlUnit)
+				addDep(lc, u1, ControlUnit)
 			}
 		} else {
-			addDep(g.Intra, u1, u2)
+			addDep(intra, u1, u2)
 		}
 	}
+	g.Intra, g.LC = depLists(intra, nu), depLists(lc, nu)
 
-	for s := range sharedSet {
-		g.SharedSlots = append(g.SharedSlots, s)
+	for s, sh := range shared {
+		if sh {
+			g.SharedSlots = append(g.SharedSlots, s)
+		}
 	}
-	sort.Ints(g.SharedSlots)
 	return g
 }
 
-// unitOfID maps an instruction ID to its unit (ControlUnit for loop glue).
-func unitOfID(g *UnitGraph, id int) int {
-	if u, ok := g.UnitOf[id]; ok {
-		return u
+// depLists turns a dependence matrix of BuildUnitGraph into per-unit
+// ascending target lists sharing one backing array.
+func depLists(m []bool, nu int) [][]int {
+	n := 0
+	for _, d := range m {
+		if d {
+			n++
+		}
 	}
-	return ControlUnit
+	all := make([]int, 0, n)
+	lists := make([][]int, nu)
+	for u := range lists {
+		start := len(all)
+		for c, d := range m[u*(nu+1) : (u+1)*(nu+1)] {
+			if d {
+				all = append(all, c-1)
+			}
+		}
+		lists[u] = all[start:len(all):len(all)]
+	}
+	return lists
 }
 
 // HasLoopCarried reports whether any inter-iteration unit dependence
 // remains (including unit self-dependences and dependences into control).
 func (g *UnitGraph) HasLoopCarried() bool {
-	return len(g.LC) > 0
+	for _, tos := range g.LC {
+		if len(tos) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TotalWeight is the per-iteration weight of the whole body plus control.

@@ -267,7 +267,7 @@ func TestDSWPStagesRespectTopoOrder(t *testing.T) {
 		if from == transform.ControlUnit {
 			continue
 		}
-		for to := range tos {
+		for _, to := range tos {
 			if to == transform.ControlUnit {
 				continue
 			}
