@@ -223,7 +223,7 @@ func (v *vet) symVal(la *pipeline.LoopAnalysis, at *ir.Instr, r int, inst, depth
 func (v *vet) globalWritten(g string) bool {
 	loc := effects.GlobalLoc(g)
 	for _, fe := range v.c.Summary.Fns {
-		if fe.Writes[loc] {
+		if hasLoc(fe.Writes, loc) {
 			return true
 		}
 	}

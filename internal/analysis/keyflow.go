@@ -240,10 +240,10 @@ func (kf *keyFlow) optimistic(fn string) *fnKeyFlow {
 		s.keyed[loc] = ps
 		s.inst[loc] = instDesc{kind: iNone}
 	}
-	for loc := range fe.Reads {
+	for _, loc := range fe.Reads {
 		touch(loc)
 	}
-	for loc := range fe.Writes {
+	for _, loc := range fe.Writes {
 		touch(loc)
 	}
 	return s

@@ -11,6 +11,7 @@
 package cfg
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -188,68 +189,67 @@ func (t *DomTree) Dominates(a, b int) bool {
 func (g *Graph) PostDominators() []int {
 	n := len(g.Succs)
 	exit := n
-	// Reversed graph: successors become predecessors, plus exit edges.
-	rsucc := make([][]int, n+1) // rsucc[b] = preds of b in reverse graph = succs in original
-	rpred := make([][]int, n+1)
-	for b := 0; b < n; b++ {
-		for _, s := range g.Succs[b] {
-			rsucc[s] = append(rsucc[s], b) // edge s->b in reversed graph
-			rpred[b] = append(rpred[b], s)
-		}
-	}
+	// In the reversed graph a block's successors are its CFG predecessors
+	// and its predecessors its CFG successors, plus the exit edges.
+	var rets []int
+	isRet := make([]bool, n)
 	for _, blk := range g.F.Blocks {
 		if t := blk.Terminator(); t != nil && t.Op == ir.OpRet {
-			rsucc[exit] = append(rsucc[exit], blk.ID)
-			rpred[blk.ID] = append(rpred[blk.ID], exit)
+			rets = append(rets, blk.ID)
+			isRet[blk.ID] = true
 		}
+	}
+	rsucc := func(b int) []int {
+		if b == exit {
+			return rets
+		}
+		return g.Preds[b]
 	}
 	// Reverse postorder from exit over reversed edges.
 	visited := make([]bool, n+1)
-	var post []int
+	order := make([]int, 0, n+1)
 	var dfs func(b int)
 	dfs = func(b int) {
 		visited[b] = true
-		for _, s := range rsucc[b] {
+		for _, s := range rsucc(b) {
 			if !visited[s] {
 				dfs(s)
 			}
 		}
-		post = append(post, b)
+		order = append(order, b)
 	}
 	dfs(exit)
-	order := make([]int, len(post))
-	for i := range post {
-		order[i] = post[len(post)-1-i]
-	}
+	slices.Reverse(order)
 	pos := make([]int, n+1)
+	ipdom := make([]int, n+1)
 	for i := range pos {
-		pos[i] = -1
+		pos[i], ipdom[i] = -1, -1
 	}
 	for i, b := range order {
 		pos[b] = i
 	}
-	ipdom := make([]int, n+1)
-	for i := range ipdom {
-		ipdom[i] = -1
-	}
 	ipdom[exit] = exit
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
 			if b == exit {
 				continue
 			}
 			newIdom := -1
-			for _, p := range rpred[b] {
-				if ipdom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
+			meet := func(p int) {
+				switch {
+				case ipdom[p] == -1:
+				case newIdom == -1:
 					newIdom = p
-				} else {
+				default:
 					newIdom = intersect(ipdom, pos, newIdom, p)
 				}
+			}
+			for _, p := range g.Succs[b] {
+				meet(p)
+			}
+			if isRet[b] {
+				meet(exit)
 			}
 			if newIdom != -1 && ipdom[b] != newIdom {
 				ipdom[b] = newIdom

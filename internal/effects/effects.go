@@ -117,61 +117,11 @@ type Decl struct {
 // Table maps builtin names to their declared effects.
 type Table map[string]Decl
 
-// Set is a deduplicated set of locations.
-type Set map[Loc]bool
-
-// Add inserts locations, reporting whether the set grew.
-func (s Set) Add(locs ...Loc) bool {
-	grew := false
-	for _, l := range locs {
-		if !s[l] {
-			s[l] = true
-			grew = true
-		}
-	}
-	return grew
-}
-
-// AddSet merges another set, reporting growth.
-func (s Set) AddSet(o Set) bool {
-	grew := false
-	for l := range o {
-		if !s[l] {
-			s[l] = true
-			grew = true
-		}
-	}
-	return grew
-}
-
-// Sorted returns the locations in deterministic order.
-func (s Set) Sorted() []Loc {
-	out := make([]Loc, 0, len(s))
-	for l := range s {
-		out = append(out, l)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Intersects reports whether two sets share a location.
-func (s Set) Intersects(o Set) bool {
-	small, big := s, o
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	for l := range small {
-		if big[l] {
-			return true
-		}
-	}
-	return false
-}
-
-// FnEffects summarizes one function's transitive reads and writes.
+// FnEffects summarizes one function's transitive reads and writes, each
+// an ascending list without duplicates.
 type FnEffects struct {
-	Reads  Set
-	Writes Set
+	Reads  []Loc
+	Writes []Loc
 }
 
 // Summary holds effect summaries for every function in a program.
@@ -179,14 +129,9 @@ type Summary struct {
 	Fns      map[string]*FnEffects
 	Builtins Table
 
-	// calls tabulates, for every user function and every builtin the
-	// program calls, the reads and writes of a call as ascending lists.
-	calls map[string]locLists
-}
-
-// locLists holds a callee's reads and writes as ascending lists.
-type locLists struct {
-	reads, writes []Loc
+	// called tabulates the declared effects of every builtin the program
+	// calls, in the form of FnEffects.
+	called map[string]FnEffects
 }
 
 // Summarize computes, for each user function, the set of abstract locations
@@ -195,53 +140,59 @@ type locLists struct {
 // callees first, one call-graph strongly connected component at a time,
 // iterating to a fixpoint only within a component (recursion).
 func Summarize(prog *ir.Program, builtins Table) *Summary {
-	s := &Summary{Fns: make(map[string]*FnEffects, len(prog.Order)), Builtins: builtins, calls: map[string]locLists{}}
-	index := make(map[string]int, len(prog.Order))
-	fes := make([]*FnEffects, len(prog.Order))
+	n := len(prog.Order)
+	s := &Summary{Fns: make(map[string]*FnEffects, n), Builtins: builtins, called: map[string]FnEffects{}}
+	index := make(map[string]int, n)
 	for i, name := range prog.Order {
 		index[name] = i
-		fes[i] = &FnEffects{Reads: Set{}, Writes: Set{}}
-		s.Fns[name] = fes[i]
 	}
-	// Each function's own accesses, and the other user functions it calls.
-	callees := make([][]int, len(prog.Order))
+	// Each function's own accesses, gathered in scratch lists, and the
+	// other user functions it calls.
+	fes := make([]FnEffects, n)
+	callees := make([][]int, n)
+	var reads, writes []Loc
 	for i, name := range prog.Order {
-		fe := fes[i]
+		reads, writes = reads[:0], writes[:0]
 		for _, b := range prog.Funcs[name].Blocks {
 			for _, in := range b.Instrs {
 				switch in.Op {
 				case ir.OpLoadGlobal:
-					fe.Reads.Add(GlobalLoc(in.Name))
+					reads = append(reads, GlobalLoc(in.Name))
 				case ir.OpStoreGlobal:
-					fe.Writes.Add(GlobalLoc(in.Name))
+					writes = append(writes, GlobalLoc(in.Name))
 				case ir.OpCall:
 					if j, ok := index[in.Name]; ok {
 						if j != i && !slices.Contains(callees[i], j) {
 							callees[i] = append(callees[i], j)
 						}
 					} else if decl, ok := builtins[in.Name]; ok {
-						fe.Reads.Add(decl.Reads...)
-						fe.Writes.Add(decl.Writes...)
-						if _, done := s.calls[in.Name]; !done {
-							s.calls[in.Name] = declLists(decl)
+						reads = append(reads, decl.Reads...)
+						writes = append(writes, decl.Writes...)
+						if _, done := s.called[in.Name]; !done {
+							s.called[in.Name] = declEffects(decl)
 						}
 					}
 				}
 			}
 		}
+		fe := &fes[i]
+		fe.Reads, fe.Writes = slices.Clone(sortUnique(reads)), slices.Clone(sortUnique(writes))
+		s.Fns[name] = fe
 	}
 	for _, comp := range callSCCs(callees) {
 		for changed := true; changed; {
 			changed = false
 			for _, i := range comp {
-				fe := fes[i]
+				// Summaries only grow, so an unchanged length is no change.
+				fe := &fes[i]
+				r, w := fe.Reads, fe.Writes
 				for _, j := range callees[i] {
-					if fe.Reads.AddSet(fes[j].Reads) {
-						changed = true
-					}
-					if fe.Writes.AddSet(fes[j].Writes) {
-						changed = true
-					}
+					r = mergeLocs(r, fes[j].Reads)
+					w = mergeLocs(w, fes[j].Writes)
+				}
+				if len(r) != len(fe.Reads) || len(w) != len(fe.Writes) {
+					fe.Reads, fe.Writes = r, w
+					changed = true
 				}
 			}
 			// Outside a cycle every callee is final after one pass.
@@ -250,10 +201,51 @@ func Summarize(prog *ir.Program, builtins Table) *Summary {
 			}
 		}
 	}
-	for i, name := range prog.Order {
-		s.calls[name] = locLists{reads: fes[i].Reads.Sorted(), writes: fes[i].Writes.Sorted()}
-	}
 	return s
+}
+
+// mergeLocs returns the ascending union of two ascending lists, a itself
+// when b adds nothing.
+func mergeLocs(a, b []Loc) []Loc {
+	var out []Loc
+	i, j := 0, 0
+	for ; j < len(b); j++ {
+		for i < len(a) && a[i] < b[j] {
+			i++
+		}
+		if i < len(a) && a[i] == b[j] {
+			continue
+		}
+		// b[j] is new: copy a's prefix once, then merge the rest.
+		if out == nil {
+			out = make([]Loc, 0, len(a)+len(b)-j)
+			out = append(out, a[:i]...)
+		}
+		break
+	}
+	if out == nil {
+		return a
+	}
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case i == len(a) || b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	return out
+}
+
+// sortUnique sorts locs ascending and drops duplicates, in place.
+func sortUnique(locs []Loc) []Loc {
+	slices.Sort(locs)
+	return slices.Compact(locs)
 }
 
 // callSCCs returns the strongly connected components of the call graph
@@ -351,28 +343,33 @@ func (s *Summary) AllocatesFresh(name string, loc Loc) bool {
 // builtins, and none for unknown names. The lists are shared: callers must
 // not modify them.
 func (s *Summary) CallEffects(name string) (reads, writes []Loc) {
-	if ll, ok := s.calls[name]; ok {
-		return ll.reads, ll.writes
+	if fe, ok := s.Fns[name]; ok {
+		return fe.Reads, fe.Writes
 	}
-	if decl, ok := s.Builtins[name]; ok {
-		ll := declLists(decl)
-		return ll.reads, ll.writes
+	fe, ok := s.called[name]
+	if !ok {
+		decl, ok := s.Builtins[name]
+		if !ok {
+			return nil, nil
+		}
+		fe = declEffects(decl)
 	}
-	return nil, nil
+	return fe.Reads, fe.Writes
 }
 
-// declLists tabulates a builtin declaration's effects.
-func declLists(decl Decl) locLists {
-	return locLists{reads: sortedUnique(decl.Reads), writes: sortedUnique(decl.Writes)}
+// declEffects tabulates a builtin declaration's effects, sharing its lists
+// when they are already ascending without duplicates.
+func declEffects(decl Decl) FnEffects {
+	return FnEffects{Reads: ascending(decl.Reads), Writes: ascending(decl.Writes)}
 }
 
-// sortedUnique returns locs sorted ascending without duplicates, in a new
-// slice.
-func sortedUnique(locs []Loc) []Loc {
-	if len(locs) == 0 {
-		return nil
+// ascending returns locs when it is strictly ascending, else a sorted copy
+// without duplicates.
+func ascending(locs []Loc) []Loc {
+	for i := 1; i < len(locs); i++ {
+		if locs[i-1] >= locs[i] {
+			return sortUnique(slices.Clone(locs))
+		}
 	}
-	out := slices.Clone(locs)
-	slices.Sort(out)
-	return slices.Compact(out)
+	return locs
 }

@@ -46,14 +46,14 @@ func testTable() Table {
 func TestSummarizeTransitive(t *testing.T) {
 	s := Summarize(buildProg(), testTable())
 	mid := s.Fns["mid"]
-	if !mid.Writes[TagLoc("io")] {
+	if !slices.Contains(mid.Writes, TagLoc("io")) {
 		t.Error("mid must write io")
 	}
 	top := s.Fns["top"]
-	if !top.Writes[TagLoc("io")] {
+	if !slices.Contains(top.Writes, TagLoc("io")) {
 		t.Error("top must inherit mid's io write")
 	}
-	if !top.Reads[GlobalLoc("counter")] {
+	if !slices.Contains(top.Reads, GlobalLoc("counter")) {
 		t.Error("top must read g:counter")
 	}
 }
@@ -61,7 +61,7 @@ func TestSummarizeTransitive(t *testing.T) {
 func TestSummarizeRecursionFixpoint(t *testing.T) {
 	s := Summarize(buildProg(), testTable())
 	for _, fn := range []string{"a", "b"} {
-		if !s.Fns[fn].Writes[GlobalLoc("shared")] {
+		if !slices.Contains(s.Fns[fn].Writes, GlobalLoc("shared")) {
 			t.Errorf("%s must write g:shared through the recursive cycle", fn)
 		}
 	}
@@ -83,32 +83,26 @@ func TestCallEffects(t *testing.T) {
 	}
 }
 
-func TestSetOperations(t *testing.T) {
-	s := Set{}
-	if !s.Add(TagLoc("a"), TagLoc("b")) {
-		t.Error("Add should report growth")
+func TestLocListOperations(t *testing.T) {
+	a := sortUnique([]Loc{TagLoc("b"), TagLoc("a"), TagLoc("b")})
+	if !slices.Equal(a, []Loc{TagLoc("a"), TagLoc("b")}) {
+		t.Errorf("sortUnique = %v", a)
 	}
-	if s.Add(TagLoc("a")) {
-		t.Error("re-adding should not grow")
+	if m := mergeLocs(a, []Loc{TagLoc("a")}); &m[0] != &a[0] || len(m) != 2 {
+		t.Errorf("merging a subset must return the list itself, got %v", m)
 	}
-	o := Set{}
-	o.Add(TagLoc("b"), TagLoc("c"))
-	if !s.Intersects(o) {
-		t.Error("sets share b")
+	if m := mergeLocs(a, nil); len(m) != 2 {
+		t.Errorf("merging nothing = %v", m)
 	}
-	only := Set{}
-	only.Add(TagLoc("z"))
-	if s.Intersects(only) {
-		t.Error("disjoint sets must not intersect")
+	m := mergeLocs(a, []Loc{TagLoc("0"), TagLoc("b"), TagLoc("c")})
+	if !slices.Equal(m, []Loc{TagLoc("0"), TagLoc("a"), TagLoc("b"), TagLoc("c")}) {
+		t.Errorf("mergeLocs = %v", m)
 	}
-	if !s.AddSet(o) || s.AddSet(o) {
-		t.Error("AddSet growth reporting wrong")
+	if !slices.Equal(a, []Loc{TagLoc("a"), TagLoc("b")}) {
+		t.Errorf("mergeLocs modified its input: %v", a)
 	}
-	sorted := s.Sorted()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] >= sorted[i] {
-			t.Errorf("Sorted not ordered: %v", sorted)
-		}
+	if m := mergeLocs(nil, a); !slices.Equal(m, a) {
+		t.Errorf("mergeLocs(nil, a) = %v", m)
 	}
 }
 

@@ -68,7 +68,7 @@ func (b *builder) addLocalMemEdges() {
 		accs := accesses[:n]
 		accesses = accesses[n:]
 		loc := "slot " + b.F.Locals[slot].Name
-		lid := b.memLoc(loc)
+		lid := -1 - slot
 		sid := slot + 1
 		iv := b.IVSlots[slot]
 		if shared[slot] {

@@ -145,7 +145,8 @@ type builder struct {
 	// deduplicates edges on (From, To, Kind, LoopCarried, Loc).
 	links []edgeLink
 	into  []int32
-	// locs interns memory locations: an edge's location ID is its index.
+	// locs interns shared-memory locations: an edge's location ID is its
+	// index.
 	locs []string
 	// reach is the intra-iteration block reachability of the loop (see
 	// intraReach).
@@ -153,8 +154,9 @@ type builder struct {
 }
 
 // edgeLink chains the edges into one instruction. A location ID is a
-// register number for register edges, an index of builder.locs for
-// memory edges and 0 for control edges; kinds never mix, so within a kind
+// register number for register edges, -1-slot for local-slot edges, an
+// index of builder.locs for shared-memory edges and 0 for control edges;
+// register, memory and control edges never share a kind, so within a kind
 // equal IDs mean equal locations.
 type edgeLink struct {
 	lid, prev int32
@@ -217,7 +219,7 @@ func (b *builder) addEdge(e Edge, locID int) {
 	b.edges = append(b.edges, e)
 }
 
-// memLoc interns a memory location, returning its ID.
+// memLoc interns a shared-memory location, returning its ID.
 func (b *builder) memLoc(loc string) int {
 	for i, l := range b.locs {
 		if l == loc {

@@ -209,7 +209,7 @@ func ApplyDOALL(g *UnitGraph) *Schedule {
 // of pipeline stages, using profile data to obtain a balanced pipeline").
 // It returns nil when no pipeline of at least two stages exists.
 func ApplyDSWP(g *UnitGraph, maxStages int) *Schedule {
-	sccs := g.unitSCCs()
+	sccs := g.sccs
 	if len(sccs.comps) < 2 || maxStages < 2 {
 		return nil
 	}
@@ -234,7 +234,7 @@ func ApplyDSWP(g *UnitGraph, maxStages int) *Schedule {
 // loop carried SCCs to run in parallel on multiple threads"). It returns
 // nil when no component is replicable.
 func ApplyPSDSWP(g *UnitGraph) *Schedule {
-	sccs := g.unitSCCs()
+	sccs := g.sccs
 	// Find the maximal-weight consecutive run of replicable components.
 	bestStart, bestEnd := -1, -1
 	var bestW int64 = -1

@@ -132,6 +132,9 @@ type UnitGraph struct {
 	ControlWeight int64
 
 	SharedSlots []int
+
+	// sccs is the component DAG the pipeline partitioners share.
+	sccs *sccResult
 }
 
 // BuildUnitGraph aggregates the analyzed PDG to unit granularity. weights
@@ -279,6 +282,7 @@ func BuildUnitGraph(la *pipeline.LoopAnalysis, weights map[int]int64) *UnitGraph
 			g.SharedSlots = append(g.SharedSlots, s)
 		}
 	}
+	g.sccs = g.unitSCCs()
 	return g
 }
 
