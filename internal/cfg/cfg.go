@@ -282,10 +282,10 @@ func (l *Loop) Contains(b int) bool { return b >= 0 && b < len(l.In) && l.In[b] 
 // changes afterwards, so concurrent readers need no synchronization.
 type Flow struct {
 	G *Graph
-	// Idom and Ipdom are the Dominators and PostDominators arrays; Dom
-	// and PostDom answer queries over them.
-	Idom, Ipdom  []int
+	// Dom and PostDom answer dominance and post-dominance queries; Ipdom
+	// is the PostDominators array under PostDom.
 	Dom, PostDom *DomTree
+	Ipdom        []int
 	// Loops is the loop forest, ordered by header block ID.
 	Loops []*Loop
 	// BlockOf maps each instruction ID of the function to its block ID.
@@ -298,8 +298,7 @@ type Flow struct {
 // be dense in block order (see ir.Func.Renumber).
 func NewFlow(f *ir.Func) *Flow {
 	g := New(f)
-	fl := &Flow{G: g, Idom: g.Dominators(), Ipdom: g.PostDominators()}
-	fl.Dom = NewDomTree(fl.Idom)
+	fl := &Flow{G: g, Dom: NewDomTree(g.Dominators()), Ipdom: g.PostDominators()}
 	fl.PostDom = NewDomTreeP(fl.Ipdom)
 	fl.Loops, fl.headed = g.loops(fl.Dom)
 	fl.BlockOf = make([]int, 0, f.NumInstrs())

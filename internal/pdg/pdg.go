@@ -19,6 +19,13 @@
 // increment, in affine form) are detected here; their loop-carried flow is
 // privatizable and flagged so transforms can treat it as benign, exactly as
 // classic DOALL treats the iteration variable.
+//
+// The graph is dense. Build reads the function's cfg.Flow, shared by every
+// loop of the function, and fills slices indexed by instruction ID or slot
+// (instruction IDs are dense per function). The edges live in one backing
+// array in insertion order, deduplicated as they are added by walking the
+// chain of edges into their target. Intra-iteration reachability and the
+// upward-exposed-load dataflow are bit matrices over block IDs and slots.
 package pdg
 
 import (

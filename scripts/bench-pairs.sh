@@ -18,8 +18,19 @@
 # and .bench_build/pairs/WORKLOAD.change.jsonl (one line per pair, in pair
 # order). The summary gives, for each end-to-end metric of BENCHMARK.json,
 # the base median and quartiles, the change median, the ratio change/base,
-# and the number of pairs the change won (by the metric's "better"
-# direction), then the attempted and failed ops per side.
+# the number of pairs the change won (by the metric's "better" direction)
+# and a verdict, then the attempted and failed ops per side. The verdicts:
+#
+#   gain        the change won at least 9 in 10 pairs, and its median beats
+#               the base median by more than the base's interquartile range
+#   worse       the change median is worse than the base median by more
+#               than the metric's BENCHMARK.json "bound" (a fraction)
+#   unresolved  not worse, but the interquartile range of either side
+#               exceeds the bound times its median: too spread to tell
+#   within      neither of the above
+#
+# Metrics without a bound (the per-layer ones) get only "gain" or "-". The
+# failed-ops line says "worse" when the change fails a larger share.
 #
 # With --traced, every run is `--trace 1` instead, the lines go to
 # .bench_build/pairs/WORKLOAD.traced.base.jsonl and
@@ -99,6 +110,11 @@ file == 1 {
 		s = substr($0, RSTART, RLENGTH); sub(/"name": *"/, "", s); sub(/"$/, "", s)
 		n++; name[n] = s
 		better[n] = ($0 ~ /"better": *"higher"/) ? "higher" : "lower"
+		bound[n] = ""
+		if (match($0, /"bound": *[0-9.eE+-]+/)) {
+			s = substr($0, RSTART, RLENGTH); sub(/"bound": */, "", s)
+			bound[n] = s + 0
+		}
 	}
 	next
 }
@@ -132,9 +148,29 @@ function sortn(a, m,    i, j, t) {
 		a[j + 1] = t
 	}
 }
+function abs(x) { return x < 0 ? -x : x }
+# verdict judges metric k from the sorted base and change values b[1..mb],
+# c[1..mc] and the pairs won of pw compared (see the header comment).
+function verdict(k, b, mb, c, mc, won, pw,    bm, cm, biqr, ciqr, v, beyond) {
+	if (mb == 0 || mc == 0) return "-"
+	bm = quant(b, mb, 0.5); cm = quant(c, mc, 0.5)
+	biqr = quant(b, mb, 0.75) - quant(b, mb, 0.25)
+	ciqr = quant(c, mc, 0.75) - quant(c, mc, 0.25)
+	v = "-"
+	if (bound[k] != "") {
+		if ((better[k] == "higher" && cm < bm * (1 - bound[k])) || (better[k] == "lower" && cm > bm * (1 + bound[k])))
+			return "worse"
+		if (biqr > bound[k] * abs(bm) || ciqr > bound[k] * abs(cm))
+			return "unresolved"
+		v = "within"
+	}
+	beyond = (better[k] == "higher") ? (cm - bm > biqr) : (bm - cm > biqr)
+	if (pw > 0 && won >= 0.9 * pw && beyond) v = "gain"
+	return v
+}
 END {
 	p = (runs["base"] < runs["change"]) ? runs["base"] : runs["change"]
-	printf "%-32s %12s %25s %12s %8s %6s\n", "metric", "base p50", "base q1-q3", "change p50", "ratio", "won"
+	printf "%-32s %12s %25s %12s %8s %6s  %s\n", "metric", "base p50", "base q1-q3", "change p50", "ratio", "won", "verdict"
 	for (k = 1; k <= n; k++) {
 		mb = 0; mc = 0; won = 0; pw = 0
 		delete b; delete c
@@ -148,11 +184,14 @@ END {
 		bm = quant(b, mb, 0.5); cm = quant(c, mc, 0.5)
 		if (bm == 0 && cm == 0 && b[mb] == 0 && c[mc] == 0) continue # a layer neither side ran
 		ratio = (bm == "NA" || cm == "NA" || bm == 0) ? "NA" : sprintf("%.4f", cm / bm)
-		printf "%-32s %12s %25s %12s %8s %6s\n", name[k], \
+		printf "%-32s %12s %25s %12s %8s %6s  %s\n", name[k], \
 			(bm == "NA") ? "NA" : sprintf("%.4g", bm), \
 			(mb == 0) ? "NA" : sprintf("%.4g-%.4g", quant(b, mb, 0.25), quant(b, mb, 0.75)), \
-			(cm == "NA") ? "NA" : sprintf("%.4g", cm), ratio, won "/" pw
+			(cm == "NA") ? "NA" : sprintf("%.4g", cm), ratio, won "/" pw, verdict(k, b, mb, c, mc, won, pw)
 	}
-	printf "failed ops: base %d of %d, change %d of %d\n", fail["base"], att["base"], fail["change"], att["change"]
+	fb = (att["base"] > 0) ? fail["base"] / att["base"] : 0
+	fc = (att["change"] > 0) ? fail["change"] / att["change"] : 0
+	printf "failed ops: base %d of %d, change %d of %d%s\n", fail["base"], att["base"], fail["change"], att["change"], \
+		(fc > fb) ? " (worse)" : ""
 }
 ' BENCHMARK.json "$out/$workload$tag.base.jsonl" "$out/$workload$tag.change.jsonl"
