@@ -55,22 +55,8 @@ func (v *vet) conflictLocs(fn1, fn2 string) []effects.Loc {
 	r1, w1 := v.c.Summary.CallEffects(fn1)
 	r2, w2 := v.c.Summary.CallEffects(fn2)
 	var locs []effects.Loc
-	// Walk the ascending union of w1 and r1.
-	for i, j := 0, 0; i < len(w1) || j < len(r1); {
-		var l effects.Loc
-		var written bool
-		switch {
-		case j == len(r1) || i < len(w1) && w1[i] < r1[j]:
-			l, written = w1[i], true
-			i++
-		case i == len(w1) || r1[j] < w1[i]:
-			l = r1[j]
-			j++
-		default:
-			l, written = w1[i], true
-			i, j = i+1, j+1
-		}
-		if hasLoc(w2, l) || written && hasLoc(r2, l) {
+	for _, l := range effects.Union(w1, r1) {
+		if hasLoc(w2, l) || hasLoc(w1, l) && hasLoc(r2, l) {
 			locs = append(locs, l)
 		}
 	}

@@ -316,20 +316,7 @@ func (kf *keyFlow) callAccesses(f *ir.Func, b *ir.Block, in *ir.Instr, access fu
 	r, w := kf.v.c.Summary.CallEffects(in.Name)
 	callee := kf.fns[in.Name] // nil for builtins
 	var posBuf [8]int
-	for i, j := 0, 0; i < len(r) || j < len(w); {
-		// The next location of the ascending union of r and w.
-		var loc effects.Loc
-		switch {
-		case j == len(w) || i < len(r) && r[i] < w[j]:
-			loc = r[i]
-			i++
-		case i == len(r) || w[j] < r[i]:
-			loc = w[j]
-			j++
-		default:
-			loc = r[i]
-			i, j = i+1, j+1
-		}
+	for _, loc := range effects.Union(r, w) {
 		// Keyed positions of the callee for loc, as callee parameter (=
 		// argument) indices in ascending order, with the transform the
 		// callee applies.

@@ -7,6 +7,7 @@ package callgraph
 import (
 	"sort"
 
+	"repro/internal/cfg"
 	"repro/internal/ir"
 )
 
@@ -79,86 +80,35 @@ func (g *Graph) Recursive(fn string) bool { return g.Calls(fn, fn) }
 // callers read them, and iterate to a fixed point only within a component
 // (mutual recursion).
 //
-// The implementation is Tarjan's algorithm, iterative so deep call chains
-// cannot overflow the Go stack, seeded in sorted order for determinism.
+// The components come from cfg.SCCs (Tarjan's algorithm, iterative so
+// deep call chains cannot overflow the Go stack), seeded in sorted name
+// order for determinism.
 func (g *Graph) SCCs(funcs map[string]bool) [][]string {
 	names := make([]string, 0, len(funcs))
 	for n := range funcs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-
-	index := map[string]int{}
-	lowlink := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
-
-	type frame struct {
-		fn string
-		ci int // next callee index to visit
+	index := make(map[string]int, len(names))
+	for i, n := range names {
+		index[n] = i
 	}
-	for _, root := range names {
-		if _, seen := index[root]; seen {
-			continue
-		}
-		work := []frame{{fn: root}}
-		index[root] = next
-		lowlink[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			callees := g.Callees[f.fn]
-			advanced := false
-			for f.ci < len(callees) {
-				c := callees[f.ci]
-				f.ci++
-				if !funcs[c] {
-					continue
-				}
-				if _, seen := index[c]; !seen {
-					index[c] = next
-					lowlink[c] = next
-					next++
-					stack = append(stack, c)
-					onStack[c] = true
-					work = append(work, frame{fn: c})
-					advanced = true
-					break
-				}
-				if onStack[c] && index[c] < lowlink[f.fn] {
-					lowlink[f.fn] = index[c]
-				}
-			}
-			if advanced {
-				continue
-			}
-			done := work[len(work)-1].fn
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				parent := work[len(work)-1].fn
-				if lowlink[done] < lowlink[parent] {
-					lowlink[parent] = lowlink[done]
-				}
-			}
-			if lowlink[done] == index[done] {
-				var comp []string
-				for {
-					n := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[n] = false
-					comp = append(comp, n)
-					if n == done {
-						break
-					}
-				}
-				sort.Strings(comp)
-				sccs = append(sccs, comp)
+	succs := make([][]int, len(names))
+	for i, n := range names {
+		for _, c := range g.Callees[n] {
+			if funcs[c] {
+				succs[i] = append(succs[i], index[c])
 			}
 		}
+	}
+	comps := cfg.SCCs(succs)
+	sccs := make([][]string, len(comps))
+	for ci, comp := range comps {
+		sccs[ci] = make([]string, len(comp))
+		for i, v := range comp {
+			sccs[ci][i] = names[v]
+		}
+		sort.Strings(sccs[ci])
 	}
 	return sccs
 }

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ir"
@@ -198,5 +199,30 @@ int f(int n) {
 	}
 	if unreachable == 0 {
 		t.Skip("lowering produced no unreachable blocks for this input")
+	}
+}
+
+func TestSCCsReverseTopological(t *testing.T) {
+	// 0 -> 1 <-> 2 -> 3, 4 -> 4, 5 -> 0: components {3}, {1,2}, {0},
+	// {4} and {5}, each after every component it reaches.
+	succs := [][]int{{1}, {2}, {1, 3}, nil, {4}, {0}}
+	got := SCCs(succs)
+	want := [][]int{{3}, {2, 1}, {0}, {4}, {5}}
+	if len(got) != len(want) {
+		t.Fatalf("SCCs = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("SCCs = %v, want %v", got, want)
+		}
+	}
+	// A long call chain runs on the explicit work stack: one component per
+	// node, the last node first.
+	long := make([][]int, 100000)
+	for v := range len(long) - 1 {
+		long[v] = []int{v + 1}
+	}
+	if comps := SCCs(long); len(comps) != len(long) || comps[0][0] != len(long)-1 {
+		t.Fatalf("long path: %d components, first %v", len(comps), comps[0])
 	}
 }

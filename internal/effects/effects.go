@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/cfg"
 	"repro/internal/ir"
 )
 
@@ -179,7 +180,7 @@ func Summarize(prog *ir.Program, builtins Table) *Summary {
 		fe.Reads, fe.Writes = slices.Clone(sortUnique(reads)), slices.Clone(sortUnique(writes))
 		s.Fns[name] = fe
 	}
-	for _, comp := range callSCCs(callees) {
+	for _, comp := range cfg.SCCs(callees) {
 		for changed := true; changed; {
 			changed = false
 			for _, i := range comp {
@@ -187,8 +188,8 @@ func Summarize(prog *ir.Program, builtins Table) *Summary {
 				fe := &fes[i]
 				r, w := fe.Reads, fe.Writes
 				for _, j := range callees[i] {
-					r = mergeLocs(r, fes[j].Reads)
-					w = mergeLocs(w, fes[j].Writes)
+					r = Union(r, fes[j].Reads)
+					w = Union(w, fes[j].Writes)
 				}
 				if len(r) != len(fe.Reads) || len(w) != len(fe.Writes) {
 					fe.Reads, fe.Writes = r, w
@@ -204,9 +205,13 @@ func Summarize(prog *ir.Program, builtins Table) *Summary {
 	return s
 }
 
-// mergeLocs returns the ascending union of two ascending lists, a itself
-// when b adds nothing.
-func mergeLocs(a, b []Loc) []Loc {
+// Union returns the ascending union of two ascending location lists. When
+// one list adds nothing to the other the result is that other list itself,
+// so callers must not modify it.
+func Union(a, b []Loc) []Loc {
+	if len(a) == 0 {
+		return b
+	}
 	var out []Loc
 	i, j := 0, 0
 	for ; j < len(b); j++ {
@@ -246,56 +251,6 @@ func mergeLocs(a, b []Loc) []Loc {
 func sortUnique(locs []Loc) []Loc {
 	slices.Sort(locs)
 	return slices.Compact(locs)
-}
-
-// callSCCs returns the strongly connected components of the call graph
-// whose edges are callees (by function index), callees first: every
-// component comes after all components it calls into (Tarjan's
-// algorithm).
-func callSCCs(callees [][]int) [][]int {
-	n := len(callees)
-	index, low := make([]int, n), make([]int, n)
-	for i := range index {
-		index[i] = -1
-	}
-	onStack := make([]bool, n)
-	var stack []int
-	var comps [][]int
-	next := 0
-	var visit func(v int)
-	visit = func(v int) {
-		index[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range callees[v] {
-			if index[w] < 0 {
-				visit(w)
-				low[v] = min(low[v], low[w])
-			} else if onStack[w] {
-				low[v] = min(low[v], index[w])
-			}
-		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			comps = append(comps, comp)
-		}
-	}
-	for v := range callees {
-		if index[v] < 0 {
-			visit(v)
-		}
-	}
-	return comps
 }
 
 // KeyedArg reports which argument of builtin name keys its accesses to loc,

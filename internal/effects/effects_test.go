@@ -88,21 +88,21 @@ func TestLocListOperations(t *testing.T) {
 	if !slices.Equal(a, []Loc{TagLoc("a"), TagLoc("b")}) {
 		t.Errorf("sortUnique = %v", a)
 	}
-	if m := mergeLocs(a, []Loc{TagLoc("a")}); &m[0] != &a[0] || len(m) != 2 {
-		t.Errorf("merging a subset must return the list itself, got %v", m)
+	if u := Union(a, []Loc{TagLoc("a")}); &u[0] != &a[0] || len(u) != 2 {
+		t.Errorf("a union adding nothing must return the list itself, got %v", u)
 	}
-	if m := mergeLocs(a, nil); len(m) != 2 {
-		t.Errorf("merging nothing = %v", m)
+	if u := Union(nil, a); &u[0] != &a[0] {
+		t.Errorf("Union(nil, a) = %v", u)
 	}
-	m := mergeLocs(a, []Loc{TagLoc("0"), TagLoc("b"), TagLoc("c")})
-	if !slices.Equal(m, []Loc{TagLoc("0"), TagLoc("a"), TagLoc("b"), TagLoc("c")}) {
-		t.Errorf("mergeLocs = %v", m)
+	if u := Union(a, nil); len(u) != 2 {
+		t.Errorf("Union(a, nil) = %v", u)
+	}
+	u := Union(a, []Loc{TagLoc("0"), TagLoc("b"), TagLoc("c")})
+	if !slices.Equal(u, []Loc{TagLoc("0"), TagLoc("a"), TagLoc("b"), TagLoc("c")}) {
+		t.Errorf("Union = %v", u)
 	}
 	if !slices.Equal(a, []Loc{TagLoc("a"), TagLoc("b")}) {
-		t.Errorf("mergeLocs modified its input: %v", a)
-	}
-	if m := mergeLocs(nil, a); !slices.Equal(m, a) {
-		t.Errorf("mergeLocs(nil, a) = %v", m)
+		t.Errorf("Union modified its input: %v", a)
 	}
 }
 

@@ -190,16 +190,17 @@ func (c *Compiled) analyzeLoop(f *ir.Func, flow *cfg.Flow, header int) (*LoopAna
 // target a setup loop rather than the hot loop). The function's
 // control-flow context is built once and shared by the loop analyses.
 func (c *Compiled) AnalyzeFuncLoops(fnName string) ([]*LoopAnalysis, error) {
+	lus := c.Loops(fnName)
+	if len(lus) == 0 {
+		return nil, nil
+	}
 	f := c.Low.Prog.Funcs[fnName]
-	var flow *cfg.Flow
-	var out []*LoopAnalysis
-	for _, lu := range c.Loops(fnName) {
-		if f == nil {
-			return nil, fmt.Errorf("pipeline: no function %s", fnName)
-		}
-		if flow == nil {
-			flow = cfg.NewFlow(f)
-		}
+	if f == nil {
+		return nil, fmt.Errorf("pipeline: no function %s", fnName)
+	}
+	flow := cfg.NewFlow(f)
+	out := make([]*LoopAnalysis, 0, len(lus))
+	for _, lu := range lus {
 		la, err := c.analyzeLoop(f, flow, lu.Header)
 		if err != nil {
 			return nil, err

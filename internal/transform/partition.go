@@ -3,6 +3,7 @@ package transform
 import (
 	"sort"
 
+	"repro/internal/cfg"
 	"repro/internal/pipeline"
 )
 
@@ -33,50 +34,12 @@ func (g *UnitGraph) unitSCCs() *sccResult {
 		}
 	}
 
-	// Tarjan.
-	index := make([]int, n)
-	low := make([]int, n)
-	for v := range index {
-		index[v] = -1
-	}
-	onStack := make([]bool, n)
-	var stack []int
-	var comps [][]int
-	counter := 0
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] < 0 {
-				strongconnect(w)
-				low[v] = min(low[v], low[w])
-			} else if onStack[w] {
-				low[v] = min(low[v], index[w])
-			}
+	comps := cfg.SCCs(adj)
+	for _, comp := range comps {
+		for i := range comp {
+			comp[i]-- // node index to unit
 		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w-1)
-				if w == v {
-					break
-				}
-			}
-			sort.Ints(comp)
-			comps = append(comps, comp)
-		}
-	}
-	for v := range adj {
-		if index[v] < 0 {
-			strongconnect(v)
-		}
+		sort.Ints(comp)
 	}
 	// Tarjan emits components in reverse topological order; re-order them
 	// with Kahn's algorithm using the smallest unit index as tie-break, so
