@@ -15,6 +15,9 @@ func SCCs(succs [][]int) [][]int {
 	onStack := make([]bool, n)
 	var stack []int
 	var comps [][]int
+	// The components' nodes, back to back: each component is a
+	// capacity-clamped window of it.
+	members := make([]int, 0, n)
 	// work is the explicit call stack: a node and its next successor.
 	type frame struct{ v, next int }
 	var work []frame
@@ -50,17 +53,17 @@ func SCCs(succs [][]int) [][]int {
 				low[p] = min(low[p], low[v])
 			}
 			if low[v] == index[v] {
-				var comp []int
+				start := len(members)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp = append(comp, w)
+					members = append(members, w)
 					if w == v {
 						break
 					}
 				}
-				comps = append(comps, comp)
+				comps = append(comps, members[start:len(members):len(members)])
 			}
 		}
 	}

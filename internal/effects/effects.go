@@ -147,11 +147,17 @@ func Summarize(prog *ir.Program, builtins Table) *Summary {
 	for i, name := range prog.Order {
 		index[name] = i
 	}
-	// Each function's own accesses, gathered in scratch lists, and the
-	// other user functions it calls.
+	// Each function's own accesses, gathered in scratch lists and kept as
+	// capacity-clamped windows of one arena, and the other user functions
+	// it calls.
 	fes := make([]FnEffects, n)
 	callees := make([][]int, n)
-	var reads, writes []Loc
+	var reads, writes, arena []Loc
+	keep := func(locs []Loc) []Loc {
+		start := len(arena)
+		arena = append(arena, sortUnique(locs)...)
+		return arena[start:len(arena):len(arena)]
+	}
 	for i, name := range prog.Order {
 		reads, writes = reads[:0], writes[:0]
 		for _, b := range prog.Funcs[name].Blocks {
@@ -177,7 +183,7 @@ func Summarize(prog *ir.Program, builtins Table) *Summary {
 			}
 		}
 		fe := &fes[i]
-		fe.Reads, fe.Writes = slices.Clone(sortUnique(reads)), slices.Clone(sortUnique(writes))
+		fe.Reads, fe.Writes = keep(reads), keep(writes)
 		s.Fns[name] = fe
 	}
 	for _, comp := range cfg.SCCs(callees) {
