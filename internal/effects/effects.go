@@ -215,28 +215,24 @@ func Summarize(prog *ir.Program, builtins Table) *Summary {
 // one list adds nothing to the other the result is that other list itself,
 // so callers must not modify it.
 func Union(a, b []Loc) []Loc {
-	if len(a) == 0 {
-		return b
-	}
-	var out []Loc
+	// Skip the prefix of b that a already holds.
 	i, j := 0, 0
 	for ; j < len(b); j++ {
 		for i < len(a) && a[i] < b[j] {
 			i++
 		}
-		if i < len(a) && a[i] == b[j] {
-			continue
+		if i == len(a) || a[i] != b[j] {
+			break
 		}
-		// b[j] is new: copy a's prefix once, then merge the rest.
-		if out == nil {
-			out = make([]Loc, 0, len(a)+len(b)-j)
-			out = append(out, a[:i]...)
-		}
-		break
 	}
-	if out == nil {
+	switch {
+	case j == len(b):
 		return a
+	case len(a) == 0:
+		return b
 	}
+	out := make([]Loc, i, len(a)+len(b)-j)
+	copy(out, a[:i])
 	for i < len(a) || j < len(b) {
 		switch {
 		case j == len(b) || i < len(a) && a[i] < b[j]:
