@@ -145,15 +145,24 @@ void main() {
 // TestLongOperatorChain compiles and vets x = 1 + 1 + ... with 50,000
 // terms inside a loop. A position lookup that walked to the leftmost
 // operand made every pass asking for positions quadratic in the chain
-// (17 s at this length); the bound is generous for slow and -race runs.
+// (17 s at this length). The chain x = i + i + ... with 100,000 terms
+// reads slot i as often, so as many anti edges target i's one store: a
+// PDG edge deduplication that walked every edge into an instruction made
+// it quadratic (29 s at this length). The bound is generous for slow and
+// -race runs.
 func TestLongOperatorChain(t *testing.T) {
-	const terms = 50000
-	src := "void main() {\n\tint x = 0;\n\tfor (int i = 0; i < 4; i++) {\n\t\tx = 1" +
-		strings.Repeat(" + 1", terms-1) + ";\n\t}\n\tprint_int(x);\n}\n"
-	start := time.Now()
-	vetSource(t, "chain.mc", src)
-	if d := time.Since(start); d > 10*time.Second {
-		t.Errorf("compiling and vetting a %d-term chain took %v", terms, d)
+	for _, c := range []struct {
+		operand string
+		terms   int
+	}{{"1", 50000}, {"i", 100000}} {
+		operand, terms := c.operand, c.terms
+		src := "void main() {\n\tint x = 0;\n\tfor (int i = 0; i < 4; i++) {\n\t\tx = " + operand +
+			strings.Repeat(" + "+operand, terms-1) + ";\n\t}\n\tprint_int(x);\n}\n"
+		start := time.Now()
+		vetSource(t, "chain.mc", src)
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("compiling and vetting a %d-term chain of %s took %v", terms, operand, d)
+		}
 	}
 }
 

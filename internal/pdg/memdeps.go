@@ -92,7 +92,7 @@ func (b *builder) addLocalMemEdges() {
 					b.addEdge(Edge{From: w.id, To: o.id, Kind: DepFlow, Loc: loc, SlotID: sid}, lid)
 				}
 				// Loop-carried flow into upward-exposed reads.
-				if exposed[o.id] {
+				if exposed[o.id-b.Nodes[0]] {
 					b.addEdge(Edge{From: w.id, To: o.id, Kind: DepFlow, LoopCarried: true, Loc: loc, IVSlot: iv, SlotID: sid}, lid)
 				}
 				// Anti, intra only (locals are privatized per iteration).
@@ -126,37 +126,39 @@ func (b *builder) addSharedSlotEdges(accs []slotAccess, loc string, lid, sid int
 	}
 }
 
-// upwardExposedLoads computes, by instruction ID, which OpLoadLocal
-// instructions may observe a value from a previous iteration: loads not
-// preceded on every intra-iteration path by a store to the same slot. The
-// must-define dataflow runs over slot bitsets per block and iterates to a
-// fixpoint so that inner-loop back edges (cycles in the iteration body)
-// are handled precisely: an inner loop's own induction variable is
-// defined before its header on every path from the outer header.
+// upwardExposedLoads computes, by instruction ID less Nodes[0], which
+// OpLoadLocal instructions may observe a value from a previous iteration:
+// loads not preceded on every intra-iteration path by a store to the same
+// slot. The must-define dataflow runs over slot bitsets per block and
+// iterates to a fixpoint so that inner-loop back edges (cycles in the
+// iteration body) are handled precisely: an inner loop's own induction
+// variable is defined before its header on every path from the outer
+// header.
 func (b *builder) upwardExposedLoads() []bool {
-	nb, ns := len(b.F.Blocks), len(b.F.Locals)
-	defs, in, out := newBitMatrix(nb, ns), newBitMatrix(nb, ns), newBitMatrix(nb, ns)
+	// Rows are loop blocks by loop index, columns slots.
+	nl, ns := len(b.Loop.Blocks), len(b.F.Locals)
+	defs, in, out := newBitMatrix(nl, ns), newBitMatrix(nl, ns), newBitMatrix(nl, ns)
 	universe := make([]uint64, defs.words)
-	def := func(x, slot int) {
-		defs.set(x, slot)
+	def := func(i, slot int) {
+		defs.set(i, slot)
 		universe[slot/64] |= 1 << (slot % 64)
 	}
-	for _, x := range b.Loop.Blocks {
+	for i, x := range b.Loop.Blocks {
 		for _, instr := range b.F.BlockByID(x).Instrs {
 			if instr.Op == ir.OpStoreLocal {
-				def(x, instr.Slot)
+				def(i, instr.Slot)
 			}
 			if instr.Op == ir.OpCall {
 				for _, s := range instr.OutSlots {
-					def(x, s)
+					def(i, s)
 				}
 			}
 		}
 	}
 
 	// Optimistic initialization (OUT = universe) and iteration to fixpoint.
-	for _, x := range b.Loop.Blocks {
-		copy(out.row(x), universe)
+	for i := range b.Loop.Blocks {
+		copy(out.row(i), universe)
 	}
 	order := b.intraTopoOrder()
 	preds := b.Flow.G.Preds
@@ -165,14 +167,15 @@ func (b *builder) upwardExposedLoads() []bool {
 		for _, x := range order {
 			// IN is the intersection over intra-iteration predecessors;
 			// nothing is defined at iteration start (the header).
-			cur := in.row(x)
+			i := b.loopIndex(x)
+			cur := in.row(i)
 			clear(cur)
 			first := true
 			for _, pr := range preds[x] {
 				if x == b.Loop.Header || !b.Loop.Contains(pr) {
 					continue
 				}
-				po := out.row(pr)
+				po := out.row(b.loopIndex(pr))
 				for w := range cur {
 					if first {
 						cur[w] = po[w]
@@ -182,7 +185,7 @@ func (b *builder) upwardExposedLoads() []bool {
 				}
 				first = false
 			}
-			o, d := out.row(x), defs.row(x)
+			o, d := out.row(i), defs.row(i)
 			for w := range cur {
 				if v := cur[w] | d[w]; v != o[w] {
 					o[w] = v
@@ -192,15 +195,15 @@ func (b *builder) upwardExposedLoads() []bool {
 		}
 	}
 
-	exposed := make([]bool, len(b.Instrs))
+	exposed := make([]bool, b.Nodes[len(b.Nodes)-1]-b.Nodes[0]+1)
 	have := make([]uint64, defs.words)
-	for _, x := range b.Loop.Blocks {
-		copy(have, in.row(x))
+	for i, x := range b.Loop.Blocks {
+		copy(have, in.row(i))
 		for _, instr := range b.F.BlockByID(x).Instrs {
 			switch instr.Op {
 			case ir.OpLoadLocal:
 				if have[instr.Slot/64]&(1<<(instr.Slot%64)) == 0 {
-					exposed[instr.ID] = true
+					exposed[instr.ID-b.Nodes[0]] = true
 				}
 			case ir.OpStoreLocal:
 				have[instr.Slot/64] |= 1 << (instr.Slot % 64)
@@ -217,14 +220,14 @@ func (b *builder) upwardExposedLoads() []bool {
 // intraTopoOrder orders loop blocks so that intra-iteration predecessors
 // come first (header first, back edges ignored).
 func (b *builder) intraTopoOrder() []int {
-	visited := make([]bool, len(b.F.Blocks))
+	visited := make([]bool, len(b.Loop.Blocks)) // by loop index
 	order := make([]int, 0, len(b.Loop.Blocks))
 	succs := b.Flow.G.Succs
 	var dfs func(x int)
 	dfs = func(x int) {
-		visited[x] = true
+		visited[b.loopIndex(x)] = true
 		for _, s := range succs[x] {
-			if b.Loop.Contains(s) && s != b.Loop.Header && !visited[s] {
+			if b.Loop.Contains(s) && s != b.Loop.Header && !visited[b.loopIndex(s)] {
 				dfs(s)
 			}
 		}

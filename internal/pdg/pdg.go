@@ -23,12 +23,14 @@
 // The graph is dense. Build reads the function's cfg.Flow, shared by every
 // loop of the function, and fills slices indexed by instruction ID or slot
 // (instruction IDs are dense per function). The edges live in one backing
-// array in insertion order, deduplicated as they are added by walking the
-// chain of edges into their target. Intra-iteration reachability and the
-// upward-exposed-load dataflow are bit matrices over block IDs and slots.
+// array in insertion order, deduplicated as they are added through an
+// open-addressing table of edge indexes. Intra-iteration reachability and
+// the upward-exposed-load dataflow are bit matrices over the loop's blocks
+// and the slots. Scratch tables span the loop, not the whole function.
 package pdg
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/cfg"
@@ -146,27 +148,18 @@ type PDG struct {
 type builder struct {
 	*PDG
 	edges []Edge
-	// links[i] holds edges[i]'s location ID and the index of the previous
-	// edge into the same instruction (-1 at the end); into[id] is the
-	// latest edge into instruction id, or -1. Walking these chains
-	// deduplicates edges on (From, To, Kind, LoopCarried, Loc).
-	links []edgeLink
-	into  []int32
+	// lids[i] is edges[i]'s location ID. slots is an open-addressing hash
+	// table of edge indexes (-1: empty), keyed by the edge's identity
+	// (From, To, Kind, LoopCarried and location ID); it deduplicates the
+	// edges as they are added.
+	lids  []int32
+	slots []int32
 	// locs interns shared-memory locations: an edge's location ID is its
 	// index.
 	locs []string
 	// reach is the intra-iteration block reachability of the loop (see
 	// intraReach).
 	reach bitMatrix
-}
-
-// edgeLink chains the edges into one instruction. A location ID is a
-// register number for register edges, -1-slot for local-slot edges, an
-// index of builder.locs for shared-memory edges and 0 for control edges;
-// register, memory and control edges never share a kind, so within a kind
-// equal IDs mean equal locations.
-type edgeLink struct {
-	lid, prev int32
 }
 
 // Build constructs the PDG for loop in f, whose control-flow context is
@@ -192,11 +185,8 @@ func Build(f *ir.Func, loop *cfg.Loop, flow *cfg.Flow, summary *effects.Summary,
 	// Blocks are visited in ascending ID order and IDs are dense in block
 	// order, so Nodes is already sorted.
 	b.edges = make([]Edge, 0, 4*len(b.Nodes))
-	b.links = make([]edgeLink, 0, 4*len(b.Nodes))
-	b.into = make([]int32, n)
-	for id := range b.into {
-		b.into[id] = -1
-	}
+	b.lids = make([]int32, 0, 4*len(b.Nodes))
+	b.growSlots(8 * len(b.Nodes))
 	b.reach = b.intraReach()
 
 	b.detectIVs(control)
@@ -211,19 +201,57 @@ func Build(f *ir.Func, loop *cfg.Loop, flow *cfg.Flow, summary *effects.Summary,
 	return b.PDG
 }
 
-// addEdge appends e unless an edge with the same identity exists; locID
-// is e.Loc's integer form (see edgeLink).
+// addEdge appends e unless an edge with the same identity exists. locID
+// is e.Loc's integer form: a register number for register edges, -1-slot
+// for local-slot edges, an index of builder.locs for shared-memory edges
+// and 0 for control edges; register, memory and control edges never share
+// a kind, so within a kind equal IDs mean equal locations.
 func (b *builder) addEdge(e Edge, locID int) {
+	if 2*len(b.edges) >= len(b.slots) {
+		b.growSlots(2 * len(b.slots))
+	}
 	lid := int32(locID)
-	for i := b.into[e.To]; i >= 0; i = b.links[i].prev {
-		x := &b.edges[i]
-		if x.From == e.From && x.Kind == e.Kind && x.LoopCarried == e.LoopCarried && b.links[i].lid == lid {
+	mask := len(b.slots) - 1
+	for i := edgeHash(e.From, e.To, lid) & mask; ; i = (i + 1) & mask {
+		j := b.slots[i]
+		if j < 0 {
+			b.slots[i] = int32(len(b.edges))
+			b.lids = append(b.lids, lid)
+			b.edges = append(b.edges, e)
+			return
+		}
+		if x := &b.edges[j]; x.From == e.From && x.To == e.To && x.Kind == e.Kind && x.LoopCarried == e.LoopCarried && b.lids[j] == lid {
 			return
 		}
 	}
-	b.links = append(b.links, edgeLink{lid: lid, prev: b.into[e.To]})
-	b.into[e.To] = int32(len(b.edges))
-	b.edges = append(b.edges, e)
+}
+
+// edgeHash mixes an edge's endpoints and location ID; edges differing only
+// in kind or loop-carried flag share a probe sequence.
+func edgeHash(from, to int, lid int32) int {
+	h := (uint64(from)<<32 ^ uint64(to) ^ uint64(uint32(lid))<<16) * 0x9E3779B97F4A7C15
+	return int(h >> 33)
+}
+
+// growSlots rebuilds the dedup table with at least n slots, a power of two.
+func (b *builder) growSlots(n int) {
+	size := 16
+	for size < n {
+		size *= 2
+	}
+	b.slots = make([]int32, size)
+	for i := range b.slots {
+		b.slots[i] = -1
+	}
+	mask := size - 1
+	for j := range b.edges {
+		e := &b.edges[j]
+		i := edgeHash(e.From, e.To, b.lids[j]) & mask
+		for b.slots[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		b.slots[i] = int32(j)
+	}
 }
 
 // memLoc interns a shared-memory location, returning its ID.
@@ -353,26 +381,38 @@ func regLoc(r int) string {
 }
 
 func (b *builder) addRegEdges() {
-	// lastDef[r] is the latest definition of register r in the current
+	// The registers the loop reads lie in [lo, hi]; definitions of others
+	// are never looked up.
+	lo, hi := b.F.NumRegs, -1
+	var buf [2]int
+	for _, id := range b.Nodes {
+		for _, r := range regUses(b.Instrs[id], buf[:0]) {
+			lo, hi = min(lo, r), max(hi, r)
+		}
+	}
+	if hi < lo {
+		return
+	}
+	read := func(r int) bool { return r >= lo && r <= hi }
+	// lastDef[r-lo] is the latest definition of register r in the current
 	// block; registers are block-local, so entries of earlier blocks are
 	// cleared as each block ends.
-	lastDef := make([]*ir.Instr, b.F.NumRegs)
-	var buf [2]int
+	lastDef := make([]*ir.Instr, hi-lo+1)
 	for _, bid := range b.Loop.Blocks {
 		blk := b.F.BlockByID(bid)
 		for _, in := range blk.Instrs {
 			for _, r := range regUses(in, buf[:0]) {
-				if def := lastDef[r]; def != nil {
+				if def := lastDef[r-lo]; def != nil {
 					b.addEdge(Edge{From: def.ID, To: in.ID, Kind: DepRegFlow, Loc: regLoc(r)}, r)
 				}
 			}
-			if in.Dst >= 0 {
-				lastDef[in.Dst] = in
+			if read(in.Dst) {
+				lastDef[in.Dst-lo] = in
 			}
 		}
 		for _, in := range blk.Instrs {
-			if in.Dst >= 0 {
-				lastDef[in.Dst] = nil
+			if read(in.Dst) {
+				lastDef[in.Dst-lo] = nil
 			}
 		}
 	}
@@ -393,8 +433,8 @@ func regUses(in *ir.Instr, buf []int) []int {
 
 // --- intra-iteration reachability ---
 
-// bitMatrix is a square bit matrix over block IDs (or any small dense
-// index), one row of words per index.
+// bitMatrix is a bit matrix over small dense indexes, one row of words
+// per index.
 type bitMatrix struct {
 	words int
 	bits  []uint64
@@ -411,18 +451,28 @@ func (m bitMatrix) has(i, j int) bool { return m.bits[i*m.words+j/64]&(1<<(j%64)
 
 func (m bitMatrix) set(i, j int) { m.bits[i*m.words+j/64] |= 1 << (j % 64) }
 
+// loopIndex returns the index of loop block x in Loop.Blocks, the row and
+// column of x in the loop's block matrices.
+func (b *builder) loopIndex(x int) int {
+	i, _ := slices.BinarySearch(b.Loop.Blocks, x)
+	return i
+}
+
 // intraReach computes block-level reachability within the loop ignoring
-// back edges into the header (the "iteration body" DAG): row b holds the
-// blocks reachable from loop block b.
+// back edges into the header (the "iteration body" DAG): row i holds the
+// loop blocks reachable from the loop's i-th block, by loop index.
 func (b *builder) intraReach() bitMatrix {
-	nb := len(b.F.Blocks)
-	reach := newBitMatrix(nb, nb)
+	nl := len(b.Loop.Blocks)
+	reach := newBitMatrix(nl, nl)
 	succs := b.Flow.G.Succs
 	var stack []int
-	for _, x := range b.Loop.Blocks {
+	for i, x := range b.Loop.Blocks {
 		push := func(s int) {
-			if s != b.Loop.Header && b.Loop.Contains(s) && !reach.has(x, s) {
-				reach.set(x, s)
+			if s == b.Loop.Header || !b.Loop.Contains(s) {
+				return
+			}
+			if j := b.loopIndex(s); !reach.has(i, j) {
+				reach.set(i, j)
 				stack = append(stack, s)
 			}
 		}
@@ -447,5 +497,5 @@ func (b *builder) canReachIntra(x, y int) bool {
 	if bx == by {
 		return x < y // IDs are dense in block order
 	}
-	return b.reach.has(bx, by)
+	return b.reach.has(b.loopIndex(bx), b.loopIndex(by))
 }
