@@ -7,7 +7,9 @@
 // Everything is indexed by block ID. NewFlow computes a function's CFG,
 // dominator and post-dominator trees and loop forest once; each Loop keeps
 // its blocks both as an ascending list and as a block-indexed membership
-// table, so loop analyses iterate and test membership without maps.
+// table, so loop analyses iterate and test membership without maps. SCCs
+// finds the strongly connected components of any graph given as successor
+// lists over dense indexes (the call graph, the unit graph).
 package cfg
 
 import (
